@@ -3,18 +3,17 @@
 ``ConversionChain`` ties the static optics to the noise and detection
 models and exposes the derived per-gate means that both the analytic
 module and the Monte Carlo simulator consume.  ``reference_chain`` builds
-the chain with the published apparatus values (780.24 nm input, 1569.4 nm
-pump, 3 cm PPLN waveguide, 0.68 nm filter, 7% gated InGaAs detector).
+the chain with the published apparatus values, which live only in the
+shipped scenario file ``data/reference.cfg``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .noise import DetectorConfig, FilterStage, NoiseModel, beta_factor
+from .noise import DetectorConfig, FilterStage, NoiseModel, beta_factor, noise_counts
 from .optics import (
     EfficiencyCascade,
-    ElementTransmissions,
     GaussianPulse,
     LossBudget,
     WaveguideParams,
@@ -103,10 +102,9 @@ class ConversionChain:
 
     def noise_mean_per_gate(self, pump_mw: float) -> float:
         """Mean noise counts per gate (pump-induced plus dark)."""
-        alpha = self.noise.alpha_per_gate(
-            self.detector.gate_width_ns, self.filter_stage.bandwidth_nm
+        return noise_counts(
+            pump_mw, self.noise, self.detector, self.filter_stage.bandwidth_nm
         )
-        return alpha * pump_mw + self.detector.dark_counts_per_gate
 
     def with_filter_bandwidth(self, bandwidth_nm: float) -> "ConversionChain":
         return replace(
@@ -120,43 +118,7 @@ class ConversionChain:
 
 
 def reference_chain() -> ConversionChain:
-    """Chain with the published apparatus values."""
-    return ConversionChain(
-        input_wavelength_nm=780.24,
-        pump_wavelength_nm=1569.4,
-        pulse=GaussianPulse(fwhm_ns=30.0),
-        waveguide=WaveguideParams(
-            length_cm=3.0,
-            normalized_efficiency=0.72,
-            max_external_efficiency=0.25,
-        ),
-        budget=LossBudget(
-            signal=ElementTransmissions(
-                input_lens=0.99, coupling=0.61, propagation=0.61, output_lens=0.80
-            ),
-            pump=ElementTransmissions(
-                input_lens=0.66, coupling=0.58, propagation=0.78, output_lens=0.98
-            ),
-        ),
-        filter_stage=FilterStage(
-            bandwidth_nm=0.68,
-            fiber_coupling=0.50,
-            grating=0.70,
-            bandpass_longpass=0.74,
-            total_transmission=0.26,
-        ),
-        detector=DetectorConfig(
-            gate_width_ns=20.0,
-            efficiency=0.07,
-            dark_rate_per_ns=1e-5,
-            dead_time_us=20.0,
-        ),
-        noise=NoiseModel(
-            alpha_detected_per_mw=6e-6,
-            alpha_crystal_per_mw_ns=5e-6,
-            reference_bandwidth_nm=0.68,
-            dark_rate_per_ns=1e-5,
-            reference_gate_ns=20.0,
-        ),
-        repetition_rate_mhz=1.0,
-    )
+    """Chain with the published apparatus values of ``data/reference.cfg``."""
+    from .config import REFERENCE_CONFIG, parse_config  # config imports this module
+
+    return parse_config(REFERENCE_CONFIG).chain

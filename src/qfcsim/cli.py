@@ -16,11 +16,11 @@ import math
 import sys
 import warnings
 from dataclasses import replace
-from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import (
     REFERENCE_CONFIG,
     ConfigError,
@@ -51,7 +51,7 @@ from .timebin import (
     Interferometer,
     TimeBinQubit,
     classical_fidelity_bound,
-    fidelity_from_visibility,
+    quantum_regime_report,
     slot_statistics,
     visibility_model,
 )
@@ -64,13 +64,6 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 PRESETS = ("fig3a", "fig3b", "fig4a", "fig5a")
-
-
-def _version() -> str:
-    try:
-        return metadata.version("qfcsim")
-    except metadata.PackageNotFoundError:  # pragma: no cover
-        return "0.0.0"
 
 
 def _fmt(v) -> str:
@@ -92,7 +85,7 @@ def _write_bundle(path: Path, cfg: ScenarioConfig, payload: dict) -> None:
     bundle = {
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
-        "version": _version(),
+        "version": __version__,
     }
     bundle.update(payload)
     path.write_text(
@@ -234,24 +227,14 @@ def _preset_fig4a(cfg: ScenarioConfig):
 
 def _preset_fig5a(cfg: ScenarioConfig):
     """Visibility, fidelity and classical bounds versus input photon number."""
-    chain = cfg.chain
-    m1 = mu1(chain, cfg.pump_mw)
-    cas = chain.cascade()
+    m1 = mu1(cfg.chain, cfg.pump_mw)
+    cas = cfg.chain.cascade()
     mus = np.linspace(1.0, 25.0, 25)
-    rows = []
-    for mu in mus:
-        v = visibility_model(float(mu), m1, 1.0)
-        f = fidelity_from_visibility(v)
-        rows.append(
-            (
-                mu,
-                v,
-                f,
-                classical_fidelity_bound(float(mu), 1.0),
-                classical_fidelity_bound(float(mu), cas.eta_ext_max),
-                classical_fidelity_bound(float(mu), cas.eta_dev_max),
-            )
-        )
+    vis = Dataset(x=mus, y=[visibility_model(float(mu), m1, 1.0) for mu in mus])
+    rows = [
+        (r.mu_in, r.visibility, r.fidelity, r.bound_unit, r.bound_ext, r.bound_dev)
+        for r in quantum_regime_report(vis, cas.eta_ext_max, cas.eta_dev_max)
+    ]
     return ["mu_in", "visibility", "fidelity", "bound_unit", "bound_ext", "bound_dev"], rows
 
 
@@ -486,16 +469,12 @@ def run(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except ConfigError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (FitConvergenceError, DegenerateDenominatorError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # covers ConfigError; kept after the numerical clause because
+        # LinAlgError subclasses ValueError
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -14,6 +14,7 @@ SHA-256 of that canonical form and is stamped into report metadata.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -95,46 +96,10 @@ _SCHEMA: dict[str, dict[str, object]] = {
     },
 }
 
-# Everything except these two is defaulted from the reference apparatus.
+# Everything except these two defaults to the reference apparatus.
 _REQUIRED: frozenset[tuple[str, str]] = frozenset(
     {("pump", "power"), ("source", "mean_photon_number")}
 )
-
-_DEFAULTS: dict[tuple[str, str], object] = {
-    ("source", "input_wavelength"): 780.24,
-    ("source", "pulse_fwhm"): 30.0,
-    ("source", "repetition_rate"): 1.0,
-    ("pump", "wavelength"): 1569.4,
-    ("waveguide", "length"): 3.0,
-    ("waveguide", "normalized_efficiency"): 0.72,
-    ("waveguide", "max_external_efficiency"): 0.25,
-    ("losses_input", "input_lens"): 0.99,
-    ("losses_input", "coupling"): 0.61,
-    ("losses_input", "propagation"): 0.61,
-    ("losses_input", "output_lens"): 0.80,
-    ("losses_pump", "input_lens"): 0.66,
-    ("losses_pump", "coupling"): 0.58,
-    ("losses_pump", "propagation"): 0.78,
-    ("losses_pump", "output_lens"): 0.98,
-    ("filter", "bandwidth"): 0.68,
-    ("filter", "fiber_coupling"): 0.50,
-    ("filter", "grating"): 0.70,
-    ("filter", "bandpass_longpass"): 0.74,
-    ("filter", "total_transmission"): 0.26,
-    ("filter", "allow_extrapolation"): False,
-    ("detector", "gate_width"): 20.0,
-    ("detector", "efficiency"): 0.07,
-    ("detector", "dark_rate"): 1e-5,
-    ("detector", "dead_time"): 20.0,
-    ("detector", "allow_any_gate"): False,
-    ("noise", "alpha_detected"): 6e-6,
-    ("noise", "alpha_crystal"): 5e-6,
-    ("noise", "reference_bandwidth"): 0.68,
-    ("noise", "reference_gate"): 20.0,
-    ("montecarlo", "shots"): 100000,
-    ("montecarlo", "seed"): 12345,
-}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -192,8 +157,8 @@ def _parse_value(
         ) from None
 
 
-def parse_config(text: str) -> ScenarioConfig:
-    """Parse and validate a scenario document, applying defaults."""
+def _parse_values(text: str) -> dict[tuple[str, str], object]:
+    """(section, key) -> value for every entry of a document, no defaults."""
     values: dict[tuple[str, str], object] = {}
     section: str | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -225,7 +190,12 @@ def parse_config(text: str) -> ScenarioConfig:
         values[(section, key)] = _parse_value(
             raw, _SCHEMA[section][key], section, key, lineno
         )
+    return values
 
+
+def parse_config(text: str) -> ScenarioConfig:
+    """Parse and validate a scenario document, applying defaults."""
+    values = _parse_values(text)
     for sk in _REQUIRED:
         if sk not in values:
             raise ConfigError(f"missing required key: {_qualified(*sk)}")
@@ -236,6 +206,10 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def _build(values: dict[tuple[str, str], object]) -> ScenarioConfig:
+    # NaN passes every range check below, so non-finite input stops here
+    for (section, key), value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{_qualified(section, key)} must be finite, got {value}")
     v = values
 
     def get(section: str, key: str):
@@ -284,7 +258,6 @@ def _build(values: dict[tuple[str, str], object]) -> ScenarioConfig:
                 alpha_detected_per_mw=get("noise", "alpha_detected"),
                 alpha_crystal_per_mw_ns=get("noise", "alpha_crystal"),
                 reference_bandwidth_nm=get("noise", "reference_bandwidth"),
-                dark_rate_per_ns=get("detector", "dark_rate"),
                 reference_gate_ns=get("noise", "reference_gate"),
             ),
             repetition_rate_mhz=get("source", "repetition_rate"),
@@ -361,7 +334,11 @@ def config_hash(config: ScenarioConfig) -> str:
     return hashlib.sha256(serialize(config).encode("utf-8")).hexdigest()
 
 
-# Reference apparatus document, shipped with the package.
+# Reference apparatus document, shipped with the package: the only place
+# the apparatus values are written down.
 REFERENCE_CONFIG = (
     resources.files("qfcsim.data").joinpath("reference.cfg").read_text("utf-8")
 )
+_DEFAULTS: dict[tuple[str, str], object] = {
+    sk: v for sk, v in _parse_values(REFERENCE_CONFIG).items() if sk not in _REQUIRED
+}

@@ -65,6 +65,9 @@ class Dataset:
                 raise ValueError("sigma must match x in length")
             if np.any(sigma <= 0):
                 raise ValueError("sigma values must be positive")
+        for name, values in ((self.xlabel, x), (self.ylabel, y), ("sigma", sigma)):
+            if values is not None and not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} values must be finite")
         order = np.argsort(x, kind="stable")
         x, y = x[order], y[order]
         if sigma is not None:
@@ -166,10 +169,12 @@ def _levenberg(
     positive: bool = True,
     max_iter: int = 200,
     rtol: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton; returns (params, J^T W J at the solution)."""
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Damped Gauss-Newton; returns (params, J^T W J at the solution,
+    converged), where converged is False once ``max_iter`` is reached."""
     p = np.array(p0, dtype=float)
     lam = 1e-3
+    converged = True
     cost = float(np.sum(w * residual_fn(p) ** 2))
     for _ in range(max_iter):
         r = residual_fn(p)
@@ -198,11 +203,9 @@ def _levenberg(
         if np.all(np.abs(step) <= rtol * np.abs(p)):
             break
     else:
-        raise FitConvergenceError(
-            f"no convergence after {max_iter} iterations", best_params=p
-        )
+        converged = False
     jac = jacobian_fn(p)
-    return p, jac.T @ (w[:, None] * jac)
+    return p, jac.T @ (w[:, None] * jac), converged
 
 
 def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
@@ -213,7 +216,9 @@ def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
     the peak at argmax(y).  The derived total normalized conversion
     eta_n * L^2 (per W) and its confidence half-width are reported in
     ``extras``.  Data confined to the linear regime leaves the two
-    parameters unidentifiable and sets ``ill_conditioned``.
+    parameters unidentifiable and sets ``ill_conditioned``; such a fit is
+    returned even when the iteration cap stops it, any other fit that
+    reaches the cap raises ``FitConvergenceError``.
     """
     if len(data) < 3:
         raise ValueError("need at least 3 points")
@@ -233,7 +238,7 @@ def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
     def jacobian(p):
         return _conversion_jacobian(x, p[0], p[1], length_cm)
 
-    params, a = _levenberg(residual, jacobian, p0, w)
+    params, a, converged = _levenberg(residual, jacobian, p0, w)
     resid = residual(params)
     rss = float(np.sum(w * resid**2))
     dof = len(data) - 2
@@ -243,6 +248,8 @@ def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
     corr = cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]) if cov[0, 0] > 0 and cov[1, 1] > 0 else 0.0
     u_max = length_cm * math.sqrt(float(np.max(x)) * params[1])
     ill = abs(corr) > 0.999 or u_max < math.pi / 4.0
+    if not converged and not ill:
+        raise FitConvergenceError("conversion fit did not converge", best_params=params)
     if ill:
         warnings.warn(
             "conversion fit is ill-conditioned: the data do not resolve the "

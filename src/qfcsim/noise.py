@@ -22,7 +22,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .optics import GaussianPulse, bandwidth_ghz_to_nm, bandwidth_nm_to_ghz
+from .optics import GaussianPulse, bandwidth_nm_to_ghz
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chain import ConversionChain
@@ -60,7 +60,7 @@ class DegenerateDenominatorError(ZeroDivisionError):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Linear pump-induced noise plus detector dark counts.
+    """Linear pump-induced noise; the dark counts are the detector's.
 
     ``alpha_detected_per_mw`` is the detected noise slope (counts per gate
     per mW) at ``reference_gate_ns`` / ``reference_bandwidth_nm``;
@@ -71,15 +71,10 @@ class NoiseModel:
     alpha_detected_per_mw: float
     alpha_crystal_per_mw_ns: float
     reference_bandwidth_nm: float
-    dark_rate_per_ns: float
     reference_gate_ns: float = 20.0
 
     def __post_init__(self):
-        for name in (
-            "alpha_detected_per_mw",
-            "alpha_crystal_per_mw_ns",
-            "dark_rate_per_ns",
-        ):
+        for name in ("alpha_detected_per_mw", "alpha_crystal_per_mw_ns"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.reference_bandwidth_nm <= 0 or self.reference_gate_ns <= 0:

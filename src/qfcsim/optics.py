@@ -160,10 +160,7 @@ def external_efficiency(pump_w: float, wg: WaveguideParams) -> float:
     eta_ext(P) = eta_ext_max * sin^2(L * sqrt(P * eta_n)); the undepleted
     classical-pump result for a quasi-phase-matched waveguide.
     """
-    if pump_w < 0:
-        raise ValueError(f"pump power must be nonnegative, got {pump_w}")
-    arg = wg.length_cm * math.sqrt(pump_w * wg.normalized_efficiency)
-    return wg.max_external_efficiency * math.sin(arg) ** 2
+    return wg.max_external_efficiency * conversion_fraction(pump_w, wg)
 
 
 def conversion_fraction(pump_w: float, wg: WaveguideParams) -> float:

@@ -17,7 +17,7 @@ an equal-amplitude qubit and 50/50 splitters, and the central slot reads
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -167,12 +167,7 @@ def fringe_scan(
 
     counts = np.empty_like(g)
     for i, gamma in enumerate(g):
-        ifm_i = Interferometer(
-            delay_ns=ifm.delay_ns,
-            phase=float(gamma),
-            max_visibility=ifm.max_visibility,
-            splitter_ratio=ifm.splitter_ratio,
-        )
+        ifm_i = replace(ifm, phase=float(gamma))
         counts[i] = slot_statistics(qubit, ifm_i, mu, noise_per_slot).central
     if shots_per_point is not None:
         rng = np.random.default_rng(seed)
@@ -209,11 +204,15 @@ def classical_fidelity_bound(
     The series is truncated once the Poisson tail bound falls below
     ``tail_bound`` relative to the accumulated weight.
     """
-    if mu_in <= 0:
-        raise ValueError("mu_in must be positive")
+    if not (math.isfinite(mu_in) and mu_in > 0):
+        raise ValueError(f"mu_in must be positive and finite, got {mu_in}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
-    pmf = math.exp(-mu_in)  # n = 0
+    # exp(-mu_in) underflows to 0 beyond mu_in ~ 745.  The factor is common
+    # to numerator and weight, so start from a clipped value and rescale
+    # pmf, numerator and weight together whenever pmf grows too large; at
+    # mu_in <= 700 neither step changes a bit of the result.
+    pmf = math.exp(-min(mu_in, 700.0))  # n = 0
     numerator = 0.0
     weight = 0.0
     miss = 1.0 - eta
@@ -221,6 +220,10 @@ def classical_fidelity_bound(
     while True:
         n += 1
         pmf *= mu_in / n
+        if pmf > 1e300:
+            pmf *= 1e-300
+            numerator *= 1e-300
+            weight *= 1e-300
         w = pmf * (1.0 - miss**n)
         weight += w
         numerator += w * (n + 1) / (n + 2)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written with a different method than the
 library: numerical quadrature instead of error functions, complex
-amplitude enumeration instead of closed-form intensities, and a fixed
-n <= 200 brute-force sum instead of an adaptively truncated series.
+amplitude enumeration instead of closed-form intensities, and a fixed-
+length brute-force sum with log-space Poisson weights instead of an
+adaptively truncated, rescaled series.
 """
 
 from __future__ import annotations

@@ -4,7 +4,12 @@ import json
 
 import pytest
 
+import qfcsim
+from qfcsim.chain import reference_chain
 from qfcsim.config import (
+    _DEFAULTS,
+    _REQUIRED,
+    _SCHEMA,
     REFERENCE_CONFIG,
     ConfigError,
     config_hash,
@@ -76,6 +81,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config("[pump]\npower 120 mW\n")
 
+    def test_defaults_cover_schema(self):
+        schema_keys = {(s, k) for s in _SCHEMA for k in _SCHEMA[s]}
+        assert set(_DEFAULTS) | _REQUIRED == schema_keys
+        assert not set(_DEFAULTS) & _REQUIRED
+
+    def test_required_keys_alone_give_reference_chain(self):
+        cfg = parse_config("[source]\nmean_photon_number = 6.1\n[pump]\npower = 120.0 mW\n")
+        assert cfg.chain == reference_chain()
+        assert serialize(cfg) == serialize(parse_config(REFERENCE_CONFIG))
+
+    def test_nonfinite_value_rejected(self):
+        text = REFERENCE_CONFIG.replace("power = 120.0 mW", "power = nan mW")
+        with pytest.raises(ConfigError, match="pump_power must be finite"):
+            parse_config(text)
+
     def test_comments_and_whitespace_ignored(self):
         text = "# comment\n[pump]\npower = 120.0 mW  # trailing\n[source]\nmean_photon_number = 6.1\n"
         cfg = parse_config(text)
@@ -120,6 +140,22 @@ class TestCliExitCodes:
     def test_missing_config_file(self, capsys):
         assert run(["report", "--config", "/nonexistent.cfg"]) == 2
 
+    def test_nan_mu_rejected(self, tmp_path, capsys):
+        assert run(["simulate", "--mu", "nan", "--out", str(tmp_path)]) == 2
+        assert "source_mean_photon_number must be finite" in capsys.readouterr().err
+
+    def test_infinite_pump_rejected(self, tmp_path, capsys):
+        assert run(["report", "--pump-mw", "inf", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "pump_power must be finite" in err
+        assert "math domain error" not in err
+
+    def test_fit_nan_row_rejected(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,nan\n0.3,0.15\n")
+        assert run(["fit", str(data), "--out", str(tmp_path)]) == 2
+        assert "eta_ext values must be finite" in capsys.readouterr().err
+
     def test_report_success(self, tmp_path, capsys):
         assert run(["report", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -152,7 +188,7 @@ class TestCliOutputs:
         bundle = json.loads((tmp_path / "fig4a.json").read_text())
         assert bundle["seed"] == 77
         assert len(bundle["config_hash"]) == 64
-        assert "version" in bundle
+        assert bundle["version"] == qfcsim.__version__
 
     def test_fit_subcommand(self, tmp_path, capsys):
         import numpy as np

@@ -33,6 +33,13 @@ class TestDataset:
         with pytest.raises(ValueError, match="positive"):
             Dataset(x=[1.0, 2.0], y=[1.0, 2.0], sigma=[0.1, 0.0])
 
+    def test_nonfinite_rejected(self):
+        for bad in ({"x": [1.0, float("nan")]}, {"y": [1.0, float("inf")]},
+                    {"sigma": [0.1, float("nan")]}):
+            kw = {"x": [1.0, 2.0], "y": [1.0, 2.0], **bad}
+            with pytest.raises(ValueError, match="must be finite"):
+                Dataset(**kw)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(x=[1.0, 2.0], y=[1.0])
@@ -104,6 +111,16 @@ class TestFitConversion:
         d = Dataset(x=p, y=conversion_model(p, 0.25, 0.72, 3.0))
         with pytest.warns(UserWarning, match="ill-conditioned"):
             res = fit_conversion(d, length_cm=3.0)
+        assert res.ill_conditioned
+
+    def test_linear_regime_iteration_cap_flagged(self):
+        # noisy linear-regime data: the fit walks the flat valley until the
+        # iteration cap, and is returned flagged instead of raising
+        rng = np.random.default_rng(5)
+        p = np.sort(rng.uniform(0.001, 0.02, 30))
+        y = conversion_model(p, 0.25, 0.72, 3.0) * (1.0 + 0.05 * rng.standard_normal(30))
+        with pytest.warns(UserWarning, match="ill-conditioned"):
+            res = fit_conversion(Dataset(x=p, y=y), length_cm=3.0)
         assert res.ill_conditioned
 
     def test_input_validation(self):

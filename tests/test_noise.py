@@ -27,7 +27,6 @@ MODEL = NoiseModel(
     alpha_detected_per_mw=6e-6,
     alpha_crystal_per_mw_ns=5e-6,
     reference_bandwidth_nm=0.68,
-    dark_rate_per_ns=1e-5,
     reference_gate_ns=20.0,
 )
 

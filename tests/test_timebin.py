@@ -137,6 +137,18 @@ class TestClassicalBound:
                     classical_bound_bruteforce(mu, eta), abs=1e-10
                 )
 
+    def test_past_exp_underflow(self):
+        # exp(-800) underflows to 0; the brute-force sum weights in log space
+        for eta in (1.0, 0.25, 0.01):
+            assert classical_fidelity_bound(800.0, eta) == pytest.approx(
+                classical_bound_bruteforce(800.0, eta, n_max=2000), abs=1e-10
+            )
+
+    def test_monotone_across_underflow(self):
+        grid = [740.0, 744.0, 745.0, 746.0, 750.0, 760.0, 780.0, 800.0]
+        vals = [classical_fidelity_bound(m, 1.0) for m in grid]
+        assert all(b > a for a, b in zip(vals, vals[1:]))
+
     def test_frozen_operating_point(self):
         assert classical_fidelity_bound(6.1, 0.25) == pytest.approx(0.8723855477725121, rel=1e-10)
 
@@ -153,6 +165,9 @@ class TestClassicalBound:
             classical_fidelity_bound(0.0, 0.5)
         with pytest.raises(ValueError):
             classical_fidelity_bound(1.0, 0.0)
+        for mu, eta in ((math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                classical_fidelity_bound(mu, eta)
 
 
 class TestFidelityAndReport:
