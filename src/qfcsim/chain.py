@@ -39,7 +39,7 @@ class ConversionChain:
     repetition_rate_mhz: float = 1.0
 
     def __post_init__(self):
-        if self.repetition_rate_mhz <= 0:
+        if not self.repetition_rate_mhz > 0:
             raise ValueError("repetition rate must be positive")
         # validates the down-conversion ordering
         dfg_output_wavelength(self.input_wavelength_nm, self.pump_wavelength_nm)

@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,9 +38,11 @@ from .fitting import (
 )
 from .montecarlo import ExperimentScenario, simulate
 from .noise import (
+    ALLOWED_GATE_WIDTHS_NS,
+    FILTER_BANDWIDTH_MAX_NM,
+    FILTER_BANDWIDTH_MIN_NM,
     DegenerateDenominatorError,
     ExtrapolationWarning,
-    beta_factor,
     detection_probabilities,
     mu1,
     projected_noise_floor,
@@ -63,7 +64,16 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-PRESETS = ("fig3a", "fig3b", "fig4a", "fig5a")
+# Flags every command takes to override one config value:
+# (flag name, type, accepted values or None, qualified config key).
+_OVERRIDES = (
+    ("seed", int, None, "montecarlo_seed"),
+    ("shots", int, None, "montecarlo_shots"),
+    ("gate", float, ALLOWED_GATE_WIDTHS_NS, "detector_gate_width"),
+    ("pump_mw", float, None, "pump_power"),
+    ("mu", float, None, "source_mean_photon_number"),
+    ("bandwidth_nm", float, None, "filter_bandwidth"),
+)
 
 
 def _fmt(v) -> str:
@@ -74,7 +84,12 @@ def _fmt(v) -> str:
     return f"{float(v):.9g}"
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[tuple]) -> None:
+def _rounded(v) -> float:
+    """A JSON number at the 9 significant digits of the CSV files."""
+    return float(_fmt(v))
+
+
+def _write_csv(path: Path, columns: list[str] | tuple[str, ...], rows: list[tuple]) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
@@ -93,30 +108,32 @@ def _write_bundle(path: Path, cfg: ScenarioConfig, payload: dict) -> None:
     )
 
 
+def _out_dir(args) -> Path:
+    """The output directory, created only once there is something to write."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _load(args) -> ScenarioConfig:
-    if args.config is not None:
-        cfg = load_config(args.config)
-    else:
-        cfg = parse_config(REFERENCE_CONFIG)
-    overrides = {}
-    if args.seed is not None:
-        overrides["montecarlo_seed"] = args.seed
-    if args.shots is not None:
-        overrides["montecarlo_shots"] = args.shots
-    if args.gate is not None:
-        overrides["detector_gate_width"] = float(args.gate)
-    if args.pump_mw is not None:
-        overrides["pump_power"] = args.pump_mw
-    if args.mu is not None:
-        overrides["source_mean_photon_number"] = args.mu
-    if args.bandwidth_nm is not None:
-        overrides["filter_bandwidth"] = args.bandwidth_nm
+    cfg = parse_config(REFERENCE_CONFIG) if args.config is None else load_config(args.config)
+    overrides = {
+        key: getattr(args, flag)
+        for flag, _, _, key in _OVERRIDES
+        if getattr(args, flag) is not None
+    }
     if overrides:
         cfg = with_overrides(cfg, **overrides)
     return cfg
 
 
 # ---------------------------------------------------------------- simulate
+
+# simulate.csv columns, each a SimulationResult field
+_SIMULATE_COLUMNS = (
+    "p_signal", "p_signal_err", "p_noise", "p_noise_err", "snr", "snr_err",
+    "alive_signal", "alive_noise", "skipped_signal", "skipped_noise",
+)
 
 
 def _cmd_simulate(args) -> int:
@@ -129,36 +146,11 @@ def _cmd_simulate(args) -> int:
         seed=cfg.seed,
     )
     res = simulate(scenario)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     _write_csv(
         out / "simulate.csv",
-        [
-            "p_signal",
-            "p_signal_err",
-            "p_noise",
-            "p_noise_err",
-            "snr",
-            "snr_err",
-            "alive_signal",
-            "alive_noise",
-            "skipped_signal",
-            "skipped_noise",
-        ],
-        [
-            (
-                res.p_signal,
-                res.p_signal_err,
-                res.p_noise,
-                res.p_noise_err,
-                res.snr,
-                res.snr_err,
-                res.alive_signal,
-                res.alive_noise,
-                res.skipped_signal,
-                res.skipped_noise,
-            )
-        ],
+        _SIMULATE_COLUMNS,
+        [tuple(getattr(res, name) for name in _SIMULATE_COLUMNS)],
     )
     _write_bundle(
         out / "simulate.json",
@@ -166,8 +158,8 @@ def _cmd_simulate(args) -> int:
         {
             "command": "simulate",
             "shots": cfg.shots,
-            "p_signal": float(_fmt(res.p_signal)),
-            "p_noise": float(_fmt(res.p_noise)),
+            "p_signal": _rounded(res.p_signal),
+            "p_noise": _rounded(res.p_noise),
         },
     )
     print(f"simulate: p_S = {res.p_signal:.6g}, p_N = {res.p_noise:.6g} "
@@ -217,7 +209,7 @@ def _preset_fig3b(cfg: ScenarioConfig):
 
 def _preset_fig4a(cfg: ScenarioConfig):
     """SNR = 1 crossing versus filter bandwidth at the configured pump."""
-    bandwidths = np.linspace(0.65, 2.3, 12)
+    bandwidths = np.linspace(FILTER_BANDWIDTH_MIN_NM, FILTER_BANDWIDTH_MAX_NM, 12)
     rows = []
     for bw in bandwidths:
         chain = cfg.chain.with_filter_bandwidth(float(bw))
@@ -238,21 +230,18 @@ def _preset_fig5a(cfg: ScenarioConfig):
     return ["mu_in", "visibility", "fidelity", "bound_unit", "bound_ext", "bound_dev"], rows
 
 
+PRESETS = {
+    "fig3a": _preset_fig3a,
+    "fig3b": _preset_fig3b,
+    "fig4a": _preset_fig4a,
+    "fig5a": _preset_fig5a,
+}
+
+
 def _cmd_sweep(args) -> int:
-    if args.preset not in PRESETS:
-        print(f"unknown preset {args.preset!r}; choose from {', '.join(PRESETS)}",
-              file=sys.stderr)
-        return EXIT_USAGE
     cfg = _load(args)
-    builder = {
-        "fig3a": _preset_fig3a,
-        "fig3b": _preset_fig3b,
-        "fig4a": _preset_fig4a,
-        "fig5a": _preset_fig5a,
-    }[args.preset]
-    columns, rows = builder(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    columns, rows = PRESETS[args.preset](cfg)
+    out = _out_dir(args)
     _write_csv(out / f"{args.preset}.csv", columns, rows)
     _write_bundle(
         out / f"{args.preset}.json",
@@ -290,28 +279,21 @@ def _cmd_fit(args) -> int:
     cfg = _load(args)
     data = _read_dataset_csv(Path(args.data))
     fit = fit_conversion(data, cfg.chain.waveguide.length_cm)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     payload = {
         "command": "fit",
         "data": str(args.data),
-        "params": {
-            name: float(_fmt(fit.params[i]))
-            for i, name in enumerate(fit.param_names)
-        },
-        "ci95": {
-            name: float(_fmt(fit.ci95[i]))
-            for i, name in enumerate(fit.param_names)
-        },
-        "total_normalized_per_w": float(_fmt(fit.extras["total_normalized_per_w"])),
-        "total_normalized_ci95": float(_fmt(fit.extras["total_normalized_ci95"])),
+        "params": dict(zip(fit.param_names, map(_rounded, fit.params))),
+        "ci95": dict(zip(fit.param_names, map(_rounded, fit.ci95))),
+        "total_normalized_per_w": _rounded(fit.extras["total_normalized_per_w"]),
+        "total_normalized_ci95": _rounded(fit.extras["total_normalized_ci95"]),
         "ill_conditioned": bool(fit.ill_conditioned),
-        "rss": float(_fmt(fit.rss)),
+        "rss": _rounded(fit.rss),
         "dof": fit.dof,
     }
     _write_bundle(out / "fit.json", cfg, payload)
-    for i, name in enumerate(fit.param_names):
-        print(f"{name} = {fit.params[i]:.6g} +- {fit.ci95[i]:.3g}")
+    for name, value, ci in zip(fit.param_names, fit.params, fit.ci95):
+        print(f"{name} = {value:.6g} +- {ci:.3g}")
     print(f"total normalized conversion = "
           f"{fit.extras['total_normalized_per_w']:.6g} /W "
           f"+- {fit.extras['total_normalized_ci95']:.3g}")
@@ -322,82 +304,89 @@ def _cmd_fit(args) -> int:
 
 # ------------------------------------------------------------------ report
 
+# Row name -> (printed target, check, a, b).  Check "+-" passes when
+# |value - a| <= b, check "in" when a <= value <= b.  The printed targets
+# stay literal because some ("2.6e-3 +- 1e-4") do not come back from a
+# float format.  "{pump}" in a name is the configured pump power.
+REPORT_TARGETS = {
+    "eta_ext_max": ("0.25 +- 0.005", "+-", 0.25, 0.005),
+    "eta_dev_max": ("0.066 +- 0.002", "+-", 0.066, 0.002),
+    "eta_tot_max": ("2.6e-3 +- 1e-4", "+-", 2.6e-3, 1e-4),
+    "optimal_pump_mw": ("[360, 440] mW", "in", 360.0, 440.0),
+    "beta_20ns": ("0.57 +- 0.01", "+-", 0.57, 0.01),
+    "beta_50ns": ("0.95 +- 0.03", "+-", 0.95, 0.03),
+    "mu_1_at_{pump:g}mW": ("[0.6, 0.8]", "in", 0.6, 0.8),
+    "snr_peak_pump_mw": ("[80, 130] mW", "in", 80.0, 130.0),
+    "snr_400mW_over_peak": ("[0.4, 0.6]", "in", 0.4, 0.6),
+    "alpha_crystal_50MHz": ("[2.5, 3.5]e-9 /mW/ns", "in", 2.5e-9, 3.5e-9),
+    "noise_photons_50MHz_50ns": ("6e-5 +- 1e-5", "+-", 6e-5, 1e-5),
+    "classical_bound_mu_to_0": ("2/3 +- 1e-6", "+-", 2.0 / 3.0, 1e-6),
+    "slot_fraction_central": ("1/2 (gamma-averaged)", "+-", 0.5, 1e-12),
+}
 
-def _report_rows(cfg: ScenarioConfig) -> list[tuple[str, float, str, bool]]:
-    """(name, value, target description, passed) rows for the summary table."""
+
+def _report_values(cfg: ScenarioConfig) -> dict[str, float]:
+    """The value of every REPORT_TARGETS row for this configuration."""
     chain = cfg.chain
     cas = chain.cascade()
-    rows = [
-        ("eta_ext_max", cas.eta_ext_max, "0.25 +- 0.005",
-         abs(cas.eta_ext_max - 0.25) <= 0.005),
-        ("eta_dev_max", cas.eta_dev_max, "0.066 +- 0.002",
-         abs(cas.eta_dev_max - 0.066) <= 0.002),
-        ("eta_tot_max", cas.eta_tot_max, "2.6e-3 +- 1e-4",
-         abs(cas.eta_tot_max - 2.6e-3) <= 1e-4),
-        ("optimal_pump_mw", chain.optimal_pump_mw, "[360, 440] mW",
-         360.0 <= chain.optimal_pump_mw <= 440.0),
-    ]
-    b20 = beta_factor(chain.pulse, replace(chain.detector, gate_width_ns=20.0))
-    b50 = beta_factor(chain.pulse, replace(chain.detector, gate_width_ns=50.0))
-    rows.append(("beta_20ns", b20, "0.57 +- 0.01", abs(b20 - 0.57) <= 0.01))
-    rows.append(("beta_50ns", b50, "0.95 +- 0.03", abs(b50 - 0.95) <= 0.03))
 
-    m1 = mu1(chain, cfg.pump_mw)
-    rows.append((f"mu_1_at_{cfg.pump_mw:g}mW", m1, "[0.6, 0.8]", 0.6 <= m1 <= 0.8))
+    def snr_dc(pump_mw: float) -> float:
+        return snr(detection_probabilities(cfg.mu_in, pump_mw, chain), subtract_dark=False)
 
     pumps = np.linspace(1.0, 600.0, 600)
-    snrs = np.array([
-        snr(detection_probabilities(cfg.mu_in, float(p), chain), subtract_dark=False)
-        for p in pumps
-    ])
-    p_best = float(pumps[np.argmax(snrs)])
-    ratio = snr(
-        detection_probabilities(cfg.mu_in, 400.0, chain), subtract_dark=False
-    ) / float(np.max(snrs))
-    rows.append(("snr_peak_pump_mw", p_best, "[80, 130] mW", 80.0 <= p_best <= 130.0))
-    rows.append(("snr_400mW_over_peak", ratio, "[0.4, 0.6]", 0.4 <= ratio <= 0.6))
+    snrs = np.array([snr_dc(float(p)) for p in pumps])
+    if not snrs.max() > 0:  # snr_400mW_over_peak divides by it
+        raise ConfigError(
+            f"source_mean_photon_number = {cfg.mu_in:g} gives no signal above the "
+            "noise at any pump power; the report needs a positive peak SNR"
+        )
 
     with warnings.catch_warnings():
         # the 50 MHz projection is a deliberate extrapolation
         warnings.simplefilter("ignore", ExtrapolationWarning)
         alpha_scaled, photons = projected_noise_floor(0.05, chain.with_gate_width(50.0))
-    rows.append(("alpha_crystal_50MHz", alpha_scaled, "[2.5, 3.5]e-9 /mW/ns",
-                 2.5e-9 <= alpha_scaled <= 3.5e-9))
-    rows.append(("noise_photons_50MHz_50ns", photons, "6e-5 +- 1e-5",
-                 abs(photons - 6e-5) <= 1e-5))
-
-    fb = classical_fidelity_bound(1e-6, 1.0)
-    rows.append(("classical_bound_mu_to_0", fb, "2/3 +- 1e-6",
-                 abs(fb - 2.0 / 3.0) <= 1e-6))
 
     qubit = TimeBinQubit(phase=0.0, separation_ns=50.0)
-    gammas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
     frac = np.zeros(3)
-    for g in gammas:
+    for g in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
         sc = slot_statistics(qubit, Interferometer(delay_ns=50.0, phase=float(g)), 1.0)
         frac += np.array([sc.early, sc.central, sc.late])
     frac /= frac.sum()
-    ok = np.allclose(frac, [0.25, 0.5, 0.25], atol=1e-12)
-    rows.append(("slot_fraction_central", float(frac[1]), "1/2 (gamma-averaged)", bool(ok)))
-    return rows
+
+    return {
+        "eta_ext_max": cas.eta_ext_max,
+        "eta_dev_max": cas.eta_dev_max,
+        "eta_tot_max": cas.eta_tot_max,
+        "optimal_pump_mw": chain.optimal_pump_mw,
+        "beta_20ns": chain.with_gate_width(20.0).beta,
+        "beta_50ns": chain.with_gate_width(50.0).beta,
+        "mu_1_at_{pump:g}mW": mu1(chain, cfg.pump_mw),
+        "snr_peak_pump_mw": float(pumps[np.argmax(snrs)]),
+        "snr_400mW_over_peak": snr_dc(400.0) / float(np.max(snrs)),
+        "alpha_crystal_50MHz": alpha_scaled,
+        "noise_photons_50MHz_50ns": photons,
+        "classical_bound_mu_to_0": classical_fidelity_bound(1e-6, 1.0),
+        "slot_fraction_central": float(frac[1]),
+    }
 
 
 def _cmd_report(args) -> int:
     cfg = _load(args)
-    rows = _report_rows(cfg)
+    values = _report_values(cfg)
+    rows = []
+    for name, (target, check, a, b) in REPORT_TARGETS.items():
+        v = values[name]
+        ok = abs(v - a) <= b if check == "+-" else a <= v <= b
+        rows.append((name.format(pump=cfg.pump_mw), v, target, "PASS" if ok else "FAIL"))
     width = max(len(r[0]) for r in rows)
     lines = ["quantity".ljust(width) + "  value         target              status"]
-    for name, value, target, ok in rows:
-        lines.append(
-            f"{name.ljust(width)}  {value:<12.6g}  {target:<18}  "
-            f"{'PASS' if ok else 'FAIL'}"
-        )
+    for name, value, target, status in rows:
+        lines.append(f"{name.ljust(width)}  {value:<12.6g}  {target:<18}  {status}")
     text = "\n".join(lines)
     print(text)
     print("\n(statistical checks: fit recovery, Monte Carlo consistency,")
     print(" histogram shape and determinism run in the pytest suite)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     (out / "report.txt").write_text(text + "\n", encoding="utf-8")
     _write_bundle(
         out / "report.json",
@@ -405,13 +394,8 @@ def _cmd_report(args) -> int:
         {
             "command": "report",
             "rows": [
-                {
-                    "name": name,
-                    "value": float(_fmt(value)),
-                    "target": target,
-                    "status": "PASS" if ok else "FAIL",
-                }
-                for name, value, target, ok in rows
+                {"name": name, "value": _rounded(value), "target": target, "status": status}
+                for name, value, target, status in rows
             ],
         },
     )
@@ -432,26 +416,25 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qfcsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", default=None, help="scenario config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--shots", type=int, default=None)
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--gate", type=int, choices=(20, 50, 100), default=None)
-        p.add_argument("--pump-mw", type=float, default=None)
-        p.add_argument("--mu", type=float, default=None)
-        p.add_argument("--bandwidth-nm", type=float, default=None)
+        for flag, kind, choices, _ in _OVERRIDES:
+            p.add_argument("--" + flag.replace("_", "-"), type=kind, choices=choices, default=None)
+        return p
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo click-probability estimate")
-    common(p_sim)
-    p_sweep = sub.add_parser("sweep", help="named figure-reproduction dataset")
-    common(p_sweep)
-    p_sweep.add_argument("--preset", required=True, choices=PRESETS)
-    p_fit = sub.add_parser("fit", help="fit the conversion curve to a CSV dataset")
-    common(p_fit)
-    p_fit.add_argument("data", help="CSV with columns P_p_W,eta_ext[,sigma]")
-    p_rep = sub.add_parser("report", help="model-number reproduction table")
-    common(p_rep)
+    # The handlers are read from the module when the parser is built, so
+    # that a wrapper installed on a module attribute is the one called.
+    command("simulate", _cmd_simulate, "Monte Carlo click-probability estimate")
+    command("sweep", _cmd_sweep, "named figure-reproduction dataset").add_argument(
+        "--preset", required=True, choices=PRESETS
+    )
+    command("fit", _cmd_fit, "fit the conversion curve to a CSV dataset").add_argument(
+        "data", help="CSV with columns P_p_W,eta_ext[,sigma]"
+    )
+    command("report", _cmd_report, "model-number reproduction table")
     return parser
 
 
@@ -461,14 +444,8 @@ def run(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handler = {
-        "simulate": _cmd_simulate,
-        "sweep": _cmd_sweep,
-        "fit": _cmd_fit,
-        "report": _cmd_report,
-    }[args.command]
     try:
-        return handler(args)
+        return args.handler(args)
     except (FitConvergenceError, DegenerateDenominatorError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -166,17 +166,15 @@ def _levenberg(
     jacobian_fn: Callable[[np.ndarray], np.ndarray],
     p0: np.ndarray,
     w: np.ndarray,
-    positive: bool = True,
-    max_iter: int = 200,
-    rtol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Damped Gauss-Newton; returns (params, J^T W J at the solution,
-    converged), where converged is False once ``max_iter`` is reached."""
+    """Damped Gauss-Newton with positive parameters; returns (params,
+    J^T W J at the solution, converged), where converged is False after
+    200 iterations."""
     p = np.array(p0, dtype=float)
     lam = 1e-3
     converged = True
     cost = float(np.sum(w * residual_fn(p) ** 2))
-    for _ in range(max_iter):
+    for _ in range(200):
         r = residual_fn(p)
         jac = jacobian_fn(p)
         a = jac.T @ (w[:, None] * jac)
@@ -189,7 +187,7 @@ def _levenberg(
                 lam *= 10.0
                 continue
             cand = p + cand_step
-            if positive and np.any(cand <= 0):
+            if np.any(cand <= 0):
                 lam *= 10.0
                 continue
             cand_cost = float(np.sum(w * residual_fn(cand) ** 2))
@@ -200,7 +198,7 @@ def _levenberg(
             lam *= 10.0
         if step is None:
             break  # damping saturated: stationary point
-        if np.all(np.abs(step) <= rtol * np.abs(p)):
+        if np.all(np.abs(step) <= 1e-12 * np.abs(p)):
             break
     else:
         converged = False

@@ -71,11 +71,11 @@ class ExperimentScenario:
     seed: int
 
     def __post_init__(self):
-        if self.mu_in < 0 or self.pump_mw < 0:
+        if not (self.mu_in >= 0 and self.pump_mw >= 0):
             raise ValueError("mu_in and pump power must be nonnegative")
-        if self.n_shots <= 0:
+        if not self.n_shots > 0:
             raise ValueError(f"n_shots must be positive, got {self.n_shots}")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be a nonnegative integer")
         if self.chain.gate_period_ns <= self.chain.detector.gate_width_ns:
             raise ValueError("repetition period must exceed the gate width")

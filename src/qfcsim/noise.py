@@ -75,9 +75,9 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("alpha_detected_per_mw", "alpha_crystal_per_mw_ns"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.reference_bandwidth_nm <= 0 or self.reference_gate_ns <= 0:
+        if not (self.reference_bandwidth_nm > 0 and self.reference_gate_ns > 0):
             raise ValueError("reference bandwidth and gate width must be positive")
 
     @property
@@ -152,9 +152,9 @@ class DetectorConfig:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"detector efficiency must be in [0, 1], got {self.efficiency}")
-        if self.dead_time_us < 0:
+        if not self.dead_time_us >= 0:
             raise ValueError("dead time must be nonnegative")
-        if self.dark_rate_per_ns < 0:
+        if not self.dark_rate_per_ns >= 0:
             raise ValueError("dark rate must be nonnegative")
         if self.gate_width_ns not in ALLOWED_GATE_WIDTHS_NS and not self.allow_any_gate:
             raise ValueError(

@@ -44,13 +44,12 @@ def _check_fraction(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class GaussianPulse:
-    """Gaussian temporal intensity profile, FWHM and center in ns."""
+    """Gaussian temporal intensity profile, FWHM in ns."""
 
     fwhm_ns: float
-    center_ns: float = 0.0
 
     def __post_init__(self):
-        if self.fwhm_ns <= 0:
+        if not self.fwhm_ns > 0:
             raise ValueError(f"pulse FWHM must be positive, got {self.fwhm_ns}")
 
     @property
@@ -74,9 +73,9 @@ class WaveguideParams:
     max_external_efficiency: float
 
     def __post_init__(self):
-        if self.length_cm <= 0:
+        if not self.length_cm > 0:
             raise ValueError(f"waveguide length must be positive, got {self.length_cm}")
-        if self.normalized_efficiency <= 0:
+        if not self.normalized_efficiency > 0:
             raise ValueError(
                 f"normalized efficiency must be positive, got {self.normalized_efficiency}"
             )

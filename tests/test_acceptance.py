@@ -7,6 +7,7 @@ documented 120 mW operating point, 4b the exact linearity of that
 crossing in the filter bandwidth.
 """
 
+import json
 import math
 
 import numpy as np
@@ -270,3 +271,30 @@ def test_criterion_13_determinism(tmp_path, capsys):
     assert run(["simulate", "--out", str(d2), "--shots", "200000", "--seed", "13"]) == 0
     same = (d1 / "simulate.csv").read_bytes() == (d2 / "simulate.csv").read_bytes()
     assert _report("13", same, "identical config + seed give byte-identical simulate CSV")
+
+
+def test_report_agrees_with_acceptance_bounds(tmp_path, capsys):
+    """``qfcsim report`` marks a row PASS exactly when its value lies within
+    the literal bounds of the criterion above that checks the quantity."""
+    bounds = {
+        "eta_ext_max": lambda v: abs(v - 0.25) <= 0.005,  # 1
+        "eta_dev_max": lambda v: abs(v - 0.066) <= 0.002,  # 1
+        "eta_tot_max": lambda v: abs(v - 2.6e-3) <= 1e-4,  # 1
+        "optimal_pump_mw": lambda v: 360.0 <= v <= 440.0,  # 2
+        "beta_20ns": lambda v: abs(v - 0.57) <= 0.01,  # 6
+        "beta_50ns": lambda v: abs(v - 0.95) <= 0.03,  # 6
+        "mu_1_at_120mW": lambda v: 0.6 <= v <= 0.8,  # 4a
+        "snr_peak_pump_mw": lambda v: 80.0 <= v <= 130.0,  # 5
+        "snr_400mW_over_peak": lambda v: 0.4 <= v <= 0.6,  # 5
+        "alpha_crystal_50MHz": lambda v: 2.5e-9 <= v <= 3.5e-9,  # 11
+        "noise_photons_50MHz_50ns": lambda v: abs(v - 6e-5) <= 1e-5,  # 11
+        "classical_bound_mu_to_0": lambda v: abs(v - 2.0 / 3.0) <= 1e-6,  # 10
+        "slot_fraction_central": lambda v: abs(v - 0.5) <= 1e-12,  # 12
+    }
+    assert run(["report", "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+    assert [r["name"] for r in rows] == list(bounds)
+    for r in rows:
+        assert r["status"] == ("PASS" if bounds[r["name"]](r["value"]) else "FAIL"), r["name"]
+    failing = [r["name"] for r in rows if r["status"] == "FAIL"]
+    assert _report("report", failing == ["mu_1_at_120mW"], f"failing rows {failing} (4a only)")

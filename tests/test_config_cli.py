@@ -156,6 +156,15 @@ class TestCliExitCodes:
         assert run(["fit", str(data), "--out", str(tmp_path)]) == 2
         assert "eta_ext values must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mu", ["0", "1e-300"])
+    def test_report_without_signal_rejected(self, mu, tmp_path, capsys):
+        # the SNR rows divide by the peak SNR, which is 0 without signal
+        assert run(["report", "--mu", mu, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "source_mean_photon_number" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_report_success(self, tmp_path, capsys):
         assert run(["report", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

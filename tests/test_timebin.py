@@ -144,6 +144,14 @@ class TestClassicalBound:
                 classical_bound_bruteforce(800.0, eta, n_max=2000), abs=1e-10
             )
 
+    def test_large_mu(self):
+        # the series needs about mu + 10 sqrt(mu) terms, past 100,000 here
+        value = classical_fidelity_bound(1e5, 0.066)
+        assert 2.0 / 3.0 <= value <= 1.0
+        assert value == pytest.approx(
+            classical_bound_bruteforce(1e5, 0.066, n_max=105000), abs=1e-10
+        )
+
     def test_monotone_across_underflow(self):
         grid = [740.0, 744.0, 745.0, 746.0, 750.0, 760.0, 780.0, 800.0]
         vals = [classical_fidelity_bound(m, 1.0) for m in grid]
