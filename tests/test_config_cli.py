@@ -165,6 +165,18 @@ class TestCliExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "command", [["report"], ["sweep", "--preset", "fig4a"], ["sweep", "--preset", "fig5a"]]
+    )
+    def test_zero_pump_rejected(self, command, tmp_path, capsys):
+        # pump_power = 0 is a valid config (simulate takes it), but these
+        # commands report mu_1, which divides by the converted signal
+        assert run([*command, "--pump-mw", "0", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "pump_power" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_report_success(self, tmp_path, capsys):
         assert run(["report", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import t as student_t
 
 from qfcsim.fitting import (
     Dataset,
     SweepError,
+    _ci_half_widths,
+    _t975,
     conversion_model,
     extract_mu1,
     fit_conversion,
@@ -47,6 +50,23 @@ class TestDataset:
     def test_unit_weights_default(self):
         d = Dataset(x=[1.0, 2.0], y=[1.0, 2.0])
         assert np.all(d.weights() == 1.0)
+
+
+class TestStudentQuantile:
+    def test_matches_scipy(self):
+        dofs = np.arange(1, 2001)
+        ours = np.array([_t975(int(k)) for k in dofs])
+        np.testing.assert_allclose(ours, student_t.ppf(0.975, dofs), rtol=1e-12, atol=0)
+
+    def test_no_degrees_of_freedom_gives_infinite_width(self):
+        assert np.all(np.isinf(_ci_half_widths(np.eye(2), 0)))
+
+    def test_repeated_dof_served_from_cache(self):
+        _t975.cache_clear()
+        first = _t975(37)
+        assert _t975(37) == first
+        info = _t975.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
 
 class TestFitLinear:
