@@ -23,12 +23,10 @@ from .fitting import (
     Dataset,
     FitConvergenceError,
     FitResult,
-    SweepError,
     conversion_model,
     extract_mu1,
     fit_conversion,
     fit_linear,
-    sweep,
 )
 from .montecarlo import (
     ExperimentScenario,
@@ -46,7 +44,6 @@ from .noise import (
     FilterStage,
     NoiseModel,
     RateBreakdown,
-    back_propagated_alpha_crystal,
     beta_factor,
     detection_probabilities,
     mu1,
@@ -60,13 +57,10 @@ from .optics import (
     GaussianPulse,
     LossBudget,
     WaveguideParams,
-    cascade,
-    combined_linewidth,
     conversion_fraction,
     dfg_output_wavelength,
     external_efficiency,
     optimal_pump_power,
-    pulse_bandwidth,
 )
 from .timebin import (
     Interferometer,

@@ -9,7 +9,7 @@ shipped scenario file ``data/reference.cfg``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .noise import DetectorConfig, FilterStage, NoiseModel, beta_factor, noise_counts
 from .optics import (
@@ -17,7 +17,6 @@ from .optics import (
     GaussianPulse,
     LossBudget,
     WaveguideParams,
-    cascade,
     conversion_fraction,
     dfg_output_wavelength,
     optimal_pump_power,
@@ -37,12 +36,26 @@ class ConversionChain:
     detector: DetectorConfig
     noise: NoiseModel
     repetition_rate_mhz: float = 1.0
+    _cascade: EfficiencyCascade = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.repetition_rate_mhz > 0:
             raise ValueError("repetition rate must be positive")
         # validates the down-conversion ordering
         dfg_output_wavelength(self.input_wavelength_nm, self.pump_wavelength_nm)
+        coupling = self.budget.signal.coupling
+        if not coupling > 0:
+            raise ValueError(f"losses_input_coupling must be positive, got {coupling}")
+        eta_int_max = self.waveguide.max_external_efficiency / coupling
+        if not eta_int_max <= 1.0:
+            raise ValueError(
+                "waveguide_max_external_efficiency exceeds losses_input_coupling "
+                f"({self.waveguide.max_external_efficiency} > {coupling})"
+            )
+        cascade = EfficiencyCascade(
+            coupling, eta_int_max, self.filter_stage.total_transmission, self.eta_detection
+        )
+        object.__setattr__(self, "_cascade", cascade)
 
     @property
     def output_wavelength_nm(self) -> float:
@@ -63,19 +76,12 @@ class ConversionChain:
         return self.detector.efficiency * self.beta
 
     def cascade(self) -> EfficiencyCascade:
-        eta_int_max = (
-            self.waveguide.max_external_efficiency / self.budget.signal.coupling
-        )
-        return cascade(
-            self.budget,
-            eta_int_max=eta_int_max,
-            eta_filter=self.filter_stage.total_transmission,
-            eta_detection=self.eta_detection,
-        )
+        """The nested efficiencies, built once with the chain."""
+        return self._cascade
 
     @property
     def eta_tot_max(self) -> float:
-        return self.cascade().eta_tot_max
+        return self._cascade.eta_tot_max
 
     @property
     def eta_device_no_gate(self) -> float:

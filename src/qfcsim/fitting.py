@@ -1,4 +1,4 @@
-"""Least-squares parameter estimation and sweep orchestration.
+"""Least-squares parameter estimation.
 
 Linear fits use closed-form weighted normal equations; the conversion
 curve fit uses a Gauss-Newton iteration with Levenberg-style damping,
@@ -18,19 +18,19 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
+
+from .optics import conversion_model
 
 __all__ = [
     "Dataset",
     "FitResult",
     "FitConvergenceError",
-    "SweepError",
     "fit_linear",
     "fit_conversion",
     "extract_mu1",
-    "sweep",
     "conversion_model",
 ]
 
@@ -41,10 +41,6 @@ class FitConvergenceError(RuntimeError):
     def __init__(self, message: str, best_params: np.ndarray):
         super().__init__(message)
         self.best_params = best_params
-
-
-class SweepError(RuntimeError):
-    """An observable failed at a grid point."""
 
 
 @dataclass(frozen=True)
@@ -224,17 +220,11 @@ def fit_linear(data: Dataset, force_zero_intercept: bool = False) -> FitResult:
     )
 
 
-def conversion_model(pump_w: np.ndarray, eta_ext_max: float, eta_n: float, length_cm: float) -> np.ndarray:
-    """eta_ext_max * sin^2(L sqrt(P eta_n)) evaluated on an array of powers (W)."""
-    u = length_cm * np.sqrt(np.asarray(pump_w, dtype=float) * eta_n)
-    return eta_ext_max * np.sin(u) ** 2
-
-
 def _conversion_jacobian(pump_w, eta_ext_max, eta_n, length_cm):
     p = np.asarray(pump_w, dtype=float)
     u = length_cm * np.sqrt(p * eta_n)
     jac = np.empty((p.size, 2))
-    jac[:, 0] = np.sin(u) ** 2
+    jac[:, 0] = conversion_model(p, 1.0, eta_n, length_cm)
     jac[:, 1] = eta_ext_max * np.sin(2 * u) * length_cm * np.sqrt(p) / (2 * math.sqrt(eta_n))
     return jac
 
@@ -366,25 +356,3 @@ def extract_mu1(snr_vs_mu: Dataset) -> tuple[float, float]:
     # delta method: d(1/k)/dk = -1/k^2
     return mu_1, float(res.ci95[0]) / slope**2
 
-
-def sweep(
-    values: Sequence[float],
-    observable: Callable[[float], float],
-    xlabel: str = "x",
-    ylabel: str = "y",
-) -> Dataset:
-    """Evaluate an observable over a grid, in deterministic order.
-
-    Errors raised by the observable are re-raised as ``SweepError`` with
-    the offending grid point attached.
-    """
-    xs = np.asarray(list(values), dtype=float)
-    if xs.size == 0:
-        raise ValueError("empty sweep grid")
-    ys = np.empty_like(xs)
-    for i, v in enumerate(xs):
-        try:
-            ys[i] = observable(float(v))
-        except Exception as exc:
-            raise SweepError(f"observable failed at {xlabel} = {v}: {exc}") from exc
-    return Dataset(x=xs, y=ys, xlabel=xlabel, ylabel=ylabel)

@@ -332,8 +332,8 @@ def start_stop_histogram(
 
 def gate_integrate(h: Histogram, gate_width_ns: float) -> float:
     """Sum the histogram counts inside a gate centered on the window."""
-    if gate_width_ns < 0:
-        raise ValueError("gate width must be nonnegative")
+    if not gate_width_ns >= 0:
+        raise ValueError(f"gate width must be nonnegative, got {gate_width_ns}")
     if gate_width_ns > h.window_ns:
         raise ValueError(
             f"gate ({gate_width_ns} ns) exceeds the window ({h.window_ns} ns)"

@@ -11,8 +11,7 @@ The noise model keeps two experimentally calibrated constants:
   to the waveguide output, used for noise-floor projections to other
   filter bandwidths.
 
-Both are stored as calibrated; see ``back_propagated_alpha_crystal`` for
-the consistency check between them through the post-waveguide chain.
+Both are stored as calibrated.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .optics import GaussianPulse, bandwidth_nm_to_ghz
+from .optics import GaussianPulse, _check_fraction, bandwidth_nm_to_ghz
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chain import ConversionChain
@@ -40,7 +39,6 @@ __all__ = [
     "snr",
     "mu1",
     "projected_noise_floor",
-    "back_propagated_alpha_crystal",
 ]
 
 ALLOWED_GATE_WIDTHS_NS = (20.0, 50.0, 100.0)
@@ -110,23 +108,16 @@ class FilterStage:
 
     def __post_init__(self):
         for name in ("fiber_coupling", "grating", "bandpass_longpass"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+            _check_fraction(name, getattr(self, name))
+        product = self.fiber_coupling * self.grating * self.bandpass_longpass
         if self.total_transmission < 0:
-            object.__setattr__(
-                self,
-                "total_transmission",
-                self.fiber_coupling * self.grating * self.bandpass_longpass,
+            object.__setattr__(self, "total_transmission", product)
+        elif not abs(self.total_transmission - product) <= 0.01:
+            raise ValueError(
+                f"total_transmission {self.total_transmission} inconsistent "
+                f"with element product {product:.4f}"
             )
-        else:
-            product = self.fiber_coupling * self.grating * self.bandpass_longpass
-            if abs(self.total_transmission - product) > 0.01:
-                raise ValueError(
-                    f"total_transmission {self.total_transmission} inconsistent "
-                    f"with element product {product:.4f}"
-                )
-        if self.bandwidth_nm <= 0:
+        if not self.bandwidth_nm > 0:
             raise ValueError("filter bandwidth must be positive")
         in_range = (
             FILTER_BANDWIDTH_MIN_NM <= self.bandwidth_nm <= FILTER_BANDWIDTH_MAX_NM
@@ -217,7 +208,7 @@ def noise_counts(
     """Expected noise counts per gate: alpha * P_p + dark, with alpha scaled
     to the detector gate width and the given filter bandwidth (defaults to
     the model's reference bandwidth)."""
-    if pump_mw < 0:
+    if not pump_mw >= 0:
         raise ValueError(f"pump power must be nonnegative, got {pump_mw}")
     if bandwidth_nm is None:
         bandwidth_nm = model.reference_bandwidth_nm
@@ -235,9 +226,9 @@ def detection_probabilities(
     p = 1 - exp(-mean), which reduces to the linear estimate at the small
     rates of interest.
     """
-    if mu_in < 0:
+    if not mu_in >= 0:
         raise ValueError(f"mu_in must be nonnegative, got {mu_in}")
-    if pump_mw < 0:
+    if not pump_mw >= 0:
         raise ValueError(f"pump power must be nonnegative, got {pump_mw}")
     lam_signal = chain.signal_mean_per_gate(mu_in, pump_mw)
     lam_noise = chain.noise_mean_per_gate(pump_mw)
@@ -274,11 +265,15 @@ def mu1(chain: "ConversionChain", pump_mw: float) -> float:
     """Mean input photon number at which the dark-subtracted SNR equals 1.
 
     The subtracted SNR is linear in mu_in, so the crossing is closed form:
-    mu_1 = (N - DC) / (eta_tot_max * fhat(P_p)).
+    mu_1 = (N - DC) / (eta_tot_max * fhat(P_p)), with N - DC = alpha * P_p
+    taken directly, since at a tiny pump it cancels to 0 in N - DC.
     """
-    if pump_mw <= 0:
+    if not pump_mw > 0:
         raise ValueError(f"pump power must be positive, got {pump_mw}")
-    noise_above_dark = chain.noise_mean_per_gate(pump_mw) - chain.detector.dark_counts_per_gate
+    alpha = chain.noise.alpha_per_gate(
+        chain.detector.gate_width_ns, chain.filter_stage.bandwidth_nm
+    )
+    noise_above_dark = alpha * pump_mw
     signal_slope = chain.signal_mean_per_gate(1.0, pump_mw)
     if signal_slope <= 0:
         raise DegenerateDenominatorError(
@@ -300,7 +295,7 @@ def projected_noise_floor(
     Projections below the measured 80 GHz range are allowed but flagged
     with an ``ExtrapolationWarning``.
     """
-    if target_bandwidth_ghz <= 0:
+    if not target_bandwidth_ghz > 0:
         raise ValueError("target bandwidth must be positive")
     if target_bandwidth_ghz < 80.0:
         warnings.warn(
@@ -319,13 +314,3 @@ def projected_noise_floor(
     photons = alpha_scaled * pump_mw * chain.detector.gate_width_ns
     return alpha_scaled, photons
 
-
-def back_propagated_alpha_crystal(chain: "ConversionChain") -> float:
-    """Infer the crystal noise floor (per mW per ns) from the detected
-    noise slope by dividing out the post-waveguide transmission (filter
-    stage and bare detection efficiency) and the gate width."""
-    det_eff = chain.filter_stage.total_transmission * chain.detector.efficiency
-    alpha_gate = chain.noise.alpha_per_gate(
-        chain.detector.gate_width_ns, chain.noise.reference_bandwidth_nm
-    )
-    return alpha_gate / (det_eff * chain.detector.gate_width_ns)

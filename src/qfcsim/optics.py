@@ -3,6 +3,8 @@
 Wavelength bookkeeping for difference frequency generation (DFG), the
 per-element loss budget, the nested efficiency cascade and the
 pump-power-dependent conversion efficiency of the nonlinear waveguide.
+``conversion_model`` is the one place the sin^2 pump dependence is
+written; the scalar entry points and the fit both evaluate it.
 
 Conventions: wavelengths in nm, pump powers in W (watts) unless a name
 says otherwise, waveguide length in cm, all transmissions and
@@ -14,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "GaussianPulse",
     "WaveguideParams",
@@ -21,14 +25,11 @@ __all__ = [
     "LossBudget",
     "EfficiencyCascade",
     "dfg_output_wavelength",
+    "conversion_model",
     "external_efficiency",
     "conversion_fraction",
     "optimal_pump_power",
-    "cascade",
-    "combined_linewidth",
-    "pulse_bandwidth",
     "bandwidth_nm_to_ghz",
-    "bandwidth_ghz_to_nm",
 ]
 
 _SPEED_OF_LIGHT_M_S = 2.99792458e8
@@ -143,9 +144,9 @@ def dfg_output_wavelength(lambda_in_nm: float, lambda_pump_nm: float) -> float:
     Energy conservation: 1/lambda_out = 1/lambda_in - 1/lambda_pump.
     The pump must be the longer wavelength (down-conversion).
     """
-    if lambda_in_nm <= 0 or lambda_pump_nm <= 0:
+    if not (lambda_in_nm > 0 and lambda_pump_nm > 0):
         raise ValueError("wavelengths must be positive")
-    if lambda_pump_nm <= lambda_in_nm:
+    if not lambda_pump_nm > lambda_in_nm:
         raise ValueError(
             f"pump wavelength ({lambda_pump_nm} nm) must exceed the input "
             f"wavelength ({lambda_in_nm} nm) for down-conversion"
@@ -153,21 +154,29 @@ def dfg_output_wavelength(lambda_in_nm: float, lambda_pump_nm: float) -> float:
     return 1.0 / (1.0 / lambda_in_nm - 1.0 / lambda_pump_nm)
 
 
-def external_efficiency(pump_w: float, wg: WaveguideParams) -> float:
-    """External conversion efficiency at pump power ``pump_w`` (W).
+def conversion_model(pump_w, eta_ext_max: float, eta_n: float, length_cm: float):
+    """eta_ext_max * sin^2(L sqrt(P eta_n)) at pump powers ``pump_w`` (W).
 
-    eta_ext(P) = eta_ext_max * sin^2(L * sqrt(P * eta_n)); the undepleted
-    classical-pump result for a quasi-phase-matched waveguide.
+    The undepleted classical-pump result for a quasi-phase-matched
+    waveguide.  Takes a scalar or an array.  Scalar callers pass one value
+    at a time: numpy's sin of a single value matched ``math.sin`` on every
+    power checked, while its vectorised array loop can differ in the last
+    bit.
     """
+    u = length_cm * np.sqrt(np.asarray(pump_w, dtype=float) * eta_n)
+    return eta_ext_max * np.sin(u) ** 2
+
+
+def external_efficiency(pump_w: float, wg: WaveguideParams) -> float:
+    """External conversion efficiency at pump power ``pump_w`` (W)."""
     return wg.max_external_efficiency * conversion_fraction(pump_w, wg)
 
 
 def conversion_fraction(pump_w: float, wg: WaveguideParams) -> float:
     """external_efficiency normalized to 1 at its peak: sin^2(L sqrt(P eta_n))."""
-    if pump_w < 0:
+    if not pump_w >= 0:
         raise ValueError(f"pump power must be nonnegative, got {pump_w}")
-    arg = wg.length_cm * math.sqrt(pump_w * wg.normalized_efficiency)
-    return math.sin(arg) ** 2
+    return float(conversion_model(pump_w, 1.0, wg.normalized_efficiency, wg.length_cm))
 
 
 def optimal_pump_power(wg: WaveguideParams) -> float:
@@ -178,45 +187,9 @@ def optimal_pump_power(wg: WaveguideParams) -> float:
     return (math.pi / 2.0) ** 2 / (wg.length_cm**2 * wg.normalized_efficiency)
 
 
-def cascade(
-    budget: LossBudget,
-    eta_int_max: float,
-    eta_filter: float,
-    eta_detection: float,
-) -> EfficiencyCascade:
-    """Build the efficiency cascade from a loss budget and the remaining
-    individual factors. The waveguide coupling at the input wavelength is
-    taken from the budget."""
-    return EfficiencyCascade(
-        eta_coupling=budget.signal.coupling,
-        eta_int_max=eta_int_max,
-        eta_filter=eta_filter,
-        eta_detection=eta_detection,
-    )
-
-
-def combined_linewidth(lorentzian_fwhm_mhz: float, gaussian_fwhm_mhz: float) -> float:
-    """FWHM of the convolution of a Lorentzian and a Gaussian line (Voigt
-    profile), via the standard Olivero-Longbothum approximation."""
-    if lorentzian_fwhm_mhz < 0 or gaussian_fwhm_mhz < 0:
-        raise ValueError("linewidths must be nonnegative")
-    fl = lorentzian_fwhm_mhz
-    fg = gaussian_fwhm_mhz
-    return 0.5346 * fl + math.sqrt(0.2166 * fl**2 + fg**2)
-
-
-def pulse_bandwidth(pulse: GaussianPulse) -> float:
-    """Transform-limited bandwidth (MHz) of a Gaussian pulse: 0.44 / FWHM."""
-    return 0.44 / pulse.fwhm_ns * 1e3
-
-
 def bandwidth_nm_to_ghz(bandwidth_nm: float, wavelength_nm: float) -> float:
     """Convert a spectral width from nm to GHz around ``wavelength_nm``."""
     return (
         _SPEED_OF_LIGHT_M_S * bandwidth_nm * 1e-9 / (wavelength_nm * 1e-9) ** 2 / 1e9
     )
 
-
-def bandwidth_ghz_to_nm(bandwidth_ghz: float, wavelength_nm: float) -> float:
-    """Convert a spectral width from GHz to nm around ``wavelength_nm``."""
-    return bandwidth_ghz * 1e9 * (wavelength_nm * 1e-9) ** 2 / _SPEED_OF_LIGHT_M_S * 1e9

@@ -177,6 +177,40 @@ class TestCliExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "coupling, fields",
+        [
+            ("0", ["losses_input_coupling"]),
+            # max_external_efficiency = 0.25 through 0.2 coupling: eta_int > 1
+            ("0.2", ["waveguide_max_external_efficiency", "losses_input_coupling"]),
+        ],
+        ids=["zero", "below_eta_ext_max"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["report"],
+            ["simulate"],
+            ["fit", "data.csv"],
+            ["sweep", "--preset", "fig3a"],
+            ["sweep", "--preset", "fig3b"],
+            ["sweep", "--preset", "fig4a"],
+            ["sweep", "--preset", "fig5a"],
+        ],
+        ids=["report", "simulate", "fit", "fig3a", "fig3b", "fig4a", "fig5a"],
+    )
+    def test_input_coupling_rejected(self, command, coupling, fields, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,0.1\n0.3,0.15\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(REFERENCE_CONFIG.replace("coupling = 0.61", f"coupling = {coupling}"))
+        assert run([*command, "--config", str(cfg), "--out", "out"]) == 2
+        err = capsys.readouterr().err
+        for field in fields:
+            assert field in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_report_success(self, tmp_path, capsys):
         assert run(["report", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -210,6 +244,13 @@ class TestCliOutputs:
         assert bundle["seed"] == 77
         assert len(bundle["config_hash"]) == 64
         assert bundle["version"] == qfcsim.__version__
+
+    def test_fig4a_tiny_pump_positive_mu1(self, tmp_path, capsys):
+        # N - DC and the signal are both linear in a tiny pump: mu_1 stays finite
+        assert run(["sweep", "--preset", "fig4a", "--pump-mw", "1e-300", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "fig4a.csv").read_text().splitlines()[1:]
+        assert len(rows) == 12
+        assert all(float(row.split(",")[1]) > 0 for row in rows)
 
     def test_fit_subcommand(self, tmp_path, capsys):
         import numpy as np

@@ -7,14 +7,12 @@ from scipy.stats import t as student_t
 
 from qfcsim.fitting import (
     Dataset,
-    SweepError,
     _ci_half_widths,
     _t975,
     conversion_model,
     extract_mu1,
     fit_conversion,
     fit_linear,
-    sweep,
 )
 
 
@@ -163,23 +161,3 @@ class TestExtractMu1:
         with pytest.raises(ValueError, match="bracketed"):
             extract_mu1(Dataset(x=mu, y=mu / 0.7))
 
-
-class TestSweep:
-    def test_deterministic_grid(self):
-        d = sweep([3.0, 1.0, 2.0], lambda v: v**2, xlabel="p", ylabel="p2")
-        assert list(d.x) == [1.0, 2.0, 3.0]
-        assert list(d.y) == [1.0, 4.0, 9.0]
-        assert d.xlabel == "p"
-
-    def test_error_wrapping(self):
-        def bad(v):
-            if v > 1.5:
-                raise ValueError("boom")
-            return v
-
-        with pytest.raises(SweepError, match="x = 2"):
-            sweep([1.0, 2.0], bad)
-
-    def test_empty_grid(self):
-        with pytest.raises(ValueError, match="empty"):
-            sweep([], lambda v: v)

@@ -1,12 +1,15 @@
-"""The dataclass guards reject NaN, which passes any plain ``x < 0`` test."""
+"""The guards reject NaN, which passes any plain ``x < 0`` test."""
 
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from qfcsim.chain import reference_chain
-from qfcsim.montecarlo import ExperimentScenario
+from qfcsim.montecarlo import ExperimentScenario, Histogram, gate_integrate
+from qfcsim.noise import detection_probabilities, mu1, noise_counts, projected_noise_floor
+from qfcsim.optics import conversion_fraction, dfg_output_wavelength, external_efficiency
 from qfcsim.timebin import Interferometer, TimeBinQubit
 
 CHAIN = reference_chain()
@@ -17,6 +20,7 @@ CASES = [
     (CHAIN.waveguide, "length_cm"),
     (CHAIN.noise, "alpha_detected_per_mw"),
     (CHAIN.detector, "dead_time_us"),
+    (replace(CHAIN.filter_stage, allow_extrapolation=True), "bandwidth_nm"),
     (CHAIN, "repetition_rate_mhz"),
     (ExperimentScenario(chain=CHAIN, mu_in=6.1, pump_mw=120.0, n_shots=10, seed=1), "mu_in"),
     (TimeBinQubit(phase=0.0, separation_ns=50.0), "separation_ns"),
@@ -30,3 +34,30 @@ CASES = [
 def test_nan_rejected(valid, field):
     with pytest.raises(ValueError):
         replace(valid, **{field: math.nan})
+
+
+HIST = Histogram(bin_width_ns=1.0, counts=np.ones(100, dtype=int), window_ns=100.0)
+
+# (a call with one NaN argument, the name the error message must give)
+SCALAR_CASES = {
+    "conversion_fraction": (lambda: conversion_fraction(math.nan, CHAIN.waveguide), "pump power"),
+    "external_efficiency": (lambda: external_efficiency(math.nan, CHAIN.waveguide), "pump power"),
+    "noise_counts": (lambda: noise_counts(math.nan, CHAIN.noise, CHAIN.detector), "pump power"),
+    "mu1": (lambda: mu1(CHAIN, math.nan), "pump power"),
+    "gate_integrate": (lambda: gate_integrate(HIST, math.nan), "gate width"),
+    "detection_probabilities.mu_in": (
+        lambda: detection_probabilities(math.nan, 120.0, CHAIN), "mu_in"
+    ),
+    "detection_probabilities.pump_mw": (
+        lambda: detection_probabilities(6.1, math.nan, CHAIN), "pump power"
+    ),
+    "dfg_output_wavelength": (lambda: dfg_output_wavelength(780.24, math.nan), "wavelength"),
+    "projected_noise_floor": (lambda: projected_noise_floor(math.nan, CHAIN), "bandwidth"),
+}
+
+
+@pytest.mark.parametrize("case", SCALAR_CASES)
+def test_scalar_nan_rejected(case):
+    call, name = SCALAR_CASES[case]
+    with pytest.raises(ValueError, match=name):
+        call()

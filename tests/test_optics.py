@@ -6,19 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qfcsim.optics import (
+    EfficiencyCascade,
     ElementTransmissions,
     GaussianPulse,
-    LossBudget,
     WaveguideParams,
-    bandwidth_ghz_to_nm,
     bandwidth_nm_to_ghz,
-    cascade,
-    combined_linewidth,
     conversion_fraction,
     dfg_output_wavelength,
     external_efficiency,
     optimal_pump_power,
-    pulse_bandwidth,
 )
 
 WG = WaveguideParams(length_cm=3.0, normalized_efficiency=0.72, max_external_efficiency=0.25)
@@ -102,46 +98,27 @@ class TestLossBudget:
 
 class TestCascade:
     def test_reference_numbers(self):
-        budget = LossBudget(
-            signal=ElementTransmissions(0.99, 0.61, 0.61, 0.80),
-            pump=ElementTransmissions(0.66, 0.58, 0.78, 0.98),
+        cas = EfficiencyCascade(
+            eta_coupling=0.61, eta_int_max=0.41, eta_filter=0.26, eta_detection=0.04
         )
-        cas = cascade(budget, eta_int_max=0.41, eta_filter=0.26, eta_detection=0.04)
         assert cas.eta_ext_max == pytest.approx(0.25, abs=0.005)
         assert cas.eta_dev_max == pytest.approx(0.066, abs=0.002)
         assert cas.eta_tot_max == pytest.approx(2.6e-3, abs=1e-4)
 
     def test_nesting(self):
-        budget = LossBudget(
-            signal=ElementTransmissions(1.0, 0.5, 1.0, 1.0),
-            pump=ElementTransmissions(1.0, 1.0, 1.0, 1.0),
+        cas = EfficiencyCascade(
+            eta_coupling=0.5, eta_int_max=0.4, eta_filter=0.3, eta_detection=0.1
         )
-        cas = cascade(budget, eta_int_max=0.4, eta_filter=0.3, eta_detection=0.1)
         assert cas.eta_ext_max == pytest.approx(0.2)
         assert cas.eta_dev_max == pytest.approx(0.06)
         assert cas.eta_tot_max == pytest.approx(0.006)
 
 
 class TestLinewidths:
-    def test_combined_linewidth_frozen(self):
-        # 0.5346 * 6 + sqrt(0.2166 * 36 + 14.667^2), independently evaluated
-        assert combined_linewidth(6.0, 14.667) == pytest.approx(18.138055083486236, rel=1e-12)
-
-    def test_pure_gaussian(self):
-        assert combined_linewidth(0.0, 10.0) == pytest.approx(10.0, rel=1e-12)
-
-    def test_pure_lorentzian(self):
-        # approximation constant: 0.5346 + sqrt(0.2166) = 1.0000031
-        assert combined_linewidth(10.0, 0.0) == pytest.approx(10.0, rel=1e-5)
-
-    def test_pulse_bandwidth(self):
-        assert pulse_bandwidth(GaussianPulse(fwhm_ns=30.0)) == pytest.approx(
-            14.666666666666666, rel=1e-12
-        )
-
     @given(st.floats(0.1, 100.0), st.floats(100.0, 2000.0))
     def test_bandwidth_roundtrip(self, bw_ghz, lam_nm):
-        bw_nm = bandwidth_ghz_to_nm(bw_ghz, lam_nm)
+        # d(nu) = c d(lambda) / lambda^2, inverted; c = 2.99792458e8 nm GHz
+        bw_nm = bw_ghz * lam_nm**2 / 2.99792458e8
         assert bandwidth_nm_to_ghz(bw_nm, lam_nm) == pytest.approx(bw_ghz, rel=1e-12)
 
     def test_reference_filter_bandwidth(self):
