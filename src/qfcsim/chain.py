@@ -35,7 +35,7 @@ class ConversionChain:
     filter_stage: FilterStage
     detector: DetectorConfig
     noise: NoiseModel
-    repetition_rate_mhz: float = 1.0
+    repetition_rate_mhz: float
     _cascade: EfficiencyCascade = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -53,7 +53,8 @@ class ConversionChain:
                 f"({self.waveguide.max_external_efficiency} > {coupling})"
             )
         cascade = EfficiencyCascade(
-            coupling, eta_int_max, self.filter_stage.total_transmission, self.eta_detection
+            coupling, eta_int_max, self.filter_stage.total_transmission,
+            self.detector.efficiency * self.beta,
         )
         object.__setattr__(self, "_cascade", cascade)
 
@@ -69,11 +70,6 @@ class ConversionChain:
     def beta(self) -> float:
         """Detected signal fraction for the configured pulse and gate."""
         return beta_factor(self.pulse, self.detector)
-
-    @property
-    def eta_detection(self) -> float:
-        """Detection efficiency including the gate fraction beta."""
-        return self.detector.efficiency * self.beta
 
     def cascade(self) -> EfficiencyCascade:
         """The nested efficiencies, built once with the chain."""

@@ -86,6 +86,16 @@ class ExperimentScenario:
         return math.ceil(dead_ns / self.chain.gate_period_ns)
 
 
+def _check_bins(bin_width_ns: float, window_ns: float) -> None:
+    if not (math.isfinite(bin_width_ns) and bin_width_ns > 0):
+        raise ValueError(f"bin_width_ns must be positive and finite, got {bin_width_ns}")
+    if not (math.isfinite(window_ns) and window_ns >= bin_width_ns):
+        raise ValueError(
+            f"window_ns must be finite and at least one bin ({bin_width_ns} ns), "
+            f"got {window_ns}"
+        )
+
+
 @dataclass(frozen=True)
 class Histogram:
     """Start-stop histogram over the detection window."""
@@ -95,8 +105,7 @@ class Histogram:
     window_ns: float
 
     def __post_init__(self):
-        if self.bin_width_ns <= 0:
-            raise ValueError("bin width must be positive")
+        _check_bins(self.bin_width_ns, self.window_ns)
         if np.any(self.counts < 0):
             raise ValueError("counts must be nonnegative")
 
@@ -137,19 +146,6 @@ def _stream(seed: int, lane: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def _check_budget(chain: ConversionChain, mu_in: float, pump_mw: float, window_ns: float) -> None:
-    rate = chain.noise.noise_rate_per_ns(pump_mw, chain.filter_stage.bandwidth_nm)
-    mean = (
-        mu_in * chain.eta_device_no_gate * chain.conversion_fraction(pump_mw)
-        + (rate + chain.detector.dark_rate_per_ns) * window_ns
-    )
-    if mean > MAX_EXPECTED_CLICKS_PER_GATE:
-        raise ValueError(
-            f"expected {mean:.3f} clicks per gate exceeds the model validity "
-            f"bound of {MAX_EXPECTED_CLICKS_PER_GATE}"
-        )
-
-
 def _collect_clicks(
     chain: ConversionChain,
     mu_in: float,
@@ -163,12 +159,17 @@ def _collect_clicks(
 
     The window spans [0, window_ns) with the pulse centered at its middle.
     """
-    _check_budget(chain, mu_in, pump_mw, window_ns)
     center = window_ns / 2.0
     sigma = chain.pulse.sigma_ns
     p_surv = chain.eta_device_no_gate * chain.conversion_fraction(pump_mw)
     pump_rate = chain.noise.noise_rate_per_ns(pump_mw, chain.filter_stage.bandwidth_nm)
     dark_rate = chain.detector.dark_rate_per_ns
+    mean = mu_in * p_surv + (pump_rate + dark_rate) * window_ns
+    if mean > MAX_EXPECTED_CLICKS_PER_GATE:
+        raise ValueError(
+            f"expected {mean:.3f} clicks per gate exceeds the model validity "
+            f"bound of {MAX_EXPECTED_CLICKS_PER_GATE}"
+        )
 
     out = []
     n_chunks = (n_shots + _CHUNK - 1) // _CHUNK
@@ -243,6 +244,16 @@ def _apply_dead_time(
     return clicks[keep], skipped
 
 
+def _run_lane(
+    scenario: ExperimentScenario, lane: int, mu_in: float, pump_mw: float, window_ns: float
+) -> tuple[np.ndarray, int]:
+    """Accepted clicks and skipped gates of one lane of the scenario."""
+    clicks = _collect_clicks(
+        scenario.chain, mu_in, pump_mw, scenario.n_shots, scenario.seed, lane, window_ns
+    )
+    return _apply_dead_time(clicks, scenario.n_shots, scenario.dead_gates)
+
+
 def _binomial_err(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n) if n > 0 else math.nan
 
@@ -253,19 +264,12 @@ def simulate(scenario: ExperimentScenario) -> SimulationResult:
 
     The detection window is the configured gate, centered on the pulse.
     """
-    chain = scenario.chain
-    window = chain.detector.gate_width_ns
-    runs = {}
-    for lane, mu in ((_LANE_SIGNAL, scenario.mu_in), (_LANE_NOISE, 0.0)):
-        clicks = _collect_clicks(
-            chain, mu, scenario.pump_mw, scenario.n_shots, scenario.seed, lane, window
-        )
-        accepted, skipped = _apply_dead_time(clicks, scenario.n_shots, scenario.dead_gates)
-        alive = scenario.n_shots - skipped
-        runs[lane] = (accepted, alive, skipped)
-
-    clicks_s, alive_s, skip_s = runs[_LANE_SIGNAL]
-    clicks_n, alive_n, skip_n = runs[_LANE_NOISE]
+    window = scenario.chain.detector.gate_width_ns
+    pump = scenario.pump_mw
+    clicks_s, skip_s = _run_lane(scenario, _LANE_SIGNAL, scenario.mu_in, pump, window)
+    clicks_n, skip_n = _run_lane(scenario, _LANE_NOISE, 0.0, pump, window)
+    alive_s = scenario.n_shots - skip_s
+    alive_n = scenario.n_shots - skip_n
     p_s = clicks_s.size / alive_s
     p_n = clicks_n.size / alive_n
     err_s = _binomial_err(p_s, alive_s)
@@ -312,9 +316,7 @@ def start_stop_histogram(
     the noise pedestal), pump only (flat pedestal over dark floor) and
     everything blocked (flat dark floor).
     """
-    if bin_width_ns <= 0:
-        raise ValueError("bin width must be positive")
-    chain = scenario.chain
+    _check_bins(bin_width_ns, window_ns)
     passes = (
         (_LANE_HIST_SIGNAL, scenario.mu_in, scenario.pump_mw),
         (_LANE_HIST_PUMP, 0.0, scenario.pump_mw),
@@ -322,10 +324,7 @@ def start_stop_histogram(
     )
     hists = []
     for lane, mu, pump in passes:
-        clicks = _collect_clicks(
-            chain, mu, pump, scenario.n_shots, scenario.seed, lane, window_ns
-        )
-        accepted, _ = _apply_dead_time(clicks, scenario.n_shots, scenario.dead_gates)
+        accepted, _ = _run_lane(scenario, lane, mu, pump, window_ns)
         hists.append(_histogram_from_clicks(accepted, bin_width_ns, window_ns))
     return HistogramTriple(*hists)
 

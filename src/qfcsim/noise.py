@@ -69,7 +69,7 @@ class NoiseModel:
     alpha_detected_per_mw: float
     alpha_crystal_per_mw_ns: float
     reference_bandwidth_nm: float
-    reference_gate_ns: float = 20.0
+    reference_gate_ns: float
 
     def __post_init__(self):
         for name in ("alpha_detected_per_mw", "alpha_crystal_per_mw_ns"):
@@ -103,16 +103,14 @@ class FilterStage:
     fiber_coupling: float
     grating: float
     bandpass_longpass: float
-    total_transmission: float = -1.0  # default: product of the elements
+    total_transmission: float
     allow_extrapolation: bool = False
 
     def __post_init__(self):
         for name in ("fiber_coupling", "grating", "bandpass_longpass"):
             _check_fraction(name, getattr(self, name))
         product = self.fiber_coupling * self.grating * self.bandpass_longpass
-        if self.total_transmission < 0:
-            object.__setattr__(self, "total_transmission", product)
-        elif not abs(self.total_transmission - product) <= 0.01:
+        if not abs(self.total_transmission - product) <= 0.01:
             raise ValueError(
                 f"total_transmission {self.total_transmission} inconsistent "
                 f"with element product {product:.4f}"
@@ -173,45 +171,35 @@ class RateBreakdown:
     dark: float
     signal_total: float
     noise_total: float
-    beta: float
 
     def __post_init__(self):
         if not (self.p_signal >= self.p_noise >= 0.0):
             raise ValueError("expected p_signal >= p_noise >= 0")
         if not (self.signal_total >= self.noise_total >= self.dark >= 0.0):
             raise ValueError("expected S >= N >= dark >= 0")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
 
 
-def beta_factor(
-    pulse: GaussianPulse, gate: DetectorConfig, centering_offset_ns: float = 0.0
-) -> float:
+def beta_factor(pulse: GaussianPulse, gate: DetectorConfig) -> float:
     """Fraction of the pulse energy falling inside the detection gate.
 
-    The gate is centered on the pulse arrival time up to an optional
-    offset; the fraction is the Gaussian error integral over the window.
+    The gate is centered on the pulse arrival time; the fraction is the
+    Gaussian error integral over the window, erf(half gate / (sigma sqrt 2)).
     """
     s = pulse.sigma_ns * math.sqrt(2.0)
     half = gate.gate_width_ns / 2.0
-    lo = centering_offset_ns - half
-    hi = centering_offset_ns + half
-    return 0.5 * (math.erf(hi / s) - math.erf(lo / s))
+    return math.erf(half / s)
 
 
 def noise_counts(
     pump_mw: float,
     model: NoiseModel,
     det: DetectorConfig,
-    bandwidth_nm: float | None = None,
+    bandwidth_nm: float,
 ) -> float:
     """Expected noise counts per gate: alpha * P_p + dark, with alpha scaled
-    to the detector gate width and the given filter bandwidth (defaults to
-    the model's reference bandwidth)."""
+    to the detector gate width and the given filter bandwidth."""
     if not pump_mw >= 0:
         raise ValueError(f"pump power must be nonnegative, got {pump_mw}")
-    if bandwidth_nm is None:
-        bandwidth_nm = model.reference_bandwidth_nm
     alpha = model.alpha_per_gate(det.gate_width_ns, bandwidth_nm)
     return alpha * pump_mw + det.dark_counts_per_gate
 
@@ -239,7 +227,6 @@ def detection_probabilities(
         dark=dark,
         signal_total=lam_signal + lam_noise,
         noise_total=lam_noise,
-        beta=chain.beta,
     )
 
 

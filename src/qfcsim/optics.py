@@ -65,8 +65,7 @@ class WaveguideParams:
     conversion efficiency.
 
     The cap is an independent fitted parameter, not derived from the loss
-    budget; the distinct quantity eta_n * L^2 (total normalized conversion,
-    fraction per W) is available as ``total_normalized_efficiency``.
+    budget.
     """
 
     length_cm: float
@@ -81,11 +80,6 @@ class WaveguideParams:
                 f"normalized efficiency must be positive, got {self.normalized_efficiency}"
             )
         _check_fraction("max_external_efficiency", self.max_external_efficiency)
-
-    @property
-    def total_normalized_efficiency(self) -> float:
-        """eta_n * L^2, fraction per W."""
-        return self.normalized_efficiency * self.length_cm**2
 
 
 @dataclass(frozen=True)

@@ -82,12 +82,8 @@ class SlotCounts:
 
     def __post_init__(self):
         for name in ("early", "central", "late"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} slot count must be nonnegative")
-
-    @property
-    def total(self) -> float:
-        return self.early + self.central + self.late
 
 
 def slot_statistics(
@@ -102,9 +98,9 @@ def slot_statistics(
     fringe contrast of the central slot is capped by the intrinsic
     interferometer visibility.
     """
-    if mu < 0:
+    if not mu >= 0:
         raise ValueError("mean photon number must be nonnegative")
-    if noise_per_slot < 0:
+    if not noise_per_slot >= 0:
         raise ValueError("noise per slot must be nonnegative")
     if abs(ifm.delay_ns - qubit.separation_ns) > 1e-9 * qubit.separation_ns:
         raise ValueError(
@@ -131,9 +127,9 @@ def slot_statistics(
 def visibility_model(mu_in: float, mu_1: float, v0: float) -> float:
     """Fringe visibility limited by the signal to noise ratio:
     V = V0 * mu_in / (mu_in + mu_1 / 2)."""
-    if mu_in < 0:
+    if not mu_in >= 0:
         raise ValueError("mu_in must be nonnegative")
-    if mu_1 <= 0:
+    if not mu_1 > 0:
         raise ValueError("mu_1 must be positive")
     return v0 * mu_in / (mu_in + mu_1 / 2.0)
 
@@ -245,9 +241,7 @@ class QuantumRegimeRow:
     bound_unit: float
     bound_ext: float
     bound_dev: float
-    exceeds_unit: bool
     exceeds_ext: bool
-    exceeds_dev: bool
 
 
 def quantum_regime_report(
@@ -275,9 +269,7 @@ def quantum_regime_report(
                 bound_unit=b1,
                 bound_ext=b_ext,
                 bound_dev=b_dev,
-                exceeds_unit=f > b1,
                 exceeds_ext=f > b_ext,
-                exceeds_dev=f > b_dev,
             )
         )
     return rows

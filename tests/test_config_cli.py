@@ -19,6 +19,28 @@ from qfcsim.config import (
 )
 from qfcsim.cli import run
 
+# every non-bool config key, set to each non-finite value in turn
+NONFINITE_CASES = [
+    (section, key, kind, value)
+    for section, keys in _SCHEMA.items()
+    for key, kind in keys.items()
+    if kind != "bool"
+    for value in ("nan", "inf")
+]
+
+
+def _with_entry(section: str, key: str, raw: str) -> str:
+    """The reference document with one entry's value text replaced."""
+    lines, current = [], None
+    for line in REFERENCE_CONFIG.splitlines():
+        stripped = line.strip()
+        if stripped.startswith("["):
+            current = stripped[1:-1]
+        elif current == section and stripped.split("=")[0].strip() == key:
+            line = f"{key} = {raw}"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
 
 class TestParseConfig:
     def test_reference_reproduces_cascade(self):
@@ -149,6 +171,20 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "pump_power must be finite" in err
         assert "math domain error" not in err
+
+    @pytest.mark.parametrize(
+        "section, key, kind, value",
+        NONFINITE_CASES,
+        ids=[f"{s}_{k}={v}" for s, k, _, v in NONFINITE_CASES],
+    )
+    def test_nonfinite_config_value_rejected(self, section, key, kind, value, tmp_path, capsys):
+        raw = value if kind is None or kind == "int" else f"{value} {kind}"
+        text = _with_entry(section, key, raw)
+        assert text != REFERENCE_CONFIG
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        assert run(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert f"{section}_{key}" in capsys.readouterr().err
 
     def test_fit_nan_row_rejected(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

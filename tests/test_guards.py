@@ -1,4 +1,5 @@
-"""The guards reject NaN, which passes any plain ``x < 0`` test."""
+"""The guards reject NaN, which passes any plain ``x < 0`` test, and the
+other non-finite or out-of-range inputs they name."""
 
 import math
 from dataclasses import replace
@@ -7,12 +8,22 @@ import numpy as np
 import pytest
 
 from qfcsim.chain import reference_chain
-from qfcsim.montecarlo import ExperimentScenario, Histogram, gate_integrate
+from qfcsim.montecarlo import ExperimentScenario, Histogram, gate_integrate, start_stop_histogram
 from qfcsim.noise import detection_probabilities, mu1, noise_counts, projected_noise_floor
 from qfcsim.optics import conversion_fraction, dfg_output_wavelength, external_efficiency
-from qfcsim.timebin import Interferometer, TimeBinQubit
+from qfcsim.timebin import (
+    Interferometer,
+    SlotCounts,
+    TimeBinQubit,
+    slot_statistics,
+    visibility_model,
+)
 
 CHAIN = reference_chain()
+SCENARIO = ExperimentScenario(chain=CHAIN, mu_in=6.1, pump_mw=120.0, n_shots=10, seed=1)
+HIST = Histogram(bin_width_ns=1.0, counts=np.ones(100, dtype=int), window_ns=100.0)
+QUBIT = TimeBinQubit(phase=0.0, separation_ns=50.0)
+IFM = Interferometer(delay_ns=50.0)
 
 # (a valid instance, the field set to NaN)
 CASES = [
@@ -22,9 +33,12 @@ CASES = [
     (CHAIN.detector, "dead_time_us"),
     (replace(CHAIN.filter_stage, allow_extrapolation=True), "bandwidth_nm"),
     (CHAIN, "repetition_rate_mhz"),
-    (ExperimentScenario(chain=CHAIN, mu_in=6.1, pump_mw=120.0, n_shots=10, seed=1), "mu_in"),
-    (TimeBinQubit(phase=0.0, separation_ns=50.0), "separation_ns"),
-    (Interferometer(delay_ns=50.0), "delay_ns"),
+    (SCENARIO, "mu_in"),
+    (QUBIT, "separation_ns"),
+    (IFM, "delay_ns"),
+    (SlotCounts(early=1.0, central=2.0, late=1.0), "early"),
+    (HIST, "bin_width_ns"),
+    (HIST, "window_ns"),
 ]
 
 
@@ -36,13 +50,14 @@ def test_nan_rejected(valid, field):
         replace(valid, **{field: math.nan})
 
 
-HIST = Histogram(bin_width_ns=1.0, counts=np.ones(100, dtype=int), window_ns=100.0)
-
-# (a call with one NaN argument, the name the error message must give)
+# (a call with one NaN or otherwise invalid argument, the name the error
+# message must give)
 SCALAR_CASES = {
     "conversion_fraction": (lambda: conversion_fraction(math.nan, CHAIN.waveguide), "pump power"),
     "external_efficiency": (lambda: external_efficiency(math.nan, CHAIN.waveguide), "pump power"),
-    "noise_counts": (lambda: noise_counts(math.nan, CHAIN.noise, CHAIN.detector), "pump power"),
+    "noise_counts": (
+        lambda: noise_counts(math.nan, CHAIN.noise, CHAIN.detector, 0.68), "pump power"
+    ),
     "mu1": (lambda: mu1(CHAIN, math.nan), "pump power"),
     "gate_integrate": (lambda: gate_integrate(HIST, math.nan), "gate width"),
     "detection_probabilities.mu_in": (
@@ -53,6 +68,31 @@ SCALAR_CASES = {
     ),
     "dfg_output_wavelength": (lambda: dfg_output_wavelength(780.24, math.nan), "wavelength"),
     "projected_noise_floor": (lambda: projected_noise_floor(math.nan, CHAIN), "bandwidth"),
+    "visibility_model.mu_in": (lambda: visibility_model(math.nan, 0.47, 1.0), "mu_in"),
+    "visibility_model.mu_1": (lambda: visibility_model(6.1, math.nan, 1.0), "mu_1"),
+    "slot_statistics.mu": (lambda: slot_statistics(QUBIT, IFM, math.nan), "mean photon number"),
+    "slot_statistics.noise_per_slot": (
+        lambda: slot_statistics(QUBIT, IFM, 1.0, math.nan), "noise per slot"
+    ),
+    # non-finite, non-positive or sub-bin histogram settings, before any collection
+    "start_stop_histogram.bin_width_nan": (
+        lambda: start_stop_histogram(SCENARIO, bin_width_ns=math.nan), "bin_width_ns"
+    ),
+    "start_stop_histogram.bin_width_inf": (
+        lambda: start_stop_histogram(SCENARIO, bin_width_ns=math.inf), "bin_width_ns"
+    ),
+    "start_stop_histogram.window_nan": (
+        lambda: start_stop_histogram(SCENARIO, window_ns=math.nan), "window_ns"
+    ),
+    "start_stop_histogram.window_zero": (
+        lambda: start_stop_histogram(SCENARIO, window_ns=0.0), "window_ns"
+    ),
+    "start_stop_histogram.window_negative": (
+        lambda: start_stop_histogram(SCENARIO, window_ns=-100.0), "window_ns"
+    ),
+    "start_stop_histogram.window_below_bin": (
+        lambda: start_stop_histogram(SCENARIO, bin_width_ns=0.64, window_ns=0.5), "window_ns"
+    ),
 }
 
 

@@ -139,9 +139,6 @@ class TestGaussianPulse:
 
 
 class TestWaveguideParams:
-    def test_total_normalized(self):
-        assert WG.total_normalized_efficiency == pytest.approx(6.48, rel=1e-12)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             WaveguideParams(length_cm=-1.0, normalized_efficiency=0.72, max_external_efficiency=0.25)
