@@ -1,11 +1,22 @@
 """Shot-level stochastic simulation of the conversion experiment.
 
-Per shot: a Poisson number of input photons is thinned through the
-efficiency chain (times drawn from the pulse shape), pump-induced noise
-and dark counts arrive as homogeneous Poisson processes over the
-detection window, the earliest event in the window registers as the
-click, and gates falling in the dead time after a click are skipped and
-excluded from the probability denominators.
+Per shot, three independent Poisson sources feed the detection window:
+input photons thinned through the efficiency chain (times drawn from the
+pulse shape), pump-induced noise and dark counts (both uniform over the
+window).  Their superposition is one Poisson process of λ = μ·p_surv +
+(r_pump + r_dark)·w events per gate, and thinning splits it back into
+origins in proportion to the three terms (Lewis & Shedler 1979).  So a
+chunk of m shots draws one Poisson(m·λ) event count, a uniform shot and
+a categorical origin per event, and a Gaussian (signal) or uniform time;
+events outside the window are dropped and the earliest one per shot is
+the click.  At the reference point about 1% of gates click, so this
+draws about m/100 events where per-shot draws would need 4m numbers.
+
+Gates in the dead time after an accepted click are skipped and excluded
+from the probability denominators.  Each click's successor, the first
+click past its dead window, is found by one sorted search; the accepted
+clicks are the chain of successors from the first click, found by
+pointer doubling (Hillis & Steele 1986) rather than a loop over clicks.
 
 Randomness is counter-based (Philox) and chunked: each (lane, chunk)
 pair owns an independent substream derived from the scenario seed, so
@@ -146,6 +157,50 @@ def _stream(seed: int, lane: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
+def _collect_chunk(
+    codes: np.ndarray,
+    edges: np.ndarray,
+    sigma_ns: float,
+    window_ns: float,
+    n_shots: int,
+    seed: int,
+    lane: int,
+    ci: int,
+) -> np.ndarray:
+    """First event per shot of chunk ``ci``, drawn from its own substream.
+
+    ``codes`` are the origins with a positive rate and ``edges`` the
+    cumulative sums of their expected events per gate, so ``edges[-1]`` is
+    the total rate λ.  The chunk's events are one Poisson(m·λ) draw spread
+    uniformly over its m shots; each takes an origin with probability
+    proportional to its rate."""
+    start = ci * _CHUNK
+    m = min(_CHUNK, n_shots - start)
+    rng = _stream(seed, lane, ci)
+    n = int(rng.poisson(m * edges[-1])) if edges.size else 0
+    if n == 0:
+        return np.empty(0, dtype=CLICK_DTYPE)
+    shot = rng.integers(0, m, n)
+    # the last edge is left out, so a draw that rounds up to λ still lands
+    # on the last origin with a positive rate
+    origin = codes[np.searchsorted(edges[:-1], rng.random(n) * edges[-1], side="right")]
+    signal = origin == ORIGIN_SIGNAL
+    n_signal = int(np.count_nonzero(signal))
+    t = np.empty(n)
+    t[signal] = window_ns / 2.0 + sigma_ns * rng.standard_normal(n_signal)
+    t[~signal] = rng.uniform(0.0, window_ns, n - n_signal)
+    inside = (t >= 0.0) & (t < window_ns)
+    shot, t, origin = shot[inside], t[inside], origin[inside]
+    order = np.lexsort((t, shot))
+    _, first = np.unique(shot[order], return_index=True)
+    first = order[first]
+    rec = np.empty(first.size, dtype=CLICK_DTYPE)
+    rec["shot"] = shot[first] + start
+    rec["time_ns"] = t[first]
+    rec["origin"] = origin[first]
+    return rec
+
+
 def _collect_clicks(
     chain: ConversionChain,
     mu_in: float,
@@ -159,8 +214,6 @@ def _collect_clicks(
 
     The window spans [0, window_ns) with the pulse centered at its middle.
     """
-    center = window_ns / 2.0
-    sigma = chain.pulse.sigma_ns
     p_surv = chain.eta_device_no_gate * chain.conversion_fraction(pump_mw)
     pump_rate = chain.noise.noise_rate_per_ns(pump_mw, chain.filter_stage.bandwidth_nm)
     dark_rate = chain.detector.dark_rate_per_ns
@@ -170,54 +223,15 @@ def _collect_clicks(
             f"expected {mean:.3f} clicks per gate exceeds the model validity "
             f"bound of {MAX_EXPECTED_CLICKS_PER_GATE}"
         )
-
-    out = []
+    # expected events per gate by origin; the index of each is its code
+    means = np.array([mu_in * p_surv, pump_rate * window_ns, dark_rate * window_ns])
+    codes = np.flatnonzero(means > 0).astype(np.int8)
+    edges = np.cumsum(means[codes])
     n_chunks = (n_shots + _CHUNK - 1) // _CHUNK
-    for ci in range(n_chunks):
-        start = ci * _CHUNK
-        m = min(_CHUNK, n_shots - start)
-        rng = _stream(seed, lane, ci)
-
-        shots: list[np.ndarray] = []
-        times: list[np.ndarray] = []
-        origins: list[np.ndarray] = []
-        if mu_in > 0 and p_surv > 0:
-            n = rng.poisson(mu_in, m)
-            k = rng.binomial(n, p_surv)
-            total = int(k.sum())
-            if total:
-                t = center + sigma * rng.standard_normal(total)
-                s = np.repeat(np.arange(m, dtype=np.int64), k)
-                keep = (t >= 0.0) & (t < window_ns)
-                shots.append(s[keep])
-                times.append(t[keep])
-                origins.append(np.full(int(keep.sum()), ORIGIN_SIGNAL))
-        for rate, origin in ((pump_rate, ORIGIN_PUMP), (dark_rate, ORIGIN_DARK)):
-            if rate <= 0:
-                continue
-            c = rng.poisson(rate * window_ns, m)
-            total = int(c.sum())
-            if total:
-                t = rng.uniform(0.0, window_ns, total)
-                shots.append(np.repeat(np.arange(m, dtype=np.int64), c))
-                times.append(t)
-                origins.append(np.full(total, origin))
-        if not shots:
-            continue
-        s = np.concatenate(shots)
-        t = np.concatenate(times)
-        o = np.concatenate(origins)
-        order = np.lexsort((t, s))
-        s, t, o = s[order], t[order], o[order]
-        _, first = np.unique(s, return_index=True)
-        rec = np.empty(first.size, dtype=CLICK_DTYPE)
-        rec["shot"] = s[first] + start
-        rec["time_ns"] = t[first]
-        rec["origin"] = o[first]
-        out.append(rec)
-    if not out:
-        return np.empty(0, dtype=CLICK_DTYPE)
-    return np.concatenate(out)
+    return np.concatenate([
+        _collect_chunk(codes, edges, chain.pulse.sigma_ns, window_ns, n_shots, seed, lane, ci)
+        for ci in range(n_chunks)
+    ])
 
 
 def _apply_dead_time(
@@ -226,22 +240,42 @@ def _apply_dead_time(
     """Drop clicks in gates suppressed by the detector dead time.
 
     Returns the accepted clicks and the number of skipped gates (gates in
-    a dead window are excluded from the denominator entirely)."""
-    if dead_gates == 0 or clicks.size == 0:
+    a dead window are excluded from the denominator entirely).
+
+    Click i, if accepted, blanks the gates up to its shot + dead_gates, so
+    the next accepted click is ``jump[i]``, the first one past that, or the
+    sentinel ``n``.  The accepted clicks are the chain 0, jump[0],
+    jump[jump[0]], ...  Pointer doubling finds it in log2(chain length)
+    rounds: while ``kept`` holds the first 2^k links and ``jump`` spans
+    2^k links, ``jump[kept]`` are the next 2^k, and ``jump[jump]`` spans
+    2^(k+1).  ``jump`` is nondecreasing, so the chain is complete once
+    ``jump[0]`` is the sentinel."""
+    n = clicks.size
+    if dead_gates == 0 or n == 0:
         return clicks, 0
-    keep = np.zeros(clicks.size, dtype=bool)
-    skipped = 0
-    dead_until = -1
-    shots = clicks["shot"]
-    for i in range(clicks.size):
-        s = int(shots[i])
-        if s <= dead_until:
-            continue
-        keep[i] = True
-        end = min(s + dead_gates, n_shots - 1)
-        skipped += end - s
-        dead_until = end
-    return clicks[keep], skipped
+    # int32 where shot + dead_gates fits, and the search in blocks, so the
+    # temporaries stay small beside the records
+    itype = np.int32 if n_shots + dead_gates <= np.iinfo(np.int32).max else np.int64
+    shots = clicks["shot"].astype(itype)
+    jump = np.empty(n + 1, dtype=itype)
+    for lo in range(0, n, _CHUNK):
+        block = shots[lo:lo + _CHUNK]
+        jump[lo:lo + block.size] = np.searchsorted(shots, block + dead_gates, side="right")
+    jump[n] = n
+    del shots  # before the doubling rounds, which need only ``jump``
+    kept = np.zeros(1, dtype=itype)
+    while jump[0] < n:
+        kept = np.concatenate((kept, jump[kept]))
+        # fancy indexing casts int32 indices in buffered pieces, where
+        # np.take would first copy them all to intp
+        jump = jump[jump]
+    accepted = clicks[kept[kept < n]]
+    # skipped is the sum of min(s + dead_gates, n_shots - 1) - s over the
+    # accepted clicks; they lie more than dead_gates apart, so only the
+    # last one's dead window can be cut short by the end of the run
+    last = int(accepted["shot"][-1])
+    skipped = dead_gates * (accepted.size - 1) + min(last + dead_gates, n_shots - 1) - last
+    return accepted, skipped
 
 
 def _run_lane(

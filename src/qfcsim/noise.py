@@ -282,8 +282,10 @@ def projected_noise_floor(
     Projections below the measured 80 GHz range are allowed but flagged
     with an ``ExtrapolationWarning``.
     """
-    if not target_bandwidth_ghz > 0:
-        raise ValueError("target bandwidth must be positive")
+    if not 0 < target_bandwidth_ghz < math.inf:
+        raise ValueError(
+            f"target bandwidth must be positive and finite, got {target_bandwidth_ghz}"
+        )
     if target_bandwidth_ghz < 80.0:
         warnings.warn(
             f"projecting the noise floor to {target_bandwidth_ghz} GHz, below "

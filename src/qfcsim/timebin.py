@@ -127,8 +127,8 @@ def slot_statistics(
 def visibility_model(mu_in: float, mu_1: float, v0: float) -> float:
     """Fringe visibility limited by the signal to noise ratio:
     V = V0 * mu_in / (mu_in + mu_1 / 2)."""
-    if not mu_in >= 0:
-        raise ValueError("mu_in must be nonnegative")
+    if not 0 <= mu_in < math.inf:
+        raise ValueError(f"mu_in must be nonnegative and finite, got {mu_in}")
     if not mu_1 > 0:
         raise ValueError("mu_1 must be positive")
     return v0 * mu_in / (mu_in + mu_1 / 2.0)

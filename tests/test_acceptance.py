@@ -157,7 +157,7 @@ def test_criterion_07_montecarlo_vs_analytic():
 
 def test_criterion_08_histogram_shape():
     sc = ExperimentScenario(
-        chain=reference_chain(), mu_in=5.0, pump_mw=120.0, n_shots=400000, seed=8
+        chain=reference_chain(), mu_in=5.0, pump_mw=120.0, n_shots=4000000, seed=8
     )
     triple = start_stop_histogram(sc, bin_width_ns=0.64, window_ns=100.0)
     centers = triple.signal_on.bin_centers

@@ -68,7 +68,9 @@ SCALAR_CASES = {
     ),
     "dfg_output_wavelength": (lambda: dfg_output_wavelength(780.24, math.nan), "wavelength"),
     "projected_noise_floor": (lambda: projected_noise_floor(math.nan, CHAIN), "bandwidth"),
+    "projected_noise_floor.inf": (lambda: projected_noise_floor(math.inf, CHAIN), "bandwidth"),
     "visibility_model.mu_in": (lambda: visibility_model(math.nan, 0.47, 1.0), "mu_in"),
+    "visibility_model.mu_in_inf": (lambda: visibility_model(math.inf, 0.47, 1.0), "mu_in"),
     "visibility_model.mu_1": (lambda: visibility_model(6.1, math.nan, 1.0), "mu_1"),
     "slot_statistics.mu": (lambda: slot_statistics(QUBIT, IFM, math.nan), "mean photon number"),
     "slot_statistics.noise_per_slot": (

@@ -1,12 +1,21 @@
 """Stochastic simulator unit tests (determinism, dead time, histograms)."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy.stats import chi2_contingency
 
+from oracles import dead_time_loop, dense_collect_clicks
+from qfcsim import montecarlo
 from qfcsim.chain import reference_chain
 from qfcsim.montecarlo import (
+    _CHUNK,
+    CLICK_DTYPE,
+    ORIGIN_DARK,
+    ORIGIN_SIGNAL,
     ExperimentScenario,
     Histogram,
     gate_integrate,
@@ -49,6 +58,121 @@ class TestDeterminism:
         # at most one click per gate
         assert np.unique(clicks["shot"]).size == clicks.size
         assert np.all(np.diff(clicks["shot"]) > 0)
+
+
+class TestChunks:
+    def test_reverse_chunk_order_gives_identical_records(self, monkeypatch):
+        calls = []
+        collect_chunk = montecarlo._collect_chunk
+
+        def recorded(*args):
+            calls.append(args)
+            return collect_chunk(*args)
+
+        monkeypatch.setattr(montecarlo, "_collect_chunk", recorded)
+        chain = reference_chain()
+        forward = montecarlo._collect_clicks(chain, 6.1, 120.0, 5 * _CHUNK + 123, 11, 0, 20.0)
+        assert len(calls) == 6 and forward.size > 0
+        backward = [collect_chunk(*args) for args in reversed(calls)]
+        assert np.concatenate(backward[::-1]).tobytes() == forward.tobytes()
+
+
+# the lanes of simulate and start_stop_histogram: (lane, mu_in, pump_mw, window_ns)
+def _lanes(mu, pump):
+    return (
+        (montecarlo._LANE_SIGNAL, mu, pump, 20.0),
+        (montecarlo._LANE_NOISE, 0.0, pump, 20.0),
+        (montecarlo._LANE_HIST_SIGNAL, mu, pump, 100.0),
+        (montecarlo._LANE_HIST_PUMP, 0.0, pump, 100.0),
+        (montecarlo._LANE_HIST_DARK, 0.0, 0.0, 100.0),
+    )
+
+
+def _origins(sc, lane, mu, pump, window):
+    clicks, _ = montecarlo._run_lane(sc, lane, mu, pump, window)
+    return set(clicks["origin"].tolist())
+
+
+class TestOrigins:
+    """Origins with a zero rate never appear in ``CLICK_DTYPE.origin``."""
+
+    def test_dark_lane_is_dark_only(self):
+        assert _origins(scenario(shots=200000), montecarlo._LANE_HIST_DARK, 0.0, 0.0, 100.0) == {
+            int(ORIGIN_DARK)
+        }
+
+    def test_no_signal_without_input(self):
+        sc = scenario(mu=0.0, shots=100000)
+        for lane, mu, pump, window in _lanes(0.0, sc.pump_mw):
+            origins = _origins(sc, lane, mu, pump, window)
+            assert origins and int(ORIGIN_SIGNAL) not in origins, lane
+
+    def test_no_dark_without_dark_rate(self):
+        chain = reference_chain()
+        chain = dataclasses.replace(
+            chain, detector=dataclasses.replace(chain.detector, dark_rate_per_ns=0.0)
+        )
+        sc = scenario(chain=chain, shots=100000)
+        for lane, mu, pump, window in _lanes(sc.mu_in, sc.pump_mw):
+            assert int(ORIGIN_DARK) not in _origins(sc, lane, mu, pump, window), lane
+
+
+@st.composite
+def _click_streams(draw):
+    n_shots = draw(st.integers(1, 300))
+    shots = draw(st.lists(st.integers(0, n_shots - 1), unique=True, max_size=n_shots))
+    return n_shots, shots
+
+
+def _clicks(shots):
+    clicks = np.zeros(len(shots), dtype=CLICK_DTYPE)
+    clicks["shot"] = sorted(shots)
+    clicks["time_ns"] = np.arange(len(shots)) * 0.25
+    clicks["origin"] = np.arange(len(shots)) % 3
+    return clicks
+
+
+class TestDeadTimeOracle:
+    @settings(max_examples=300)
+    @given(_click_streams(), st.integers(0, 40))
+    @example((10, []), 3)
+    @example((10, [0, 1, 2, 9]), 0)
+    @example((10, [2, 9]), 6)
+    @example((1, [0]), 5)
+    def test_matches_loop(self, stream, dead_gates):
+        n_shots, shots = stream
+        clicks = _clicks(shots)
+        accepted, skipped = montecarlo._apply_dead_time(clicks, n_shots, dead_gates)
+        want, want_skipped = dead_time_loop(clicks, n_shots, dead_gates)
+        assert accepted.tobytes() == want.tobytes()
+        assert skipped == want_skipped
+
+
+class TestDenseOracle:
+    """The sparse collector against the dense per-shot draws, as two
+    independent samples (the oracle runs on another seed)."""
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_two_sample(self, seed, monkeypatch):
+        sc = scenario(mu=6.1, pump=120.0, shots=1000000, seed=seed)
+        hist_sc = scenario(mu=5.0, pump=120.0, shots=500000, seed=seed)
+        new = simulate(sc)
+        new_hist = start_stop_histogram(hist_sc).signal_on.counts
+        monkeypatch.setattr(montecarlo, "_collect_clicks", dense_collect_clicks)
+        monkeypatch.setattr(montecarlo, "_apply_dead_time", dead_time_loop)
+        other = seed + 1000
+        old = simulate(dataclasses.replace(sc, seed=other))
+        old_hist = start_stop_histogram(dataclasses.replace(hist_sc, seed=other)).signal_on.counts
+
+        for a, ea, b, eb in (
+            (new.p_signal, new.p_signal_err, old.p_signal, old.p_signal_err),
+            (new.p_noise, new.p_noise_err, old.p_noise, old.p_noise_err),
+        ):
+            assert abs(a - b) / math.hypot(ea, eb) < 3.0
+        # 2.56 ns bins, so every bin holds the five counts the chi^2 test needs
+        table = np.array([new_hist, old_hist]).reshape(2, -1, 4).sum(axis=2)
+        assert table.min() >= 5
+        assert chi2_contingency(table).pvalue > 0.001
 
 
 class TestAgreementWithAnalytics:
