@@ -47,7 +47,6 @@ from .noise import (
     beta_factor,
     detection_probabilities,
     mu1,
-    noise_counts,
     projected_noise_floor,
     snr,
 )

@@ -1,8 +1,9 @@
 """Full experiment description: source, waveguide, filter, detector, noise.
 
 ``ConversionChain`` ties the static optics to the noise and detection
-models and exposes the derived per-gate means that both the analytic
-module and the Monte Carlo simulator consume.  ``reference_chain`` builds
+models.  Its ``event_means`` states the rate model once: the analytic
+rates and mu_1 (``noise``) and the Monte Carlo both read their expected
+signal, pump-noise and dark events from it.  ``reference_chain`` builds
 the chain with the published apparatus values, which live only in the
 shipped scenario file ``data/reference.cfg``.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .noise import DetectorConfig, FilterStage, NoiseModel, beta_factor, noise_counts
+from .noise import DetectorConfig, FilterStage, NoiseModel, beta_factor
 from .optics import (
     EfficiencyCascade,
     GaussianPulse,
@@ -36,6 +37,7 @@ class ConversionChain:
     detector: DetectorConfig
     noise: NoiseModel
     repetition_rate_mhz: float
+    beta: float = field(init=False)  # detected signal fraction inside the gate
     _cascade: EfficiencyCascade = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -52,6 +54,7 @@ class ConversionChain:
                 "waveguide_max_external_efficiency exceeds losses_input_coupling "
                 f"({self.waveguide.max_external_efficiency} > {coupling})"
             )
+        object.__setattr__(self, "beta", beta_factor(self.pulse, self.detector))
         cascade = EfficiencyCascade(
             coupling, eta_int_max, self.filter_stage.total_transmission,
             self.detector.efficiency * self.beta,
@@ -66,11 +69,6 @@ class ConversionChain:
     def gate_period_ns(self) -> float:
         return 1e3 / self.repetition_rate_mhz
 
-    @property
-    def beta(self) -> float:
-        """Detected signal fraction for the configured pulse and gate."""
-        return beta_factor(self.pulse, self.detector)
-
     def cascade(self) -> EfficiencyCascade:
         """The nested efficiencies, built once with the chain."""
         return self._cascade
@@ -78,17 +76,6 @@ class ConversionChain:
     @property
     def eta_tot_max(self) -> float:
         return self._cascade.eta_tot_max
-
-    @property
-    def eta_device_no_gate(self) -> float:
-        """Waveguide-to-click efficiency at peak conversion, excluding the
-        gate fraction (used by the Monte Carlo thinning; the gate cut
-        supplies beta there)."""
-        return (
-            self.waveguide.max_external_efficiency
-            * self.filter_stage.total_transmission
-            * self.detector.efficiency
-        )
 
     def conversion_fraction(self, pump_mw: float) -> float:
         """sin^2 conversion factor, normalized to 1 at the optimum."""
@@ -98,15 +85,25 @@ class ConversionChain:
     def optimal_pump_mw(self) -> float:
         return optimal_pump_power(self.waveguide) * 1e3
 
-    def signal_mean_per_gate(self, mu_in: float, pump_mw: float) -> float:
-        """Mean detected signal photons per gate."""
-        return mu_in * self.eta_tot_max * self.conversion_fraction(pump_mw)
-
-    def noise_mean_per_gate(self, pump_mw: float) -> float:
-        """Mean noise counts per gate (pump-induced plus dark)."""
-        return noise_counts(
-            pump_mw, self.noise, self.detector, self.filter_stage.bandwidth_nm
+    def event_means(
+        self, mu_in: float, pump_mw: float, window_ns: float
+    ) -> tuple[float, float, float]:
+        """Expected detected (signal, pump-noise, dark) events per pulse in
+        a ``window_ns`` window.  The signal is the whole pulse, before the
+        gate cut to ``beta``; pump noise (alpha * P_p) is flat in time and
+        in the filter passband, and dark counts are flat in time."""
+        if not pump_mw >= 0:
+            raise ValueError(f"pump power must be nonnegative, got {pump_mw}")
+        eta = (
+            self.waveguide.max_external_efficiency
+            * self.filter_stage.total_transmission
+            * self.detector.efficiency
         )
+        signal = mu_in * (eta * self.conversion_fraction(pump_mw))
+        alpha = self.noise.alpha_unit * self.filter_stage.bandwidth_nm
+        pump_noise = alpha * pump_mw * window_ns
+        dark = self.detector.dark_rate_per_ns * window_ns
+        return signal, pump_noise, dark
 
     def with_filter_bandwidth(self, bandwidth_nm: float) -> "ConversionChain":
         return replace(

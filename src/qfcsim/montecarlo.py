@@ -3,7 +3,9 @@
 Per shot, three independent Poisson sources feed the detection window:
 input photons thinned through the efficiency chain (times drawn from the
 pulse shape), pump-induced noise and dark counts (both uniform over the
-window).  Their superposition is one Poisson process of λ = μ·p_surv +
+window).  ``ConversionChain.event_means``, which the analytic model reads
+too, gives their means; the gate cut is in the drawn times, not a β.
+Their superposition is one Poisson process of λ = μ·p_surv +
 (r_pump + r_dark)·w events per gate, and thinning splits it back into
 origins in proportion to the three terms (Lewis & Shedler 1979).  So a
 chunk of m shots draws one Poisson(m·λ) event count, a uniform shot and
@@ -214,17 +216,14 @@ def _collect_clicks(
 
     The window spans [0, window_ns) with the pulse centered at its middle.
     """
-    p_surv = chain.eta_device_no_gate * chain.conversion_fraction(pump_mw)
-    pump_rate = chain.noise.noise_rate_per_ns(pump_mw, chain.filter_stage.bandwidth_nm)
-    dark_rate = chain.detector.dark_rate_per_ns
-    mean = mu_in * p_surv + (pump_rate + dark_rate) * window_ns
+    # expected events per gate by origin; the index of each is its code
+    means = np.array(chain.event_means(mu_in, pump_mw, window_ns))
+    mean = means.sum()
     if mean > MAX_EXPECTED_CLICKS_PER_GATE:
         raise ValueError(
             f"expected {mean:.3f} clicks per gate exceeds the model validity "
             f"bound of {MAX_EXPECTED_CLICKS_PER_GATE}"
         )
-    # expected events per gate by origin; the index of each is its code
-    means = np.array([mu_in * p_surv, pump_rate * window_ns, dark_rate * window_ns])
     codes = np.flatnonzero(means > 0).astype(np.int8)
     edges = np.cumsum(means[codes])
     n_chunks = (n_shots + _CHUNK - 1) // _CHUNK

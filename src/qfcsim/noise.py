@@ -34,7 +34,6 @@ __all__ = [
     "ExtrapolationWarning",
     "DegenerateDenominatorError",
     "beta_factor",
-    "noise_counts",
     "detection_probabilities",
     "snr",
     "mu1",
@@ -84,15 +83,6 @@ class NoiseModel:
         return self.alpha_detected_per_mw / (
             self.reference_gate_ns * self.reference_bandwidth_nm
         )
-
-    def alpha_per_gate(self, gate_ns: float, bandwidth_nm: float) -> float:
-        """Detected noise slope (counts per gate per mW) for a given gate
-        width and filter bandwidth."""
-        return self.alpha_unit * gate_ns * bandwidth_nm
-
-    def noise_rate_per_ns(self, pump_mw: float, bandwidth_nm: float) -> float:
-        """Detected pump-noise rate (counts per ns), dark counts excluded."""
-        return self.alpha_unit * bandwidth_nm * pump_mw
 
 
 @dataclass(frozen=True)
@@ -151,10 +141,6 @@ class DetectorConfig:
                 f"{ALLOWED_GATE_WIDTHS_NS} (set allow_any_gate to override)"
             )
 
-    @property
-    def dark_counts_per_gate(self) -> float:
-        return self.dark_rate_per_ns * self.gate_width_ns
-
 
 @dataclass(frozen=True)
 class RateBreakdown:
@@ -190,37 +176,21 @@ def beta_factor(pulse: GaussianPulse, gate: DetectorConfig) -> float:
     return math.erf(half / s)
 
 
-def noise_counts(
-    pump_mw: float,
-    model: NoiseModel,
-    det: DetectorConfig,
-    bandwidth_nm: float,
-) -> float:
-    """Expected noise counts per gate: alpha * P_p + dark, with alpha scaled
-    to the detector gate width and the given filter bandwidth."""
-    if not pump_mw >= 0:
-        raise ValueError(f"pump power must be nonnegative, got {pump_mw}")
-    alpha = model.alpha_per_gate(det.gate_width_ns, bandwidth_nm)
-    return alpha * pump_mw + det.dark_counts_per_gate
-
-
 def detection_probabilities(
     mu_in: float, pump_mw: float, chain: "ConversionChain"
 ) -> RateBreakdown:
     """Expected per-gate rates and click probabilities for the full chain.
 
-    Mean detected signal: mu_in * eta_tot_max * fhat(P_p); mean noise:
-    alpha * P_p + dark.  Click probabilities use Poissonian thinning,
-    p = 1 - exp(-mean), which reduces to the linear estimate at the small
-    rates of interest.
+    The chain's ``event_means`` over the gate, the signal cut to ``beta``:
+    mu_in * eta_tot_max * fhat(P_p) and noise alpha * P_p + dark.  Click
+    probabilities use Poissonian thinning, p = 1 - exp(-mean), which
+    reduces to the linear estimate at the small rates of interest.
     """
     if not mu_in >= 0:
         raise ValueError(f"mu_in must be nonnegative, got {mu_in}")
-    if not pump_mw >= 0:
-        raise ValueError(f"pump power must be nonnegative, got {pump_mw}")
-    lam_signal = chain.signal_mean_per_gate(mu_in, pump_mw)
-    lam_noise = chain.noise_mean_per_gate(pump_mw)
-    dark = chain.detector.dark_counts_per_gate
+    signal, pump_noise, dark = chain.event_means(mu_in, pump_mw, chain.detector.gate_width_ns)
+    lam_signal = signal * chain.beta
+    lam_noise = pump_noise + dark
     return RateBreakdown(
         p_signal=1.0 - math.exp(-(lam_signal + lam_noise)),
         p_noise=1.0 - math.exp(-lam_noise),
@@ -257,11 +227,8 @@ def mu1(chain: "ConversionChain", pump_mw: float) -> float:
     """
     if not pump_mw > 0:
         raise ValueError(f"pump power must be positive, got {pump_mw}")
-    alpha = chain.noise.alpha_per_gate(
-        chain.detector.gate_width_ns, chain.filter_stage.bandwidth_nm
-    )
-    noise_above_dark = alpha * pump_mw
-    signal_slope = chain.signal_mean_per_gate(1.0, pump_mw)
+    signal, noise_above_dark, _ = chain.event_means(1.0, pump_mw, chain.detector.gate_width_ns)
+    signal_slope = signal * chain.beta
     if signal_slope <= 0:
         raise DegenerateDenominatorError(
             "zero signal efficiency at this pump power; mu_1 undefined"

@@ -129,8 +129,10 @@ def visibility_model(mu_in: float, mu_1: float, v0: float) -> float:
     V = V0 * mu_in / (mu_in + mu_1 / 2)."""
     if not 0 <= mu_in < math.inf:
         raise ValueError(f"mu_in must be nonnegative and finite, got {mu_in}")
-    if not mu_1 > 0:
-        raise ValueError("mu_1 must be positive")
+    if not 0 < mu_1 < math.inf:
+        raise ValueError(f"mu_1 must be positive and finite, got {mu_1}")
+    if not 0 <= v0 <= 1:
+        raise ValueError(f"v0 must be in [0, 1], got {v0}")
     return v0 * mu_in / (mu_in + mu_1 / 2.0)
 
 

@@ -103,9 +103,15 @@ def dense_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns):
     events in every shot, whether or not anything arrives."""
     center = window_ns / 2.0
     sigma = chain.pulse.sigma_ns
-    p_surv = chain.eta_device_no_gate * chain.conversion_fraction(pump_mw)
-    pump_rate = chain.noise.noise_rate_per_ns(pump_mw, chain.filter_stage.bandwidth_nm)
-    dark_rate = chain.detector.dark_rate_per_ns
+    # the rates from the primitive fields, not from the chain's event_means
+    filt, det, noise = chain.filter_stage, chain.detector, chain.noise
+    eta = chain.waveguide.max_external_efficiency * filt.total_transmission * det.efficiency
+    p_surv = eta * chain.conversion_fraction(pump_mw)
+    alpha_unit = noise.alpha_detected_per_mw / (
+        noise.reference_gate_ns * noise.reference_bandwidth_nm
+    )
+    pump_rate = alpha_unit * filt.bandwidth_nm * pump_mw
+    dark_rate = det.dark_rate_per_ns
 
     out = [np.empty(0, dtype=CLICK_DTYPE)]
     for ci in range((n_shots + _CHUNK - 1) // _CHUNK):

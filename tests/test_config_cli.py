@@ -17,7 +17,7 @@ from qfcsim.config import (
     serialize,
     with_overrides,
 )
-from qfcsim.cli import run
+from qfcsim.cli import _OVERRIDES, PRESETS, run
 
 # every non-bool config key, set to each non-finite value in turn
 NONFINITE_CASES = [
@@ -27,6 +27,20 @@ NONFINITE_CASES = [
     if kind != "bool"
     for value in ("nan", "inf")
 ]
+
+# every float override flag, set to each non-finite value in turn
+FLOAT_FLAG_CASES = [
+    (flag, choices, key, value)
+    for flag, kind, choices, key in _OVERRIDES
+    if kind is float
+    for value in ("nan", "inf", "-inf")
+]
+COMMANDS = {
+    "report": ["report"],
+    "simulate": ["simulate"],
+    "fit": ["fit", "data.csv"],
+    **{f"sweep_{preset}": ["sweep", "--preset", preset] for preset in PRESETS},
+}
 
 
 def _with_entry(section: str, key: str, raw: str) -> str:
@@ -185,6 +199,30 @@ class TestCliExitCodes:
         cfg.write_text(text)
         assert run(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert f"{section}_{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "flag, choices, key, value",
+        FLOAT_FLAG_CASES,
+        ids=[f"{flag}={value}" for flag, _, _, value in FLOAT_FLAG_CASES],
+    )
+    def test_nonfinite_flag_rejected(
+        self, flag, choices, key, value, command, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,0.1\n0.3,0.15\n")
+        option = "--" + flag.replace("_", "-") + "=" + value
+        code = run([*COMMANDS[command], option, "--out", "out"])
+        err = capsys.readouterr().err
+        # a flag with a fixed set of values fails argparse's choices check,
+        # a usage error; any other is a validation error naming its key
+        if choices is None:
+            assert code == 2
+            assert key in err
+        else:
+            assert code == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_fit_nan_row_rejected(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

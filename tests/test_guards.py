@@ -9,7 +9,7 @@ import pytest
 
 from qfcsim.chain import reference_chain
 from qfcsim.montecarlo import ExperimentScenario, Histogram, gate_integrate, start_stop_histogram
-from qfcsim.noise import detection_probabilities, mu1, noise_counts, projected_noise_floor
+from qfcsim.noise import detection_probabilities, mu1, projected_noise_floor
 from qfcsim.optics import conversion_fraction, dfg_output_wavelength, external_efficiency
 from qfcsim.timebin import (
     Interferometer,
@@ -55,9 +55,7 @@ def test_nan_rejected(valid, field):
 SCALAR_CASES = {
     "conversion_fraction": (lambda: conversion_fraction(math.nan, CHAIN.waveguide), "pump power"),
     "external_efficiency": (lambda: external_efficiency(math.nan, CHAIN.waveguide), "pump power"),
-    "noise_counts": (
-        lambda: noise_counts(math.nan, CHAIN.noise, CHAIN.detector, 0.68), "pump power"
-    ),
+    "event_means": (lambda: CHAIN.event_means(0.0, math.nan, 20.0), "pump power"),
     "mu1": (lambda: mu1(CHAIN, math.nan), "pump power"),
     "gate_integrate": (lambda: gate_integrate(HIST, math.nan), "gate width"),
     "detection_probabilities.mu_in": (
@@ -72,6 +70,10 @@ SCALAR_CASES = {
     "visibility_model.mu_in": (lambda: visibility_model(math.nan, 0.47, 1.0), "mu_in"),
     "visibility_model.mu_in_inf": (lambda: visibility_model(math.inf, 0.47, 1.0), "mu_in"),
     "visibility_model.mu_1": (lambda: visibility_model(6.1, math.nan, 1.0), "mu_1"),
+    "visibility_model.mu_1_inf": (lambda: visibility_model(6.1, math.inf, 1.0), "mu_1"),
+    "visibility_model.v0": (lambda: visibility_model(6.1, 0.47, math.nan), "v0"),
+    "visibility_model.v0_above_one": (lambda: visibility_model(6.1, 0.47, 5.0), "v0"),
+    "visibility_model.v0_negative": (lambda: visibility_model(6.1, 0.47, -1.0), "v0"),
     "slot_statistics.mu": (lambda: slot_statistics(QUBIT, IFM, math.nan), "mean photon number"),
     "slot_statistics.noise_per_slot": (
         lambda: slot_statistics(QUBIT, IFM, 1.0, math.nan), "noise per slot"

@@ -1,6 +1,8 @@
 """Noise model, gated detection and figure-of-merit unit tests."""
 
+import math
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +18,6 @@ from qfcsim.noise import (
     beta_factor,
     detection_probabilities,
     mu1,
-    noise_counts,
     projected_noise_floor,
     snr,
 )
@@ -63,30 +64,66 @@ class TestBetaFactor:
         assert b == pytest.approx(1.0, abs=1e-12)
 
 
-class TestNoiseCounts:
+def rate_chain():
+    """The reference chain with MODEL, det(20.0) and a 0.68 nm filter."""
+    chain = replace(reference_chain(), noise=MODEL, detector=det(20.0))
+    return chain.with_filter_bandwidth(0.68)
+
+
+class TestEventMeans:
+    """The chain's rate model, read directly and through detection_probabilities."""
+
     def test_reference_point(self):
         # alpha * P + DC = 6e-6 * 100 + 2e-4
-        assert noise_counts(100.0, MODEL, det(20.0), 0.68) == pytest.approx(8e-4, rel=1e-12)
+        _, pump, dark = rate_chain().event_means(6.1, 100.0, 20.0)
+        assert pump + dark == pytest.approx(8e-4, rel=1e-12)
+        rb = detection_probabilities(6.1, 100.0, rate_chain())
+        assert rb.noise_total == pytest.approx(8e-4, rel=1e-12)
 
     def test_gate_scaling(self):
-        n20 = noise_counts(100.0, MODEL, det(20.0), 0.68)
-        n50 = noise_counts(100.0, MODEL, det(50.0), 0.68)
+        chain = rate_chain()
+        n20 = sum(chain.event_means(0.0, 100.0, 20.0))
+        n50 = sum(chain.event_means(0.0, 100.0, 50.0))
         assert n50 == pytest.approx(2.5 * n20, rel=1e-12)
+        rb20 = detection_probabilities(0.0, 100.0, chain)
+        rb50 = detection_probabilities(0.0, 100.0, chain.with_gate_width(50.0))
+        assert rb50.noise_total == pytest.approx(2.5 * rb20.noise_total, rel=1e-12)
 
     def test_bandwidth_scaling(self):
-        n1 = noise_counts(100.0, MODEL, det(20.0), bandwidth_nm=0.68)
-        n2 = noise_counts(100.0, MODEL, det(20.0), bandwidth_nm=1.36)
+        narrow = rate_chain()
+        wide = narrow.with_filter_bandwidth(1.36)
+        _, pump1, dark1 = narrow.event_means(0.0, 100.0, 20.0)
+        _, pump2, dark2 = wide.event_means(0.0, 100.0, 20.0)
         # only the pump-induced part doubles
-        assert n2 - det(20.0).dark_counts_per_gate == pytest.approx(
-            2.0 * (n1 - det(20.0).dark_counts_per_gate), rel=1e-12
+        assert pump2 == pytest.approx(2.0 * pump1, rel=1e-12)
+        assert dark2 == dark1
+        rb1 = detection_probabilities(0.0, 100.0, narrow)
+        rb2 = detection_probabilities(0.0, 100.0, wide)
+        assert rb2.noise_total - rb2.dark == pytest.approx(
+            2.0 * (rb1.noise_total - rb1.dark), rel=1e-12
         )
 
-    def test_dark_only_at_zero_pump(self):
-        assert noise_counts(0.0, MODEL, det(20.0), 0.68) == pytest.approx(2e-4, rel=1e-12)
+    @pytest.mark.parametrize("gate, dark", [(20.0, 2e-4), (50.0, 5e-4)])
+    def test_dark_only_at_zero_pump(self, gate, dark):
+        chain = rate_chain()
+        assert chain.event_means(6.1, 0.0, gate) == (0.0, 0.0, pytest.approx(dark, rel=1e-12))
+        rb = detection_probabilities(0.0, 0.0, chain.with_gate_width(gate))
+        assert rb.noise_total == rb.dark == pytest.approx(dark, rel=1e-12)
 
-    def test_negative_pump_rejected(self):
-        with pytest.raises(ValueError):
-            noise_counts(-1.0, MODEL, det(20.0), 0.68)
+    def test_signal_is_the_whole_pulse(self):
+        # the gate keeps the fraction beta of it
+        chain = rate_chain()
+        signal, _, _ = chain.event_means(6.1, 120.0, 20.0)
+        expected = 6.1 * chain.eta_tot_max * chain.conversion_fraction(120.0)
+        assert signal * chain.beta == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("pump_mw", [-1.0, math.nan])
+    def test_invalid_pump_rejected(self, pump_mw):
+        # the message gives the value in mW, as passed
+        with pytest.raises(ValueError, match=f"pump power must be nonnegative, got {pump_mw}$"):
+            rate_chain().event_means(6.1, pump_mw, 20.0)
+        with pytest.raises(ValueError, match="pump power"):
+            detection_probabilities(6.1, pump_mw, rate_chain())
 
 
 class TestDetectionProbabilities:
@@ -201,10 +238,6 @@ class TestDetectorConfig:
         with pytest.raises(ValueError, match="not in the supported set"):
             det(37.0)
         det(37.0, allow_any_gate=True)
-
-    def test_dark_counts_per_gate(self):
-        assert det(20.0).dark_counts_per_gate == pytest.approx(2e-4, rel=1e-12)
-        assert det(50.0).dark_counts_per_gate == pytest.approx(5e-4, rel=1e-12)
 
     def test_efficiency_validation(self):
         with pytest.raises(ValueError):
