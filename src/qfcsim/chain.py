@@ -10,6 +10,7 @@ shipped scenario file ``data/reference.cfg``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .noise import DetectorConfig, FilterStage, NoiseModel, beta_factor
@@ -91,9 +92,12 @@ class ConversionChain:
         """Expected detected (signal, pump-noise, dark) events per pulse in
         a ``window_ns`` window.  The signal is the whole pulse, before the
         gate cut to ``beta``; pump noise (alpha * P_p) is flat in time and
-        in the filter passband, and dark counts are flat in time."""
-        if not pump_mw >= 0:
-            raise ValueError(f"pump power must be nonnegative, got {pump_mw}")
+        in the filter passband, and dark counts are flat in time.  Both
+        ``mu_in`` and ``pump_mw`` must be finite and nonnegative."""
+        if not 0 <= mu_in < math.inf:
+            raise ValueError(f"mu_in must be nonnegative and finite, got {mu_in}")
+        if not 0 <= pump_mw < math.inf:
+            raise ValueError(f"pump power must be nonnegative and finite, got {pump_mw}")
         eta = (
             self.waveguide.max_external_efficiency
             * self.filter_stage.total_transmission

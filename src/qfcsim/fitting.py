@@ -7,18 +7,17 @@ needs no external solver).  95% confidence half-widths come from the
 linearized covariance (J^T W J)^-1 scaled by the residual variance, with
 the Student-t 97.5% quantile for the finite degrees of freedom.  That
 quantile is computed here too (``_t975``): Newton's method on the
-regularized incomplete beta function, evaluated by the modified-Lentz
-continued fraction (Press et al., Numerical Recipes, section 6.4), so
-the package needs numpy alone at run time.
+two-sided t probability, which for integer degrees of freedom is a
+finite sum of cosine powers (Abramowitz & Stegun 26.7.3-4), so the
+package needs numpy alone at run time.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -105,83 +104,61 @@ class FitResult:
         return float(self.params[self.param_names.index(name)])
 
 
-# Cornish-Fisher expansion of the t quantile in powers of 1/dof around
-# the normal quantile z = 1.959963984540054 (Abramowitz & Stegun 26.7.5)
-_Z975 = 1.959963984540054
-_Z2 = _Z975 * _Z975
-_CORNISH_FISHER = (
-    _Z975,
-    (_Z2 + 1.0) * _Z975 / 4.0,
-    ((5.0 * _Z2 + 16.0) * _Z2 + 3.0) * _Z975 / 96.0,
-    (((3.0 * _Z2 + 19.0) * _Z2 + 17.0) * _Z2 - 15.0) * _Z975 / 384.0,
-    ((((79.0 * _Z2 + 776.0) * _Z2 + 1482.0) * _Z2 - 1920.0) * _Z2 - 945.0) * _Z975 / 92160.0,
-)
-_TINY = 1e-300
-
-
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction of I_x(a, b) by the modified Lentz method; it
-    converges fast for x below about (a + 1) / (a + b + 2)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 / (1.0 - qab * x / qap)
-    h = d
-    for m in range(1, 500):
-        m2 = 2 * m
-        for aa in (
-            m * (b - m) * x / ((qam + m2) * (a + m2)),
-            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
-        ):
-            d = 1.0 + aa * d
-            d = 1.0 / (d if abs(d) > _TINY else _TINY)
-            c = 1.0 + aa / c
-            if abs(c) < _TINY:
-                c = _TINY
-            delta = d * c
-            h *= delta
-        if abs(delta - 1.0) <= 1e-15:
-            return h
-    raise ArithmeticError(f"incomplete beta I_{x}({a}, {b}) did not converge")
-
-
 @lru_cache(maxsize=128)
 def _t975(dof: int) -> float:
     """Student-t 97.5% quantile for ``dof >= 1`` degrees of freedom.
 
-    dof 1 and 2 have closed forms.  Above them, Newton's method from the
-    Cornish-Fisher value solves P(|T| < t) = I_y(1/2, dof/2) = 0.95 with
-    y = t^2 / (dof + t^2), about 3.84 / dof for large dof: the continued
-    fraction needs far fewer terms there than at 1 - y.  The tests hold
-    it to 1e-12 relative over dof 1-2000; its error there is about 2e-14.
+    Newton's method from the normal quantile solves P(|T| < t) = 0.95,
+    with the two-sided mass a finite sum in theta = atan(t / sqrt(dof))
+    (Abramowitz & Stegun 26.7.3 for even dof, 26.7.4 for odd).  Its terms
+    T_i = T_(i-2) cos^2(theta) (i - 1) / i run over i < dof; the next one,
+    T_dof, gives the density: dP/dt = sqrt(dof) T_dof cos(theta), times
+    2 / pi for odd dof.  P is concave in t > 0, so the steps approach the
+    root monotonically from below.  The tests hold it to 1e-12 relative
+    over dof 1-2000; its error there is about 1e-13.
     """
-    if dof == 1:
-        return math.tan(0.475 * math.pi)
-    if dof == 2:
-        return 0.95 / math.sqrt(2.0 * 0.975 * 0.025)
-    nu = float(dof)
-    b = 0.5 * nu
-    # Gamma((dof + 1) / 2) / (sqrt(pi) Gamma(dof / 2)) by its two-step
-    # recurrence; lgamma differences lose ~1e-12 at dof ~ 2000
-    k0, norm = (1, 1.0 / math.pi) if dof % 2 else (2, 0.5)
-    for k in range(k0, dof, 2):
-        norm *= (k + 1.0) / k
-    t = sum(g / nu**i for i, g in enumerate(_CORNISH_FISHER))
-    for _ in range(20):
-        t2 = t * t
-        y = t2 / (nu + t2)
-        tail = math.exp(b * math.log1p(-y))  # (1 - y)^(dof / 2)
-        mass = 2.0 * norm * math.sqrt(y) * tail * _beta_cf(0.5, b, y)
-        density = norm * tail * math.sqrt((1.0 - y) / nu)
-        step = (mass - 0.95) / (2.0 * density)
-        t -= step
-        if abs(step) <= 1e-13 * t:
-            break
-    return t
+    odd = dof % 2
+    root_nu = math.sqrt(dof)
+    t = 1.959963984540054
+    for _ in range(50):
+        theta = math.atan(t / root_nu)
+        c = math.cos(theta)
+        total, term = 0.0, (c if odd else 1.0)
+        for i in range(odd + 2, dof + 1, 2):
+            total += term
+            term *= c * c * (i - 1) / i
+        mass = math.sin(theta) * total
+        slope = root_nu * term * c
+        if odd:
+            mass = (theta + mass) * (2.0 / math.pi)
+            slope *= 2.0 / math.pi
+        step = (0.95 - mass) / slope
+        t += step
+        if step <= 1e-13 * t:
+            return t
+    raise ArithmeticError(f"t quantile for {dof} degrees of freedom did not converge")
 
 
 def _ci_half_widths(cov: np.ndarray, dof: int) -> np.ndarray:
     tq = _t975(dof) if dof > 0 else math.inf
     return tq * np.sqrt(np.diag(cov))
+
+
+def _fit_result(params, a, w, resid, names: tuple[str, ...]) -> FitResult:
+    """Covariance a^-1 scaled by the residual variance rss / dof (unscaled
+    without degrees of freedom) and its 95% half-widths."""
+    rss = float(np.sum(w * resid**2))
+    dof = resid.size - len(names)
+    scale = rss / dof if dof > 0 else 1.0
+    cov = np.linalg.inv(a) * scale
+    return FitResult(
+        params=params,
+        cov=cov,
+        ci95=_ci_half_widths(cov, dof),
+        rss=rss,
+        dof=dof,
+        param_names=names,
+    )
 
 
 def fit_linear(data: Dataset, force_zero_intercept: bool = False) -> FitResult:
@@ -205,19 +182,7 @@ def fit_linear(data: Dataset, force_zero_intercept: bool = False) -> FitResult:
     a = design.T @ (w[:, None] * design)
     b = design.T @ (w * y)
     params = np.linalg.solve(a, b)
-    resid = y - design @ params
-    rss = float(np.sum(w * resid**2))
-    dof = len(data) - len(names)
-    scale = rss / dof if dof > 0 else 1.0
-    cov = np.linalg.inv(a) * scale
-    return FitResult(
-        params=params,
-        cov=cov,
-        ci95=_ci_half_widths(cov, dof),
-        rss=rss,
-        dof=dof,
-        param_names=names,
-    )
+    return _fit_result(params, a, w, y - design @ params, names)
 
 
 def _conversion_jacobian(pump_w, eta_ext_max, eta_n, length_cm):
@@ -230,21 +195,17 @@ def _conversion_jacobian(pump_w, eta_ext_max, eta_n, length_cm):
 
 
 def _levenberg(
-    residual_fn: Callable[[np.ndarray], np.ndarray],
-    jacobian_fn: Callable[[np.ndarray], np.ndarray],
-    p0: np.ndarray,
-    w: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Damped Gauss-Newton with positive parameters; returns (params,
-    J^T W J at the solution, converged), where converged is False after
-    200 iterations."""
-    p = np.array(p0, dtype=float)
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, p: np.ndarray, length_cm: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Damped Gauss-Newton on the sin^2 model with positive parameters;
+    returns (params, J^T W J at the solution, residuals, converged), where
+    converged is False after 200 iterations."""
     lam = 1e-3
     converged = True
-    cost = float(np.sum(w * residual_fn(p) ** 2))
+    r = y - conversion_model(x, p[0], p[1], length_cm)
+    cost = float(np.sum(w * r**2))
     for _ in range(200):
-        r = residual_fn(p)
-        jac = jacobian_fn(p)
+        jac = _conversion_jacobian(x, p[0], p[1], length_cm)
         a = jac.T @ (w[:, None] * jac)
         g = jac.T @ (w * r)
         step = None
@@ -258,9 +219,10 @@ def _levenberg(
             if np.any(cand <= 0):
                 lam *= 10.0
                 continue
-            cand_cost = float(np.sum(w * residual_fn(cand) ** 2))
+            cand_r = y - conversion_model(x, cand[0], cand[1], length_cm)
+            cand_cost = float(np.sum(w * cand_r**2))
             if cand_cost <= cost:
-                step, p, cost = cand_step, cand, cand_cost
+                step, p, r, cost = cand_step, cand, cand_r, cand_cost
                 lam = max(lam / 10.0, 1e-14)
                 break
             lam *= 10.0
@@ -270,8 +232,8 @@ def _levenberg(
             break
     else:
         converged = False
-    jac = jacobian_fn(p)
-    return p, jac.T @ (w[:, None] * jac), converged
+    jac = _conversion_jacobian(x, p[0], p[1], length_cm)
+    return p, jac.T @ (w[:, None] * jac), r, converged
 
 
 def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
@@ -296,24 +258,15 @@ def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
         raise ValueError("fit requires positive efficiencies")
     p_peak = float(x[np.argmax(y)])
     eta_n0 = (math.pi / 2.0) ** 2 / (length_cm**2 * p_peak)
-    p0 = np.array([eta0, eta_n0])
+    params, a, resid, converged = _levenberg(x, y, w, np.array([eta0, eta_n0]), length_cm)
+    res = _fit_result(params, a, w, resid, ("eta_ext_max", "eta_n"))
 
-    def residual(p):
-        return y - conversion_model(x, p[0], p[1], length_cm)
-
-    def jacobian(p):
-        return _conversion_jacobian(x, p[0], p[1], length_cm)
-
-    params, a, converged = _levenberg(residual, jacobian, p0, w)
-    resid = residual(params)
-    rss = float(np.sum(w * resid**2))
-    dof = len(data) - 2
-    scale = rss / dof if dof > 0 else 1.0
-    cov = np.linalg.inv(a) * scale
-
+    cov = res.cov
     corr = cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]) if cov[0, 0] > 0 and cov[1, 1] > 0 else 0.0
     u_max = length_cm * math.sqrt(float(np.max(x)) * params[1])
-    ill = abs(corr) > 0.999 or u_max < math.pi / 4.0
+    # noisy linear-regime data can place the fitted u_max just past pi/4,
+    # but then leave the parameters more than 0.99 correlated
+    ill = abs(corr) > 0.99 or u_max < math.pi / 4.0
     if not converged and not ill:
         raise FitConvergenceError("conversion fit did not converge", best_params=params)
     if ill:
@@ -323,19 +276,12 @@ def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
             "efficiency are not separately identifiable",
             stacklevel=2,
         )
-    ci95 = _ci_half_widths(cov, dof)
-    total_norm = float(params[1]) * length_cm**2
-    return FitResult(
-        params=params,
-        cov=cov,
-        ci95=ci95,
-        rss=rss,
-        dof=dof,
-        param_names=("eta_ext_max", "eta_n"),
+    return replace(
+        res,
         ill_conditioned=ill,
         extras={
-            "total_normalized_per_w": total_norm,
-            "total_normalized_ci95": float(ci95[1]) * length_cm**2,
+            "total_normalized_per_w": float(params[1]) * length_cm**2,
+            "total_normalized_ci95": float(res.ci95[1]) * length_cm**2,
         },
     )
 

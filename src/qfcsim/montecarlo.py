@@ -84,8 +84,8 @@ class ExperimentScenario:
     seed: int
 
     def __post_init__(self):
-        if not (self.mu_in >= 0 and self.pump_mw >= 0):
-            raise ValueError("mu_in and pump power must be nonnegative")
+        if not (0 <= self.mu_in < math.inf and 0 <= self.pump_mw < math.inf):
+            raise ValueError("mu_in and pump power must be nonnegative and finite")
         if not self.n_shots > 0:
             raise ValueError(f"n_shots must be positive, got {self.n_shots}")
         if not self.seed >= 0:

@@ -186,8 +186,6 @@ def detection_probabilities(
     probabilities use Poissonian thinning, p = 1 - exp(-mean), which
     reduces to the linear estimate at the small rates of interest.
     """
-    if not mu_in >= 0:
-        raise ValueError(f"mu_in must be nonnegative, got {mu_in}")
     signal, pump_noise, dark = chain.event_means(mu_in, pump_mw, chain.detector.gate_width_ns)
     lam_signal = signal * chain.beta
     lam_noise = pump_noise + dark

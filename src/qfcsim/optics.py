@@ -168,8 +168,8 @@ def external_efficiency(pump_w: float, wg: WaveguideParams) -> float:
 
 def conversion_fraction(pump_w: float, wg: WaveguideParams) -> float:
     """external_efficiency normalized to 1 at its peak: sin^2(L sqrt(P eta_n))."""
-    if not pump_w >= 0:
-        raise ValueError(f"pump power must be nonnegative, got {pump_w}")
+    if not 0 <= pump_w < math.inf:
+        raise ValueError(f"pump power must be nonnegative and finite, got {pump_w}")
     return float(conversion_model(pump_w, 1.0, wg.normalized_efficiency, wg.length_cm))
 
 

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qfcsim
 from qfcsim.chain import reference_chain
@@ -41,6 +42,65 @@ COMMANDS = {
     "fit": ["fit", "data.csv"],
     **{f"sweep_{preset}": ["sweep", "--preset", preset] for preset in PRESETS},
 }
+
+
+# valid values for every key but the filter's transmissions, which stay at
+# the reference because their product must match the total; each range
+# lies inside the constraints the other keys impose at their reference
+# values
+_REQUIRED_VALUES = {
+    ("source", "mean_photon_number"): st.floats(0.0, 100.0),
+    ("pump", "power"): st.floats(0.0, 1000.0),
+}
+_OPTIONAL_VALUES = {
+    ("source", "input_wavelength"): st.floats(500.0, 1000.0),
+    ("source", "pulse_fwhm"): st.floats(1.0, 100.0),
+    ("source", "repetition_rate"): st.floats(0.1, 10.0),
+    ("pump", "wavelength"): st.floats(1500.0, 1700.0),
+    ("waveguide", "length"): st.floats(0.5, 5.0),
+    ("waveguide", "normalized_efficiency"): st.floats(0.1, 2.0),
+    ("waveguide", "max_external_efficiency"): st.floats(0.0, 0.6),
+    ("losses_input", "input_lens"): st.floats(0.0, 1.0),
+    ("losses_input", "coupling"): st.floats(0.6, 1.0),
+    ("losses_input", "propagation"): st.floats(0.0, 1.0),
+    ("losses_input", "output_lens"): st.floats(0.0, 1.0),
+    ("losses_pump", "input_lens"): st.floats(0.0, 1.0),
+    ("losses_pump", "coupling"): st.floats(0.0, 1.0),
+    ("losses_pump", "propagation"): st.floats(0.0, 1.0),
+    ("losses_pump", "output_lens"): st.floats(0.0, 1.0),
+    ("filter", "bandwidth"): st.floats(0.65, 2.3),
+    ("filter", "allow_extrapolation"): st.booleans(),
+    ("detector", "gate_width"): st.sampled_from([20.0, 50.0, 100.0]),
+    ("detector", "efficiency"): st.floats(0.0, 1.0),
+    ("detector", "dark_rate"): st.floats(0.0, 1e-3),
+    ("detector", "dead_time"): st.floats(0.0, 100.0),
+    ("detector", "allow_any_gate"): st.booleans(),
+    ("noise", "alpha_detected"): st.floats(0.0, 1e-4),
+    ("noise", "alpha_crystal"): st.floats(0.0, 1e-4),
+    ("noise", "reference_bandwidth"): st.floats(0.1, 3.0),
+    ("noise", "reference_gate"): st.floats(1.0, 100.0),
+    ("montecarlo", "shots"): st.integers(1, 10**9),
+    ("montecarlo", "seed"): st.integers(0, 2**63 - 1),
+}
+
+
+def _document(entries: dict) -> str:
+    """A scenario document holding ``entries``, (section, key) -> value."""
+    lines = []
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key, kind in keys.items():
+            if (section, key) not in entries:
+                continue
+            value = entries[(section, key)]
+            if isinstance(value, bool):
+                text = str(value).lower()
+            elif isinstance(value, int):
+                text = str(value)
+            else:
+                text = repr(value) if kind is None else f"{value!r} {kind}"
+            lines.append(f"{key} = {text}")
+    return "\n".join(lines) + "\n"
 
 
 def _with_entry(section: str, key: str, raw: str) -> str:
@@ -144,6 +204,15 @@ class TestSerialization:
         once = serialize(cfg)
         twice = serialize(parse_config(once))
         assert once == twice
+
+    @given(st.fixed_dictionaries(_REQUIRED_VALUES, optional=_OPTIONAL_VALUES))
+    @settings(max_examples=200)
+    def test_roundtrip_generated(self, entries):
+        cfg = parse_config(_document(entries))
+        assert all(cfg.values[sk] == v for sk, v in entries.items())
+        again = parse_config(serialize(cfg))
+        assert config_hash(again) == config_hash(cfg)
+        assert again.values == cfg.values
 
     def test_whitespace_normalization_only(self):
         messy = REFERENCE_CONFIG.replace("power = 120.0 mW", "power   =    120.0   mW")

@@ -1,5 +1,7 @@
 """Least-squares estimation unit tests."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +148,48 @@ class TestFitConversion:
             fit_conversion(Dataset(x=[-0.1, 0.2, 0.3], y=[0.1, 0.1, 0.1]), 3.0)
         with pytest.raises(ValueError, match="at least 3"):
             fit_conversion(Dataset(x=[0.1, 0.2], y=[0.1, 0.1]), 3.0)
+
+
+def _noisy_curve(eta_ext_max, eta_n, lo_w, hi_w, seed, length_cm=3.0):
+    """30 sorted pump powers uniform in [lo_w, hi_w] W and the sin^2 curve
+    at them with 5% relative Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    p = np.sort(rng.uniform(lo_w, hi_w, 30))
+    y = conversion_model(p, eta_ext_max, eta_n, length_cm) * (1.0 + 0.05 * rng.standard_normal(30))
+    return Dataset(x=p, y=y)
+
+
+class TestFitRecovery:
+    """Generated noisy curves: recovered where the powers span the peak,
+    flagged where the curve stays linear."""
+
+    @given(
+        eta_ext_max=st.floats(0.2, 0.3),
+        eta_n=st.floats(0.5, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_spanning_the_peak_recovers_parameters(self, eta_ext_max, eta_n, seed):
+        # the peak, at (pi/2)^2 / (L^2 eta_n) <= 0.55 W, lies inside the powers
+        res = fit_conversion(_noisy_curve(eta_ext_max, eta_n, 0.02, 0.6, seed), length_cm=3.0)
+        assert not res.ill_conditioned
+        assert abs(res["eta_ext_max"] - eta_ext_max) <= 4.0 * res.ci95[0]
+        assert abs(res["eta_n"] - eta_n) <= 4.0 * res.ci95[1]
+
+    @given(
+        eta_ext_max=st.floats(0.2, 0.3),
+        eta_n=st.floats(0.5, 1.0),
+        u_max=st.floats(0.05, math.pi / 4.0, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_linear_regime_flagged(self, eta_ext_max, eta_n, u_max, seed):
+        # the largest power reaches u = L sqrt(P eta_n) = u_max < pi/4
+        hi_w = (u_max / 3.0) ** 2 / eta_n
+        data = _noisy_curve(eta_ext_max, eta_n, hi_w / 20.0, hi_w, seed)
+        with pytest.warns(UserWarning, match="ill-conditioned"):
+            res = fit_conversion(data, length_cm=3.0)
+        assert res.ill_conditioned
 
 
 class TestExtractMu1:

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from qfcsim.chain import reference_chain
-from qfcsim.montecarlo import ExperimentScenario, Histogram, gate_integrate, start_stop_histogram
+from qfcsim.montecarlo import (
+    ExperimentScenario,
+    Histogram,
+    gate_integrate,
+    simulate,
+    start_stop_histogram,
+)
 from qfcsim.noise import detection_probabilities, mu1, projected_noise_floor
 from qfcsim.optics import conversion_fraction, dfg_output_wavelength, external_efficiency
 from qfcsim.timebin import (
@@ -64,6 +70,20 @@ SCALAR_CASES = {
     "detection_probabilities.pump_mw": (
         lambda: detection_probabilities(6.1, math.nan, CHAIN), "pump power"
     ),
+    # infinite source means and pumps, each rejected before any arithmetic
+    "conversion_fraction.inf": (lambda: conversion_fraction(math.inf, CHAIN.waveguide), "pump power"),
+    "external_efficiency.inf": (lambda: external_efficiency(math.inf, CHAIN.waveguide), "pump power"),
+    "event_means.mu_in_inf": (lambda: CHAIN.event_means(math.inf, 120.0, 20.0), "mu_in"),
+    "event_means.pump_inf": (lambda: CHAIN.event_means(6.1, math.inf, 20.0), "pump power"),
+    "detection_probabilities.mu_in_inf": (
+        lambda: detection_probabilities(math.inf, 120.0, CHAIN), "mu_in"
+    ),
+    "detection_probabilities.pump_inf": (
+        lambda: detection_probabilities(6.1, math.inf, CHAIN), "pump power"
+    ),
+    "mu1.inf": (lambda: mu1(CHAIN, math.inf), "pump power"),
+    "simulate.mu_in_inf": (lambda: simulate(replace(SCENARIO, mu_in=math.inf)), "mu_in"),
+    "simulate.pump_inf": (lambda: simulate(replace(SCENARIO, pump_mw=math.inf)), "pump power"),
     "dfg_output_wavelength": (lambda: dfg_output_wavelength(780.24, math.nan), "wavelength"),
     "projected_noise_floor": (lambda: projected_noise_floor(math.nan, CHAIN), "bandwidth"),
     "projected_noise_floor.inf": (lambda: projected_noise_floor(math.inf, CHAIN), "bandwidth"),

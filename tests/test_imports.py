@@ -1,4 +1,5 @@
-"""The run-time dependencies: importing and running qfcsim loads no scipy."""
+"""The run-time dependencies: importing and running qfcsim loads no scipy,
+also on the paths that fit and so take the Student-t quantile."""
 
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+FIT_DATA = Path(__file__).resolve().parent / "golden" / "fit_data.csv"
 
 PROBE = """
 import sys
@@ -16,14 +18,19 @@ def scipy_modules():
 import qfcsim
 print("after import:", scipy_modules())
 from qfcsim.cli import run
-assert run(["report", "--out", sys.argv[1]]) == 0
+out = sys.argv[1]
+assert run(["report", "--out", out]) == 0
 print("after report:", scipy_modules())
+assert run(["fit", sys.argv[2], "--out", out]) == 0
+print("after fit:", scipy_modules())
+assert run(["sweep", "--preset", "fig3b", "--out", out]) == 0
+print("after sweep fig3b:", scipy_modules())
 """
 
 
 def test_import_and_report_load_no_scipy(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(tmp_path)],
+        [sys.executable, "-c", PROBE, str(tmp_path), str(FIT_DATA)],
         capture_output=True,
         text=True,
         cwd=tmp_path,
@@ -32,6 +39,7 @@ def test_import_and_report_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert "after import: []" in lines
-    assert "after report: []" in lines
-    assert (tmp_path / "report.txt").is_file()
+    for step in ("import", "report", "fit", "sweep fig3b"):
+        assert f"after {step}: []" in lines
+    for name in ("report.txt", "fit.json", "fig3b.csv"):
+        assert (tmp_path / name).is_file()

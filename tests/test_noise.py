@@ -120,7 +120,7 @@ class TestEventMeans:
     @pytest.mark.parametrize("pump_mw", [-1.0, math.nan])
     def test_invalid_pump_rejected(self, pump_mw):
         # the message gives the value in mW, as passed
-        with pytest.raises(ValueError, match=f"pump power must be nonnegative, got {pump_mw}$"):
+        with pytest.raises(ValueError, match=f"pump power must be nonnegative and finite, got {pump_mw}$"):
             rate_chain().event_means(6.1, pump_mw, 20.0)
         with pytest.raises(ValueError, match="pump power"):
             detection_probabilities(6.1, pump_mw, rate_chain())
