@@ -38,61 +38,63 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration document."""
 
 
-# value kinds: float with unit suffix (the suffix string), bare float
-# (None), "int" or "bool"
+# Each key is (kind, argument).  Kinds: float with unit suffix (the
+# suffix string), bare float (None), "int" or "bool".  The argument is the
+# keyword the value is passed as: the six sections between [pump] and
+# [montecarlo] are each one dataclass, built from their rows alone.
 _FLOAT = None
-_SCHEMA: dict[str, dict[str, object]] = {
+_SCHEMA: dict[str, dict[str, tuple[object, str]]] = {
     "source": {
-        "input_wavelength": "nm",
-        "pulse_fwhm": "ns",
-        "mean_photon_number": _FLOAT,
-        "repetition_rate": "MHz",
+        "input_wavelength": ("nm", "input_wavelength_nm"),
+        "pulse_fwhm": ("ns", "fwhm_ns"),
+        "mean_photon_number": (_FLOAT, "mu_in"),
+        "repetition_rate": ("MHz", "repetition_rate_mhz"),
     },
     "pump": {
-        "wavelength": "nm",
-        "power": "mW",
+        "wavelength": ("nm", "pump_wavelength_nm"),
+        "power": ("mW", "pump_mw"),
     },
     "waveguide": {
-        "length": "cm",
-        "normalized_efficiency": "/W/cm^2",
-        "max_external_efficiency": _FLOAT,
+        "length": ("cm", "length_cm"),
+        "normalized_efficiency": ("/W/cm^2", "normalized_efficiency"),
+        "max_external_efficiency": (_FLOAT, "max_external_efficiency"),
     },
     "losses_input": {
-        "input_lens": _FLOAT,
-        "coupling": _FLOAT,
-        "propagation": _FLOAT,
-        "output_lens": _FLOAT,
+        "input_lens": (_FLOAT, "input_lens"),
+        "coupling": (_FLOAT, "coupling"),
+        "propagation": (_FLOAT, "propagation"),
+        "output_lens": (_FLOAT, "output_lens"),
     },
     "losses_pump": {
-        "input_lens": _FLOAT,
-        "coupling": _FLOAT,
-        "propagation": _FLOAT,
-        "output_lens": _FLOAT,
+        "input_lens": (_FLOAT, "input_lens"),
+        "coupling": (_FLOAT, "coupling"),
+        "propagation": (_FLOAT, "propagation"),
+        "output_lens": (_FLOAT, "output_lens"),
     },
     "filter": {
-        "bandwidth": "nm",
-        "fiber_coupling": _FLOAT,
-        "grating": _FLOAT,
-        "bandpass_longpass": _FLOAT,
-        "total_transmission": _FLOAT,
-        "allow_extrapolation": "bool",
+        "bandwidth": ("nm", "bandwidth_nm"),
+        "fiber_coupling": (_FLOAT, "fiber_coupling"),
+        "grating": (_FLOAT, "grating"),
+        "bandpass_longpass": (_FLOAT, "bandpass_longpass"),
+        "total_transmission": (_FLOAT, "total_transmission"),
+        "allow_extrapolation": ("bool", "allow_extrapolation"),
     },
     "detector": {
-        "gate_width": "ns",
-        "efficiency": _FLOAT,
-        "dark_rate": "/ns",
-        "dead_time": "us",
-        "allow_any_gate": "bool",
+        "gate_width": ("ns", "gate_width_ns"),
+        "efficiency": (_FLOAT, "efficiency"),
+        "dark_rate": ("/ns", "dark_rate_per_ns"),
+        "dead_time": ("us", "dead_time_us"),
+        "allow_any_gate": ("bool", "allow_any_gate"),
     },
     "noise": {
-        "alpha_detected": "/mW",
-        "alpha_crystal": "/mW/ns",
-        "reference_bandwidth": "nm",
-        "reference_gate": "ns",
+        "alpha_detected": ("/mW", "alpha_detected_per_mw"),
+        "alpha_crystal": ("/mW/ns", "alpha_crystal_per_mw_ns"),
+        "reference_bandwidth": ("nm", "reference_bandwidth_nm"),
+        "reference_gate": ("ns", "reference_gate_ns"),
     },
     "montecarlo": {
-        "shots": "int",
-        "seed": "int",
+        "shots": ("int", "shots"),
+        "seed": ("int", "seed"),
     },
 }
 
@@ -188,7 +190,7 @@ def _parse_values(text: str) -> dict[tuple[str, str], object]:
                 f"line {lineno}: duplicate key {_qualified(section, key)}"
             )
         values[(section, key)] = _parse_value(
-            raw, _SCHEMA[section][key], section, key, lineno
+            raw, _SCHEMA[section][key][0], section, key, lineno
         )
     return values
 
@@ -210,79 +212,45 @@ def _build(values: dict[tuple[str, str], object]) -> ScenarioConfig:
     for (section, key), value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{_qualified(section, key)} must be finite, got {value}")
-    v = values
 
-    def get(section: str, key: str):
-        return v[(section, key)]
+    def fields(section: str) -> dict[str, object]:
+        return {arg: values[(section, key)] for key, (_, arg) in _SCHEMA[section].items()}
 
+    # the source, pump and montecarlo keys feed the chain, its pulse and
+    # the scenario itself
+    mixed = {**fields("source"), **fields("pump"), **fields("montecarlo")}
     try:
         chain = ConversionChain(
-            input_wavelength_nm=get("source", "input_wavelength"),
-            pump_wavelength_nm=get("pump", "wavelength"),
-            pulse=GaussianPulse(fwhm_ns=get("source", "pulse_fwhm")),
-            waveguide=WaveguideParams(
-                length_cm=get("waveguide", "length"),
-                normalized_efficiency=get("waveguide", "normalized_efficiency"),
-                max_external_efficiency=get("waveguide", "max_external_efficiency"),
-            ),
+            input_wavelength_nm=mixed["input_wavelength_nm"],
+            pump_wavelength_nm=mixed["pump_wavelength_nm"],
+            pulse=GaussianPulse(fwhm_ns=mixed["fwhm_ns"]),
+            waveguide=WaveguideParams(**fields("waveguide")),
             budget=LossBudget(
-                signal=ElementTransmissions(
-                    input_lens=get("losses_input", "input_lens"),
-                    coupling=get("losses_input", "coupling"),
-                    propagation=get("losses_input", "propagation"),
-                    output_lens=get("losses_input", "output_lens"),
-                ),
-                pump=ElementTransmissions(
-                    input_lens=get("losses_pump", "input_lens"),
-                    coupling=get("losses_pump", "coupling"),
-                    propagation=get("losses_pump", "propagation"),
-                    output_lens=get("losses_pump", "output_lens"),
-                ),
+                signal=ElementTransmissions(**fields("losses_input")),
+                pump=ElementTransmissions(**fields("losses_pump")),
             ),
-            filter_stage=FilterStage(
-                bandwidth_nm=get("filter", "bandwidth"),
-                fiber_coupling=get("filter", "fiber_coupling"),
-                grating=get("filter", "grating"),
-                bandpass_longpass=get("filter", "bandpass_longpass"),
-                total_transmission=get("filter", "total_transmission"),
-                allow_extrapolation=get("filter", "allow_extrapolation"),
-            ),
-            detector=DetectorConfig(
-                gate_width_ns=get("detector", "gate_width"),
-                efficiency=get("detector", "efficiency"),
-                dark_rate_per_ns=get("detector", "dark_rate"),
-                dead_time_us=get("detector", "dead_time"),
-                allow_any_gate=get("detector", "allow_any_gate"),
-            ),
-            noise=NoiseModel(
-                alpha_detected_per_mw=get("noise", "alpha_detected"),
-                alpha_crystal_per_mw_ns=get("noise", "alpha_crystal"),
-                reference_bandwidth_nm=get("noise", "reference_bandwidth"),
-                reference_gate_ns=get("noise", "reference_gate"),
-            ),
-            repetition_rate_mhz=get("source", "repetition_rate"),
+            filter_stage=FilterStage(**fields("filter")),
+            detector=DetectorConfig(**fields("detector")),
+            noise=NoiseModel(**fields("noise")),
+            repetition_rate_mhz=mixed["repetition_rate_mhz"],
         )
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
-    shots = get("montecarlo", "shots")
-    seed = get("montecarlo", "seed")
-    if shots <= 0:
+    if mixed["shots"] <= 0:
         raise ConfigError("montecarlo_shots must be positive")
-    if seed < 0:
+    if mixed["seed"] < 0:
         raise ConfigError("montecarlo_seed must be nonnegative")
-    mu_in = get("source", "mean_photon_number")
-    pump_mw = get("pump", "power")
-    if mu_in < 0:
+    if mixed["mu_in"] < 0:
         raise ConfigError("source_mean_photon_number must be nonnegative")
-    if pump_mw < 0:
+    if mixed["pump_mw"] < 0:
         raise ConfigError("pump_power must be nonnegative")
     return ScenarioConfig(
         chain=chain,
-        mu_in=float(mu_in),
-        pump_mw=float(pump_mw),
-        shots=int(shots),
-        seed=int(seed),
+        mu_in=float(mixed["mu_in"]),
+        pump_mw=float(mixed["pump_mw"]),
+        shots=int(mixed["shots"]),
+        seed=int(mixed["seed"]),
         values=dict(values),
     )
 
@@ -323,7 +291,7 @@ def serialize(config: ScenarioConfig) -> str:
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, kind in keys.items():
+        for key, (kind, _) in keys.items():
             lines.append(f"{key} = {_format_value(config.values[(section, key)], kind)}")
         lines.append("")
     return "\n".join(lines)

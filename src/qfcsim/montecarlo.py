@@ -350,6 +350,11 @@ def start_stop_histogram(
     everything blocked (flat dark floor).
     """
     _check_bins(bin_width_ns, window_ns)
+    period = scenario.chain.gate_period_ns
+    if not window_ns < period:
+        raise ValueError(
+            f"window_ns ({window_ns} ns) must be shorter than the repetition period ({period} ns)"
+        )
     passes = (
         (_LANE_HIST_SIGNAL, scenario.mu_in, scenario.pump_mw),
         (_LANE_HIST_PUMP, 0.0, scenario.pump_mw),

@@ -97,7 +97,7 @@ class FilterStage:
     allow_extrapolation: bool = False
 
     def __post_init__(self):
-        for name in ("fiber_coupling", "grating", "bandpass_longpass"):
+        for name in ("fiber_coupling", "grating", "bandpass_longpass", "total_transmission"):
             _check_fraction(name, getattr(self, name))
         product = self.fiber_coupling * self.grating * self.bandpass_longpass
         if not abs(self.total_transmission - product) <= 0.01:

@@ -19,12 +19,15 @@ from qfcsim.config import (
     with_overrides,
 )
 from qfcsim.cli import _OVERRIDES, PRESETS, run
+from qfcsim.noise import ALLOWED_GATE_WIDTHS_NS
+
+SCHEMA_KEYS = [(section, key) for section in _SCHEMA for key in _SCHEMA[section]]
 
 # every non-bool config key, set to each non-finite value in turn
 NONFINITE_CASES = [
     (section, key, kind, value)
     for section, keys in _SCHEMA.items()
-    for key, kind in keys.items()
+    for key, (kind, _) in keys.items()
     if kind != "bool"
     for value in ("nan", "inf")
 ]
@@ -89,7 +92,7 @@ def _document(entries: dict) -> str:
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
-        for key, kind in keys.items():
+        for key, (kind, _) in keys.items():
             if (section, key) not in entries:
                 continue
             value = entries[(section, key)]
@@ -178,9 +181,31 @@ class TestParseConfig:
             parse_config("[pump]\npower 120 mW\n")
 
     def test_defaults_cover_schema(self):
-        schema_keys = {(s, k) for s in _SCHEMA for k in _SCHEMA[s]}
-        assert set(_DEFAULTS) | _REQUIRED == schema_keys
+        assert set(_DEFAULTS) | _REQUIRED == set(SCHEMA_KEYS)
         assert not set(_DEFAULTS) & _REQUIRED
+
+    @pytest.mark.parametrize(
+        "section, key", SCHEMA_KEYS, ids=[f"{s}_{k}" for s, k in SCHEMA_KEYS]
+    )
+    def test_every_key_reaches_the_model(self, section, key):
+        cfg = parse_config(REFERENCE_CONFIG)
+        kind = _SCHEMA[section][key][0]
+        value = cfg.values[(section, key)]
+        if kind == "bool":
+            other = not value
+        elif kind == "int":
+            other = value + 1
+        elif (section, key) == ("detector", "gate_width"):
+            other = next(g for g in ALLOWED_GATE_WIDTHS_NS if g != value)
+        else:
+            # 1% keeps each filter element's product within 0.01 of the total
+            other = value * 0.99
+        changed = with_overrides(cfg, **{f"{section}_{key}": other})
+
+        def model(c):
+            return (c.chain, c.mu_in, c.pump_mw, c.shots, c.seed)
+
+        assert model(changed) != model(cfg)
 
     def test_required_keys_alone_give_reference_chain(self):
         cfg = parse_config("[source]\nmean_photon_number = 6.1\n[pump]\npower = 120.0 mW\n")

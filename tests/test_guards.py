@@ -117,6 +117,21 @@ SCALAR_CASES = {
     "start_stop_histogram.window_below_bin": (
         lambda: start_stop_histogram(SCENARIO, bin_width_ns=0.64, window_ns=0.5), "window_ns"
     ),
+    # a 5000 ns window at 1 MHz would span five repetition periods
+    "start_stop_histogram.window_over_period": (
+        lambda: start_stop_histogram(SCENARIO, window_ns=5000.0), "window_ns"
+    ),
+    # elements within 0.01 of a total above one
+    "FilterStage.total_transmission": (
+        lambda: replace(
+            CHAIN.filter_stage,
+            fiber_coupling=1.0,
+            grating=1.0,
+            bandpass_longpass=0.996,
+            total_transmission=1.005,
+        ),
+        "total_transmission",
+    ),
 }
 
 

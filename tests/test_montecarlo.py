@@ -149,7 +149,24 @@ class TestDeadTimeOracle:
     @example((1, [0]), 5)
     def test_matches_loop(self, stream, dead_gates):
         n_shots, shots = stream
-        clicks = _clicks(shots)
+        self._check(_clicks(shots), n_shots, dead_gates)
+
+    @pytest.mark.parametrize("dead_gates", [1, 4, 20])
+    def test_int64_indices(self, dead_gates):
+        # shot + dead_gates passes 2**31 - 1, so the indices are int64
+        n_shots = 2**31 + 10
+        shots = [0, 2**31 - 9, 2**31 - 6, 2**31 - 2, 2**31, 2**31 + 3, 2**31 + 9]
+        self._check(_clicks(shots), n_shots, dead_gates)
+
+    @pytest.mark.parametrize("dead_gates", [1, 3, 40])
+    def test_blocked_search(self, dead_gates):
+        # more clicks than one searchsorted block
+        shots = np.random.default_rng(dead_gates).choice(400_000, 150_000, replace=False)
+        assert shots.size > _CHUNK
+        self._check(_clicks(shots), 400_000, dead_gates)
+
+    @staticmethod
+    def _check(clicks, n_shots, dead_gates):
         accepted, skipped = montecarlo._apply_dead_time(clicks, n_shots, dead_gates)
         want, want_skipped = dead_time_loop(clicks, n_shots, dead_gates)
         assert accepted.tobytes() == want.tobytes()
