@@ -17,6 +17,7 @@ an equal-amplitude qubit and 50/50 splitters, and the central slot reads
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -48,8 +49,12 @@ class TimeBinQubit:
     late_weight: float = 0.5
 
     def __post_init__(self):
-        if not self.separation_ns > 0:
-            raise ValueError("bin separation must be positive")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
+        if not 0 < self.separation_ns < math.inf:
+            raise ValueError(
+                f"separation_ns must be positive and finite, got {self.separation_ns}"
+            )
         if not (self.early_weight >= 0 and self.late_weight >= 0):
             raise ValueError("weights must be nonnegative")
         if abs(self.early_weight + self.late_weight - 1.0) > 1e-12:
@@ -66,8 +71,10 @@ class Interferometer:
     splitter_ratio: float = 0.5
 
     def __post_init__(self):
-        if not self.delay_ns > 0:
-            raise ValueError("delay must be positive")
+        if not 0 < self.delay_ns < math.inf:
+            raise ValueError(f"delay_ns must be positive and finite, got {self.delay_ns}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"phase must be finite, got {self.phase}")
         if not 0.0 <= self.max_visibility <= 1.0:
             raise ValueError("max visibility must be in [0, 1]")
         if not 0.0 < self.splitter_ratio < 1.0:
@@ -82,8 +89,8 @@ class SlotCounts:
 
     def __post_init__(self):
         for name in ("early", "central", "late"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} slot count must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} slot count must be nonnegative and finite")
 
 
 def slot_statistics(
@@ -98,10 +105,10 @@ def slot_statistics(
     fringe contrast of the central slot is capped by the intrinsic
     interferometer visibility.
     """
-    if not mu >= 0:
-        raise ValueError("mean photon number must be nonnegative")
-    if not noise_per_slot >= 0:
-        raise ValueError("noise per slot must be nonnegative")
+    if not 0 <= mu < math.inf:
+        raise ValueError(f"mean photon number must be nonnegative and finite, got {mu}")
+    if not 0 <= noise_per_slot < math.inf:
+        raise ValueError(f"noise per slot must be nonnegative and finite, got {noise_per_slot}")
     if abs(ifm.delay_ns - qubit.separation_ns) > 1e-9 * qubit.separation_ns:
         raise ValueError(
             f"interferometer delay ({ifm.delay_ns} ns) does not match the "
@@ -150,8 +157,13 @@ def fringe_scan(
 
     The grid must cover at least one full period with at least 5 points
     per period.  With ``shots_per_point`` the expected counts are Poisson
-    sampled (seeded) to emulate a counting measurement.
+    sampled (seeded) to emulate a counting measurement; it must be a
+    positive integer.
     """
+    if shots_per_point is not None and not (
+        isinstance(shots_per_point, numbers.Integral) and shots_per_point > 0
+    ):
+        raise ValueError(f"shots_per_point must be a positive integer, got {shots_per_point!r}")
     g = np.asarray(list(gammas), dtype=float)
     if g.size < 2:
         raise ValueError("need at least 2 phase points")
@@ -190,49 +202,72 @@ def fidelity_from_visibility(visibility: float) -> float:
     return (1.0 + visibility) / 2.0
 
 
+# (-1)^j / (j + 2)!: g(x) = sum_j c_j x^j.  25 terms reach 1e-17 of g and of
+# its divided differences for arguments below 2.
+_G_SERIES = tuple((-1) ** j / math.factorial(j + 2) for j in range(25))
+
+
 def classical_fidelity_bound(mu_in: float, eta: float) -> float:
     """Best measure-and-prepare fidelity for a Poissonian input of mean
-    mu_in detected with efficiency eta.
+    mu_in detected with efficiency eta (Specht et al., Nature 473, 190
+    (2011); Gündoğan et al., PRL 108, 190504 (2012)).
 
     Per photon number n the optimal classical fidelity is (n+1)/(n+2);
     the weights are Poisson probabilities conditioned on at least one
-    photon being detected, w(n) proportional to P(n; mu) (1-(1-eta)^n).
-    The series is truncated once the Poisson tail bound falls below
-    1e-12 of the accumulated weight.
+    photon being detected, w(n) = P(n; mu) (1 - q^n) with q = 1 - eta.
+    With a = mu eta, b = mu q and g(x) = sum_n P(n; x)/(n+2) =
+    (x - 1 + e^-x)/x^2 the sums close:
+
+        F = 1 - S/W,   S = g(mu) - e^-a g(b),   W = 1 - e^-a.
+
+    Taken as written, S loses digits as a -> 0 (relative error about
+    eps/a).  So S/W = g(b) + (a/W) g[mu, b] is evaluated through the
+    divided difference g[mu, b] = (g(mu) - g(b))/a, which is never formed
+    by subtracting nearby values:
+
+    - b >= 1: g = 1/x - 1/x^2 + e^-x/x^2 term by term, which gives
+      S/W = g(b) - e^-b/mu^2 + (a/W) ((1 - e^-b)(1/b + 1/mu) - 1)/(mu b);
+    - b < 1, mu >= 2: then a > 1, so the difference is taken directly, with
+      g(b) from its Taylor series g(x) = sum_j (-x)^j/(j+2)!;
+    - b < 1, mu < 2: from the Taylor series, with
+      (mu^j - b^j)/(mu - b) = mu^(j-1) + mu^(j-2) b + ... + b^(j-1).
+
+    Each branch costs O(1) in mu_in.
     """
-    if not (math.isfinite(mu_in) and mu_in > 0):
+    if not 0.0 < mu_in < math.inf:
         raise ValueError(f"mu_in must be positive and finite, got {mu_in}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must be in (0, 1], got {eta}")
-    # exp(-mu_in) underflows to 0 beyond mu_in ~ 745.  The factor is common
-    # to numerator and weight, so start from a clipped value and rescale
-    # pmf, numerator and weight together whenever pmf grows too large; at
-    # mu_in <= 700 neither step changes a bit of the result.
-    pmf = math.exp(-min(mu_in, 700.0))  # n = 0
-    numerator = 0.0
-    weight = 0.0
-    miss = 1.0 - eta
-    n = 0
-    # the tail test stops the series within about mu_in + 10 sqrt(mu_in) terms
-    n_max = int(mu_in + 20.0 * math.sqrt(mu_in)) + 100000
-    while True:
-        n += 1
-        pmf *= mu_in / n
-        if pmf > 1e300:
-            pmf *= 1e-300
-            numerator *= 1e-300
-            weight *= 1e-300
-        w = pmf * (1.0 - miss**n)
-        weight += w
-        numerator += w * (n + 1) / (n + 2)
-        if n > mu_in:
-            ratio = mu_in / (n + 1)
-            tail = pmf * ratio / (1.0 - ratio)
-            if tail <= 1e-12 * weight:
-                break
-        if n > n_max:  # pragma: no cover - defensive
-            raise RuntimeError("classical bound series did not truncate")
-    return numerator / weight
+    a = mu_in * eta
+    b = mu_in * (1.0 - eta)
+    w = -math.expm1(-a)
+    # a/W -> 1 as a -> 0 (a = mu eta is 0 only below the smallest double);
+    # unlike eta/W it keeps its digits where a is subnormal
+    a_over_w = a / w if w else 1.0
+    if b >= 1.0:
+        e = math.exp(-b)
+        s_over_w = (
+            (b - 1.0 + e) / b / b
+            - e / mu_in / mu_in
+            + a_over_w * ((1.0 - e) * (1.0 / b + 1.0 / mu_in) - 1.0) / mu_in / b
+        )
+    elif mu_in >= 2.0:
+        g_b = 0.0
+        for c in reversed(_G_SERIES):
+            g_b = g_b * b + c
+        g_mu = (mu_in - 1.0 + math.exp(-mu_in)) / mu_in / mu_in
+        s_over_w = g_b + (g_mu - g_b) / w
+    else:
+        g_b = divided = 0.0
+        power_difference = 0.0  # (mu^j - b^j) / (mu - b)
+        b_power = 1.0
+        for c in _G_SERIES:
+            g_b += c * b_power
+            divided += c * power_difference
+            power_difference = mu_in * power_difference + b_power
+            b_power *= b
+        s_over_w = g_b + a_over_w * divided
+    return 1.0 - s_over_w
 
 
 @dataclass(frozen=True)

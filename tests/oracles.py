@@ -2,11 +2,11 @@
 
 Everything here is deliberately written with a different method than the
 library: numerical quadrature instead of error functions, complex
-amplitude enumeration instead of closed-form intensities, a fixed-
-length brute-force sum with log-space Poisson weights instead of an
-adaptively truncated, rescaled series, dense per-shot Monte Carlo draws
-instead of a superposed, thinned event stream, and a sequential dead-time
-scan instead of pointer jumping.
+amplitude enumeration instead of closed-form intensities, sums over
+photon number (a fixed-length one with log-space Poisson weights, and an
+adaptively truncated, rescaled one) instead of the closed-form fidelity
+bound, dense per-shot Monte Carlo draws instead of a superposed, thinned
+event stream, and a sequential dead-time scan instead of pointer jumping.
 """
 
 from __future__ import annotations
@@ -95,6 +95,51 @@ def classical_bound_bruteforce(mu: float, eta: float, n_max: int = 200) -> float
         num += w * (n + 1) / (n + 2)
         den += w
     return num / den
+
+
+def classical_bound_series(mu_in: float, eta: float) -> float:
+    """Best measure-and-prepare fidelity for a Poissonian input of mean
+    mu_in detected with efficiency eta, summed over photon number.
+
+    Per photon number n the optimal classical fidelity is (n+1)/(n+2);
+    the weights are Poisson probabilities conditioned on at least one
+    photon being detected, w(n) proportional to P(n; mu) (1-(1-eta)^n).
+    The series is truncated once the Poisson tail bound falls below
+    1e-12 of the accumulated weight.
+    """
+    if not (math.isfinite(mu_in) and mu_in > 0):
+        raise ValueError(f"mu_in must be positive and finite, got {mu_in}")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    # exp(-mu_in) underflows to 0 beyond mu_in ~ 745.  The factor is common
+    # to numerator and weight, so start from a clipped value and rescale
+    # pmf, numerator and weight together whenever pmf grows too large; at
+    # mu_in <= 700 neither step changes a bit of the result.
+    pmf = math.exp(-min(mu_in, 700.0))  # n = 0
+    numerator = 0.0
+    weight = 0.0
+    miss = 1.0 - eta
+    n = 0
+    # the tail test stops the series within about mu_in + 10 sqrt(mu_in) terms
+    n_max = int(mu_in + 20.0 * math.sqrt(mu_in)) + 100000
+    while True:
+        n += 1
+        pmf *= mu_in / n
+        if pmf > 1e300:
+            pmf *= 1e-300
+            numerator *= 1e-300
+            weight *= 1e-300
+        w = pmf * (1.0 - miss**n)
+        weight += w
+        numerator += w * (n + 1) / (n + 2)
+        if n > mu_in:
+            ratio = mu_in / (n + 1)
+            tail = pmf * ratio / (1.0 - ratio)
+            if tail <= 1e-12 * weight:
+                break
+        if n > n_max:  # pragma: no cover - defensive
+            raise RuntimeError("classical bound series did not truncate")
+    return numerator / weight
 
 
 def dense_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns):

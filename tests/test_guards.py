@@ -21,6 +21,7 @@ from qfcsim.timebin import (
     Interferometer,
     SlotCounts,
     TimeBinQubit,
+    fringe_scan,
     slot_statistics,
     visibility_model,
 )
@@ -30,6 +31,7 @@ SCENARIO = ExperimentScenario(chain=CHAIN, mu_in=6.1, pump_mw=120.0, n_shots=10,
 HIST = Histogram(bin_width_ns=1.0, counts=np.ones(100, dtype=int), window_ns=100.0)
 QUBIT = TimeBinQubit(phase=0.0, separation_ns=50.0)
 IFM = Interferometer(delay_ns=50.0)
+GAMMAS = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
 
 # (a valid instance, the field set to NaN)
 CASES = [
@@ -97,6 +99,33 @@ SCALAR_CASES = {
     "slot_statistics.mu": (lambda: slot_statistics(QUBIT, IFM, math.nan), "mean photon number"),
     "slot_statistics.noise_per_slot": (
         lambda: slot_statistics(QUBIT, IFM, 1.0, math.nan), "noise per slot"
+    ),
+    "slot_statistics.mu_inf": (lambda: slot_statistics(QUBIT, IFM, math.inf), "mean photon number"),
+    "slot_statistics.noise_per_slot_inf": (
+        lambda: slot_statistics(QUBIT, IFM, 1.0, math.inf), "noise per slot"
+    ),
+    # 1e308 is finite, but its slot counts overflow
+    "slot_statistics.mu_overflow": (lambda: slot_statistics(QUBIT, IFM, 1e308), "slot count"),
+    "SlotCounts.early_inf": (lambda: SlotCounts(early=math.inf, central=1.0, late=1.0), "early"),
+    # the phases and time scales of the qubit and the interferometer
+    "TimeBinQubit.phase_nan": (lambda: replace(QUBIT, phase=math.nan), "phase"),
+    "TimeBinQubit.phase_inf": (lambda: replace(QUBIT, phase=math.inf), "phase"),
+    "TimeBinQubit.separation_inf": (
+        lambda: replace(QUBIT, separation_ns=math.inf), "separation_ns"
+    ),
+    "Interferometer.phase_nan": (lambda: replace(IFM, phase=math.nan), "phase"),
+    "Interferometer.phase_inf": (lambda: replace(IFM, phase=-math.inf), "phase"),
+    "Interferometer.delay_inf": (lambda: replace(IFM, delay_ns=math.inf), "delay_ns"),
+    # a sampled fringe scan needs a positive whole number of shots per point
+    "fringe_scan.shots_zero": (
+        lambda: fringe_scan(QUBIT, IFM, 1.0, 0.0, GAMMAS, shots_per_point=0), "shots_per_point"
+    ),
+    "fringe_scan.shots_fraction": (
+        lambda: fringe_scan(QUBIT, IFM, 1.0, 0.0, GAMMAS, shots_per_point=0.5),
+        "shots_per_point",
+    ),
+    "fringe_scan.shots_negative": (
+        lambda: fringe_scan(QUBIT, IFM, 1.0, 0.0, GAMMAS, shots_per_point=-5), "shots_per_point"
     ),
     # non-finite, non-positive or sub-bin histogram settings, before any collection
     "start_stop_histogram.bin_width_nan": (

@@ -1,12 +1,13 @@
 """Interferometer statistics and fidelity-bound unit tests."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import classical_bound_bruteforce, interferometer_slots
+from oracles import classical_bound_bruteforce, classical_bound_series, interferometer_slots
 from qfcsim.fitting import Dataset
 from qfcsim.timebin import (
     Interferometer,
@@ -18,6 +19,10 @@ from qfcsim.timebin import (
     slot_statistics,
     visibility_model,
 )
+
+
+# two evaluations of the bound this close count as equal: 9 ulps of 1
+ULP_SLACK = 1e-15
 
 
 def qubit(phi=0.0, we=0.5):
@@ -145,7 +150,7 @@ class TestClassicalBound:
             )
 
     def test_large_mu(self):
-        # the series needs about mu + 10 sqrt(mu) terms, past 100,000 here
+        # a sum over photon number needs about mu + 10 sqrt(mu) terms, past 100,000 here
         value = classical_fidelity_bound(1e5, 0.066)
         assert 2.0 / 3.0 <= value <= 1.0
         assert value == pytest.approx(
@@ -167,6 +172,55 @@ class TestClassicalBound:
 
     def test_lower_efficiency_raises_bound(self):
         assert classical_fidelity_bound(5.0, 0.05) > classical_fidelity_bound(5.0, 1.0)
+
+    @given(st.floats(-6.0, 5.0), st.floats(-6.0, 0.0), st.floats(1e-9, 1e-2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_series_oracle(self, log_mu, log_eta, step):
+        mu, eta = 10.0**log_mu, 10.0**log_eta
+        value = classical_fidelity_bound(mu, eta)
+        assert value == pytest.approx(classical_bound_series(mu, eta), rel=1e-12, abs=0)
+        assert 2.0 / 3.0 <= value <= 1.0
+        assert classical_fidelity_bound(mu, min(1.0, eta * (1.0 + step))) <= value + ULP_SLACK
+        assert classical_fidelity_bound(mu * (1.0 + step), eta) >= value - ULP_SLACK
+
+    @given(st.floats(0.01, 5.0), st.floats(-15.0, -2.0), st.floats(0.51, 1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_monotone_across_branch_switches(self, log_mu, log_delta, eta):
+        """The evaluation changes form where b = mu (1 - eta) crosses 1 and,
+        below that, where mu crosses 2; pairs a relative delta either side
+        of each switch keep the order and match the series."""
+        mu, delta = 10.0**log_mu, 10.0**log_delta
+        # b = 1 + delta and b = 1 - delta at the same mu
+        etas = (1.0 - (1.0 + delta) / mu, 1.0 - (1.0 - delta) / mu)
+        lower, higher = (classical_fidelity_bound(mu, e) for e in etas)
+        assert higher <= lower + ULP_SLACK
+        for e, value in zip(etas, (lower, higher)):
+            assert value == pytest.approx(classical_bound_series(mu, e), rel=1e-12, abs=0)
+        # mu = 2 (1 - delta) and 2 (1 + delta) at the same eta, both with b < 1
+        mus = (2.0 * (1.0 - delta), 2.0 * (1.0 + delta))
+        lower, higher = (classical_fidelity_bound(m, eta) for m in mus)
+        assert higher >= lower - ULP_SLACK
+        for m, value in zip(mus, (lower, higher)):
+            assert value == pytest.approx(classical_bound_series(m, eta), rel=1e-12, abs=0)
+
+    def test_vanishing_eta_limit(self):
+        # as eta -> 0 the bound tends to 1 - (1 - 2 g(mu))/mu, with
+        # g(mu) = (mu - 1 + e^-mu)/mu^2, down to subnormal eta
+        for mu in (0.5, 1.5, 5.0, 1e5):
+            limit = 1.0 - (1.0 - 2.0 * (mu - 1.0 + math.exp(-mu)) / mu**2) / mu
+            for eta in (1e-17, 1e-300, 1e-315, 5e-324):
+                assert classical_fidelity_bound(mu, eta) == pytest.approx(limit, rel=1e-14, abs=0)
+
+    def test_huge_mu_in_constant_time(self):
+        # a sum over photon number would need about mu terms: days at 1e12
+        start = time.perf_counter()
+        for mu in (1e9, 1e12):
+            vals = [classical_fidelity_bound(mu, eta) for eta in (1.0, 0.5, 0.066, 1e-3, 1e-6)]
+            assert all(2.0 / 3.0 <= v <= 1.0 for v in vals)
+            # eta falls along the list, so the bound must not
+            assert all(b >= a - ULP_SLACK for a, b in zip(vals, vals[1:]))
+            assert vals[0] == pytest.approx(1.0 - (mu - 1.0) / mu**2, rel=0, abs=1e-15)
+        assert time.perf_counter() - start < 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
