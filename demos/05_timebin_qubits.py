@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from qfcsim import (
-    Dataset,
     Interferometer,
     TimeBinQubit,
     classical_fidelity_bound,
@@ -52,7 +51,7 @@ print(f"fitted visibility: {vis:.3f} (interferometer limit 0.95, noise washout)"
 print(f"\nmodel visibility V = V0 mu / (mu + mu_1/2) with mu_1 = {m1}:")
 mus = np.array([1.0, 2.0, 5.0, 7.0, 15.0, 25.0])
 vis_curve = np.array([visibility_model(float(m), m1, 1.0) for m in mus])
-rows = quantum_regime_report(Dataset(x=mus, y=vis_curve), eta_ext=0.11, eta_dev=0.066)
+rows = quantum_regime_report(mus, vis_curve, eta_ext=0.11, eta_dev=0.066)
 print("  mu     V      F      classical bound (eta=1 / 0.11 / 0.066)   beats 0.11?")
 for r in rows:
     print(f"  {r.mu_in:4.0f}  {r.visibility:.3f}  {r.fidelity:.3f}   "

@@ -6,7 +6,12 @@ Modules: ``optics`` (conversion physics and loss cascades), ``noise``
 experiment), ``montecarlo`` (shot-level simulation), ``fitting``
 (least-squares estimation), ``timebin`` (interferometer statistics and
 fidelity bounds), ``config`` / ``cli`` (scenario files and orchestration).
+
+The names of ``fitting`` and ``montecarlo`` are loaded on first use, so
+``import qfcsim`` and the analytic commands never import numpy.
 """
+
+import importlib
 
 from .chain import ConversionChain, reference_chain
 from .config import (
@@ -18,24 +23,6 @@ from .config import (
     parse_config,
     serialize,
     with_overrides,
-)
-from .fitting import (
-    Dataset,
-    FitConvergenceError,
-    FitResult,
-    conversion_model,
-    extract_mu1,
-    fit_conversion,
-    fit_linear,
-)
-from .montecarlo import (
-    ExperimentScenario,
-    Histogram,
-    HistogramTriple,
-    SimulationResult,
-    gate_integrate,
-    simulate,
-    start_stop_histogram,
 )
 from .noise import (
     DegenerateDenominatorError,
@@ -57,6 +44,7 @@ from .optics import (
     LossBudget,
     WaveguideParams,
     conversion_fraction,
+    conversion_model,
     dfg_output_wavelength,
     external_efficiency,
     optimal_pump_power,
@@ -75,3 +63,40 @@ from .timebin import (
 )
 
 __version__ = "0.1.0"
+
+# name -> the submodule that defines it, imported by the first access
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "Dataset",
+            "FitConvergenceError",
+            "FitResult",
+            "extract_mu1",
+            "fit_conversion",
+            "fit_linear",
+        ),
+        "fitting",
+    ),
+    **dict.fromkeys(
+        (
+            "ExperimentScenario",
+            "Histogram",
+            "HistogramTriple",
+            "SimulationResult",
+            "gate_integrate",
+            "simulate",
+            "start_stop_histogram",
+        ),
+        "montecarlo",
+    ),
+}
+
+
+def __getattr__(name: str):
+    # Not cached in the module globals: the submodule's binding is read on
+    # every access, so a wrapper installed on it and later removed is seen
+    # only while it is installed.
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

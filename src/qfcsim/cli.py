@@ -6,6 +6,10 @@ bundle carrying the config hash, the seed and the toolkit version.
 
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 numerical
 failure.
+
+``report`` and the ``fig3a``, ``fig4a`` and ``fig5a`` sweeps are closed
+form and run on ``math`` alone; numpy, ``fitting`` and ``montecarlo`` are
+imported only inside the commands that use them.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ import math
 import sys
 import warnings
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import (
@@ -29,14 +32,6 @@ from .config import (
     parse_config,
     with_overrides,
 )
-from .fitting import (
-    Dataset,
-    FitConvergenceError,
-    _conversion_jacobian,
-    conversion_model,
-    fit_conversion,
-)
-from .montecarlo import ExperimentScenario, simulate
 from .noise import (
     ALLOWED_GATE_WIDTHS_NS,
     FILTER_BANDWIDTH_MAX_NM,
@@ -56,6 +51,9 @@ from .timebin import (
     slot_statistics,
     visibility_model,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .fitting import Dataset
 
 __all__ = ["main", "run"]
 
@@ -77,9 +75,11 @@ _OVERRIDES = (
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
+    # a numpy scalar exists only once numpy is loaded
+    np = sys.modules.get("numpy")
+    if isinstance(v, bool) or (np is not None and isinstance(v, np.bool_)):
         return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, int) or (np is not None and isinstance(v, np.integer)):
         return str(int(v))
     return f"{float(v):.9g}"
 
@@ -137,6 +137,16 @@ def _positive_pump(cfg: ScenarioConfig) -> float:
     return cfg.pump_mw
 
 
+def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list[float]:
+    """``numpy.linspace`` bit for bit: ``i * step + start``, with the last
+    point set to ``stop`` when it is included."""
+    step = (stop - start) / (num - 1 if endpoint else num)
+    points = [i * step + start for i in range(num)]
+    if endpoint:
+        points[-1] = stop
+    return points
+
+
 # ---------------------------------------------------------------- simulate
 
 # simulate.csv columns, each a SimulationResult field
@@ -147,6 +157,8 @@ _SIMULATE_COLUMNS = (
 
 
 def _cmd_simulate(args) -> int:
+    from .montecarlo import ExperimentScenario, simulate
+
     cfg = _load(args)
     scenario = ExperimentScenario(
         chain=cfg.chain,
@@ -182,10 +194,9 @@ def _cmd_simulate(args) -> int:
 
 def _preset_fig3a(cfg: ScenarioConfig):
     """Click probabilities versus pump power, input on / blocked."""
-    pumps = np.arange(0.0, 601.0, 20.0)
     rows = []
-    for p in pumps:
-        rb = detection_probabilities(cfg.mu_in, float(p), cfg.chain)
+    for p in [20.0 * i for i in range(31)]:  # 0 to 600 mW
+        rb = detection_probabilities(cfg.mu_in, p, cfg.chain)
         rows.append((p, rb.p_signal, rb.p_noise, rb.p_signal - rb.p_noise))
     return ["P_p_mW", "p_signal", "p_noise", "p_net"], rows
 
@@ -197,6 +208,10 @@ def _preset_fig3b(cfg: ScenarioConfig):
     from the configured seed, fitted, and reported with a pointwise 95%
     confidence band.
     """
+    import numpy as np
+
+    from .fitting import Dataset, _conversion_jacobian, conversion_model, fit_conversion
+
     chain = cfg.chain
     wg = chain.waveguide
     pumps_mw = np.arange(20.0, 601.0, 20.0)
@@ -220,10 +235,10 @@ def _preset_fig3b(cfg: ScenarioConfig):
 def _preset_fig4a(cfg: ScenarioConfig):
     """SNR = 1 crossing versus filter bandwidth at the configured pump."""
     pump_mw = _positive_pump(cfg)
-    bandwidths = np.linspace(FILTER_BANDWIDTH_MIN_NM, FILTER_BANDWIDTH_MAX_NM, 12)
+    bandwidths = _linspace(FILTER_BANDWIDTH_MIN_NM, FILTER_BANDWIDTH_MAX_NM, 12)
     rows = []
     for bw in bandwidths:
-        chain = cfg.chain.with_filter_bandwidth(float(bw))
+        chain = cfg.chain.with_filter_bandwidth(bw)
         rows.append((bw, mu1(chain, pump_mw)))
     return ["bandwidth_nm", "mu_1"], rows
 
@@ -232,11 +247,11 @@ def _preset_fig5a(cfg: ScenarioConfig):
     """Visibility, fidelity and classical bounds versus input photon number."""
     m1 = mu1(cfg.chain, _positive_pump(cfg))
     cas = cfg.chain.cascade()
-    mus = np.linspace(1.0, 25.0, 25)
-    vis = Dataset(x=mus, y=[visibility_model(float(mu), m1, 1.0) for mu in mus])
+    mus = _linspace(1.0, 25.0, 25)
+    vis = [visibility_model(mu, m1, 1.0) for mu in mus]
     rows = [
         (r.mu_in, r.visibility, r.fidelity, r.bound_unit, r.bound_ext, r.bound_dev)
-        for r in quantum_regime_report(vis, cas.eta_ext_max, cas.eta_dev_max)
+        for r in quantum_regime_report(mus, vis, cas.eta_ext_max, cas.eta_dev_max)
     ]
     return ["mu_in", "visibility", "fidelity", "bound_unit", "bound_ext", "bound_dev"], rows
 
@@ -267,6 +282,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _read_dataset_csv(path: Path) -> Dataset:
+    import numpy as np
+
+    from .fitting import Dataset
+
     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty dataset file")
@@ -287,6 +306,8 @@ def _read_dataset_csv(path: Path) -> Dataset:
 
 
 def _cmd_fit(args) -> int:
+    from .fitting import fit_conversion
+
     cfg = _load(args)
     data = _read_dataset_csv(Path(args.data))
     fit = fit_conversion(data, cfg.chain.waveguide.length_cm)
@@ -345,9 +366,11 @@ def _report_values(cfg: ScenarioConfig) -> dict[str, float]:
     def snr_dc(pump_mw: float) -> float:
         return snr(detection_probabilities(cfg.mu_in, pump_mw, chain), subtract_dark=False)
 
-    pumps = np.linspace(1.0, 600.0, 600)
-    snrs = np.array([snr_dc(float(p)) for p in pumps])
-    if not snrs.max() > 0:  # snr_400mW_over_peak divides by it
+    pumps = _linspace(1.0, 600.0, 600)
+    snrs = [snr_dc(p) for p in pumps]
+    # the first peak, as numpy's argmax finds it
+    peak = max(range(len(snrs)), key=snrs.__getitem__)
+    if not snrs[peak] > 0:  # snr_400mW_over_peak divides by it
         raise ConfigError(
             f"source_mean_photon_number = {cfg.mu_in:g} gives no signal above the "
             "noise at any pump power; the report needs a positive peak SNR"
@@ -359,11 +382,12 @@ def _report_values(cfg: ScenarioConfig) -> dict[str, float]:
         alpha_scaled, photons = projected_noise_floor(0.05, chain.with_gate_width(50.0))
 
     qubit = TimeBinQubit(phase=0.0, separation_ns=50.0)
-    frac = np.zeros(3)
-    for g in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
-        sc = slot_statistics(qubit, Interferometer(delay_ns=50.0, phase=float(g)), 1.0)
-        frac += np.array([sc.early, sc.central, sc.late])
-    frac /= frac.sum()
+    early = central = late = 0.0
+    for g in _linspace(0.0, 2.0 * math.pi, 64, endpoint=False):
+        sc = slot_statistics(qubit, Interferometer(delay_ns=50.0, phase=g), 1.0)
+        early += sc.early
+        central += sc.central
+        late += sc.late
 
     return {
         "eta_ext_max": cas.eta_ext_max,
@@ -373,12 +397,12 @@ def _report_values(cfg: ScenarioConfig) -> dict[str, float]:
         "beta_20ns": chain.with_gate_width(20.0).beta,
         "beta_50ns": chain.with_gate_width(50.0).beta,
         "mu_1_at_{pump:g}mW": mu1(chain, pump_mw),
-        "snr_peak_pump_mw": float(pumps[np.argmax(snrs)]),
-        "snr_400mW_over_peak": snr_dc(400.0) / float(np.max(snrs)),
+        "snr_peak_pump_mw": pumps[peak],
+        "snr_400mW_over_peak": snr_dc(400.0) / snrs[peak],
         "alpha_crystal_50MHz": alpha_scaled,
         "noise_photons_50MHz_50ns": photons,
         "classical_bound_mu_to_0": classical_fidelity_bound(1e-6, 1.0),
-        "slot_fraction_central": float(frac[1]),
+        "slot_fraction_central": central / (early + central + late),
     }
 
 
@@ -450,6 +474,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _numerical_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that exit 3.  A fit or a numpy error can only be
+    raised once its module is loaded, so those are looked up, not imported."""
+    errors = [DegenerateDenominatorError]
+    fitting = sys.modules.get(f"{__package__}.fitting")
+    if fitting is not None:
+        errors.append(fitting.FitConvergenceError)
+    np = sys.modules.get("numpy")
+    if np is not None:
+        errors.append(np.linalg.LinAlgError)
+    return tuple(errors)
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -458,7 +495,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (FitConvergenceError, DegenerateDenominatorError, np.linalg.LinAlgError) as exc:
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, FileNotFoundError) as exc:

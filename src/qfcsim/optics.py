@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "GaussianPulse",
     "WaveguideParams",
@@ -152,13 +150,20 @@ def conversion_model(pump_w, eta_ext_max: float, eta_n: float, length_cm: float)
     """eta_ext_max * sin^2(L sqrt(P eta_n)) at pump powers ``pump_w`` (W).
 
     The undepleted classical-pump result for a quasi-phase-matched
-    waveguide.  Takes a scalar or an array.  Scalar callers pass one value
-    at a time: numpy's sin of a single value matched ``math.sin`` on every
-    power checked, while its vectorised array loop can differ in the last
-    bit.
+    waveguide.  Takes a Python scalar, evaluated with ``math``, or an
+    array, evaluated with numpy, which is imported only then.  Scalar
+    callers pass one value at a time: numpy's sin of a single value
+    matched ``math.sin`` on every power checked, while its vectorised
+    array loop can differ in the last bit.
     """
-    u = length_cm * np.sqrt(np.asarray(pump_w, dtype=float) * eta_n)
-    return eta_ext_max * np.sin(u) ** 2
+    if isinstance(pump_w, (int, float)):
+        sin, sqrt = math.sin, math.sqrt
+    else:
+        import numpy as np
+
+        sin, sqrt = np.sin, np.sqrt
+        pump_w = np.asarray(pump_w, dtype=float)
+    return eta_ext_max * sin(length_cm * sqrt(pump_w * eta_n)) ** 2
 
 
 def external_efficiency(pump_w: float, wg: WaveguideParams) -> float:

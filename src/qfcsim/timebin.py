@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .fitting import Dataset
+if TYPE_CHECKING:  # pragma: no cover
+    from .fitting import Dataset
 
 __all__ = [
     "TimeBinQubit",
@@ -164,7 +163,14 @@ def fringe_scan(
         isinstance(shots_per_point, numbers.Integral) and shots_per_point > 0
     ):
         raise ValueError(f"shots_per_point must be a positive integer, got {shots_per_point!r}")
+    import numpy as np
+
+    from .fitting import Dataset
+
     g = np.asarray(list(gammas), dtype=float)
+    # the grid checks below compare, so a NaN point would pass them all
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"gammas must be finite, got {g[~np.isfinite(g)][0]}")
     if g.size < 2:
         raise ValueError("need at least 2 phase points")
     span = float(np.max(g) - np.min(g))
@@ -282,26 +288,33 @@ class QuantumRegimeRow:
 
 
 def quantum_regime_report(
-    visibility_vs_mu: Dataset, eta_ext: float, eta_dev: float
+    mus: Sequence[float], visibilities: Sequence[float], eta_ext: float, eta_dev: float
 ) -> list[QuantumRegimeRow]:
     """Compare measured fidelities against the classical measure-and-
     prepare bounds at unit efficiency, the external conversion efficiency
-    and the device efficiency.
+    and the device efficiency, one row per (mu, visibility) pair in
+    ascending mu.
 
     The bounds increase as the efficiency decreases (conditioning on a
     detection shifts weight to larger photon numbers), so the device-
     efficiency bound is the hardest to beat.
     """
+    mus = [float(mu) for mu in mus]
+    visibilities = [float(v) for v in visibilities]
+    if len(mus) != len(visibilities):
+        raise ValueError(
+            f"mus and visibilities must have equal length, got {len(mus)} and {len(visibilities)}"
+        )
     rows = []
-    for mu, v in zip(visibility_vs_mu.x, visibility_vs_mu.y):
-        f = fidelity_from_visibility(float(v))
-        b1 = classical_fidelity_bound(float(mu), 1.0)
-        b_ext = classical_fidelity_bound(float(mu), eta_ext)
-        b_dev = classical_fidelity_bound(float(mu), eta_dev)
+    for mu, v in sorted(zip(mus, visibilities), key=lambda pair: pair[0]):
+        f = fidelity_from_visibility(v)
+        b1 = classical_fidelity_bound(mu, 1.0)
+        b_ext = classical_fidelity_bound(mu, eta_ext)
+        b_dev = classical_fidelity_bound(mu, eta_dev)
         rows.append(
             QuantumRegimeRow(
-                mu_in=float(mu),
-                visibility=float(v),
+                mu_in=mu,
+                visibility=v,
                 fidelity=f,
                 bound_unit=b1,
                 bound_ext=b_ext,

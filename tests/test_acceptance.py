@@ -194,7 +194,7 @@ def test_criterion_09_visibility_quantum_regime():
     vis_ok = all(visibility_model(float(m), 0.7, 1.0) > 0.9 for m in np.arange(7.0, 25.5, 0.5))
     mus = np.linspace(2.0, 25.0, 24)
     vis = np.array([visibility_model(float(m), 0.7, 1.0) for m in mus])
-    rows = quantum_regime_report(Dataset(x=mus, y=vis), eta_ext=0.11, eta_dev=0.066)
+    rows = quantum_regime_report(mus, vis, eta_ext=0.11, eta_dev=0.066)
     regime_ok = all(r.exceeds_ext for r in rows)
     ok = vis_ok and regime_ok
     assert _report(

@@ -19,7 +19,8 @@ from qfcsim.config import (
     with_overrides,
 )
 from qfcsim.cli import _OVERRIDES, PRESETS, run
-from qfcsim.noise import ALLOWED_GATE_WIDTHS_NS
+from qfcsim.fitting import FitConvergenceError
+from qfcsim.noise import ALLOWED_GATE_WIDTHS_NS, DegenerateDenominatorError
 
 SCHEMA_KEYS = [(section, key) for section in _SCHEMA for key in _SCHEMA[section]]
 
@@ -377,6 +378,35 @@ class TestCliExitCodes:
         for field in fields:
             assert field in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "make_error, code, prefix",
+        [
+            (lambda np: FitConvergenceError("no convergence", best_params=np.zeros(2)), 3,
+             "numerical failure"),
+            (lambda np: np.linalg.LinAlgError("singular matrix"), 3, "numerical failure"),
+            (lambda np: DegenerateDenominatorError("zero denominator"), 3, "numerical failure"),
+            (lambda np: ValueError("bad value"), 2, "validation error"),
+        ],
+        ids=["FitConvergenceError", "LinAlgError", "DegenerateDenominatorError", "ValueError"],
+    )
+    def test_fit_failure_exit_code(self, make_error, code, prefix, tmp_path, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, and still exits 3
+        import numpy as np
+
+        from qfcsim import fitting
+
+        error = make_error(np)
+
+        def failing_fit(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(fitting, "fit_conversion", failing_fit)
+        data = tmp_path / "data.csv"
+        data.write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,0.1\n0.3,0.15\n")
+        assert run(["fit", str(data), "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err == f"{prefix}: {error}\n"
         assert not (tmp_path / "out").exists()
 
     def test_report_success(self, tmp_path, capsys):

@@ -127,6 +127,13 @@ SCALAR_CASES = {
     "fringe_scan.shots_negative": (
         lambda: fringe_scan(QUBIT, IFM, 1.0, 0.0, GAMMAS, shots_per_point=-5), "shots_per_point"
     ),
+    # a non-finite phase point would pass the span and density checks of the grid
+    "fringe_scan.gammas_nan": (
+        lambda: fringe_scan(QUBIT, IFM, 1.0, 0.0, [*GAMMAS[:-1], math.nan]), "gammas"
+    ),
+    "fringe_scan.gammas_inf": (
+        lambda: fringe_scan(QUBIT, IFM, 1.0, 0.0, [*GAMMAS[:-1], math.inf]), "gammas"
+    ),
     # non-finite, non-positive or sub-bin histogram settings, before any collection
     "start_stop_histogram.bin_width_nan": (
         lambda: start_stop_histogram(SCENARIO, bin_width_ns=math.nan), "bin_width_ns"

@@ -1,10 +1,16 @@
 """The run-time dependencies: importing and running qfcsim loads no scipy,
-also on the paths that fit and so take the Student-t quantile."""
+also on the paths that fit and so take the Student-t quantile; and
+``import qfcsim`` and the closed-form commands load no numpy."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import qfcsim
+from qfcsim import fitting, montecarlo
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIT_DATA = Path(__file__).resolve().parent / "golden" / "fit_data.csv"
@@ -27,19 +33,99 @@ assert run(["sweep", "--preset", "fig3b", "--out", out]) == 0
 print("after sweep fig3b:", scipy_modules())
 """
 
+# Runs the closed-form commands first, then those that need numpy.
+NUMPY_PROBE = """
+import sys
 
-def test_import_and_report_load_no_scipy(tmp_path):
+def loaded():
+    return sorted(m for m in ("numpy", "qfcsim.fitting", "qfcsim.montecarlo") if m in sys.modules)
+
+import qfcsim
+print("after import:", loaded())
+from qfcsim.cli import run
+out, data = sys.argv[1:]
+for name, argv in (
+    ("report", ["report"]),
+    ("fig3a", ["sweep", "--preset", "fig3a"]),
+    ("fig4a", ["sweep", "--preset", "fig4a"]),
+    ("fig5a", ["sweep", "--preset", "fig5a"]),
+    ("fit", ["fit", data]),
+    ("fig3b", ["sweep", "--preset", "fig3b"]),
+    ("simulate", ["simulate", "--shots", "1000"]),
+):
+    assert run([*argv, "--out", out]) == 0, name
+    print(f"after {name}:", loaded())
+"""
+
+
+def _probe(script: str, *args: str, cwd: Path) -> list[str]:
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(tmp_path), str(FIT_DATA)],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
-        cwd=tmp_path,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(SRC)},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def test_import_and_report_load_no_scipy(tmp_path):
+    lines = _probe(PROBE, str(tmp_path), str(FIT_DATA), cwd=tmp_path)
     for step in ("import", "report", "fit", "sweep fig3b"):
         assert f"after {step}: []" in lines
     for name in ("report.txt", "fit.json", "fig3b.csv"):
         assert (tmp_path / name).is_file()
+
+
+def test_closed_form_commands_load_no_numpy(tmp_path):
+    lines = _probe(NUMPY_PROBE, str(tmp_path), str(FIT_DATA), cwd=tmp_path)
+    for step in ("import", "report", "fig3a", "fig4a", "fig5a"):
+        assert f"after {step}: []" in lines
+    assert "after fit: ['numpy', 'qfcsim.fitting']" in lines
+    assert "after simulate: ['numpy', 'qfcsim.fitting', 'qfcsim.montecarlo']" in lines
+    for name in ("report.txt", "fig3a.csv", "fig4a.csv", "fig5a.csv", "fit.json", "fig3b.csv",
+                 "simulate.csv"):
+        assert (tmp_path / name).is_file()
+
+
+# the names the package exports from fitting and montecarlo
+LAZY_NAMES = [
+    (fitting, "Dataset"),
+    (fitting, "FitConvergenceError"),
+    (fitting, "FitResult"),
+    (fitting, "conversion_model"),
+    (fitting, "extract_mu1"),
+    (fitting, "fit_conversion"),
+    (fitting, "fit_linear"),
+    (montecarlo, "ExperimentScenario"),
+    (montecarlo, "Histogram"),
+    (montecarlo, "HistogramTriple"),
+    (montecarlo, "SimulationResult"),
+    (montecarlo, "gate_integrate"),
+    (montecarlo, "simulate"),
+    (montecarlo, "start_stop_histogram"),
+]
+
+
+@pytest.mark.parametrize("module, name", LAZY_NAMES, ids=[n for _, n in LAZY_NAMES])
+def test_lazy_name_is_the_submodules_own(module, name):
+    assert getattr(qfcsim, name) is getattr(module, name)
+
+
+def test_lazy_names_follow_a_rebinding(monkeypatch):
+    # a wrapper set on the submodule is seen through the package while it
+    # is set, and the original once it is removed: nothing is cached
+    original = montecarlo.simulate
+    monkeypatch.setattr(montecarlo, "simulate", len)
+    assert qfcsim.simulate is len
+    monkeypatch.undo()
+    assert qfcsim.simulate is original
+    assert "simulate" not in vars(qfcsim)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qfcsim.no_such_name
+    assert not hasattr(qfcsim, "also_missing")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,7 @@ from qfcsim.optics import (
     WaveguideParams,
     bandwidth_nm_to_ghz,
     conversion_fraction,
+    conversion_model,
     dfg_output_wavelength,
     external_efficiency,
     optimal_pump_power,
@@ -79,6 +81,37 @@ class TestConversionCurve:
     @given(st.floats(0.0, 2.0))
     def test_bounded_by_cap(self, pump_w):
         assert 0.0 <= external_efficiency(pump_w, WG) <= WG.max_external_efficiency
+
+
+# (eta_ext_max, eta_n, length_cm): the reference waveguide, and one whose
+# sin^2 argument runs past 3 pi over the same pump range
+MODEL_PARAMS = [(0.25, 0.72, 3.0), (0.4, 2.1, 7.0)]
+
+
+class TestConversionModel:
+    @pytest.mark.parametrize("eta, eta_n, length", MODEL_PARAMS)
+    def test_scalar_path_matches_numpy_bit_for_bit(self, eta, eta_n, length):
+        # a Python float is evaluated with math; numpy's 0-d form is the reference
+        mismatches = []
+        for p in np.linspace(0.0, 1.0, 200_001).tolist():
+            value = conversion_model(p, eta, eta_n, length)
+            reference = float(eta * np.sin(length * np.sqrt(np.asarray(p) * eta_n)) ** 2)
+            if value != reference:
+                mismatches.append((p, value, reference))
+        assert mismatches == []
+
+    def test_scalar_path_returns_a_float(self):
+        assert type(conversion_model(0.4, *MODEL_PARAMS[0])) is float
+        assert type(conversion_model(1, *MODEL_PARAMS[0])) is float
+
+    @pytest.mark.parametrize("eta, eta_n, length", MODEL_PARAMS)
+    def test_array_path_unchanged(self, eta, eta_n, length):
+        pumps = np.linspace(0.0, 1.0, 200_001)
+        expected = eta * np.sin(length * np.sqrt(pumps * eta_n)) ** 2
+        for values in (pumps, pumps.tolist()):
+            result = conversion_model(values, eta, eta_n, length)
+            assert isinstance(result, np.ndarray)
+            np.testing.assert_array_equal(result, expected, strict=True)
 
 
 class TestLossBudget:

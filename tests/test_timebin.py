@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import classical_bound_bruteforce, classical_bound_series, interferometer_slots
-from qfcsim.fitting import Dataset
 from qfcsim.timebin import (
     Interferometer,
     TimeBinQubit,
@@ -241,7 +240,7 @@ class TestFidelityAndReport:
     def test_report_flags(self):
         mus = np.array([2.0, 10.0, 25.0])
         vis = np.array([visibility_model(float(m), 0.7, 1.0) for m in mus])
-        rows = quantum_regime_report(Dataset(x=mus, y=vis), eta_ext=0.11, eta_dev=0.066)
+        rows = quantum_regime_report(mus, vis, eta_ext=0.11, eta_dev=0.066)
         for row in rows:
             assert row.bound_dev > row.bound_ext > row.bound_unit
             assert row.fidelity == pytest.approx((1.0 + row.visibility) / 2.0)
