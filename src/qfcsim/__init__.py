@@ -66,29 +66,19 @@ __version__ = "0.1.0"
 
 # name -> the submodule that defines it, imported by the first access
 _LAZY = {
-    **dict.fromkeys(
-        (
-            "Dataset",
-            "FitConvergenceError",
-            "FitResult",
-            "extract_mu1",
-            "fit_conversion",
-            "fit_linear",
-        ),
-        "fitting",
-    ),
-    **dict.fromkeys(
-        (
-            "ExperimentScenario",
-            "Histogram",
-            "HistogramTriple",
-            "SimulationResult",
-            "gate_integrate",
-            "simulate",
-            "start_stop_histogram",
-        ),
-        "montecarlo",
-    ),
+    "Dataset": "fitting",
+    "FitConvergenceError": "fitting",
+    "FitResult": "fitting",
+    "extract_mu1": "fitting",
+    "fit_conversion": "fitting",
+    "fit_linear": "fitting",
+    "ExperimentScenario": "montecarlo",
+    "Histogram": "montecarlo",
+    "HistogramTriple": "montecarlo",
+    "SimulationResult": "montecarlo",
+    "gate_integrate": "montecarlo",
+    "simulate": "montecarlo",
+    "start_stop_histogram": "montecarlo",
 }
 
 
