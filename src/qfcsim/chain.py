@@ -44,6 +44,11 @@ class ConversionChain:
     def __post_init__(self):
         if not self.repetition_rate_mhz > 0:
             raise ValueError("repetition rate must be positive")
+        if not self.gate_period_ns > self.detector.gate_width_ns:
+            raise ValueError(
+                f"the source_repetition_rate period ({self.gate_period_ns:g} ns) must "
+                f"exceed the detector_gate_width ({self.detector.gate_width_ns:g} ns)"
+            )
         # validates the down-conversion ordering
         dfg_output_wavelength(self.input_wavelength_nm, self.pump_wavelength_nm)
         coupling = self.budget.signal.coupling
@@ -98,11 +103,7 @@ class ConversionChain:
             raise ValueError(f"mu_in must be nonnegative and finite, got {mu_in}")
         if not 0 <= pump_mw < math.inf:
             raise ValueError(f"pump power must be nonnegative and finite, got {pump_mw}")
-        eta = (
-            self.waveguide.max_external_efficiency
-            * self.filter_stage.total_transmission
-            * self.detector.efficiency
-        )
+        eta = self._cascade.eta_dev_max * self.detector.efficiency
         signal = mu_in * (eta * self.conversion_fraction(pump_mw))
         alpha = self.noise.alpha_unit * self.filter_stage.bandwidth_nm
         pump_noise = alpha * pump_mw * window_ns

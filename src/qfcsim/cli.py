@@ -75,12 +75,9 @@ _OVERRIDES = (
 
 
 def _fmt(v) -> str:
-    # a numpy scalar exists only once numpy is loaded
-    np = sys.modules.get("numpy")
-    if isinstance(v, bool) or (np is not None and isinstance(v, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, int) or (np is not None and isinstance(v, np.integer)):
-        return str(int(v))
+    # the values are Python ints and floats and numpy float64s
+    if isinstance(v, int):
+        return str(v)
     return f"{float(v):.9g}"
 
 
@@ -210,7 +207,7 @@ def _preset_fig3b(cfg: ScenarioConfig):
     """
     import numpy as np
 
-    from .fitting import Dataset, _conversion_jacobian, conversion_model, fit_conversion
+    from .fitting import Dataset, _conversion_jacobian, _t975, conversion_model, fit_conversion
 
     chain = cfg.chain
     wg = chain.waveguide
@@ -222,7 +219,7 @@ def _preset_fig3b(cfg: ScenarioConfig):
     fit = fit_conversion(Dataset(x=pumps_w, y=y, xlabel="P_p_W", ylabel="eta_ext"), wg.length_cm)
     pred = conversion_model(pumps_w, fit.params[0], fit.params[1], wg.length_cm)
     jac = _conversion_jacobian(pumps_w, fit.params[0], fit.params[1], wg.length_cm)
-    band = 1.96 * np.sqrt(np.einsum("ij,jk,ik->i", jac, fit.cov, jac))
+    band = _t975(fit.dof) * np.sqrt(np.einsum("ij,jk,ik->i", jac, fit.cov, jac))
     rows = []
     for i, p in enumerate(pumps_mw):
         rb = detection_probabilities(cfg.mu_in, float(p), chain)
@@ -289,6 +286,8 @@ def _read_dataset_csv(path: Path) -> Dataset:
     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty dataset file")
+    if len(lines) == 1:
+        raise ConfigError(f"{path}: no data rows below the header")
     header = [c.strip() for c in lines[0].split(",")]
     if len(header) not in (2, 3):
         raise ConfigError(f"{path}: expected 2 or 3 columns (x,y[,sigma])")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -266,8 +267,28 @@ def with_overrides(config: ScenarioConfig, **overrides) -> ScenarioConfig:
     for name, value in overrides.items():
         if name not in known:
             raise ConfigError(f"unknown override {name!r}")
-        values[known[name]] = value
+        section, key = known[name]
+        values[(section, key)] = _override_value(name, _SCHEMA[section][key][0], value)
     return _build(values)
+
+
+def _override_value(name: str, kind: object, value):
+    """``value`` as the type a document entry of ``kind`` parses to.  A
+    bool is no number here, and an integer key takes no fraction."""
+    if kind == "bool":
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"{name} expects true or false, got {value!r}")
+    numeric = numbers.Integral if kind == "int" else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, numeric):
+        expected = "an integer" if kind == "int" else "a real number"
+        raise ConfigError(f"{name} expects {expected}, got {value!r}")
+    if kind == "int":
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the float range
+        raise ConfigError(f"{name} must be finite, got {value!r}") from None
 
 
 def load_config(path) -> ScenarioConfig:

@@ -90,8 +90,6 @@ class ExperimentScenario:
             raise ValueError(f"n_shots must be positive, got {self.n_shots}")
         if not self.seed >= 0:
             raise ValueError("seed must be a nonnegative integer")
-        if self.chain.gate_period_ns <= self.chain.detector.gate_width_ns:
-            raise ValueError("repetition period must exceed the gate width")
 
     @property
     def dead_gates(self) -> int:

@@ -144,25 +144,24 @@ class DetectorConfig:
 
 @dataclass(frozen=True)
 class RateBreakdown:
-    """Per-gate expected counts and click probabilities.
+    """Per-gate click probabilities and the in-gate means behind them.
 
-    ``signal_total`` / ``noise_total`` are the gate-integrated means S and
-    N (N includes dark counts, S includes everything); ``p_signal`` /
-    ``p_noise`` the corresponding click probabilities with the input on /
-    blocked.
+    ``signal``, ``pump_noise`` and ``dark`` are the chain's ``event_means``
+    over the gate, the signal already cut to ``beta``; ``p_signal`` /
+    ``p_noise`` are the click probabilities with the input on / blocked.
     """
 
     p_signal: float
     p_noise: float
+    signal: float
+    pump_noise: float
     dark: float
-    signal_total: float
-    noise_total: float
 
     def __post_init__(self):
         if not (self.p_signal >= self.p_noise >= 0.0):
             raise ValueError("expected p_signal >= p_noise >= 0")
-        if not (self.signal_total >= self.noise_total >= self.dark >= 0.0):
-            raise ValueError("expected S >= N >= dark >= 0")
+        if not (self.signal >= 0.0 and self.pump_noise >= 0.0 and self.dark >= 0.0):
+            raise ValueError("expected nonnegative signal, pump-noise and dark means")
 
 
 def beta_factor(pulse: GaussianPulse, gate: DetectorConfig) -> float:
@@ -187,30 +186,28 @@ def detection_probabilities(
     reduces to the linear estimate at the small rates of interest.
     """
     signal, pump_noise, dark = chain.event_means(mu_in, pump_mw, chain.detector.gate_width_ns)
-    lam_signal = signal * chain.beta
-    lam_noise = pump_noise + dark
+    signal *= chain.beta
+    noise = pump_noise + dark
     return RateBreakdown(
-        p_signal=1.0 - math.exp(-(lam_signal + lam_noise)),
-        p_noise=1.0 - math.exp(-lam_noise),
-        dark=dark,
-        signal_total=lam_signal + lam_noise,
-        noise_total=lam_noise,
+        p_signal=1.0 - math.exp(-(signal + noise)),
+        p_noise=1.0 - math.exp(-noise),
+        signal=signal, pump_noise=pump_noise, dark=dark,
     )
 
 
 def snr(rates: RateBreakdown, subtract_dark: bool = True) -> float:
     """Signal to noise ratio of a rate breakdown.
 
-    With dark-count subtraction: (S - N) / (N - DC).  Without:
-    (p_S - p_N) / p_N, the quantity limited by the detection system.
+    With dark-count subtraction: signal / pump noise, both read from the
+    breakdown.  Without: (p_S - p_N) / p_N, the quantity limited by the
+    detection system.
     """
     if subtract_dark:
-        denom = rates.noise_total - rates.dark
-        if denom <= 0:
+        if not rates.pump_noise > 0:
             raise DegenerateDenominatorError(
                 "no noise above dark counts; dark-subtracted SNR undefined"
             )
-        return (rates.signal_total - rates.noise_total) / denom
+        return rates.signal / rates.pump_noise
     if rates.p_noise <= 0:
         raise DegenerateDenominatorError("zero noise probability; SNR undefined")
     return (rates.p_signal - rates.p_noise) / rates.p_noise
@@ -220,18 +217,16 @@ def mu1(chain: "ConversionChain", pump_mw: float) -> float:
     """Mean input photon number at which the dark-subtracted SNR equals 1.
 
     The subtracted SNR is linear in mu_in, so the crossing is closed form:
-    mu_1 = (N - DC) / (eta_tot_max * fhat(P_p)), with N - DC = alpha * P_p
-    taken directly, since at a tiny pump it cancels to 0 in N - DC.
+    mu_1 = pump noise / signal of the breakdown at mu_in = 1.
     """
     if not pump_mw > 0:
         raise ValueError(f"pump power must be positive, got {pump_mw}")
-    signal, noise_above_dark, _ = chain.event_means(1.0, pump_mw, chain.detector.gate_width_ns)
-    signal_slope = signal * chain.beta
-    if signal_slope <= 0:
+    rates = detection_probabilities(1.0, pump_mw, chain)
+    if rates.signal <= 0:
         raise DegenerateDenominatorError(
             "zero signal efficiency at this pump power; mu_1 undefined"
         )
-    return noise_above_dark / signal_slope
+    return rates.pump_noise / rates.signal
 
 
 def projected_noise_floor(

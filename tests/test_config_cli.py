@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import qfcsim
 from qfcsim.chain import reference_chain
@@ -107,10 +107,10 @@ def _document(entries: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _with_entry(section: str, key: str, raw: str) -> str:
-    """The reference document with one entry's value text replaced."""
+def _with_entry(section: str, key: str, raw: str, document: str = REFERENCE_CONFIG) -> str:
+    """``document``, the reference by default, with one entry's value text replaced."""
     lines, current = [], None
-    for line in REFERENCE_CONFIG.splitlines():
+    for line in document.splitlines():
         stripped = line.strip()
         if stripped.startswith("["):
             current = stripped[1:-1]
@@ -234,6 +234,10 @@ class TestSerialization:
     @given(st.fixed_dictionaries(_REQUIRED_VALUES, optional=_OPTIONAL_VALUES))
     @settings(max_examples=200)
     def test_roundtrip_generated(self, entries):
+        # the chain needs the repetition period to exceed the gate
+        rate = entries.get(("source", "repetition_rate"), _DEFAULTS[("source", "repetition_rate")])
+        gate = entries.get(("detector", "gate_width"), _DEFAULTS[("detector", "gate_width")])
+        assume(1e3 / rate > gate)
         cfg = parse_config(_document(entries))
         assert all(cfg.values[sk] == v for sk, v in entries.items())
         again = parse_config(serialize(cfg))
@@ -324,6 +328,22 @@ class TestCliExitCodes:
         data.write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,nan\n0.3,0.15\n")
         assert run(["fit", str(data), "--out", str(tmp_path)]) == 2
         assert "eta_ext values must be finite" in capsys.readouterr().err
+
+    def test_fit_header_only_rejected(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("P_p_W,eta_ext\n")
+        assert run(["fit", str(data), "--out", str(tmp_path / "out")]) == 2
+        assert "no data rows" in capsys.readouterr().err
+
+    def test_gate_longer_than_period_rejected(self, tmp_path, capsys):
+        # 20 MHz is a 50 ns period, shorter than a 100 ns gate
+        text = _with_entry("source", "repetition_rate", "20.0 MHz")
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(_with_entry("detector", "gate_width", "100.0 ns", text))
+        assert run(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "source_repetition_rate" in err and "detector_gate_width" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mu", ["0", "1e-300"])
     def test_report_without_signal_rejected(self, mu, tmp_path, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qfcsim.chain import reference_chain
+from qfcsim.config import REFERENCE_CONFIG, parse_config, with_overrides
 from qfcsim.montecarlo import (
     ExperimentScenario,
     Histogram,
@@ -27,6 +28,7 @@ from qfcsim.timebin import (
 )
 
 CHAIN = reference_chain()
+CONFIG = parse_config(REFERENCE_CONFIG)
 SCENARIO = ExperimentScenario(chain=CHAIN, mu_in=6.1, pump_mw=120.0, n_shots=10, seed=1)
 HIST = Histogram(bin_width_ns=1.0, counts=np.ones(100, dtype=int), window_ns=100.0)
 QUBIT = TimeBinQubit(phase=0.0, separation_ns=50.0)
@@ -167,6 +169,19 @@ SCALAR_CASES = {
             total_transmission=1.005,
         ),
         "total_transmission",
+    ),
+    # overrides of the wrong kind, once stored as given, truncated or read as truthy
+    "with_overrides.shots_fraction": (
+        lambda: with_overrides(CONFIG, montecarlo_shots=2.5), "montecarlo_shots"
+    ),
+    "with_overrides.extrapolation_string": (
+        lambda: with_overrides(CONFIG, filter_allow_extrapolation="no"),
+        "filter_allow_extrapolation",
+    ),
+    "with_overrides.pump_string": (lambda: with_overrides(CONFIG, pump_power="120"), "pump_power"),
+    "with_overrides.pump_overflow": (lambda: with_overrides(CONFIG, pump_power=10**400), "pump_power"),
+    "with_overrides.seed_bool": (
+        lambda: with_overrides(CONFIG, montecarlo_seed=True), "montecarlo_seed"
     ),
 }
 

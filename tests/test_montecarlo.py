@@ -318,7 +318,5 @@ class TestScenarioValidation:
             scenario(seed=-1)
 
     def test_period_must_exceed_gate(self):
-        chain = reference_chain()
-        chain = dataclasses.replace(chain, repetition_rate_mhz=100.0)
-        with pytest.raises(ValueError, match="repetition period"):
-            scenario(chain=chain)
+        with pytest.raises(ValueError, match="source_repetition_rate period .* detector_gate_width"):
+            dataclasses.replace(reference_chain(), repetition_rate_mhz=100.0)

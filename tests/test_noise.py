@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 from oracles import beta_quadrature
 from qfcsim.chain import reference_chain
 from qfcsim.noise import (
+    FILTER_BANDWIDTH_MAX_NM,
+    FILTER_BANDWIDTH_MIN_NM,
     DegenerateDenominatorError,
     DetectorConfig,
     ExtrapolationWarning,
@@ -78,7 +80,7 @@ class TestEventMeans:
         _, pump, dark = rate_chain().event_means(6.1, 100.0, 20.0)
         assert pump + dark == pytest.approx(8e-4, rel=1e-12)
         rb = detection_probabilities(6.1, 100.0, rate_chain())
-        assert rb.noise_total == pytest.approx(8e-4, rel=1e-12)
+        assert rb.pump_noise + rb.dark == pytest.approx(8e-4, rel=1e-12)
 
     def test_gate_scaling(self):
         chain = rate_chain()
@@ -87,7 +89,7 @@ class TestEventMeans:
         assert n50 == pytest.approx(2.5 * n20, rel=1e-12)
         rb20 = detection_probabilities(0.0, 100.0, chain)
         rb50 = detection_probabilities(0.0, 100.0, chain.with_gate_width(50.0))
-        assert rb50.noise_total == pytest.approx(2.5 * rb20.noise_total, rel=1e-12)
+        assert rb50.pump_noise + rb50.dark == pytest.approx(2.5 * (rb20.pump_noise + rb20.dark), rel=1e-12)
 
     def test_bandwidth_scaling(self):
         narrow = rate_chain()
@@ -99,16 +101,14 @@ class TestEventMeans:
         assert dark2 == dark1
         rb1 = detection_probabilities(0.0, 100.0, narrow)
         rb2 = detection_probabilities(0.0, 100.0, wide)
-        assert rb2.noise_total - rb2.dark == pytest.approx(
-            2.0 * (rb1.noise_total - rb1.dark), rel=1e-12
-        )
+        assert rb2.pump_noise == pytest.approx(2.0 * rb1.pump_noise, rel=1e-12)
 
     @pytest.mark.parametrize("gate, dark", [(20.0, 2e-4), (50.0, 5e-4)])
     def test_dark_only_at_zero_pump(self, gate, dark):
         chain = rate_chain()
         assert chain.event_means(6.1, 0.0, gate) == (0.0, 0.0, pytest.approx(dark, rel=1e-12))
         rb = detection_probabilities(0.0, 0.0, chain.with_gate_width(gate))
-        assert rb.noise_total == rb.dark == pytest.approx(dark, rel=1e-12)
+        assert rb.pump_noise + rb.dark == rb.dark == pytest.approx(dark, rel=1e-12)
 
     def test_signal_is_the_whole_pulse(self):
         # the gate keeps the fraction beta of it
@@ -131,18 +131,18 @@ class TestDetectionProbabilities:
         chain = reference_chain()
         rb = detection_probabilities(6.1, 120.0, chain)
         assert rb.p_signal >= rb.p_noise >= 0.0
-        assert rb.signal_total >= rb.noise_total >= rb.dark
+        assert rb.signal + rb.pump_noise + rb.dark >= rb.pump_noise + rb.dark >= rb.dark
 
     def test_linear_regime(self):
         chain = reference_chain()
         rb = detection_probabilities(6.1, 120.0, chain)
         # at these rates 1 - exp(-x) deviates from x by < 1%
-        assert rb.p_signal == pytest.approx(rb.signal_total, rel=1e-2)
+        assert rb.p_signal == pytest.approx(rb.signal + rb.pump_noise + rb.dark, rel=1e-2)
 
     def test_zero_pump_zero_input(self):
         chain = reference_chain()
         rb = detection_probabilities(0.0, 0.0, chain)
-        assert rb.noise_total == pytest.approx(rb.dark, rel=1e-12)
+        assert rb.pump_noise + rb.dark == pytest.approx(rb.dark, rel=1e-12)
 
 
 class TestSnr:
@@ -162,6 +162,19 @@ class TestSnr:
         rb = detection_probabilities(1.0, 0.0, chain)
         with pytest.raises(DegenerateDenominatorError):
             snr(rb, subtract_dark=True)
+
+    @given(
+        st.floats(-12.0, math.log10(60.0)),
+        st.floats(-13.0, math.log10(600.0)),
+        st.floats(FILTER_BANDWIDTH_MIN_NM, FILTER_BANDWIDTH_MAX_NM),
+    )
+    def test_subtracted_is_mu_over_mu1(self, log_mu, log_pump, bandwidth_nm):
+        # the subtracted SNR is linear in mu_in and crosses 1 at mu_1, down
+        # to inputs and pumps where S - N and N - DC would cancel
+        mu, pump_mw = 10.0**log_mu, 10.0**log_pump
+        chain = reference_chain().with_filter_bandwidth(bandwidth_nm)
+        rb = detection_probabilities(mu, pump_mw, chain)
+        assert snr(rb) == pytest.approx(mu / mu1(chain, pump_mw), rel=1e-12)
 
 
 class TestMu1:
