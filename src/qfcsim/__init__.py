@@ -13,7 +13,7 @@ The names of ``fitting`` and ``montecarlo`` are loaded on first use, so
 
 import importlib
 
-from .chain import ConversionChain, reference_chain
+from .chain import ConversionChain, ExperimentScenario, reference_chain
 from .config import (
     REFERENCE_CONFIG,
     ConfigError,
@@ -72,7 +72,6 @@ _LAZY = {
     "extract_mu1": "fitting",
     "fit_conversion": "fitting",
     "fit_linear": "fitting",
-    "ExperimentScenario": "montecarlo",
     "Histogram": "montecarlo",
     "HistogramTriple": "montecarlo",
     "SimulationResult": "montecarlo",

@@ -5,7 +5,9 @@ models.  Its ``event_means`` states the rate model once: the analytic
 rates and mu_1 (``noise``) and the Monte Carlo both read their expected
 signal, pump-noise and dark events from it.  ``reference_chain`` builds
 the chain with the published apparatus values, which live only in the
-shipped scenario file ``data/reference.cfg``.
+shipped scenario file ``data/reference.cfg``.  ``ExperimentScenario`` adds
+the source and run settings; it is the one place they are checked, and
+``config.ScenarioConfig`` is one.
 """
 
 from __future__ import annotations
@@ -24,7 +26,11 @@ from .optics import (
     optimal_pump_power,
 )
 
-__all__ = ["ConversionChain", "reference_chain"]
+__all__ = ["ConversionChain", "ExperimentScenario", "MAX_SHOTS", "reference_chain"]
+
+# Most shots in one run: each Monte Carlo lane owns this many shots of the
+# Philox stream (Salmon et al., SC 2011); past it two lanes share numbers.
+MAX_SHOTS = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,42 @@ class ConversionChain:
         return replace(
             self, detector=replace(self.detector, gate_width_ns=gate_width_ns)
         )
+
+
+@dataclass(frozen=True)
+class ExperimentScenario:
+    """A chain plus source and run settings: the unit of simulation."""
+
+    chain: ConversionChain
+    mu_in: float
+    pump_mw: float
+    n_shots: int
+    seed: int
+
+    def __post_init__(self):
+        if not 0 <= self.mu_in < math.inf:
+            raise ValueError(
+                f"mu_in (source_mean_photon_number) must be nonnegative and finite, "
+                f"got {self.mu_in}"
+            )
+        if not 0 <= self.pump_mw < math.inf:
+            raise ValueError(
+                f"pump power (pump_power) must be nonnegative and finite, got {self.pump_mw}"
+            )
+        if not 0 < self.n_shots <= MAX_SHOTS:
+            raise ValueError(
+                f"n_shots (montecarlo_shots) must be positive and at most 2**40, "
+                f"got {self.n_shots}"
+            )
+        if not 0 <= self.seed < 1 << 128:
+            raise ValueError(
+                f"seed (montecarlo_seed) must be in [0, 2**128), got {self.seed}"
+            )
+
+    @property
+    def dead_gates(self) -> int:
+        dead_ns = self.chain.detector.dead_time_us * 1e3
+        return math.ceil(dead_ns / self.chain.gate_period_ns)
 
 
 def reference_chain() -> ConversionChain:

@@ -154,17 +154,10 @@ _SIMULATE_COLUMNS = (
 
 
 def _cmd_simulate(args) -> int:
-    from .montecarlo import ExperimentScenario, simulate
+    from .montecarlo import simulate
 
     cfg = _load(args)
-    scenario = ExperimentScenario(
-        chain=cfg.chain,
-        mu_in=cfg.mu_in,
-        pump_mw=cfg.pump_mw,
-        n_shots=cfg.shots,
-        seed=cfg.seed,
-    )
-    res = simulate(scenario)
+    res = simulate(cfg)
     out = _out_dir(args)
     _write_csv(
         out / "simulate.csv",
@@ -176,13 +169,13 @@ def _cmd_simulate(args) -> int:
         cfg,
         {
             "command": "simulate",
-            "shots": cfg.shots,
+            "shots": cfg.n_shots,
             "p_signal": _rounded(res.p_signal),
             "p_noise": _rounded(res.p_noise),
         },
     )
     print(f"simulate: p_S = {res.p_signal:.6g}, p_N = {res.p_noise:.6g} "
-          f"({cfg.shots} shots, seed {cfg.seed})")
+          f"({cfg.n_shots} shots, seed {cfg.seed})")
     return EXIT_OK
 
 
@@ -362,18 +355,19 @@ def _report_values(cfg: ScenarioConfig) -> dict[str, float]:
     chain = cfg.chain
     cas = chain.cascade()
 
-    def snr_dc(pump_mw: float) -> float:
-        return snr(detection_probabilities(cfg.mu_in, pump_mw, chain), subtract_dark=False)
-
     pumps = _linspace(1.0, 600.0, 600)
-    snrs = [snr_dc(p) for p in pumps]
+    rates = [detection_probabilities(cfg.mu_in, p, chain) for p in pumps]
+    # The SNR rows are ratios of SNRs, which are linear in the signal mean
+    # at small mu_in.  A zero mean gives no ratio, and a subnormal one too
+    # few digits for the shape of the curve.
+    if not min(rb.signal for rb in rates) >= sys.float_info.min:
+        raise ConfigError(
+            f"source_mean_photon_number = {cfg.mu_in:g} gives a signal mean below the "
+            "smallest normal float at some pump power; the report cannot resolve it"
+        )
+    snrs = [snr(rb, subtract_dark=False) for rb in rates]
     # the first peak, as numpy's argmax finds it
     peak = max(range(len(snrs)), key=snrs.__getitem__)
-    if not snrs[peak] > 0:  # snr_400mW_over_peak divides by it
-        raise ConfigError(
-            f"source_mean_photon_number = {cfg.mu_in:g} gives no signal above the "
-            "noise at any pump power; the report needs a positive peak SNR"
-        )
 
     with warnings.catch_warnings():
         # the 50 MHz projection is a deliberate extrapolation
@@ -397,7 +391,7 @@ def _report_values(cfg: ScenarioConfig) -> dict[str, float]:
         "beta_50ns": chain.with_gate_width(50.0).beta,
         "mu_1_at_{pump:g}mW": mu1(chain, pump_mw),
         "snr_peak_pump_mw": pumps[peak],
-        "snr_400mW_over_peak": snr_dc(400.0) / snrs[peak],
+        "snr_400mW_over_peak": snrs[pumps.index(400.0)] / snrs[peak],
         "alpha_crystal_50MHz": alpha_scaled,
         "noise_photons_50MHz_50ns": photons,
         "classical_bound_mu_to_0": classical_fidelity_bound(1e-6, 1.0),

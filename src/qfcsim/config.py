@@ -19,7 +19,7 @@ import numbers
 from dataclasses import dataclass
 from importlib import resources
 
-from .chain import ConversionChain
+from .chain import ConversionChain, ExperimentScenario
 from .noise import DetectorConfig, FilterStage, NoiseModel
 from .optics import ElementTransmissions, GaussianPulse, LossBudget, WaveguideParams
 
@@ -41,8 +41,9 @@ class ConfigError(ValueError):
 
 # Each key is (kind, argument).  Kinds: float with unit suffix (the
 # suffix string), bare float (None), "int" or "bool".  The argument is the
-# keyword the value is passed as: the six sections between [pump] and
-# [montecarlo] are each one dataclass, built from their rows alone.
+# keyword the value is passed as: the sections after [pump] are each one
+# dataclass or, for [montecarlo], the scenario's fields, built from their
+# rows alone.
 _FLOAT = None
 _SCHEMA: dict[str, dict[str, tuple[object, str]]] = {
     "source": {
@@ -94,7 +95,7 @@ _SCHEMA: dict[str, dict[str, tuple[object, str]]] = {
         "reference_gate": ("ns", "reference_gate_ns"),
     },
     "montecarlo": {
-        "shots": ("int", "shots"),
+        "shots": ("int", "n_shots"),
         "seed": ("int", "seed"),
     },
 }
@@ -105,14 +106,9 @@ _REQUIRED: frozenset[tuple[str, str]] = frozenset(
 )
 
 @dataclass(frozen=True)
-class ScenarioConfig:
-    """Validated scenario: the chain plus source and simulation settings."""
+class ScenarioConfig(ExperimentScenario):
+    """A validated scenario and the document values it was built from."""
 
-    chain: ConversionChain
-    mu_in: float
-    pump_mw: float
-    shots: int
-    seed: int
     values: dict  # (section, key) -> raw value, fully defaulted
 
 
@@ -217,43 +213,32 @@ def _build(values: dict[tuple[str, str], object]) -> ScenarioConfig:
     def fields(section: str) -> dict[str, object]:
         return {arg: values[(section, key)] for key, (_, arg) in _SCHEMA[section].items()}
 
-    # the source, pump and montecarlo keys feed the chain, its pulse and
-    # the scenario itself
-    mixed = {**fields("source"), **fields("pump"), **fields("montecarlo")}
+    # the source and pump keys feed the chain, its pulse and the scenario,
+    # which checks its own fields
+    mixed = {**fields("source"), **fields("pump")}
     try:
-        chain = ConversionChain(
-            input_wavelength_nm=mixed["input_wavelength_nm"],
-            pump_wavelength_nm=mixed["pump_wavelength_nm"],
-            pulse=GaussianPulse(fwhm_ns=mixed["fwhm_ns"]),
-            waveguide=WaveguideParams(**fields("waveguide")),
-            budget=LossBudget(
-                signal=ElementTransmissions(**fields("losses_input")),
-                pump=ElementTransmissions(**fields("losses_pump")),
+        return ScenarioConfig(
+            chain=ConversionChain(
+                input_wavelength_nm=mixed["input_wavelength_nm"],
+                pump_wavelength_nm=mixed["pump_wavelength_nm"],
+                pulse=GaussianPulse(fwhm_ns=mixed["fwhm_ns"]),
+                waveguide=WaveguideParams(**fields("waveguide")),
+                budget=LossBudget(
+                    signal=ElementTransmissions(**fields("losses_input")),
+                    pump=ElementTransmissions(**fields("losses_pump")),
+                ),
+                filter_stage=FilterStage(**fields("filter")),
+                detector=DetectorConfig(**fields("detector")),
+                noise=NoiseModel(**fields("noise")),
+                repetition_rate_mhz=mixed["repetition_rate_mhz"],
             ),
-            filter_stage=FilterStage(**fields("filter")),
-            detector=DetectorConfig(**fields("detector")),
-            noise=NoiseModel(**fields("noise")),
-            repetition_rate_mhz=mixed["repetition_rate_mhz"],
+            mu_in=mixed["mu_in"],
+            pump_mw=mixed["pump_mw"],
+            **fields("montecarlo"),
+            values=dict(values),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
-
-    if mixed["shots"] <= 0:
-        raise ConfigError("montecarlo_shots must be positive")
-    if mixed["seed"] < 0:
-        raise ConfigError("montecarlo_seed must be nonnegative")
-    if mixed["mu_in"] < 0:
-        raise ConfigError("source_mean_photon_number must be nonnegative")
-    if mixed["pump_mw"] < 0:
-        raise ConfigError("pump_power must be nonnegative")
-    return ScenarioConfig(
-        chain=chain,
-        mu_in=float(mixed["mu_in"]),
-        pump_mw=float(mixed["pump_mw"]),
-        shots=int(mixed["shots"]),
-        seed=int(mixed["seed"]),
-        values=dict(values),
-    )
 
 
 def with_overrides(config: ScenarioConfig, **overrides) -> ScenarioConfig:

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ConversionChain
+from .chain import MAX_SHOTS, ConversionChain, ExperimentScenario
+from .noise import DegenerateDenominatorError
 
 __all__ = [
     "ExperimentScenario",
@@ -68,33 +69,9 @@ _LANE_NOISE = 1
 _LANE_HIST_SIGNAL = 2
 _LANE_HIST_PUMP = 3
 _LANE_HIST_DARK = 4
-_LANE_STRIDE = 1 << 24
+_LANE_STRIDE = MAX_SHOTS // _CHUNK  # chunks per lane
 
 MAX_EXPECTED_CLICKS_PER_GATE = 0.5
-
-
-@dataclass(frozen=True)
-class ExperimentScenario:
-    """A chain plus source settings: the unit of simulation."""
-
-    chain: ConversionChain
-    mu_in: float
-    pump_mw: float
-    n_shots: int
-    seed: int
-
-    def __post_init__(self):
-        if not (0 <= self.mu_in < math.inf and 0 <= self.pump_mw < math.inf):
-            raise ValueError("mu_in and pump power must be nonnegative and finite")
-        if not self.n_shots > 0:
-            raise ValueError(f"n_shots must be positive, got {self.n_shots}")
-        if not self.seed >= 0:
-            raise ValueError("seed must be a nonnegative integer")
-
-    @property
-    def dead_gates(self) -> int:
-        dead_ns = self.chain.detector.dead_time_us * 1e3
-        return math.ceil(dead_ns / self.chain.gate_period_ns)
 
 
 def _check_bins(bin_width_ns: float, window_ns: float) -> None:
@@ -286,12 +263,13 @@ def _run_lane(
 
 
 def _binomial_err(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n) if n > 0 else math.nan
+    return math.sqrt(p * (1.0 - p) / n)
 
 
 def simulate(scenario: ExperimentScenario) -> SimulationResult:
     """Estimate per-gate click probabilities with the input on (p_S) and
     blocked (p_N), plus the unsubtracted SNR, all with binomial errors.
+    Raises ``DegenerateDenominatorError`` when p_N is 0.
 
     The detection window is the configured gate, centered on the pulse.
     """
@@ -299,25 +277,25 @@ def simulate(scenario: ExperimentScenario) -> SimulationResult:
     pump = scenario.pump_mw
     clicks_s, skip_s = _run_lane(scenario, _LANE_SIGNAL, scenario.mu_in, pump, window)
     clicks_n, skip_n = _run_lane(scenario, _LANE_NOISE, 0.0, pump, window)
+    # each lane keeps at least one alive gate: the first accepted click's
     alive_s = scenario.n_shots - skip_s
     alive_n = scenario.n_shots - skip_n
+    if clicks_n.size == 0:
+        raise DegenerateDenominatorError(
+            "zero noise probability; SNR undefined (no click with the input "
+            f"blocked, {alive_n} alive gates)"
+        )
     p_s = clicks_s.size / alive_s
     p_n = clicks_n.size / alive_n
     err_s = _binomial_err(p_s, alive_s)
     err_n = _binomial_err(p_n, alive_n)
-    if p_n > 0:
-        snr_est = (p_s - p_n) / p_n
-        snr_err = math.hypot(err_s / p_n, p_s * err_n / p_n**2)
-    else:
-        snr_est = math.nan
-        snr_err = math.nan
     return SimulationResult(
         p_signal=p_s,
         p_signal_err=err_s,
         p_noise=p_n,
         p_noise_err=err_n,
-        snr=snr_est,
-        snr_err=snr_err,
+        snr=(p_s - p_n) / p_n,
+        snr_err=math.hypot(err_s / p_n, p_s * err_n / p_n**2),
         clicks_signal=clicks_s,
         clicks_noise=clicks_n,
         alive_signal=alive_s,

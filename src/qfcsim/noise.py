@@ -182,15 +182,16 @@ def detection_probabilities(
 
     The chain's ``event_means`` over the gate, the signal cut to ``beta``:
     mu_in * eta_tot_max * fhat(P_p) and noise alpha * P_p + dark.  Click
-    probabilities use Poissonian thinning, p = 1 - exp(-mean), which
-    reduces to the linear estimate at the small rates of interest.
+    probabilities use Poissonian thinning, p = 1 - exp(-mean), written as
+    -expm1(-mean) so that it keeps its digits at the small rates of
+    interest, where it reduces to the linear estimate.
     """
     signal, pump_noise, dark = chain.event_means(mu_in, pump_mw, chain.detector.gate_width_ns)
     signal *= chain.beta
     noise = pump_noise + dark
     return RateBreakdown(
-        p_signal=1.0 - math.exp(-(signal + noise)),
-        p_noise=1.0 - math.exp(-noise),
+        p_signal=-math.expm1(-(signal + noise)),
+        p_noise=-math.expm1(-noise),
         signal=signal, pump_noise=pump_noise, dark=dark,
     )
 
@@ -200,7 +201,8 @@ def snr(rates: RateBreakdown, subtract_dark: bool = True) -> float:
 
     With dark-count subtraction: signal / pump noise, both read from the
     breakdown.  Without: (p_S - p_N) / p_N, the quantity limited by the
-    detection system.
+    detection system, with p_S - p_N written as exp(-noise) (1 - exp(-signal))
+    so that it does not cancel at a small signal.
     """
     if subtract_dark:
         if not rates.pump_noise > 0:
@@ -210,7 +212,7 @@ def snr(rates: RateBreakdown, subtract_dark: bool = True) -> float:
         return rates.signal / rates.pump_noise
     if rates.p_noise <= 0:
         raise DegenerateDenominatorError("zero noise probability; SNR undefined")
-    return (rates.p_signal - rates.p_noise) / rates.p_noise
+    return math.exp(-(rates.pump_noise + rates.dark)) * -math.expm1(-rates.signal) / rates.p_noise
 
 
 def mu1(chain: "ConversionChain", pump_mw: float) -> float:

@@ -5,7 +5,8 @@ library: numerical quadrature instead of error functions, complex
 amplitude enumeration instead of closed-form intensities, sums over
 photon number (a fixed-length one with log-space Poisson weights, and an
 adaptively truncated, rescaled one) instead of the closed-form fidelity
-bound, dense per-shot Monte Carlo draws instead of a superposed, thinned
+bound, 50-digit decimal arithmetic instead of the expm1 form of the SNR,
+dense per-shot Monte Carlo draws instead of a superposed, thinned
 event stream, and a sequential dead-time scan instead of pointer jumping.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -83,6 +85,18 @@ def interferometer_slots(
     )
     scale = 2.0 * mu
     return scale * early_slot, scale * central, scale * late_slot
+
+
+def snr_unsubtracted_decimal(signal: float, pump_noise: float, dark: float) -> float:
+    """(p_S - p_N) / p_N of the in-gate means, with p = 1 - exp(-mean) and
+    the difference formed as written, in 50-digit decimal arithmetic, which
+    has digits to spare for the cancellation."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        noise = Decimal(pump_noise) + Decimal(dark)
+        p_signal = 1 - (-(Decimal(signal) + noise)).exp()
+        p_noise = 1 - (-noise).exp()
+        return float((p_signal - p_noise) / p_noise)
 
 
 def classical_bound_bruteforce(mu: float, eta: float, n_max: int = 200) -> float:

@@ -204,7 +204,7 @@ class TestParseConfig:
         changed = with_overrides(cfg, **{f"{section}_{key}": other})
 
         def model(c):
-            return (c.chain, c.mu_in, c.pump_mw, c.shots, c.seed)
+            return (c.chain, c.mu_in, c.pump_mw, c.n_shots, c.seed)
 
         assert model(changed) != model(cfg)
 
@@ -345,13 +345,35 @@ class TestCliExitCodes:
         assert "source_repetition_rate" in err and "detector_gate_width" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("mu", ["0", "1e-300"])
+    @pytest.mark.parametrize("mu", ["0", "1e-320"])
     def test_report_without_signal_rejected(self, mu, tmp_path, capsys):
-        # the SNR rows divide by the peak SNR, which is 0 without signal
+        # the SNR rows divide by the peak SNR, which is 0 without signal; a
+        # subnormal signal mean has too few digits to place the peak
         assert run(["report", "--mu", mu, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "source_mean_photon_number" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_report_tiny_signal_is_the_small_signal_limit(self, tmp_path):
+        # the SNR is linear in mu_in there, so the SNR rows are those of any
+        # small mu_in
+        for mu in ("1e-6", "1e-300"):
+            assert run(["report", "--mu", mu, "--out", str(tmp_path / mu)]) == 0
+        assert (tmp_path / "1e-300" / "report.txt").read_text() == (
+            tmp_path / "1e-6" / "report.txt"
+        ).read_text()
+
+    def test_simulate_without_noise_click_fails(self, tmp_path, capsys):
+        # one shot leaves the input-blocked lane without a click: p_N = 0
+        assert run(["simulate", "--shots", "1", "--out", str(tmp_path / "out")]) == 3
+        assert "SNR undefined" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_past_the_philox_key_rejected(self, tmp_path, capsys):
+        seed = str(1 << 128)
+        assert run(["simulate", "--seed", seed, "--out", str(tmp_path / "out")]) == 2
+        assert "montecarlo_seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

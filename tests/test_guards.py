@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qfcsim.chain import reference_chain
+from qfcsim.chain import MAX_SHOTS, reference_chain
 from qfcsim.config import REFERENCE_CONFIG, parse_config, with_overrides
 from qfcsim.montecarlo import (
     ExperimentScenario,
@@ -182,6 +182,19 @@ SCALAR_CASES = {
     "with_overrides.pump_overflow": (lambda: with_overrides(CONFIG, pump_power=10**400), "pump_power"),
     "with_overrides.seed_bool": (
         lambda: with_overrides(CONFIG, montecarlo_seed=True), "montecarlo_seed"
+    ),
+    # past Philox's 128-bit key, and past the shots one lane's substream holds
+    "ExperimentScenario.seed_2_128": (
+        lambda: ExperimentScenario(CHAIN, 6.1, 120.0, 10, 1 << 128), "montecarlo_seed"
+    ),
+    "ExperimentScenario.shots_over_max": (
+        lambda: ExperimentScenario(CHAIN, 6.1, 120.0, MAX_SHOTS + 1, 1), "montecarlo_shots"
+    ),
+    "with_overrides.seed_2_128": (
+        lambda: with_overrides(CONFIG, montecarlo_seed=1 << 128), "montecarlo_seed"
+    ),
+    "with_overrides.shots_over_max": (
+        lambda: with_overrides(CONFIG, montecarlo_shots=MAX_SHOTS + 1), "montecarlo_shots"
     ),
 }
 

@@ -90,6 +90,23 @@ def test_closed_form_commands_load_no_numpy(tmp_path):
         assert (tmp_path / name).is_file()
 
 
+# A scenario is checked and built on math alone: ExperimentScenario is
+# chain's, and montecarlo only re-exports it.
+SCENARIO_PROBE = """
+import sys
+
+import qfcsim
+
+cfg = qfcsim.parse_config(qfcsim.REFERENCE_CONFIG)
+sc = qfcsim.ExperimentScenario(cfg.chain, cfg.mu_in, cfg.pump_mw, cfg.n_shots, cfg.seed)
+print(sorted(m for m in ("numpy", "qfcsim.montecarlo") if m in sys.modules))
+"""
+
+
+def test_scenario_loads_no_numpy(tmp_path):
+    assert _probe(SCENARIO_PROBE, cwd=tmp_path) == ["[]"]
+
+
 # the names the package exports from fitting and montecarlo
 LAZY_NAMES = [
     (fitting, "Dataset"),

@@ -10,7 +10,7 @@ from scipy.stats import chi2_contingency
 
 from oracles import dead_time_loop, dense_collect_clicks
 from qfcsim import montecarlo
-from qfcsim.chain import reference_chain
+from qfcsim.chain import MAX_SHOTS, reference_chain
 from qfcsim.montecarlo import (
     _CHUNK,
     CLICK_DTYPE,
@@ -26,6 +26,7 @@ from qfcsim.noise import (
     ALLOWED_GATE_WIDTHS_NS,
     FILTER_BANDWIDTH_MAX_NM,
     FILTER_BANDWIDTH_MIN_NM,
+    DegenerateDenominatorError,
     detection_probabilities,
 )
 
@@ -316,6 +317,33 @@ class TestScenarioValidation:
             scenario(shots=0)
         with pytest.raises(ValueError):
             scenario(seed=-1)
+
+    def test_bounds_are_inclusive(self):
+        sc = scenario(shots=MAX_SHOTS, seed=(1 << 128) - 1)
+        assert (sc.n_shots, sc.seed) == (MAX_SHOTS, (1 << 128) - 1)
+
+    def test_lanes_hold_the_largest_run(self):
+        # the last chunk of a MAX_SHOTS run is still in its own lane, and
+        # the stride is the one every seeded stream was drawn with
+        assert (MAX_SHOTS - 1) // _CHUNK < montecarlo._LANE_STRIDE == 1 << 24
+
+    def test_one_scenario_type(self):
+        import qfcsim
+        from qfcsim import chain, config
+
+        assert montecarlo.ExperimentScenario is chain.ExperimentScenario
+        assert qfcsim.ExperimentScenario is chain.ExperimentScenario
+        assert issubclass(config.ScenarioConfig, chain.ExperimentScenario)
+
+    def test_no_noise_click_raises(self):
+        # no pump and no dark counts: the input-blocked lane cannot click,
+        # so p_N = 0 and the SNR has no denominator
+        chain = reference_chain()
+        dark_free = dataclasses.replace(
+            chain, detector=dataclasses.replace(chain.detector, dark_rate_per_ns=0.0)
+        )
+        with pytest.raises(DegenerateDenominatorError, match="SNR undefined"):
+            simulate(scenario(pump=0.0, shots=1000, chain=dark_free))
 
     def test_period_must_exceed_gate(self):
         with pytest.raises(ValueError, match="source_repetition_rate period .* detector_gate_width"):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import beta_quadrature
+from oracles import beta_quadrature, snr_unsubtracted_decimal
 from qfcsim.chain import reference_chain
 from qfcsim.noise import (
     FILTER_BANDWIDTH_MAX_NM,
@@ -174,7 +174,16 @@ class TestSnr:
         mu, pump_mw = 10.0**log_mu, 10.0**log_pump
         chain = reference_chain().with_filter_bandwidth(bandwidth_nm)
         rb = detection_probabilities(mu, pump_mw, chain)
-        assert snr(rb) == pytest.approx(mu / mu1(chain, pump_mw), rel=1e-12)
+        assert snr(rb) == pytest.approx(mu / mu1(chain, pump_mw), rel=1e-12, abs=0.0)
+
+    @given(st.floats(-12.0, math.log10(60.0)), st.floats(1.0, 600.0))
+    def test_unsubtracted_matches_decimal_oracle(self, log_mu, pump_mw):
+        # p_S - p_N cancels at a small input unless it is formed from the
+        # signal mean itself
+        mu = min(10.0**log_mu, 60.0)
+        rb = detection_probabilities(mu, pump_mw, reference_chain())
+        expected = snr_unsubtracted_decimal(rb.signal, rb.pump_noise, rb.dark)
+        assert snr(rb, subtract_dark=False) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 class TestMu1:
