@@ -13,6 +13,7 @@ the source and run settings; it is the one place they are checked, and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 from .noise import DetectorConfig, FilterStage, NoiseModel, beta_factor
@@ -147,6 +148,10 @@ class ExperimentScenario:
             raise ValueError(
                 f"pump power (pump_power) must be nonnegative and finite, got {self.pump_mw}"
             )
+        for name, key in (("n_shots", "montecarlo_shots"), ("seed", "montecarlo_seed")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} ({key}) must be an integer, got {value!r}")
         if not 0 < self.n_shots <= MAX_SHOTS:
             raise ValueError(
                 f"n_shots (montecarlo_shots) must be positive and at most 2**40, "

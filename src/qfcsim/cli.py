@@ -187,7 +187,7 @@ def _preset_fig3a(cfg: ScenarioConfig):
     rows = []
     for p in [20.0 * i for i in range(31)]:  # 0 to 600 mW
         rb = detection_probabilities(cfg.mu_in, p, cfg.chain)
-        rows.append((p, rb.p_signal, rb.p_noise, rb.p_signal - rb.p_noise))
+        rows.append((p, rb.p_signal, rb.p_noise, rb.p_net))
     return ["P_p_mW", "p_signal", "p_noise", "p_net"], rows
 
 

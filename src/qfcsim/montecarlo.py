@@ -14,21 +14,28 @@ events outside the window are dropped and the earliest one per shot is
 the click.  At the reference point about 1% of gates click, so this
 draws about m/100 events where per-shot draws would need 4m numbers.
 
-Gates in the dead time after an accepted click are skipped and excluded
-from the probability denominators.  Each click's successor, the first
-click past its dead window, is found by one sorted search; the accepted
-clicks are the chain of successors from the first click, found by
-pointer doubling (Hillis & Steele 1986) rather than a loop over clicks.
+Randomness is counter-based (Philox, Salmon et al., SC 2011): each
+(lane, chunk) pair owns an independent substream derived from the
+scenario seed, so the records do not depend on how the chunks are
+grouped.  Each chunk makes only its own draws; the origin lookup, the
+window cut and the choice of the first event per shot (a radix sort by
+shot) run once over a batch of chunks holding about ``_BATCH_EVENTS``
+expected events, which shares numpy's fixed per-call cost among them.
 
-Randomness is counter-based (Philox) and chunked: each (lane, chunk)
-pair owns an independent substream derived from the scenario seed, so
-chunks may be evaluated in any order or in parallel; results are merged
-in fixed chunk order and are bit-reproducible for a given seed.
+Gates in the dead time after an accepted click are skipped and excluded
+from the probability denominators.  Within a batch, each click's
+successor, the first click past its dead window, is found by one sorted
+search, and the accepted clicks are the chain of successors from the
+first click, found by pointer doubling (Hillis & Steele 1986) rather than
+a loop over clicks.  Between batches only the last accepted shot plus the
+dead gates carries over, so a lane keeps only its accepted records, and
+the results are bit-reproducible for a given seed.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +69,11 @@ CLICK_DTYPE = np.dtype(
 )
 
 _CHUNK = 1 << 16
+# expected events per batch of chunks: the work after the draws runs once
+# per batch, which shares its fixed numpy cost among the batch's chunks
+_BATCH_EVENTS = _CHUNK // 8
+# a batch spans at most 2**32 shots, so its shots sort as two 16-bit digits
+_MAX_BATCH_CHUNKS = (1 << 32) // _CHUNK
 
 # lanes 0/1: simulate (input on / blocked); lanes 2/3/4: histogram passes
 _LANE_SIGNAL = 0
@@ -129,53 +141,37 @@ class SimulationResult:
     skipped_noise: int
 
 
-def _stream(seed: int, lane: int, chunk: int) -> np.random.Generator:
-    bitgen = np.random.Philox(key=seed).jumped(lane * _LANE_STRIDE + chunk)
-    return np.random.Generator(bitgen)
+def _substreams(seed: int, lane: int, chunks: range) -> Iterator[np.random.Generator]:
+    """Chunk ci's own substream for each ci in ``chunks``, in order.
+
+    Each has the state of Philox(key=seed).jumped(lane * _LANE_STRIDE + ci),
+    since a jump adds to counter word 2.  One generator is set to each
+    state in turn, which is cheaper than building one per chunk, so finish
+    with each substream before taking the next."""
+    bitgen = np.random.Philox(key=seed)
+    state = bitgen.state
+    rng = np.random.Generator(bitgen)
+    for ci in chunks:
+        state["state"]["counter"][2] = lane * _LANE_STRIDE + ci
+        bitgen.state = state
+        yield rng
 
 
-def _collect_chunk(
-    codes: np.ndarray,
-    edges: np.ndarray,
-    sigma_ns: float,
-    window_ns: float,
-    n_shots: int,
-    seed: int,
-    lane: int,
-    ci: int,
-) -> np.ndarray:
-    """First event per shot of chunk ``ci``, drawn from its own substream.
-
-    ``codes`` are the origins with a positive rate and ``edges`` the
-    cumulative sums of their expected events per gate, so ``edges[-1]`` is
-    the total rate λ.  The chunk's events are one Poisson(m·λ) draw spread
-    uniformly over its m shots; each takes an origin with probability
-    proportional to its rate."""
-    start = ci * _CHUNK
-    m = min(_CHUNK, n_shots - start)
-    rng = _stream(seed, lane, ci)
-    n = int(rng.poisson(m * edges[-1])) if edges.size else 0
-    if n == 0:
-        return np.empty(0, dtype=CLICK_DTYPE)
-    shot = rng.integers(0, m, n)
-    # the last edge is left out, so a draw that rounds up to λ still lands
-    # on the last origin with a positive rate
-    origin = codes[np.searchsorted(edges[:-1], rng.random(n) * edges[-1], side="right")]
-    signal = origin == ORIGIN_SIGNAL
-    n_signal = int(np.count_nonzero(signal))
-    t = np.empty(n)
-    t[signal] = window_ns / 2.0 + sigma_ns * rng.standard_normal(n_signal)
-    t[~signal] = rng.uniform(0.0, window_ns, n - n_signal)
-    inside = (t >= 0.0) & (t < window_ns)
-    shot, t, origin = shot[inside], t[inside], origin[inside]
-    order = np.lexsort((t, shot))
-    _, first = np.unique(shot[order], return_index=True)
-    first = order[first]
-    rec = np.empty(first.size, dtype=CLICK_DTYPE)
-    rec["shot"] = shot[first] + start
-    rec["time_ns"] = t[first]
-    rec["origin"] = origin[first]
-    return rec
+def _event_edges(
+    chain: ConversionChain, mu_in: float, pump_mw: float, window_ns: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The origin codes with a positive rate and the cumulative sums of
+    their expected events per gate, so ``edges[-1]`` is the total rate λ."""
+    # expected events per gate by origin; the index of each is its code
+    means = np.array(chain.event_means(mu_in, pump_mw, window_ns))
+    mean = means.sum()
+    if mean > MAX_EXPECTED_CLICKS_PER_GATE:
+        raise ValueError(
+            f"expected {mean:.3f} clicks per gate exceeds the model validity "
+            f"bound of {MAX_EXPECTED_CLICKS_PER_GATE}"
+        )
+    codes = np.flatnonzero(means > 0).astype(np.int8)
+    return codes, np.cumsum(means[codes])
 
 
 def _collect_clicks(
@@ -186,26 +182,71 @@ def _collect_clicks(
     seed: int,
     lane: int,
     window_ns: float,
+    chunks: range,
 ) -> np.ndarray:
-    """First detected event per shot, before dead-time bookkeeping.
+    """First detected event per shot in the shots of ``chunks``, before
+    dead-time bookkeeping.
 
     The window spans [0, window_ns) with the pulse centered at its middle.
-    """
-    # expected events per gate by origin; the index of each is its code
-    means = np.array(chain.event_means(mu_in, pump_mw, window_ns))
-    mean = means.sum()
-    if mean > MAX_EXPECTED_CLICKS_PER_GATE:
-        raise ValueError(
-            f"expected {mean:.3f} clicks per gate exceeds the model validity "
-            f"bound of {MAX_EXPECTED_CLICKS_PER_GATE}"
-        )
-    codes = np.flatnonzero(means > 0).astype(np.int8)
-    edges = np.cumsum(means[codes])
-    n_chunks = (n_shots + _CHUNK - 1) // _CHUNK
-    return np.concatenate([
-        _collect_chunk(codes, edges, chain.pulse.sigma_ns, window_ns, n_shots, seed, lane, ci)
-        for ci in range(n_chunks)
-    ])
+    Each chunk draws from its own substream: one Poisson(m·λ) event count,
+    spread uniformly over its m shots, a uniform u per event whose u·λ
+    picks the origin in proportion to the rates, then the signal events'
+    Gaussian times and the others' uniform times.  All that follows the
+    draws runs once over the chunks' concatenated events."""
+    codes, edges = _event_edges(chain, mu_in, pump_mw, window_ns)
+    if edges.size == 0:
+        return np.empty(0, dtype=CLICK_DTYPE)
+    lam = edges[-1]
+    # u·λ takes the first origin below the first edge, or always when there
+    # is one origin (see the search below); so it is a signal event when it
+    # lies below signal_below
+    first_edge = edges[0] if edges.size > 1 else np.inf
+    signal_below = first_edge if codes[0] == ORIGIN_SIGNAL else -np.inf
+    shots, draws, normals, uniforms = [], [], [], []
+    for ci, rng in zip(chunks, _substreams(seed, lane, chunks)):
+        start = ci * _CHUNK
+        m = min(_CHUNK, n_shots - start)
+        n = int(rng.poisson(m * lam))
+        if n == 0:
+            continue
+        # the draws of integers(0, m) offset by start
+        shots.append(rng.integers(start, start + m, n))
+        u = rng.random(n) * lam
+        k = int(np.count_nonzero(u < signal_below))
+        draws.append(u)
+        normals.append(rng.standard_normal(k))
+        uniforms.append(rng.uniform(0.0, window_ns, n - k))
+    if not shots:
+        return np.empty(0, dtype=CLICK_DTYPE)
+    shot = np.concatenate(shots)
+    u = np.concatenate(draws)
+    signal = u < signal_below
+    t = np.empty(shot.size)
+    t[signal] = window_ns / 2.0 + chain.pulse.sigma_ns * np.concatenate(normals)
+    t[~signal] = np.concatenate(uniforms)
+    inside = np.flatnonzero((t >= 0.0) & (t < window_ns))
+    # a stable sort of the events in the window by shot, on two 16-bit
+    # digits of the shot within the batch, which numpy sorts by radix
+    rel = shot[inside] - chunks.start * _CHUNK
+    order = inside[np.lexsort((rel.astype(np.uint16), (rel >> 16).astype(np.uint16)))]
+    shot, t = shot[order], t[order]
+    # a shot's click is its earliest event, and of equal times the first drawn
+    head = np.diff(shot, prepend=-1) != 0
+    group = np.cumsum(head) - 1
+    at_min = np.flatnonzero(t == np.minimum.reduceat(t, np.flatnonzero(head))[group])
+    first = at_min[np.diff(group[at_min], prepend=-1) != 0]
+    # the origin is the number of edges below the last at or below u·λ, a
+    # right-side search of edges[:-1]; the last edge is left out, so a draw
+    # that rounds up to λ still lands on the last origin with a positive rate
+    u = u[order[first]]
+    index = np.zeros(first.size, dtype=np.intp)
+    for edge in edges[:-1]:
+        index += u >= edge
+    rec = np.empty(first.size, dtype=CLICK_DTYPE)
+    rec["shot"] = shot[first]
+    rec["time_ns"] = t[first]
+    rec["origin"] = codes[index]
+    return rec
 
 
 def _apply_dead_time(
@@ -255,11 +296,33 @@ def _apply_dead_time(
 def _run_lane(
     scenario: ExperimentScenario, lane: int, mu_in: float, pump_mw: float, window_ns: float
 ) -> tuple[np.ndarray, int]:
-    """Accepted clicks and skipped gates of one lane of the scenario."""
-    clicks = _collect_clicks(
-        scenario.chain, mu_in, pump_mw, scenario.n_shots, scenario.seed, lane, window_ns
-    )
-    return _apply_dead_time(clicks, scenario.n_shots, scenario.dead_gates)
+    """Accepted clicks and skipped gates of one lane of the scenario.
+
+    The chunks are collected in batches of about ``_BATCH_EVENTS`` expected
+    events, and dead time runs once per batch.  Between batches only the
+    last accepted shot + dead_gates carries over: a batch's clicks up to it
+    are dropped, and the skipped counts add up exactly, because accepted
+    clicks lie more than dead_gates apart and only the last dead window of
+    the run can be cut short."""
+    chain, n_shots, dead_gates = scenario.chain, scenario.n_shots, scenario.dead_gates
+    _, edges = _event_edges(chain, mu_in, pump_mw, window_ns)
+    n_chunks = (n_shots + _CHUNK - 1) // _CHUNK
+    per_batch = _MAX_BATCH_CHUNKS
+    if edges.size:
+        # a float, so that a subnormal rate gives inf chunks, not an overflow
+        events_per_chunk = _CHUNK * float(edges[-1])
+        per_batch = max(1, int(min(_BATCH_EVENTS / events_per_chunk, per_batch)))
+    kept, skipped, dead_until = [], 0, -1
+    for lo in range(0, n_chunks, per_batch):
+        chunks = range(lo, min(lo + per_batch, n_chunks))
+        clicks = _collect_clicks(chain, mu_in, pump_mw, n_shots, scenario.seed, lane, window_ns, chunks)
+        clicks = clicks[np.searchsorted(clicks["shot"], dead_until, side="right"):]
+        accepted, skip = _apply_dead_time(clicks, n_shots, dead_gates)
+        if accepted.size:
+            dead_until = int(accepted["shot"][-1]) + dead_gates
+        kept.append(accepted)
+        skipped += skip
+    return np.concatenate(kept), skipped
 
 
 def _binomial_err(p: float, n: int) -> float:

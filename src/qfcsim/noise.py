@@ -163,6 +163,12 @@ class RateBreakdown:
         if not (self.signal >= 0.0 and self.pump_noise >= 0.0 and self.dark >= 0.0):
             raise ValueError("expected nonnegative signal, pump-noise and dark means")
 
+    @property
+    def p_net(self) -> float:
+        """p_S - p_N, written as exp(-noise) (1 - exp(-signal)) so that it
+        does not cancel at a small signal."""
+        return math.exp(-(self.pump_noise + self.dark)) * -math.expm1(-self.signal)
+
 
 def beta_factor(pulse: GaussianPulse, gate: DetectorConfig) -> float:
     """Fraction of the pulse energy falling inside the detection gate.
@@ -201,8 +207,7 @@ def snr(rates: RateBreakdown, subtract_dark: bool = True) -> float:
 
     With dark-count subtraction: signal / pump noise, both read from the
     breakdown.  Without: (p_S - p_N) / p_N, the quantity limited by the
-    detection system, with p_S - p_N written as exp(-noise) (1 - exp(-signal))
-    so that it does not cancel at a small signal.
+    detection system, with p_S - p_N read from ``RateBreakdown.p_net``.
     """
     if subtract_dark:
         if not rates.pump_noise > 0:
@@ -212,7 +217,7 @@ def snr(rates: RateBreakdown, subtract_dark: bool = True) -> float:
         return rates.signal / rates.pump_noise
     if rates.p_noise <= 0:
         raise DegenerateDenominatorError("zero noise probability; SNR undefined")
-    return math.exp(-(rates.pump_noise + rates.dark)) * -math.expm1(-rates.signal) / rates.p_noise
+    return rates.p_net / rates.p_noise
 
 
 def mu1(chain: "ConversionChain", pump_mw: float) -> float:

@@ -20,11 +20,11 @@ import numpy as np
 
 from qfcsim.montecarlo import (
     _CHUNK,
+    _LANE_STRIDE,
     CLICK_DTYPE,
     ORIGIN_DARK,
     ORIGIN_PUMP,
     ORIGIN_SIGNAL,
-    _stream,
 )
 
 
@@ -156,10 +156,16 @@ def classical_bound_series(mu_in: float, eta: float) -> float:
     return numerator / weight
 
 
-def dense_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns):
-    """First event per shot from per-shot draws: a Poisson photon number
-    thinned binomially, and a Poisson count of pump-noise and of dark
-    events in every shot, whether or not anything arrives."""
+def jumped_stream(seed: int, lane: int, chunk: int) -> np.random.Generator:
+    """Substream of one chunk of one lane, by numpy's own jump."""
+    return np.random.Generator(np.random.Philox(key=seed).jumped(lane * _LANE_STRIDE + chunk))
+
+
+def dense_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns, chunks):
+    """First event per shot in the shots of ``chunks`` from per-shot draws:
+    a Poisson photon number thinned binomially, and a Poisson count of
+    pump-noise and of dark events in every shot, whether or not anything
+    arrives."""
     center = window_ns / 2.0
     sigma = chain.pulse.sigma_ns
     # the rates from the primitive fields, not from the chain's event_means
@@ -173,10 +179,10 @@ def dense_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns):
     dark_rate = det.dark_rate_per_ns
 
     out = [np.empty(0, dtype=CLICK_DTYPE)]
-    for ci in range((n_shots + _CHUNK - 1) // _CHUNK):
+    for ci in chunks:
         start = ci * _CHUNK
         m = min(_CHUNK, n_shots - start)
-        rng = _stream(seed, lane, ci)
+        rng = jumped_stream(seed, lane, ci)
         shots, times, origins = [], [], []
         if mu_in > 0 and p_surv > 0:
             k = rng.binomial(rng.poisson(mu_in, m), p_surv)
@@ -202,6 +208,43 @@ def dense_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns):
         rec["shot"] = s[first] + start
         rec["time_ns"] = t[first]
         rec["origin"] = o[first]
+        out.append(rec)
+    return np.concatenate(out)
+
+
+def chunked_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns):
+    """First event per shot of a whole lane from the thinned event stream,
+    one chunk at a time: per chunk, the same draws from the same substream
+    as the library, an origin by sorted search and the first event per shot
+    by a lexsort on (shot, time) and ``np.unique``."""
+    means = np.array(chain.event_means(mu_in, pump_mw, window_ns))
+    codes = np.flatnonzero(means > 0).astype(np.int8)
+    edges = np.cumsum(means[codes])
+    sigma_ns = chain.pulse.sigma_ns
+    out = [np.empty(0, dtype=CLICK_DTYPE)]
+    for ci in range((n_shots + _CHUNK - 1) // _CHUNK):
+        start = ci * _CHUNK
+        m = min(_CHUNK, n_shots - start)
+        rng = jumped_stream(seed, lane, ci)
+        n = int(rng.poisson(m * edges[-1])) if edges.size else 0
+        if n == 0:
+            continue
+        shot = rng.integers(0, m, n)
+        origin = codes[np.searchsorted(edges[:-1], rng.random(n) * edges[-1], side="right")]
+        signal = origin == ORIGIN_SIGNAL
+        n_signal = int(np.count_nonzero(signal))
+        t = np.empty(n)
+        t[signal] = window_ns / 2.0 + sigma_ns * rng.standard_normal(n_signal)
+        t[~signal] = rng.uniform(0.0, window_ns, n - n_signal)
+        inside = (t >= 0.0) & (t < window_ns)
+        shot, t, origin = shot[inside], t[inside], origin[inside]
+        order = np.lexsort((t, shot))
+        _, first = np.unique(shot[order], return_index=True)
+        first = order[first]
+        rec = np.empty(first.size, dtype=CLICK_DTYPE)
+        rec["shot"] = shot[first] + start
+        rec["time_ns"] = t[first]
+        rec["origin"] = origin[first]
         out.append(rec)
     return np.concatenate(out)
 

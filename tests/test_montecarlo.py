@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
-from oracles import dead_time_loop, dense_collect_clicks
+from oracles import chunked_collect_clicks, dead_time_loop, dense_collect_clicks
 from qfcsim import montecarlo
 from qfcsim.chain import MAX_SHOTS, reference_chain
 from qfcsim.montecarlo import (
@@ -71,19 +71,53 @@ class TestDeterminism:
 
 class TestChunks:
     def test_reverse_chunk_order_gives_identical_records(self, monkeypatch):
-        calls = []
-        collect_chunk = montecarlo._collect_chunk
+        calls, forward = [], []
+        collect_clicks = montecarlo._collect_clicks
 
         def recorded(*args):
             calls.append(args)
-            return collect_chunk(*args)
+            forward.append(collect_clicks(*args))
+            return forward[-1]
 
-        monkeypatch.setattr(montecarlo, "_collect_chunk", recorded)
-        chain = reference_chain()
-        forward = montecarlo._collect_clicks(chain, 6.1, 120.0, 5 * _CHUNK + 123, 11, 0, 20.0)
-        assert len(calls) == 6 and forward.size > 0
-        backward = [collect_chunk(*args) for args in reversed(calls)]
+        monkeypatch.setattr(montecarlo, "_collect_clicks", recorded)
+        sc = scenario(shots=20 * _CHUNK + 123, seed=11)
+        montecarlo._run_lane(sc, montecarlo._LANE_SIGNAL, sc.mu_in, sc.pump_mw, 20.0)
+        forward = np.concatenate(forward)
+        assert len(calls) > 1 and forward.size > 0
+        assert [ci for args in calls for ci in args[-1]] == list(range(21))
+        # the lane's batches, and then its single chunks, in reverse order
+        backward = [collect_clicks(*args) for args in reversed(calls)]
         assert np.concatenate(backward[::-1]).tobytes() == forward.tobytes()
+        single = [collect_clicks(*calls[0][:-1], range(ci, ci + 1)) for ci in reversed(range(21))]
+        assert np.concatenate(single[::-1]).tobytes() == forward.tobytes()
+
+
+def _state(rng):
+    """A bit generator's state with its arrays as lists, comparable by ==."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(v) for k, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(rng.state)
+
+
+class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 1, (1 << 128) - 1])
+    @pytest.mark.parametrize("lane", [0, 4])
+    @pytest.mark.parametrize("chunk", [0, montecarlo._LANE_STRIDE - 1])
+    def test_substream_is_numpys_jump(self, seed, lane, chunk):
+        (rng,) = montecarlo._substreams(seed, lane, range(chunk, chunk + 1))
+        jumped = np.random.Philox(key=seed).jumped(lane * montecarlo._LANE_STRIDE + chunk)
+        assert _state(rng.bit_generator) == _state(jumped)
+
+    def test_each_chunk_starts_afresh(self):
+        # the draws of one chunk (a 32-bit buffered one among them) leave
+        # nothing behind in the next chunk's state
+        for ci, rng in zip(range(3, 6), montecarlo._substreams(7, 2, range(3, 6))):
+            jumped = np.random.Philox(key=7).jumped(2 * montecarlo._LANE_STRIDE + ci)
+            assert _state(rng.bit_generator) == _state(jumped)
+            rng.integers(0, 10, 3)
+            rng.random(5)
 
 
 # the lanes of simulate and start_stop_histogram: (lane, mu_in, pump_mw, window_ns)
@@ -170,6 +204,101 @@ class TestDeadTimeOracle:
     def _check(clicks, n_shots, dead_gates):
         accepted, skipped = montecarlo._apply_dead_time(clicks, n_shots, dead_gates)
         want, want_skipped = dead_time_loop(clicks, n_shots, dead_gates)
+        assert accepted.tobytes() == want.tobytes()
+        assert skipped == want_skipped
+
+
+def _dead_time_chain(dead_gates):
+    # the reference period is 1 us, so dead_gates us of dead time
+    detector = dataclasses.replace(REFERENCE.detector, dead_time_us=float(dead_gates))
+    return dataclasses.replace(REFERENCE, detector=detector)
+
+
+def _lane_run(mu, pump, shots, dead_gates, lane=0, window=20.0):
+    sc = scenario(mu=mu, pump=pump, shots=shots, seed=5, chain=_dead_time_chain(dead_gates))
+    return sc, lane, window
+
+
+@st.composite
+def _lane_runs(draw):
+    dead_gates = draw(st.sampled_from([0, 1, 20, 200]))
+    chain = _dead_time_chain(dead_gates)
+    lane, window = draw(st.sampled_from(list(enumerate([20.0, 20.0, 100.0, 100.0, 100.0]))))
+    pump = draw(st.just(0.0) | st.floats(1.0, 600.0))
+    signal, noise, dark = chain.event_means(1.0, pump, window)
+    # up to the validity bound, with room for rounding
+    budget = 0.999 * montecarlo.MAX_EXPECTED_CLICKS_PER_GATE - noise - dark
+    mu = draw(st.floats(0.0, 1.0)) * budget / signal if signal > 0 else 0.0
+    # up to 8 chunks, ending within two shots of a chunk boundary or anywhere
+    offset = draw(st.integers(-2, 2) | st.integers(3, _CHUNK - 3))
+    n_shots = max(1, draw(st.integers(0, 8)) * _CHUNK + offset)
+    sc = ExperimentScenario(
+        chain=chain, mu_in=mu, pump_mw=pump, n_shots=n_shots, seed=draw(st.integers(0, 2**128 - 1))
+    )
+    assert sc.dead_gates == dead_gates
+    return sc, lane, window
+
+
+class TestBatchedOracle:
+    """Batched collection with the carried dead time against the chunk by
+    chunk collection and one dead-time pass over the whole lane, bit for
+    bit, whatever the batch size."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_lane_runs(), st.sampled_from([None, 1, 3000, 1 << 30]))
+    # batches of 7 chunks at the reference rate (2 with a target of 3000
+    # events), of one chunk at the dense rate and on the dark floor with a
+    # target of 1 event
+    @example(_lane_run(6.1, 120.0, 8 * _CHUNK + 5, 20), None)
+    @example(_lane_run(6.1, 120.0, 8 * _CHUNK + 5, 200), 3000)
+    @example(_lane_run(60.0, 400.0, 5 * _CHUNK - 1, 200), None)
+    @example(_lane_run(0.0, 0.0, 3 * _CHUNK, 1, lane=4, window=100.0), 1)
+    def test_matches_chunked(self, run, batch_events):
+        sc, lane, window = run
+        with pytest.MonkeyPatch.context() as mp:
+            if batch_events is not None:
+                mp.setattr(montecarlo, "_BATCH_EVENTS", batch_events)
+            self._check(sc, lane, sc.mu_in, sc.pump_mw, window)
+
+    def test_dead_window_carried_across_batches(self, monkeypatch):
+        # 200 dead gates at 0.09 expected events per gate: the last accepted
+        # click of a one-chunk batch blanks the start of the next batch
+        collected, offered = [], []
+        collect_clicks, apply_dead_time = montecarlo._collect_clicks, montecarlo._apply_dead_time
+
+        def collect(*args):
+            collected.append(collect_clicks(*args))
+            return collected[-1]
+
+        def dead_time(clicks, n_shots, dead_gates):
+            offered.append(clicks)
+            return apply_dead_time(clicks, n_shots, dead_gates)
+
+        monkeypatch.setattr(montecarlo, "_collect_clicks", collect)
+        monkeypatch.setattr(montecarlo, "_apply_dead_time", dead_time)
+        sc = scenario(mu=20.0, pump=400.0, shots=4 * _CHUNK + 99, seed=3, chain=_dead_time_chain(200))
+        self._check(sc, montecarlo._LANE_SIGNAL, sc.mu_in, sc.pump_mw, 20.0)
+        assert len(collected) == 5
+        assert any(o.size < c.size for o, c in zip(offered[1:], collected[1:]))
+
+    def test_vanishing_rate(self):
+        # about 1e-315 events per gate: the chunks per batch overflow to
+        # inf, which the 2**32-shot bound on a batch caps
+        chain = dataclasses.replace(
+            REFERENCE, detector=dataclasses.replace(REFERENCE.detector, dark_rate_per_ns=0.0)
+        )
+        sc = scenario(mu=6.1, pump=1e-310, shots=3 * _CHUNK, chain=chain)
+        assert 0 < sum(chain.event_means(sc.mu_in, sc.pump_mw, 20.0)) < 1e-300
+        self._check(sc, montecarlo._LANE_SIGNAL, sc.mu_in, sc.pump_mw, 20.0)
+
+    @staticmethod
+    def _check(sc, lane, mu, pump, window):
+        accepted, skipped = montecarlo._run_lane(sc, lane, mu, pump, window)
+        want, want_skipped = montecarlo._apply_dead_time(
+            chunked_collect_clicks(sc.chain, mu, pump, sc.n_shots, sc.seed, lane, window),
+            sc.n_shots,
+            sc.dead_gates,
+        )
         assert accepted.tobytes() == want.tobytes()
         assert skipped == want_skipped
 
@@ -317,6 +446,25 @@ class TestScenarioValidation:
             scenario(shots=0)
         with pytest.raises(ValueError):
             scenario(seed=-1)
+
+    @pytest.mark.parametrize(
+        "field, key, value",
+        [
+            ("n_shots", "montecarlo_shots", 2.5e5),
+            ("n_shots", "montecarlo_shots", True),
+            ("seed", "montecarlo_seed", 1.5),
+            ("seed", "montecarlo_seed", False),
+            ("seed", "montecarlo_seed", "7"),
+        ],
+    )
+    def test_non_integers_rejected(self, field, key, value):
+        with pytest.raises(TypeError, match=rf"{field} \({key}\) must be an integer"):
+            dataclasses.replace(scenario(), **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        numpy_ints = simulate(scenario(shots=np.int64(20000), seed=np.uint64(7)))
+        python_ints = simulate(scenario(shots=20000, seed=7))
+        assert numpy_ints.clicks_signal.tobytes() == python_ints.clicks_signal.tobytes()
 
     def test_bounds_are_inclusive(self):
         sc = scenario(shots=MAX_SHOTS, seed=(1 << 128) - 1)

@@ -185,6 +185,21 @@ class TestSnr:
         expected = snr_unsubtracted_decimal(rb.signal, rb.pump_noise, rb.dark)
         assert snr(rb, subtract_dark=False) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("mu", [1e-14, 1e-12])
+    def test_fig3a_p_net_matches_decimal_oracle(self, mu):
+        # the fig3a p_net column is p_S - p_N, formed without cancelling
+        from qfcsim.cli import _preset_fig3a
+        from qfcsim.config import REFERENCE_CONFIG, parse_config, with_overrides
+
+        cfg = with_overrides(parse_config(REFERENCE_CONFIG), source_mean_photon_number=mu)
+        columns, rows = _preset_fig3a(cfg)
+        net = columns.index("p_net")
+        for row in rows[1:]:  # every pump but 0 mW, where the signal is 0
+            rb = detection_probabilities(mu, row[0], cfg.chain)
+            expected = snr_unsubtracted_decimal(rb.signal, rb.pump_noise, rb.dark)
+            assert row[net] == rb.p_net
+            assert rb.p_net / rb.p_noise == pytest.approx(expected, rel=1e-12, abs=0.0)
+
 
 class TestMu1:
     def test_frozen_reference(self):
