@@ -167,6 +167,16 @@ def _click_streams(draw):
     return n_shots, shots
 
 
+@st.composite
+def _long_click_streams(draw):
+    # up to 20,000 shots at up to 0.4 clicks per gate, drawn from a numpy
+    # seed, so runs of many accepted clicks form behind isolated ones
+    n_shots = draw(st.integers(1, 20_000) | st.integers(15_000, 20_000))
+    density = draw(st.floats(0.0, 0.4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return n_shots, np.flatnonzero(rng.random(n_shots) < density)
+
+
 def _clicks(shots):
     clicks = np.zeros(len(shots), dtype=CLICK_DTYPE)
     clicks["shot"] = sorted(shots)
@@ -186,6 +196,18 @@ class TestDeadTimeOracle:
         n_shots, shots = stream
         self._check(_clicks(shots), n_shots, dead_gates)
 
+    @settings(max_examples=100, deadline=None)
+    @given(_long_click_streams(), st.sampled_from([1, 20, 200, 1000]))
+    # no run: every click is isolated
+    @example((20_000, range(0, 20_000, 21)), 20)
+    # one run spanning every click, whose chain takes every other one
+    @example((20_000, range(20_000)), 1)
+    # a run that ends on the last click, accepted, its dead window cut short
+    @example((30, [0, 10, 25]), 20)
+    def test_long_runs_match_loop(self, stream, dead_gates):
+        n_shots, shots = stream
+        self._check(_clicks(shots), n_shots, dead_gates)
+
     @pytest.mark.parametrize("dead_gates", [1, 4, 20])
     def test_int64_indices(self, dead_gates):
         # shot + dead_gates passes 2**31 - 1, so the indices are int64
@@ -195,7 +217,7 @@ class TestDeadTimeOracle:
 
     @pytest.mark.parametrize("dead_gates", [1, 3, 40])
     def test_blocked_search(self, dead_gates):
-        # more clicks than one searchsorted block
+        # more clicks than one chunk has shots, as in a whole-lane call
         shots = np.random.default_rng(dead_gates).choice(400_000, 150_000, replace=False)
         assert shots.size > _CHUNK
         self._check(_clicks(shots), 400_000, dead_gates)
