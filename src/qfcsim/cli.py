@@ -33,7 +33,6 @@ from .config import (
     with_overrides,
 )
 from .noise import (
-    ALLOWED_GATE_WIDTHS_NS,
     FILTER_BANDWIDTH_MAX_NM,
     FILTER_BANDWIDTH_MIN_NM,
     DegenerateDenominatorError,
@@ -63,14 +62,14 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 # Flags every command takes to override one config value:
-# (flag name, type, accepted values or None, qualified config key).
+# (flag name, type, qualified config key).  The config checks each value.
 _OVERRIDES = (
-    ("seed", int, None, "montecarlo_seed"),
-    ("shots", int, None, "montecarlo_shots"),
-    ("gate", float, ALLOWED_GATE_WIDTHS_NS, "detector_gate_width"),
-    ("pump_mw", float, None, "pump_power"),
-    ("mu", float, None, "source_mean_photon_number"),
-    ("bandwidth_nm", float, None, "filter_bandwidth"),
+    ("seed", int, "montecarlo_seed"),
+    ("shots", int, "montecarlo_shots"),
+    ("gate", float, "detector_gate_width"),
+    ("pump_mw", float, "pump_power"),
+    ("mu", float, "source_mean_photon_number"),
+    ("bandwidth_nm", float, "filter_bandwidth"),
 )
 
 
@@ -116,7 +115,7 @@ def _load(args) -> ScenarioConfig:
     cfg = parse_config(REFERENCE_CONFIG) if args.config is None else load_config(args.config)
     overrides = {
         key: getattr(args, flag)
-        for flag, _, _, key in _OVERRIDES
+        for flag, _, key in _OVERRIDES
         if getattr(args, flag) is not None
     }
     if overrides:
@@ -450,8 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         p.add_argument("--config", default=None, help="scenario config file")
         p.add_argument("--out", default=".", help="output directory")
-        for flag, kind, choices, _ in _OVERRIDES:
-            p.add_argument("--" + flag.replace("_", "-"), type=kind, choices=choices, default=None)
+        for flag, kind, _ in _OVERRIDES:
+            p.add_argument("--" + flag.replace("_", "-"), type=kind, default=None)
         return p
 
     # The handlers are read from the module when the parser is built, so
@@ -491,9 +490,9 @@ def run(argv: list[str] | None = None) -> int:
     except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, FileNotFoundError) as exc:
-        # covers ConfigError; kept after the numerical clause because
-        # LinAlgError subclasses ValueError
+    except (ValueError, OSError) as exc:
+        # covers ConfigError and file errors; kept after the numerical
+        # clause because LinAlgError subclasses ValueError
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -8,11 +8,13 @@ too, gives their means; the gate cut is in the drawn times, not a β.
 Their superposition is one Poisson process of λ = μ·p_surv +
 (r_pump + r_dark)·w events per gate, and thinning splits it back into
 origins in proportion to the three terms (Lewis & Shedler 1979).  So a
-chunk of m shots draws one Poisson(m·λ) event count, a uniform shot and
-a categorical origin per event, and a Gaussian (signal) or uniform time;
-events outside the window are dropped and the earliest one per shot is
-the click.  At the reference point about 1% of gates click, so this
-draws about m/100 events where per-shot draws would need 4m numbers.
+chunk of m shots draws one Poisson(m·λ) event count, then per event a
+uniform shot, a uniform u, whose u·λ falls between two cumulative sums
+of the three means and so names the origin, and a Gaussian (signal) or
+uniform time; events outside the window are dropped and the earliest
+one per shot is the click.  At the reference point about 1% of gates
+click, so this draws about m/100 events where per-shot draws would need
+4m numbers.
 
 Randomness is counter-based (Philox, Salmon et al., SC 2011): each
 (lane, chunk) pair owns an independent substream derived from the
@@ -161,23 +163,6 @@ def _substreams(seed: int, lane: int, chunks: range) -> Iterator[np.random.Gener
         yield rng
 
 
-def _event_edges(
-    chain: ConversionChain, mu_in: float, pump_mw: float, window_ns: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The origin codes with a positive rate and the cumulative sums of
-    their expected events per gate, so ``edges[-1]`` is the total rate λ."""
-    # expected events per gate by origin; the index of each is its code
-    means = np.array(chain.event_means(mu_in, pump_mw, window_ns))
-    mean = means.sum()
-    if mean > MAX_EXPECTED_CLICKS_PER_GATE:
-        raise ValueError(
-            f"expected {mean:.3f} clicks per gate exceeds the model validity "
-            f"bound of {MAX_EXPECTED_CLICKS_PER_GATE}"
-        )
-    codes = np.flatnonzero(means > 0).astype(np.int8)
-    return codes, np.cumsum(means[codes])
-
-
 def _collect_clicks(
     chain: ConversionChain,
     mu_in: float,
@@ -193,19 +178,19 @@ def _collect_clicks(
 
     The window spans [0, window_ns) with the pulse centered at its middle.
     Each chunk draws from its own substream: one Poisson(m·λ) event count,
-    spread uniformly over its m shots, a uniform u per event whose u·λ
-    picks the origin in proportion to the rates, then the signal events'
-    Gaussian times and the others' uniform times.  All that follows the
-    draws runs once over the chunks' concatenated events."""
-    codes, edges = _event_edges(chain, mu_in, pump_mw, window_ns)
-    if edges.size == 0:
-        return np.empty(0, dtype=CLICK_DTYPE)
+    spread uniformly over its m shots, a uniform u per event, then the
+    signal events' Gaussian times and the others' uniform times.  The
+    origin of u·λ is the number of cumulative event means at or below it
+    (λ, the last, never is), so each origin is drawn in proportion to its
+    rate and one of zero rate, whose edge repeats the one before it,
+    never.  All that follows the draws runs once over the chunks'
+    concatenated events."""
+    # the cumulative means; the index of each mean is its origin code
+    edges = np.cumsum(chain.event_means(mu_in, pump_mw, window_ns))
     lam = edges[-1]
-    # u·λ takes the first origin below the first edge, or always when there
-    # is one origin (see the search below); so it is a signal event when it
-    # lies below signal_below
-    first_edge = edges[0] if edges.size > 1 else np.inf
-    signal_below = first_edge if codes[0] == ORIGIN_SIGNAL else -np.inf
+    # u·λ < λ for any normal λ, and the clamp to the double below λ keeps it
+    # so for a subnormal one: no draw lands past the last positive rate
+    below = np.nextafter(lam, 0.0)
     shots, draws, normals, uniforms = [], [], [], []
     for ci, rng in zip(chunks, _substreams(seed, lane, chunks)):
         start = ci * _CHUNK
@@ -215,8 +200,8 @@ def _collect_clicks(
             continue
         # the draws of integers(0, m) offset by start
         shots.append(rng.integers(start, start + m, n))
-        u = rng.random(n) * lam
-        k = int(np.count_nonzero(u < signal_below))
+        u = np.minimum(rng.random(n) * lam, below)
+        k = int(np.count_nonzero(u < edges[0]))
         draws.append(u)
         normals.append(rng.standard_normal(k))
         uniforms.append(rng.uniform(0.0, window_ns, n - k))
@@ -224,7 +209,7 @@ def _collect_clicks(
         return np.empty(0, dtype=CLICK_DTYPE)
     shot = np.concatenate(shots)
     u = np.concatenate(draws)
-    signal = u < signal_below
+    signal = u < edges[0]
     t = np.empty(shot.size)
     t[signal] = window_ns / 2.0 + chain.pulse.sigma_ns * np.concatenate(normals)
     t[~signal] = np.concatenate(uniforms)
@@ -239,17 +224,12 @@ def _collect_clicks(
     group = np.cumsum(head) - 1
     at_min = np.flatnonzero(t == np.minimum.reduceat(t, np.flatnonzero(head))[group])
     first = at_min[np.diff(group[at_min], prepend=-1) != 0]
-    # the origin is the number of edges below the last at or below u·λ, a
-    # right-side search of edges[:-1]; the last edge is left out, so a draw
-    # that rounds up to λ still lands on the last origin with a positive rate
-    u = u[order[first]]
-    index = np.zeros(first.size, dtype=np.intp)
-    for edge in edges[:-1]:
-        index += u >= edge
     rec = np.empty(first.size, dtype=CLICK_DTYPE)
     rec["shot"] = shot[first]
     rec["time_ns"] = t[first]
-    rec["origin"] = codes[index]
+    # the origin: how many of the first two edges lie at or below u·λ
+    u = u[order[first]]
+    rec["origin"] = np.add(u >= edges[0], u >= edges[1], dtype=np.int8)
     return rec
 
 
@@ -309,13 +289,17 @@ def _run_lane(
     clicks lie more than dead_gates apart and only the last dead window of
     the run can be cut short."""
     chain, n_shots, dead_gates = scenario.chain, scenario.n_shots, scenario.dead_gates
-    _, edges = _event_edges(chain, mu_in, pump_mw, window_ns)
+    # a float, so that a subnormal rate gives inf chunks, not an overflow
+    lam = float(sum(chain.event_means(mu_in, pump_mw, window_ns)))
+    if lam > MAX_EXPECTED_CLICKS_PER_GATE:
+        raise ValueError(
+            f"expected {lam:.3g} clicks per gate exceeds the model validity "
+            f"bound of {MAX_EXPECTED_CLICKS_PER_GATE}"
+        )
+    if lam == 0:
+        return np.empty(0, dtype=CLICK_DTYPE), 0
     n_chunks = (n_shots + _CHUNK - 1) // _CHUNK
-    per_batch = _MAX_BATCH_CHUNKS
-    if edges.size:
-        # a float, so that a subnormal rate gives inf chunks, not an overflow
-        events_per_chunk = _CHUNK * float(edges[-1])
-        per_batch = max(1, int(min(_BATCH_EVENTS / events_per_chunk, per_batch)))
+    per_batch = max(1, int(min(_BATCH_EVENTS / (_CHUNK * lam), _MAX_BATCH_CHUNKS)))
     kept, skipped, dead_until = [], 0, -1
     for lo in range(0, n_chunks, per_batch):
         chunks = range(lo, min(lo + per_batch, n_chunks))

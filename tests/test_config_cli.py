@@ -35,8 +35,8 @@ NONFINITE_CASES = [
 
 # every float override flag, set to each non-finite value in turn
 FLOAT_FLAG_CASES = [
-    (flag, choices, key, value)
-    for flag, kind, choices, key in _OVERRIDES
+    (flag, key, value)
+    for flag, kind, key in _OVERRIDES
     if kind is float
     for value in ("nan", "inf", "-inf")
 ]
@@ -301,25 +301,64 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize(
-        "flag, choices, key, value",
+        "flag, key, value",
         FLOAT_FLAG_CASES,
-        ids=[f"{flag}={value}" for flag, _, _, value in FLOAT_FLAG_CASES],
+        ids=[f"{flag}={value}" for flag, _, value in FLOAT_FLAG_CASES],
     )
     def test_nonfinite_flag_rejected(
-        self, flag, choices, key, value, command, tmp_path, monkeypatch, capsys
+        self, flag, key, value, command, tmp_path, monkeypatch, capsys
     ):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "data.csv").write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,0.1\n0.3,0.15\n")
         option = "--" + flag.replace("_", "-") + "=" + value
         code = run([*COMMANDS[command], option, "--out", "out"])
         err = capsys.readouterr().err
-        # a flag with a fixed set of values fails argparse's choices check,
-        # a usage error; any other is a validation error naming its key
-        if choices is None:
-            assert code == 2
-            assert key in err
-        else:
-            assert code == 1
+        assert code == 2
+        assert key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_gate_flag_outside_the_set(self, tmp_path, capsys):
+        # the config, not the parser, owns the set of gate widths and its
+        # allow_any_gate switch
+        assert run(["report", "--gate", "40", "--out", str(tmp_path / "out")]) == 2
+        assert "allow_any_gate" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        cfg = tmp_path / "any.cfg"
+        cfg.write_text(_with_entry("detector", "allow_any_gate", "true"))
+        out = tmp_path / "out"
+        assert run(["report", "--config", str(cfg), "--gate", "40", "--out", str(out)]) == 0
+        bundle = json.loads((out / "report.json").read_text())
+        assert bundle["config_hash"] == config_hash(
+            with_overrides(parse_config(cfg.read_text()), detector_gate_width=40.0)
+        )
+
+    @pytest.mark.parametrize(
+        "command, out",
+        [
+            (["report"], "file"),
+            (["report"], "file/sub"),
+            (["fit", "dir"], "out"),
+        ],
+        ids=["out_is_a_file", "out_below_a_file", "data_is_a_directory"],
+    )
+    def test_file_error_rejected(self, command, out, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("kept\n")
+        (tmp_path / "dir").mkdir()
+        assert run([*command, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+        assert not any((tmp_path / "dir").iterdir())
+
+    def test_validity_bound_message_is_short(self, tmp_path, capsys):
+        assert run(["simulate", "--mu", "1e308", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "validity bound" in err
+        assert len(err) < 120
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

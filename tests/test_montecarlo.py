@@ -230,15 +230,17 @@ class TestDeadTimeOracle:
         assert skipped == want_skipped
 
 
-def _dead_time_chain(dead_gates):
+def _dead_time_chain(dead_gates, dark_rate_per_ns=REFERENCE.detector.dark_rate_per_ns):
     # the reference period is 1 us, so dead_gates us of dead time
-    detector = dataclasses.replace(REFERENCE.detector, dead_time_us=float(dead_gates))
+    detector = dataclasses.replace(
+        REFERENCE.detector, dead_time_us=float(dead_gates), dark_rate_per_ns=dark_rate_per_ns
+    )
     return dataclasses.replace(REFERENCE, detector=detector)
 
 
-def _lane_run(mu, pump, shots, dead_gates, lane=0, window=20.0):
-    sc = scenario(mu=mu, pump=pump, shots=shots, seed=5, chain=_dead_time_chain(dead_gates))
-    return sc, lane, window
+def _lane_run(mu, pump, shots, dead_gates, lane=0, window=20.0, **detector):
+    chain = _dead_time_chain(dead_gates, **detector)
+    return scenario(mu=mu, pump=pump, shots=shots, seed=5, chain=chain), lane, window
 
 
 @st.composite
@@ -275,6 +277,10 @@ class TestBatchedOracle:
     @example(_lane_run(6.1, 120.0, 8 * _CHUNK + 5, 200), 3000)
     @example(_lane_run(60.0, 400.0, 5 * _CHUNK - 1, 200), None)
     @example(_lane_run(0.0, 0.0, 3 * _CHUNK, 1, lane=4, window=100.0), 1)
+    # the last origin, dark, at zero rate; and every origin at zero rate,
+    # which gives no records and no skipped gates
+    @example(_lane_run(6.1, 120.0, 3 * _CHUNK + 7, 20, dark_rate_per_ns=0.0), None)
+    @example(_lane_run(0.0, 0.0, 2 * _CHUNK + 1, 20, dark_rate_per_ns=0.0), None)
     def test_matches_chunked(self, run, batch_events):
         sc, lane, window = run
         with pytest.MonkeyPatch.context() as mp:
@@ -321,6 +327,7 @@ class TestBatchedOracle:
             sc.n_shots,
             sc.dead_gates,
         )
+        assert accepted.dtype == CLICK_DTYPE
         assert accepted.tobytes() == want.tobytes()
         assert skipped == want_skipped
 
