@@ -4,6 +4,11 @@ All outputs are byte-deterministic for a given (config, seed): CSV with
 a single header row and values at 9 significant digits, plus a JSON
 bundle carrying the config hash, the seed and the toolkit version.
 
+Each command only computes.  ``run`` loads the config, calls the
+command, writes its files and then its JSON bundle into ``--out``, and
+prints only once everything is written.  A command that fails creates
+no directory and prints nothing on stdout; its message goes to stderr.
+
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 numerical
 failure.
 
@@ -85,30 +90,11 @@ def _rounded(v) -> float:
     return float(_fmt(v))
 
 
-def _write_csv(path: Path, columns: list[str] | tuple[str, ...], rows: list[tuple]) -> None:
+def _csv(columns: list[str] | tuple[str, ...], rows: list[tuple]) -> str:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_bundle(path: Path, cfg: ScenarioConfig, payload: dict) -> None:
-    bundle = {
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
-        "version": __version__,
-    }
-    bundle.update(payload)
-    path.write_text(
-        json.dumps(bundle, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-
-
-def _out_dir(args) -> Path:
-    """The output directory, created only once there is something to write."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return "\n".join(lines) + "\n"
 
 
 def _load(args) -> ScenarioConfig:
@@ -143,6 +129,9 @@ def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> lis
     return points
 
 
+# Each command takes (cfg, args) and returns (bundle name, {file name:
+# text}, bundle payload, stdout text); ``run`` writes and prints them.
+
 # ---------------------------------------------------------------- simulate
 
 # simulate.csv columns, each a SimulationResult field
@@ -152,30 +141,19 @@ _SIMULATE_COLUMNS = (
 )
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(cfg: ScenarioConfig, args):
     from .montecarlo import simulate
 
-    cfg = _load(args)
     res = simulate(cfg)
-    out = _out_dir(args)
-    _write_csv(
-        out / "simulate.csv",
-        _SIMULATE_COLUMNS,
-        [tuple(getattr(res, name) for name in _SIMULATE_COLUMNS)],
-    )
-    _write_bundle(
-        out / "simulate.json",
-        cfg,
-        {
-            "command": "simulate",
-            "shots": cfg.n_shots,
-            "p_signal": _rounded(res.p_signal),
-            "p_noise": _rounded(res.p_noise),
-        },
-    )
-    print(f"simulate: p_S = {res.p_signal:.6g}, p_N = {res.p_noise:.6g} "
-          f"({cfg.n_shots} shots, seed {cfg.seed})")
-    return EXIT_OK
+    csv = _csv(_SIMULATE_COLUMNS, [tuple(getattr(res, name) for name in _SIMULATE_COLUMNS)])
+    payload = {
+        "shots": cfg.n_shots,
+        "p_signal": _rounded(res.p_signal),
+        "p_noise": _rounded(res.p_noise),
+    }
+    text = (f"simulate: p_S = {res.p_signal:.6g}, p_N = {res.p_noise:.6g} "
+            f"({cfg.n_shots} shots, seed {cfg.seed})")
+    return "simulate", {"simulate.csv": csv}, payload, text
 
 
 # ------------------------------------------------------------------- sweep
@@ -253,18 +231,12 @@ PRESETS = {
 }
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load(args)
+def _cmd_sweep(cfg: ScenarioConfig, args):
     columns, rows = PRESETS[args.preset](cfg)
-    out = _out_dir(args)
-    _write_csv(out / f"{args.preset}.csv", columns, rows)
-    _write_bundle(
-        out / f"{args.preset}.json",
-        cfg,
-        {"command": "sweep", "preset": args.preset, "rows": len(rows)},
-    )
-    print(f"sweep: wrote {args.preset}.csv ({len(rows)} rows)")
-    return EXIT_OK
+    csv_name = f"{args.preset}.csv"
+    payload = {"preset": args.preset, "rows": len(rows)}
+    text = f"sweep: wrote {csv_name} ({len(rows)} rows)"
+    return args.preset, {csv_name: _csv(columns, rows)}, payload, text
 
 
 # --------------------------------------------------------------------- fit
@@ -296,15 +268,12 @@ def _read_dataset_csv(path: Path) -> Dataset:
                    xlabel=header[0], ylabel=header[1])
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(cfg: ScenarioConfig, args):
     from .fitting import fit_conversion
 
-    cfg = _load(args)
     data = _read_dataset_csv(Path(args.data))
     fit = fit_conversion(data, cfg.chain.waveguide.length_cm)
-    out = _out_dir(args)
     payload = {
-        "command": "fit",
         "data": str(args.data),
         "params": dict(zip(fit.param_names, map(_rounded, fit.params))),
         "ci95": dict(zip(fit.param_names, map(_rounded, fit.ci95))),
@@ -314,15 +283,16 @@ def _cmd_fit(args) -> int:
         "rss": _rounded(fit.rss),
         "dof": fit.dof,
     }
-    _write_bundle(out / "fit.json", cfg, payload)
-    for name, value, ci in zip(fit.param_names, fit.params, fit.ci95):
-        print(f"{name} = {value:.6g} +- {ci:.3g}")
-    print(f"total normalized conversion = "
-          f"{fit.extras['total_normalized_per_w']:.6g} /W "
-          f"+- {fit.extras['total_normalized_ci95']:.3g}")
+    lines = [
+        f"{name} = {value:.6g} +- {ci:.3g}"
+        for name, value, ci in zip(fit.param_names, fit.params, fit.ci95)
+    ]
+    lines.append(f"total normalized conversion = "
+                 f"{fit.extras['total_normalized_per_w']:.6g} /W "
+                 f"+- {fit.extras['total_normalized_ci95']:.3g}")
     if fit.ill_conditioned:
-        print("warning: fit is ill-conditioned (saturation not resolved)")
-    return EXIT_OK
+        lines.append("warning: fit is ill-conditioned (saturation not resolved)")
+    return "fit", {}, payload, "\n".join(lines)
 
 
 # ------------------------------------------------------------------ report
@@ -398,8 +368,7 @@ def _report_values(cfg: ScenarioConfig) -> dict[str, float]:
     }
 
 
-def _cmd_report(args) -> int:
-    cfg = _load(args)
+def _cmd_report(cfg: ScenarioConfig, args):
     values = _report_values(cfg)
     rows = []
     for name, (target, check, a, b) in REPORT_TARGETS.items():
@@ -410,24 +379,16 @@ def _cmd_report(args) -> int:
     lines = ["quantity".ljust(width) + "  value         target              status"]
     for name, value, target, status in rows:
         lines.append(f"{name.ljust(width)}  {value:<12.6g}  {target:<18}  {status}")
-    text = "\n".join(lines)
-    print(text)
-    print("\n(statistical checks: fit recovery, Monte Carlo consistency,")
-    print(" histogram shape and determinism run in the pytest suite)")
-    out = _out_dir(args)
-    (out / "report.txt").write_text(text + "\n", encoding="utf-8")
-    _write_bundle(
-        out / "report.json",
-        cfg,
-        {
-            "command": "report",
-            "rows": [
-                {"name": name, "value": _rounded(value), "target": target, "status": status}
-                for name, value, target, status in rows
-            ],
-        },
-    )
-    return EXIT_OK
+    table = "\n".join(lines)
+    payload = {
+        "rows": [
+            {"name": name, "value": _rounded(value), "target": target, "status": status}
+            for name, value, target, status in rows
+        ],
+    }
+    text = (table + "\n\n(statistical checks: fit recovery, Monte Carlo consistency,\n"
+            " histogram shape and determinism run in the pytest suite)")
+    return "report", {"report.txt": table + "\n"}, payload, text
 
 
 # -------------------------------------------------------------- entry point
@@ -486,7 +447,22 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        cfg = _load(args)
+        name, files, payload, text = args.handler(cfg, args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for file_name, content in files.items():
+            (out / file_name).write_text(content, encoding="utf-8")
+        bundle = {
+            "config_hash": config_hash(cfg),
+            "seed": cfg.seed,
+            "version": __version__,
+            "command": args.command,
+            **payload,
+        }
+        (out / f"{name}.json").write_text(
+            json.dumps(bundle, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
     except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -495,6 +471,8 @@ def run(argv: list[str] | None = None) -> int:
         # clause because LinAlgError subclasses ValueError
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    print(text)
+    return EXIT_OK
 
 
 def main() -> None:

@@ -159,8 +159,10 @@ def fringe_scan(
     sampled (seeded) to emulate a counting measurement; it must be a
     positive integer.
     """
-    if shots_per_point is not None and not (
-        isinstance(shots_per_point, numbers.Integral) and shots_per_point > 0
+    # bool is an Integral, but True is no shot count
+    if shots_per_point is not None and (
+        isinstance(shots_per_point, bool)
+        or not (isinstance(shots_per_point, numbers.Integral) and shots_per_point > 0)
     ):
         raise ValueError(f"shots_per_point must be a positive integer, got {shots_per_point!r}")
     import numpy as np

@@ -1,7 +1,8 @@
 """Golden outputs: the files each CLI command writes, compared byte for byte.
 
-``tests/golden/<case>/`` holds what the command of ``CASES[case]`` wrote.
-CSV files and ``report.txt`` must match exactly.  JSON bundles must match
+``tests/golden/<case>/`` holds what the command of ``CASES[case]`` wrote,
+and ``tests/golden/stdout/<case>.txt`` what it printed on stdout.
+CSV files, ``report.txt`` and the printed text must match exactly.  JSON bundles must match
 with only their ``"version"`` entry dropped, so that a version bump alone
 does not fail the test.
 
@@ -10,6 +11,8 @@ Regenerate, only when an output change is intended, with::
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import contextlib
+import io
 import os
 import re
 import shutil
@@ -20,6 +23,7 @@ import pytest
 from qfcsim.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
+STDOUT = GOLDEN / "stdout"
 DATA = "fit_data.csv"  # 30 noisy points of the sin^2 curve, committed in GOLDEN
 
 CASES = {
@@ -51,10 +55,14 @@ def test_outputs_match_golden(case, tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in (tmp_path / case).iterdir()) == expected
     for name in expected:
         assert _normalized(tmp_path / case / name) == _normalized(GOLDEN / case / name), name
+    assert capsys.readouterr().out == (STDOUT / f"{case}.txt").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     for case, argv in CASES.items():
         shutil.rmtree(case, ignore_errors=True)
-        assert run(argv + ["--out", case]) == 0, case
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert run(argv + ["--out", case]) == 0, case
+        (STDOUT / f"{case}.txt").write_text(printed.getvalue(), encoding="utf-8")

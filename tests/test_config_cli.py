@@ -347,7 +347,9 @@ class TestCliExitCodes:
         (tmp_path / "file").write_text("kept\n")
         (tmp_path / "dir").mkdir()
         assert run([*command, "--out", out]) == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert err.startswith("validation error: ")
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
@@ -406,7 +408,9 @@ class TestCliExitCodes:
     def test_simulate_without_noise_click_fails(self, tmp_path, capsys):
         # one shot leaves the input-blocked lane without a click: p_N = 0
         assert run(["simulate", "--shots", "1", "--out", str(tmp_path / "out")]) == 3
-        assert "SNR undefined" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "SNR undefined" in captured.err
         assert not (tmp_path / "out").exists()
 
     def test_seed_past_the_philox_key_rejected(self, tmp_path, capsys):
@@ -487,7 +491,9 @@ class TestCliExitCodes:
         data = tmp_path / "data.csv"
         data.write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,0.1\n0.3,0.15\n")
         assert run(["fit", str(data), "--out", str(tmp_path / "out")]) == code
-        assert capsys.readouterr().err == f"{prefix}: {error}\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{prefix}: {error}\n"
         assert not (tmp_path / "out").exists()
 
     def test_report_success(self, tmp_path, capsys):

@@ -129,6 +129,10 @@ SCALAR_CASES = {
     "fringe_scan.shots_negative": (
         lambda: fringe_scan(QUBIT, IFM, 1.0, 0.0, GAMMAS, shots_per_point=-5), "shots_per_point"
     ),
+    # bool is an Integral, but True is no shot count
+    "fringe_scan.shots_bool": (
+        lambda: fringe_scan(QUBIT, IFM, 1.0, 0.0, GAMMAS, shots_per_point=True), "shots_per_point"
+    ),
     # a non-finite phase point would pass the span and density checks of the grid
     "fringe_scan.gammas_nan": (
         lambda: fringe_scan(QUBIT, IFM, 1.0, 0.0, [*GAMMAS[:-1], math.nan]), "gammas"
