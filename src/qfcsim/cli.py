@@ -326,13 +326,12 @@ def _report_values(cfg: ScenarioConfig) -> dict[str, float]:
 
     pumps = _linspace(1.0, 600.0, 600)
     rates = [detection_probabilities(cfg.mu_in, p, chain) for p in pumps]
-    # The SNR rows are ratios of SNRs, which are linear in the signal mean
-    # at small mu_in.  A zero mean gives no ratio, and a subnormal one too
-    # few digits for the shape of the curve.
-    if not min(rb.signal for rb in rates) >= sys.float_info.min:
+    # The SNR rows are ratios of SNRs, which a zero signal mean does not
+    # give (``detection_probabilities`` rejects a subnormal one).
+    if not min(rb.signal for rb in rates) > 0:
         raise ConfigError(
-            f"source_mean_photon_number = {cfg.mu_in:g} gives a signal mean below the "
-            "smallest normal float at some pump power; the report cannot resolve it"
+            f"source_mean_photon_number = {cfg.mu_in:g} gives no signal at some pump "
+            "power; the report cannot resolve it"
         )
     snrs = [snr(rb, subtract_dark=False) for rb in rates]
     # the first peak, as numpy's argmax finds it

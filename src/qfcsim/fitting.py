@@ -3,9 +3,12 @@
 Linear fits use closed-form weighted normal equations; the conversion
 curve fit uses a Gauss-Newton iteration with Levenberg-style damping,
 implemented here (the two-parameter sin^2 model is well behaved and
-needs no external solver).  95% confidence half-widths come from the
-linearized covariance (J^T W J)^-1 scaled by the residual variance, with
-the Student-t 97.5% quantile for the finite degrees of freedom.  That
+needs no external solver).  Both solve their 1x1 or 2x2 normal equations
+in closed form, through the adjugate over the determinant, with no
+LAPACK call: at this size numpy's dispatch costs more than the algebra.
+95% confidence half-widths come from the linearized covariance
+(J^T W J)^-1 scaled by the residual variance, with the Student-t 97.5%
+quantile for the finite degrees of freedom.  That
 quantile is computed here too (``_t975``): Newton's method on the
 two-sided t probability, which for integer degrees of freedom is a
 finite sum of cosine powers (Abramowitz & Stegun 26.7.3-4), so the
@@ -62,16 +65,16 @@ class Dataset:
             sigma = np.asarray(sigma, dtype=float)
             if sigma.shape != x.shape:
                 raise ValueError("sigma must match x in length")
-            if np.any(sigma <= 0):
+            if (sigma <= 0).any():
                 raise ValueError("sigma values must be positive")
         for name, values in ((self.xlabel, x), (self.ylabel, y), ("sigma", sigma)):
-            if values is not None and not np.all(np.isfinite(values)):
+            if values is not None and not np.isfinite(values).all():
                 raise ValueError(f"{name} values must be finite")
         order = np.argsort(x, kind="stable")
         x, y = x[order], y[order]
         if sigma is not None:
             sigma = sigma[order]
-        if x.size > 1 and np.any(np.diff(x) <= 0):
+        if (x[1:] <= x[:-1]).any():
             raise ValueError("x values must be distinct")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -141,24 +144,42 @@ def _t975(dof: int) -> float:
 
 def _ci_half_widths(cov: np.ndarray, dof: int) -> np.ndarray:
     tq = _t975(dof) if dof > 0 else math.inf
-    return tq * np.sqrt(np.diag(cov))
+    return tq * np.sqrt(cov.diagonal())
 
 
-def _fit_result(params, a, w, resid, names: tuple[str, ...]) -> FitResult:
+def _inverse(a: np.ndarray) -> np.ndarray:
+    """Inverse of a 1x1 or 2x2 matrix, its adjugate over its determinant;
+    a zero determinant raises numpy's ``LinAlgError``."""
+    rows = a.tolist()
+    if len(rows) == 1:
+        det, adj = rows[0][0], [[1.0]]
+    else:
+        (a00, a01), (a10, a11) = rows
+        det, adj = a00 * a11 - a01 * a10, [[a11, -a01], [-a10, a00]]
+    if det == 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return np.array(adj) / det
+
+
+def _damped_step(a00, a01, a11, g0, g1, lam):
+    """s solving (A + lam diag(A)) s = g for A = [[a00, a01], [a01, a11]],
+    by the explicit inverse; a zero determinant raises ``LinAlgError``."""
+    d00, d11 = a00 + lam * a00, a11 + lam * a11
+    det = d00 * d11 - a01 * a01
+    if det == 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return (d11 * g0 - a01 * g1) / det, (d00 * g1 - a01 * g0) / det
+
+
+def _fit_result(params, a_inv, w, resid, names: tuple[str, ...]) -> FitResult:
     """Covariance a^-1 scaled by the residual variance rss / dof (unscaled
     without degrees of freedom) and its 95% half-widths."""
-    rss = float(np.sum(w * resid**2))
+    rss = float((w * resid**2).sum())
     dof = resid.size - len(names)
     scale = rss / dof if dof > 0 else 1.0
-    cov = np.linalg.inv(a) * scale
-    return FitResult(
-        params=params,
-        cov=cov,
-        ci95=_ci_half_widths(cov, dof),
-        rss=rss,
-        dof=dof,
-        param_names=names,
-    )
+    cov = a_inv * scale
+    return FitResult(params=params, cov=cov, ci95=_ci_half_widths(cov, dof), rss=rss,
+                     dof=dof, param_names=names)
 
 
 def fit_linear(data: Dataset, force_zero_intercept: bool = False) -> FitResult:
@@ -171,18 +192,14 @@ def fit_linear(data: Dataset, force_zero_intercept: bool = False) -> FitResult:
     if len(data) < n_min:
         raise ValueError(f"need at least {n_min} points")
     x, y, w = data.x, data.y, data.weights()
-    if not force_zero_intercept and np.ptp(x) == 0.0:
-        raise ValueError("singular design: all x values equal")
     if force_zero_intercept:
-        design = x[:, None]
-        names = ("slope",)
+        design, names = x[:, None], ("slope",)
     else:
-        design = np.column_stack([x, np.ones_like(x)])
-        names = ("slope", "intercept")
-    a = design.T @ (w[:, None] * design)
-    b = design.T @ (w * y)
-    params = np.linalg.solve(a, b)
-    return _fit_result(params, a, w, y - design @ params, names)
+        design, names = np.column_stack([x, np.ones_like(x)]), ("slope", "intercept")
+    wdt = design.T * w
+    a_inv = _inverse(wdt @ design)
+    params = a_inv @ (wdt @ y)
+    return _fit_result(params, a_inv, w, y - design @ params, names)
 
 
 def _conversion_jacobian(pump_w, eta_ext_max, eta_n, length_cm):
@@ -195,45 +212,47 @@ def _conversion_jacobian(pump_w, eta_ext_max, eta_n, length_cm):
 
 
 def _levenberg(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, p: np.ndarray, length_cm: float
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, eta: float, eta_n: float, length_cm: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Damped Gauss-Newton on the sin^2 model with positive parameters;
-    returns (params, J^T W J at the solution, residuals, converged), where
-    converged is False after 200 iterations."""
+    """Damped Gauss-Newton on the sin^2 model with positive parameters
+    (eta_ext_max, eta_n), carried as floats; returns (params, J^T W J at
+    the solution, residuals, converged), where converged is False after
+    200 iterations.  J^T W J and J^T W r are read as floats once per
+    iteration."""
     lam = 1e-3
     converged = True
-    r = y - conversion_model(x, p[0], p[1], length_cm)
-    cost = float(np.sum(w * r**2))
+    r = y - conversion_model(x, eta, eta_n, length_cm)
+    cost = float((w * r**2).sum())
     for _ in range(200):
-        jac = _conversion_jacobian(x, p[0], p[1], length_cm)
-        a = jac.T @ (w[:, None] * jac)
-        g = jac.T @ (w * r)
-        step = None
+        jac = _conversion_jacobian(x, eta, eta_n, length_cm)
+        wjt = jac.T * w
+        (a00, a01), (_, a11) = (wjt @ jac).tolist()
+        g0, g1 = (wjt @ r).tolist()
         for _ in range(60):
             try:
-                cand_step = np.linalg.solve(a + lam * np.diag(np.diag(a)), g)
+                s0, s1 = _damped_step(a00, a01, a11, g0, g1, lam)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            cand = p + cand_step
-            if np.any(cand <= 0):
+            cand_eta, cand_n = eta + s0, eta_n + s1
+            if cand_eta <= 0 or cand_n <= 0:
                 lam *= 10.0
                 continue
-            cand_r = y - conversion_model(x, cand[0], cand[1], length_cm)
-            cand_cost = float(np.sum(w * cand_r**2))
+            cand_r = y - conversion_model(x, cand_eta, cand_n, length_cm)
+            cand_cost = float((w * cand_r**2).sum())
             if cand_cost <= cost:
-                step, p, r, cost = cand_step, cand, cand_r, cand_cost
+                eta, eta_n, r, cost = cand_eta, cand_n, cand_r, cand_cost
                 lam = max(lam / 10.0, 1e-14)
                 break
             lam *= 10.0
-        if step is None:
+        else:
             break  # damping saturated: stationary point
-        if np.all(np.abs(step) <= 1e-12 * np.abs(p)):
+        if abs(s0) <= 1e-12 * eta and abs(s1) <= 1e-12 * eta_n:
             break
     else:
         converged = False
-    jac = _conversion_jacobian(x, p[0], p[1], length_cm)
-    return p, jac.T @ (w[:, None] * jac), r, converged
+    jac = _conversion_jacobian(x, eta, eta_n, length_cm)
+    return np.array([eta, eta_n]), (jac.T * w) @ jac, r, converged
 
 
 def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
@@ -250,20 +269,20 @@ def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
     """
     if len(data) < 3:
         raise ValueError("need at least 3 points")
-    if np.any(data.x <= 0):
+    if (data.x <= 0).any():
         raise ValueError("pump powers must be positive")
     x, y, w = data.x, data.y, data.weights()
-    eta0 = float(np.max(y))
+    eta0 = float(y.max())
     if eta0 <= 0:
         raise ValueError("fit requires positive efficiencies")
-    p_peak = float(x[np.argmax(y)])
+    p_peak = float(x[y.argmax()])
     eta_n0 = (math.pi / 2.0) ** 2 / (length_cm**2 * p_peak)
-    params, a, resid, converged = _levenberg(x, y, w, np.array([eta0, eta_n0]), length_cm)
-    res = _fit_result(params, a, w, resid, ("eta_ext_max", "eta_n"))
+    params, a, resid, converged = _levenberg(x, y, w, eta0, eta_n0, length_cm)
+    res = _fit_result(params, _inverse(a), w, resid, ("eta_ext_max", "eta_n"))
 
     cov = res.cov
     corr = cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]) if cov[0, 0] > 0 and cov[1, 1] > 0 else 0.0
-    u_max = length_cm * math.sqrt(float(np.max(x)) * params[1])
+    u_max = length_cm * math.sqrt(float(x.max()) * params[1])
     # noisy linear-regime data can place the fitted u_max just past pi/4,
     # but then leave the parameters more than 0.99 correlated
     ill = abs(corr) > 0.99 or u_max < math.pi / 4.0
@@ -292,7 +311,7 @@ def extract_mu1(snr_vs_mu: Dataset) -> tuple[float, float]:
 
     Returns (mu_1, 95% half-width).  The data must bracket SNR = 1.
     """
-    if not (np.min(snr_vs_mu.y) <= 1.0 <= np.max(snr_vs_mu.y)):
+    if not (snr_vs_mu.y.min() <= 1.0 <= snr_vs_mu.y.max()):
         raise ValueError("dataset does not span SNR = 1; mu_1 not bracketed")
     res = fit_linear(snr_vs_mu, force_zero_intercept=True)
     slope = res["slope"]

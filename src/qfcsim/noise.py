@@ -17,6 +17,7 @@ Both are stored as calibrated.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -45,6 +46,9 @@ ALLOWED_GATE_WIDTHS_NS = (20.0, 50.0, 100.0)
 # Tunable range of the grating-based filter stage, nm.
 FILTER_BANDWIDTH_MIN_NM = 0.65
 FILTER_BANDWIDTH_MAX_NM = 2.3
+
+# Below this a signal mean is subnormal and has lost digits.
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 class ExtrapolationWarning(UserWarning):
@@ -190,10 +194,17 @@ def detection_probabilities(
     mu_in * eta_tot_max * fhat(P_p) and noise alpha * P_p + dark.  Click
     probabilities use Poissonian thinning, p = 1 - exp(-mean), written as
     -expm1(-mean) so that it keeps its digits at the small rates of
-    interest, where it reduces to the linear estimate.
+    interest, where it reduces to the linear estimate.  A signal mean of
+    exactly 0 is valid (no input, or the pump off); a subnormal one has
+    lost the digits of every rate formed from it and is rejected.
     """
     signal, pump_noise, dark = chain.event_means(mu_in, pump_mw, chain.detector.gate_width_ns)
     signal *= chain.beta
+    if 0 < signal < _SMALLEST_NORMAL:
+        raise ValueError(
+            f"source_mean_photon_number = {mu_in:g} at pump power {pump_mw:g} mW gives a "
+            f"signal mean of {signal:.3g} per gate, below the smallest normal float"
+        )
     noise = pump_noise + dark
     return RateBreakdown(
         p_signal=-math.expm1(-(signal + noise)),

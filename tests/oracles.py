@@ -7,7 +7,8 @@ photon number (a fixed-length one with log-space Poisson weights, and an
 adaptively truncated, rescaled one) instead of the closed-form fidelity
 bound, 50-digit decimal arithmetic instead of the expm1 form of the SNR,
 dense per-shot Monte Carlo draws instead of a superposed, thinned
-event stream, and a sequential dead-time scan instead of pointer jumping.
+event stream, a sequential dead-time scan instead of pointer jumping,
+and LAPACK solves instead of closed-form 2x2 inverses.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
+from qfcsim.fitting import _conversion_jacobian, conversion_model
 from qfcsim.montecarlo import (
     _CHUNK,
     _LANE_STRIDE,
@@ -154,6 +156,47 @@ def classical_bound_series(mu_in: float, eta: float) -> float:
         if n > n_max:  # pragma: no cover - defensive
             raise RuntimeError("classical bound series did not truncate")
     return numerator / weight
+
+
+def levenberg_lapack(x, y, w, eta, eta_n, length_cm):
+    """``fitting._levenberg`` with numpy arrays and a LAPACK solve
+    (``np.linalg.solve``) for every damped Gauss-Newton step: the same
+    start, damping schedule and stopping rule, and the same return."""
+    p = np.array([eta, eta_n])
+    lam = 1e-3
+    converged = True
+    r = y - conversion_model(x, p[0], p[1], length_cm)
+    cost = float(np.sum(w * r**2))
+    for _ in range(200):
+        jac = _conversion_jacobian(x, p[0], p[1], length_cm)
+        a = jac.T @ (w[:, None] * jac)
+        g = jac.T @ (w * r)
+        step = None
+        for _ in range(60):
+            try:
+                cand_step = np.linalg.solve(a + lam * np.diag(np.diag(a)), g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            cand = p + cand_step
+            if np.any(cand <= 0):
+                lam *= 10.0
+                continue
+            cand_r = y - conversion_model(x, cand[0], cand[1], length_cm)
+            cand_cost = float(np.sum(w * cand_r**2))
+            if cand_cost <= cost:
+                step, p, r, cost = cand_step, cand, cand_r, cand_cost
+                lam = max(lam / 10.0, 1e-14)
+                break
+            lam *= 10.0
+        if step is None:
+            break
+        if np.all(np.abs(step) <= 1e-12 * np.abs(p)):
+            break
+    else:
+        converged = False
+    jac = _conversion_jacobian(x, p[0], p[1], length_cm)
+    return p, jac.T @ (w[:, None] * jac), r, converged
 
 
 def jumped_stream(seed: int, lane: int, chunk: int) -> np.random.Generator:

@@ -1,6 +1,11 @@
 """Configuration parsing, serialization and command-line behavior."""
 
+import io
 import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,9 +25,15 @@ from qfcsim.config import (
 )
 from qfcsim.cli import _OVERRIDES, PRESETS, run
 from qfcsim.fitting import FitConvergenceError
-from qfcsim.noise import ALLOWED_GATE_WIDTHS_NS, DegenerateDenominatorError
+from qfcsim.noise import ALLOWED_GATE_WIDTHS_NS, DegenerateDenominatorError, detection_probabilities
 
 SCHEMA_KEYS = [(section, key) for section in _SCHEMA for key in _SCHEMA[section]]
+
+# the largest signal mean per unit input over 1-600 mW, reference configuration
+_PEAK_SIGNAL_PER_MU = max(
+    detection_probabilities(1.0, float(p), parse_config(REFERENCE_CONFIG).chain).signal
+    for p in range(1, 601)
+)
 
 # every non-bool config key, set to each non-finite value in turn
 NONFINITE_CASES = [
@@ -395,6 +406,21 @@ class TestCliExitCodes:
         assert "source_mean_photon_number" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @given(log_fraction=st.floats(-15.0, 0.0, exclude_max=True))
+    @settings(max_examples=10, deadline=None)
+    def test_subnormal_signal_rejected(self, log_fraction):
+        # a mu whose signal mean is below the smallest normal float at every
+        # pump power of 1-600 mW: each command that reads mu exits 2, prints
+        # nothing and creates no output directory
+        mu = sys.float_info.min / _PEAK_SIGNAL_PER_MU * 10.0**log_fraction
+        for command in (["report"], ["sweep", "--preset", "fig3a"], ["sweep", "--preset", "fig3b"]):
+            with tempfile.TemporaryDirectory() as tmp, redirect_stderr(io.StringIO()) as err, \
+                    redirect_stdout(io.StringIO()) as out:
+                assert run([*command, "--mu", repr(mu), "--out", f"{tmp}/out"]) == 2
+                assert not Path(tmp, "out").exists()
+            assert "source_mean_photon_number" in err.getvalue()
+            assert out.getvalue() == ""
 
     def test_report_tiny_signal_is_the_small_signal_limit(self, tmp_path):
         # the SNR is linear in mu_in there, so the SNR rows are those of any

@@ -1,15 +1,20 @@
 """Least-squares estimation unit tests."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import t as student_t
 
+from oracles import levenberg_lapack
+from qfcsim import fitting
 from qfcsim.fitting import (
     Dataset,
     _ci_half_widths,
+    _damped_step,
+    _inverse,
     _t975,
     conversion_model,
     extract_mu1,
@@ -190,6 +195,91 @@ class TestFitRecovery:
         with pytest.warns(UserWarning, match="ill-conditioned"):
             res = fit_conversion(data, length_cm=3.0)
         assert res.ill_conditioned
+
+
+def _lapack_fit(data, length_cm):
+    """``fit_conversion`` on the LAPACK path: the oracle's Gauss-Newton
+    iteration and ``np.linalg.inv`` for the covariance."""
+    with mock.patch.object(fitting, "_levenberg", levenberg_lapack), \
+            mock.patch.object(fitting, "_inverse", np.linalg.inv):
+        return fit_conversion(data, length_cm)
+
+
+class TestLapackOracle:
+    """The closed-form 2x2 algebra against LAPACK solves."""
+
+    @given(
+        n=st.integers(5, 40),
+        eta_ext_max=st.floats(0.2, 0.3),
+        eta_n=st.floats(0.5, 1.0),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_identifiable_fits_match(self, n, eta_ext_max, eta_n, weighted, seed):
+        # one power in each of n equal cells of [0.02, 0.6] W, so the powers
+        # span the peak at (pi/2)^2 / (L^2 eta_n) <= 0.55 W
+        rng = np.random.default_rng(seed)
+        edges = np.linspace(0.02, 0.6, n + 1)
+        p = edges[:-1] + np.diff(edges) * rng.uniform(size=n)
+        truth = conversion_model(p, eta_ext_max, eta_n, 3.0)
+        sigma = 0.05 * truth * rng.uniform(0.5, 2.0, n) if weighted else None
+        data = Dataset(x=p, y=truth * (1.0 + 0.05 * rng.standard_normal(n)), sigma=sigma)
+        ours, lapack = fit_conversion(data, 3.0), _lapack_fit(data, 3.0)
+        assert not ours.ill_conditioned and not lapack.ill_conditioned
+        # Both paths may stop on a damped step once the cost no longer
+        # resolves the minimum, about 1e-9 relative from it at 5-6 points
+        # (one 5-point fit: the LAPACK path 1.0e-9 off a 50-digit optimum,
+        # the closed form 6e-15); most fits agree to the last bit.
+        np.testing.assert_allclose(ours.params, lapack.params, rtol=1e-8, atol=0)
+        np.testing.assert_allclose(ours.ci95, lapack.ci95, rtol=1e-8, atol=0)
+
+    @given(
+        n=st.integers(7, 40),
+        eta_ext_max=st.floats(0.2, 0.3),
+        eta_n=st.floats(0.5, 1.0),
+        u_max=st.floats(0.05, math.pi / 4.0, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_linear_regime_both_flagged(self, n, eta_ext_max, eta_n, u_max, seed):
+        # 6 points or fewer can leave the flag wrong on either path
+        hi_w = (u_max / 3.0) ** 2 / eta_n
+        rng = np.random.default_rng(seed)
+        p = np.sort(rng.uniform(hi_w / 20.0, hi_w, n))
+        y = conversion_model(p, eta_ext_max, eta_n, 3.0) * (1.0 + 0.05 * rng.standard_normal(n))
+        for fit in (fit_conversion, _lapack_fit):
+            with pytest.warns(UserWarning, match="ill-conditioned"):
+                assert fit(Dataset(x=p, y=y), 3.0).ill_conditioned
+
+    @given(
+        log_a00=st.floats(-6.0, 6.0),
+        log_a11=st.floats(-6.0, 6.0),
+        rho=st.floats(-0.999, 0.999),
+        log_lam=st.floats(-14.0, 6.0),
+        g0=st.floats(-1e3, 1e3),
+        g1=st.floats(-1e3, 1e3),
+    )
+    def test_damped_step_matches_solve(self, log_a00, log_a11, rho, log_lam, g0, g1):
+        # a symmetric positive definite A with correlation rho
+        a00, a11, lam = 10.0**log_a00, 10.0**log_a11, 10.0**log_lam
+        a01 = rho * math.sqrt(a00 * a11)
+        a = np.array([[a00, a01], [a01, a11]])
+        expected = np.linalg.solve(a + lam * np.diag(np.diag(a)), [g0, g1])
+        tol = 1e-10 * np.abs(expected).max()
+        np.testing.assert_allclose(_damped_step(a00, a01, a11, g0, g1, lam), expected,
+                                   rtol=1e-10, atol=tol)
+        inv = np.linalg.inv(a)
+        np.testing.assert_allclose(_inverse(a), inv, rtol=1e-10, atol=1e-10 * np.abs(inv).max())
+
+    def test_singular_designs_raise_linalg_error(self):
+        # the CLI maps LinAlgError to exit 3
+        with pytest.raises(np.linalg.LinAlgError):
+            fit_linear(Dataset(x=[0.0], y=[1.0]), force_zero_intercept=True)
+        with pytest.raises(np.linalg.LinAlgError):
+            _inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            _damped_step(0.0, 0.0, 0.0, 1.0, 1.0, 1e-3)
 
 
 class TestExtractMu1:

@@ -1,6 +1,7 @@
 """Noise model, gated detection and figure-of-merit unit tests."""
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -143,6 +144,23 @@ class TestDetectionProbabilities:
         chain = reference_chain()
         rb = detection_probabilities(0.0, 0.0, chain)
         assert rb.pump_noise + rb.dark == pytest.approx(rb.dark, rel=1e-12)
+
+    @pytest.mark.parametrize("mu, pump_mw", [(1e-320, 120.0), (1e-320, 20.0), (1.0, 1e-310)])
+    def test_subnormal_signal_rejected(self, mu, pump_mw):
+        # a subnormal signal mean has lost the digits of every rate formed from it
+        with pytest.raises(ValueError, match="source_mean_photon_number") as exc:
+            detection_probabilities(mu, pump_mw, reference_chain())
+        assert f"{pump_mw:g} mW" in str(exc.value)
+
+    def test_smallest_normal_signal_accepted(self):
+        chain = reference_chain()
+        mu = 2.0 * sys.float_info.min / detection_probabilities(1.0, 120.0, chain).signal
+        assert detection_probabilities(mu, 120.0, chain).signal >= sys.float_info.min
+
+    @pytest.mark.parametrize("mu, pump_mw", [(0.0, 120.0), (6.1, 0.0)])
+    def test_zero_signal_accepted(self, mu, pump_mw):
+        # no input, or the pump off (fig3a's first row)
+        assert detection_probabilities(mu, pump_mw, reference_chain()).signal == 0.0
 
 
 class TestSnr:
