@@ -48,6 +48,7 @@ from .optics import (
     dfg_output_wavelength,
     external_efficiency,
     optimal_pump_power,
+    replace,
 )
 from .timebin import (
     Interferometer,

@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
 
 from .noise import DetectorConfig, FilterStage, NoiseModel, beta_factor
 from .optics import (
     EfficiencyCascade,
     GaussianPulse,
     LossBudget,
+    Record,
     WaveguideParams,
     conversion_fraction,
     dfg_output_wavelength,
     optimal_pump_power,
+    replace,
 )
 
 __all__ = ["ConversionChain", "ExperimentScenario", "MAX_SHOTS", "reference_chain"]
@@ -34,8 +35,7 @@ __all__ = ["ConversionChain", "ExperimentScenario", "MAX_SHOTS", "reference_chai
 MAX_SHOTS = 1 << 40
 
 
-@dataclass(frozen=True)
-class ConversionChain:
+class ConversionChain(Record):
     input_wavelength_nm: float
     pump_wavelength_nm: float
     pulse: GaussianPulse
@@ -45,8 +45,7 @@ class ConversionChain:
     detector: DetectorConfig
     noise: NoiseModel
     repetition_rate_mhz: float
-    beta: float = field(init=False)  # detected signal fraction inside the gate
-    _cascade: EfficiencyCascade = field(init=False, repr=False)
+    # derived: beta, the detected signal fraction inside the gate, and _cascade
 
     def __post_init__(self):
         if not self.repetition_rate_mhz > 0:
@@ -128,8 +127,7 @@ class ConversionChain:
         )
 
 
-@dataclass(frozen=True)
-class ExperimentScenario:
+class ExperimentScenario(Record):
     """A chain plus source and run settings: the unit of simulation."""
 
     chain: ConversionChain

@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass
 from importlib import resources
 
 from .chain import ConversionChain, ExperimentScenario
@@ -41,8 +40,8 @@ class ConfigError(ValueError):
 
 # Each key is (kind, argument).  Kinds: float with unit suffix (the
 # suffix string), bare float (None), "int" or "bool".  The argument is the
-# keyword the value is passed as: the sections after [pump] are each one
-# dataclass or, for [montecarlo], the scenario's fields, built from their
+# record field the value is passed as: the sections after [pump] are each
+# one record or, for [montecarlo], the scenario's fields, built from their
 # rows alone.
 _FLOAT = None
 _SCHEMA: dict[str, dict[str, tuple[object, str]]] = {
@@ -105,7 +104,6 @@ _REQUIRED: frozenset[tuple[str, str]] = frozenset(
     {("pump", "power"), ("source", "mean_photon_number")}
 )
 
-@dataclass(frozen=True)
 class ScenarioConfig(ExperimentScenario):
     """A validated scenario and the document values it was built from."""
 

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .optics import conversion_model
+from .optics import Record, conversion_model, replace
 
 __all__ = [
     "Dataset",
@@ -45,8 +44,7 @@ class FitConvergenceError(RuntimeError):
         self.best_params = best_params
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Ordered (x, y, sigma_y) triples; sorted by x on construction."""
 
     x: np.ndarray
@@ -90,8 +88,7 @@ class Dataset:
         return 1.0 / self.sigma**2
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Estimates, linearized covariance and 95% confidence half-widths."""
 
     params: np.ndarray
@@ -101,7 +98,7 @@ class FitResult:
     dof: int
     param_names: tuple[str, ...]
     ill_conditioned: bool = False
-    extras: dict = field(default_factory=dict)
+    extras: dict = {}  # copied for each result
 
     def __getitem__(self, name: str) -> float:
         return float(self.params[self.param_names.index(name)])

@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import MAX_SHOTS, ConversionChain, ExperimentScenario
 from .noise import DegenerateDenominatorError
+from .optics import Record
 
 __all__ = [
     "ExperimentScenario",
@@ -102,8 +102,7 @@ def _check_bins(bin_width_ns: float, window_ns: float) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(Record):
     """Start-stop histogram over the detection window."""
 
     bin_width_ns: float
@@ -124,15 +123,13 @@ class Histogram:
         return int(self.counts.sum())
 
 
-@dataclass(frozen=True)
-class HistogramTriple:
+class HistogramTriple(Record):
     signal_on: Histogram
     pump_only: Histogram
     dark_only: Histogram
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(Record):
     p_signal: float
     p_signal_err: float
     p_noise: float

@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .optics import GaussianPulse, _check_fraction, bandwidth_nm_to_ghz
+from .optics import GaussianPulse, Record, _check_fraction, bandwidth_nm_to_ghz
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chain import ConversionChain
@@ -59,8 +58,7 @@ class DegenerateDenominatorError(ZeroDivisionError):
     """SNR denominator is zero or negative (no noise above dark counts)."""
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Record):
     """Linear pump-induced noise; the dark counts are the detector's.
 
     ``alpha_detected_per_mw`` is the detected noise slope (counts per gate
@@ -89,8 +87,7 @@ class NoiseModel:
         )
 
 
-@dataclass(frozen=True)
-class FilterStage:
+class FilterStage(Record):
     """Tunable grating-based spectral filter after the waveguide."""
 
     bandwidth_nm: float
@@ -122,8 +119,7 @@ class FilterStage:
             )
 
 
-@dataclass(frozen=True)
-class DetectorConfig:
+class DetectorConfig(Record):
     """Gated single-photon detector (non photon-number resolving)."""
 
     gate_width_ns: float
@@ -146,8 +142,7 @@ class DetectorConfig:
             )
 
 
-@dataclass(frozen=True)
-class RateBreakdown:
+class RateBreakdown(Record):
     """Per-gate click probabilities and the in-gate means behind them.
 
     ``signal``, ``pump_noise`` and ``dark`` are the chain's ``event_means``
@@ -196,15 +191,20 @@ def detection_probabilities(
     -expm1(-mean) so that it keeps its digits at the small rates of
     interest, where it reduces to the linear estimate.  A signal mean of
     exactly 0 is valid (no input, or the pump off); a subnormal one has
-    lost the digits of every rate formed from it and is rejected.
+    lost the digits of every rate formed from it and is rejected.  So is a
+    positive mu_in that a positive total efficiency scales below the
+    smallest normal float, even where the pump makes the signal exactly 0.
     """
     signal, pump_noise, dark = chain.event_means(mu_in, pump_mw, chain.detector.gate_width_ns)
     signal *= chain.beta
-    if 0 < signal < _SMALLEST_NORMAL:
-        raise ValueError(
-            f"source_mean_photon_number = {mu_in:g} at pump power {pump_mw:g} mW gives a "
-            f"signal mean of {signal:.3g} per gate, below the smallest normal float"
-        )
+    if signal < _SMALLEST_NORMAL:
+        full = mu_in * chain.eta_tot_max
+        if signal > 0 or (full < _SMALLEST_NORMAL and mu_in > 0 and chain.eta_tot_max > 0):
+            raise ValueError(
+                f"source_mean_photon_number = {mu_in:g} at pump power {pump_mw:g} mW gives "
+                f"a signal mean of {signal:.3g} per gate ({full:.3g} at full conversion), "
+                "below the smallest normal float"
+            )
     noise = pump_noise + dark
     return RateBreakdown(
         p_signal=-math.expm1(-(signal + noise)),

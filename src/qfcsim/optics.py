@@ -14,9 +14,10 @@ efficiencies as dimensionless fractions in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 __all__ = [
+    "Record",
+    "replace",
     "GaussianPulse",
     "WaveguideParams",
     "ElementTransmissions",
@@ -41,8 +42,66 @@ def _check_fraction(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class GaussianPulse:
+class Record:
+    """Base of the package's frozen records.
+
+    A record's fields are the names annotated in its class body, after its
+    bases' fields; a class-level value is that field's default, and a
+    ``dict`` default is copied for each record.  Each subclass compiles one
+    ``__init__`` with the real signature: it stores the fields, then calls
+    ``__post_init__`` if the class has one.  Attributes derived there are
+    set with ``object.__setattr__`` and are not fields, so ``==``, ``hash``,
+    ``repr`` and ``replace`` do not read them.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        own = [n for n in cls.__dict__.get("__annotations__", {}) if n not in cls._fields]
+        cls._fields = fields = (*cls._fields, *own)
+        defaults = {n: getattr(cls, n) for n in fields if hasattr(cls, n)}
+        params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in fields)
+        body = "".join(
+            f"\n _setattr(self, {n!r}, dict({n}) if {n} is _defaults[{n!r}] else {n})"
+            if isinstance(defaults.get(n), dict) else f"\n _setattr(self, {n!r}, {n})"
+            for n in fields
+        )
+        post = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+        # not through self.__dict__: reading it turns the inline attribute
+        # values into a dict, and CPython 3.11 then reads each field ~4x slower
+        namespace = {"_defaults": defaults, "_setattr": object.__setattr__}
+        exec(f"def __init__(self, {params}):{body}{post}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, n) for n in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of ``record`` with ``changes`` to its fields, validated anew."""
+    return type(record)(**{**{n: getattr(record, n) for n in record._fields}, **changes})
+
+
+class GaussianPulse(Record):
     """Gaussian temporal intensity profile, FWHM in ns."""
 
     fwhm_ns: float
@@ -56,8 +115,7 @@ class GaussianPulse:
         return self.fwhm_ns * _FWHM_TO_SIGMA
 
 
-@dataclass(frozen=True)
-class WaveguideParams:
+class WaveguideParams(Record):
     """Nonlinear waveguide: length (cm), normalized conversion efficiency
     (fraction per W per cm^2) and the saturation cap on the external
     conversion efficiency.
@@ -80,8 +138,7 @@ class WaveguideParams:
         _check_fraction("max_external_efficiency", self.max_external_efficiency)
 
 
-@dataclass(frozen=True)
-class ElementTransmissions:
+class ElementTransmissions(Record):
     """Per-element transmissions along the converter at one wavelength."""
 
     input_lens: float
@@ -98,16 +155,14 @@ class ElementTransmissions:
         return self.input_lens * self.coupling * self.propagation * self.output_lens
 
 
-@dataclass(frozen=True)
-class LossBudget:
+class LossBudget(Record):
     """Loss budget recorded separately at the input and pump wavelengths."""
 
     signal: ElementTransmissions
     pump: ElementTransmissions
 
 
-@dataclass(frozen=True)
-class EfficiencyCascade:
+class EfficiencyCascade(Record):
     """Nested efficiencies: internal -> external -> device -> total.
 
     Inputs are the individual factors (coupling, internal conversion,
@@ -118,9 +173,6 @@ class EfficiencyCascade:
     eta_int_max: float
     eta_filter: float
     eta_detection: float
-    eta_ext_max: float = field(init=False)
-    eta_dev_max: float = field(init=False)
-    eta_tot_max: float = field(init=False)
 
     def __post_init__(self):
         for name in ("eta_coupling", "eta_int_max", "eta_filter", "eta_detection"):

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
+
+from .optics import Record, replace
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fitting import Dataset
@@ -38,8 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TimeBinQubit:
+class TimeBinQubit(Record):
     """|e> + e^{i phi} |l> with optional unequal amplitudes."""
 
     phase: float
@@ -60,8 +60,7 @@ class TimeBinQubit:
             raise ValueError("weights must sum to 1")
 
 
-@dataclass(frozen=True)
-class Interferometer:
+class Interferometer(Record):
     """Unbalanced fiber interferometer built from two beam splitters."""
 
     delay_ns: float
@@ -80,8 +79,7 @@ class Interferometer:
             raise ValueError("splitter ratio must be in (0, 1)")
 
 
-@dataclass(frozen=True)
-class SlotCounts:
+class SlotCounts(Record):
     early: float
     central: float
     late: float
@@ -278,8 +276,7 @@ def classical_fidelity_bound(mu_in: float, eta: float) -> float:
     return 1.0 - s_over_w
 
 
-@dataclass(frozen=True)
-class QuantumRegimeRow:
+class QuantumRegimeRow(Record):
     mu_in: float
     visibility: float
     fidelity: float

@@ -422,6 +422,18 @@ class TestCliExitCodes:
             assert "source_mean_photon_number" in err.getvalue()
             assert out.getvalue() == ""
 
+    @pytest.mark.parametrize("command", [["report"], ["sweep", "--preset", "fig3a"],
+                                         ["sweep", "--preset", "fig3b"]])
+    def test_underflowed_mu_rejected(self, command, tmp_path, capsys):
+        # 5e-324 times the chain efficiency underflows to a signal mean of
+        # exactly 0, which fig3a wrote as p_net = 0 and fig3b as snr_dc = 0
+        assert run([*command, "--mu", "5e-324", "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "source_mean_photon_number" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_report_tiny_signal_is_the_small_signal_limit(self, tmp_path):
         # the SNR is linear in mu_in there, so the SNR rows are those of any
         # small mu_in

@@ -2,11 +2,11 @@
 other non-finite or out-of-range inputs they name."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qfcsim import replace
 from qfcsim.chain import MAX_SHOTS, reference_chain
 from qfcsim.config import REFERENCE_CONFIG, parse_config, with_overrides
 from qfcsim.montecarlo import (

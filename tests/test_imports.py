@@ -1,6 +1,7 @@
 """The run-time dependencies: importing and running qfcsim loads no scipy,
-also on the paths that fit and so take the Student-t quantile; and
-``import qfcsim`` and the closed-form commands load no numpy."""
+also on the paths that fit and so take the Student-t quantile;
+``import qfcsim`` and the closed-form commands load no numpy; and the
+records are built without ``dataclasses`` and its ``inspect``."""
 
 import os
 import subprocess
@@ -58,6 +59,28 @@ for name, argv in (
 """
 
 
+# The closed-form commands again, watching the standard-library modules
+# that records built with ``dataclasses`` would load at start-up.
+STARTUP_PROBE = """
+import sys
+
+def loaded():
+    return sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)
+
+import qfcsim
+print("after import:", loaded())
+from qfcsim.cli import run
+for name, argv in (
+    ("report", ["report"]),
+    ("fig3a", ["sweep", "--preset", "fig3a"]),
+    ("fig4a", ["sweep", "--preset", "fig4a"]),
+    ("fig5a", ["sweep", "--preset", "fig5a"]),
+):
+    assert run([*argv, "--out", sys.argv[1]]) == 0, name
+    print(f"after {name}:", loaded())
+"""
+
+
 def _probe(script: str, *args: str, cwd: Path) -> list[str]:
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
@@ -87,6 +110,14 @@ def test_closed_form_commands_load_no_numpy(tmp_path):
     assert "after simulate: ['numpy', 'qfcsim.fitting', 'qfcsim.montecarlo']" in lines
     for name in ("report.txt", "fig3a.csv", "fig4a.csv", "fig5a.csv", "fit.json", "fig3b.csv",
                  "simulate.csv"):
+        assert (tmp_path / name).is_file()
+
+
+def test_import_and_closed_form_commands_load_no_dataclasses(tmp_path):
+    lines = _probe(STARTUP_PROBE, str(tmp_path), cwd=tmp_path)
+    for step in ("import", "report", "fig3a", "fig4a", "fig5a"):
+        assert f"after {step}: []" in lines
+    for name in ("report.txt", "fig3a.csv", "fig4a.csv", "fig5a.csv"):
         assert (tmp_path / name).is_file()
 
 

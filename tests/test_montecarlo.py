@@ -1,6 +1,5 @@
 """Stochastic simulator unit tests (determinism, dead time, histograms)."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
 from oracles import chunked_collect_clicks, dead_time_loop, dense_collect_clicks
-from qfcsim import montecarlo
+from qfcsim import montecarlo, replace
 from qfcsim.chain import MAX_SHOTS, reference_chain
 from qfcsim.montecarlo import (
     _CHUNK,
@@ -152,8 +151,8 @@ class TestOrigins:
 
     def test_no_dark_without_dark_rate(self):
         chain = reference_chain()
-        chain = dataclasses.replace(
-            chain, detector=dataclasses.replace(chain.detector, dark_rate_per_ns=0.0)
+        chain = replace(
+            chain, detector=replace(chain.detector, dark_rate_per_ns=0.0)
         )
         sc = scenario(chain=chain, shots=100000)
         for lane, mu, pump, window in _lanes(sc.mu_in, sc.pump_mw):
@@ -232,10 +231,10 @@ class TestDeadTimeOracle:
 
 def _dead_time_chain(dead_gates, dark_rate_per_ns=REFERENCE.detector.dark_rate_per_ns):
     # the reference period is 1 us, so dead_gates us of dead time
-    detector = dataclasses.replace(
+    detector = replace(
         REFERENCE.detector, dead_time_us=float(dead_gates), dark_rate_per_ns=dark_rate_per_ns
     )
-    return dataclasses.replace(REFERENCE, detector=detector)
+    return replace(REFERENCE, detector=detector)
 
 
 def _lane_run(mu, pump, shots, dead_gates, lane=0, window=20.0, **detector):
@@ -312,8 +311,8 @@ class TestBatchedOracle:
     def test_vanishing_rate(self):
         # about 1e-315 events per gate: the chunks per batch overflow to
         # inf, which the 2**32-shot bound on a batch caps
-        chain = dataclasses.replace(
-            REFERENCE, detector=dataclasses.replace(REFERENCE.detector, dark_rate_per_ns=0.0)
+        chain = replace(
+            REFERENCE, detector=replace(REFERENCE.detector, dark_rate_per_ns=0.0)
         )
         sc = scenario(mu=6.1, pump=1e-310, shots=3 * _CHUNK, chain=chain)
         assert 0 < sum(chain.event_means(sc.mu_in, sc.pump_mw, 20.0)) < 1e-300
@@ -345,8 +344,8 @@ class TestDenseOracle:
         monkeypatch.setattr(montecarlo, "_collect_clicks", dense_collect_clicks)
         monkeypatch.setattr(montecarlo, "_apply_dead_time", dead_time_loop)
         other = seed + 1000
-        old = simulate(dataclasses.replace(sc, seed=other))
-        old_hist = start_stop_histogram(dataclasses.replace(hist_sc, seed=other)).signal_on.counts
+        old = simulate(replace(sc, seed=other))
+        old_hist = start_stop_histogram(replace(hist_sc, seed=other)).signal_on.counts
 
         for a, ea, b, eb in (
             (new.p_signal, new.p_signal_err, old.p_signal, old.p_signal_err),
@@ -416,8 +415,8 @@ class TestDeadTime:
 
     def test_no_dead_time_no_skips(self):
         chain = reference_chain()
-        chain = dataclasses.replace(
-            chain, detector=dataclasses.replace(chain.detector, dead_time_us=0.0)
+        chain = replace(
+            chain, detector=replace(chain.detector, dead_time_us=0.0)
         )
         res = simulate(scenario(chain=chain, shots=30000))
         assert res.skipped_signal == 0
@@ -488,7 +487,7 @@ class TestScenarioValidation:
     )
     def test_non_integers_rejected(self, field, key, value):
         with pytest.raises(TypeError, match=rf"{field} \({key}\) must be an integer"):
-            dataclasses.replace(scenario(), **{field: value})
+            replace(scenario(), **{field: value})
 
     def test_numpy_integers_accepted(self):
         numpy_ints = simulate(scenario(shots=np.int64(20000), seed=np.uint64(7)))
@@ -516,12 +515,12 @@ class TestScenarioValidation:
         # no pump and no dark counts: the input-blocked lane cannot click,
         # so p_N = 0 and the SNR has no denominator
         chain = reference_chain()
-        dark_free = dataclasses.replace(
-            chain, detector=dataclasses.replace(chain.detector, dark_rate_per_ns=0.0)
+        dark_free = replace(
+            chain, detector=replace(chain.detector, dark_rate_per_ns=0.0)
         )
         with pytest.raises(DegenerateDenominatorError, match="SNR undefined"):
             simulate(scenario(pump=0.0, shots=1000, chain=dark_free))
 
     def test_period_must_exceed_gate(self):
         with pytest.raises(ValueError, match="source_repetition_rate period .* detector_gate_width"):
-            dataclasses.replace(reference_chain(), repetition_rate_mhz=100.0)
+            replace(reference_chain(), repetition_rate_mhz=100.0)

@@ -3,12 +3,12 @@
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from oracles import beta_quadrature, snr_unsubtracted_decimal
+from qfcsim import replace
 from qfcsim.chain import reference_chain
 from qfcsim.noise import (
     FILTER_BANDWIDTH_MAX_NM,
@@ -161,6 +161,26 @@ class TestDetectionProbabilities:
     def test_zero_signal_accepted(self, mu, pump_mw):
         # no input, or the pump off (fig3a's first row)
         assert detection_probabilities(mu, pump_mw, reference_chain()).signal == 0.0
+
+    @pytest.mark.parametrize("pump_mw", [0.0, 20.0, 120.0, 600.0])
+    def test_underflowed_mu_rejected(self, pump_mw):
+        # 5e-324 times the chain efficiency rounds to exactly 0, so the
+        # signal mean is 0 at every pump power, the pump off included
+        with pytest.raises(ValueError, match="source_mean_photon_number") as exc:
+            detection_probabilities(5e-324, pump_mw, reference_chain())
+        assert f"{pump_mw:g} mW" in str(exc.value)
+
+    def test_underflowed_pump_accepted(self):
+        # the signal of mu = 1 at 5e-324 mW underflows to 0 through the
+        # conversion fraction, not through mu
+        rb = detection_probabilities(1.0, 5e-324, reference_chain())
+        assert rb.signal == 0.0 and rb.p_signal == rb.p_noise
+
+    def test_underflowed_mu_accepted_without_efficiency(self):
+        # a chain that detects nothing gives an exact 0 for any mu
+        chain = reference_chain()
+        chain = replace(chain, detector=replace(chain.detector, efficiency=0.0))
+        assert detection_probabilities(5e-324, 120.0, chain).signal == 0.0
 
 
 class TestSnr:

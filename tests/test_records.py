@@ -1,0 +1,160 @@
+"""The frozen records: fields, construction, equality, hashing and
+``replace``, all read from the annotated names of each class body."""
+
+import inspect
+
+import numpy as np
+import pytest
+
+from qfcsim import (
+    DetectorConfig,
+    EfficiencyCascade,
+    ExperimentScenario,
+    GaussianPulse,
+    Interferometer,
+    RateBreakdown,
+    ScenarioConfig,
+    beta_factor,
+    parse_config,
+    reference_chain,
+    replace,
+)
+from qfcsim.config import REFERENCE_CONFIG
+from qfcsim.fitting import FitResult
+
+
+def detector(**changes):
+    fields = dict(gate_width_ns=20.0, efficiency=0.1, dark_rate_per_ns=1e-5, dead_time_us=10.0)
+    return DetectorConfig(**{**fields, **changes})
+
+
+class TestFrozen:
+    def test_assignment_rejected(self):
+        det = detector()
+        with pytest.raises(AttributeError, match="gate_width_ns"):
+            det.gate_width_ns = 50.0
+        with pytest.raises(AttributeError):
+            det.new_name = 1.0
+        assert det.gate_width_ns == 20.0 and not hasattr(det, "new_name")
+
+    def test_deletion_rejected(self):
+        chain = reference_chain()
+        for name in ("detector", "beta"):
+            with pytest.raises(AttributeError, match=name):
+                delattr(chain, name)
+        assert chain.detector.gate_width_ns == 20.0
+
+
+class TestEqualityAndHash:
+    def test_reference_chain_equal(self):
+        cfg = parse_config(REFERENCE_CONFIG)
+        assert cfg.chain == reference_chain()
+        assert hash(cfg.chain) == hash(reference_chain())
+        assert cfg.chain is not reference_chain()
+
+    def test_follow_the_fields(self):
+        assert detector() == detector()
+        assert hash(detector()) == hash(detector())
+        assert detector() != detector(dead_time_us=11.0)
+        assert detector() != detector(allow_any_gate=True)
+        assert len({detector(), detector(), detector(dead_time_us=11.0)}) == 2
+
+    def test_other_class_unequal(self):
+        # same field values, different record class
+        cfg = parse_config(REFERENCE_CONFIG)
+        scenario = ExperimentScenario(cfg.chain, cfg.mu_in, cfg.pump_mw, cfg.n_shots, cfg.seed)
+        assert scenario != cfg and cfg != scenario
+        assert GaussianPulse(30.0) != 30.0
+
+    def test_derived_attributes_are_not_fields(self):
+        cascade = EfficiencyCascade(0.61, 0.4, 0.26, 0.04)
+        assert cascade.eta_tot_max == pytest.approx(0.61 * 0.4 * 0.26 * 0.04, rel=1e-15)
+        assert repr(cascade) == (
+            "EfficiencyCascade(eta_coupling=0.61, eta_int_max=0.4, eta_filter=0.26, "
+            "eta_detection=0.04)"
+        )
+        assert "beta" not in repr(reference_chain())
+
+
+class TestConstruction:
+    def test_positional_keyword_and_default(self):
+        positional = DetectorConfig(20.0, 0.1, 1e-5, 10.0)
+        keyword = DetectorConfig(
+            dead_time_us=10.0, dark_rate_per_ns=1e-5, efficiency=0.1, gate_width_ns=20.0
+        )
+        assert positional == keyword == detector(allow_any_gate=False)
+        assert positional.allow_any_gate is False
+        ifm = Interferometer(5.0)
+        assert (ifm.delay_ns, ifm.phase, ifm.max_visibility, ifm.splitter_ratio) == (
+            5.0, 0.0, 1.0, 0.5
+        )
+        assert Interferometer(5.0, 1.0, splitter_ratio=0.4).splitter_ratio == 0.4
+
+    def test_missing_argument_rejected(self):
+        message = r"DetectorConfig.__init__\(\) missing 1 required positional argument: 'dead_time_us'"
+        with pytest.raises(TypeError, match=message):
+            DetectorConfig(20.0, 0.1, 1e-5)
+        with pytest.raises(TypeError):
+            GaussianPulse()
+
+    @pytest.mark.parametrize("call", [
+        lambda: detector(gate_width=20.0),
+        lambda: GaussianPulse(30.0, 40.0),
+        lambda: DetectorConfig(20.0, 0.1, 1e-5, 10.0, gate_width_ns=20.0),
+    ], ids=["unknown", "too_many", "twice"])
+    def test_unknown_or_extra_argument_rejected(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_dict_default_is_fresh(self):
+        def result():
+            return FitResult(np.ones(1), np.ones((1, 1)), np.ones(1), 0.0, 1, ("slope",))
+
+        first, second = result(), result()
+        assert first.extras == {} and first.extras is not second.extras
+        first.extras["k"] = 1.0
+        assert second.extras == {} and result().extras == {}
+        given = {"k": 2.0}
+        assert replace(first, extras=given).extras is given
+
+
+class TestFields:
+    def test_subclass_fields_follow_the_base(self):
+        scenario_fields = ("chain", "mu_in", "pump_mw", "n_shots", "seed")
+        assert ExperimentScenario._fields == scenario_fields
+        assert ScenarioConfig._fields == (*scenario_fields, "values")
+        assert list(inspect.signature(ScenarioConfig).parameters) == [*scenario_fields, "values"]
+
+    def test_signature(self):
+        assert list(inspect.signature(RateBreakdown).parameters) == [
+            "p_signal", "p_noise", "signal", "pump_noise", "dark",
+        ]
+        rb = RateBreakdown(0.2, 0.1, 0.1, 0.05, 0.05)
+        assert repr(rb) == (
+            "RateBreakdown(p_signal=0.2, p_noise=0.1, signal=0.1, pump_noise=0.05, dark=0.05)"
+        )
+
+
+class TestReplace:
+    def test_revalidates(self):
+        with pytest.raises(ValueError, match="gate width 33.0 ns"):
+            replace(detector(), gate_width_ns=33.0)
+        assert replace(detector(), gate_width_ns=33.0, allow_any_gate=True).gate_width_ns == 33.0
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(TypeError, match="gate_width"):
+            replace(detector(), gate_width=50.0)
+
+    def test_copies_and_rederives(self):
+        chain = reference_chain()
+        assert replace(chain) == chain and replace(chain) is not chain
+        wide = replace(chain, detector=replace(chain.detector, gate_width_ns=50.0))
+        assert wide.detector.gate_width_ns == 50.0 and chain.detector.gate_width_ns == 20.0
+        assert wide.beta == beta_factor(chain.pulse, wide.detector) > chain.beta
+        assert wide.cascade().eta_detection == wide.detector.efficiency * wide.beta
+
+    def test_subclass_keeps_its_class(self):
+        cfg = parse_config(REFERENCE_CONFIG)
+        changed = replace(cfg, seed=5)
+        assert type(changed) is ScenarioConfig
+        assert (changed.seed, changed.values) == (5, cfg.values)
