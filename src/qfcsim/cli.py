@@ -12,9 +12,11 @@ no directory and prints nothing on stdout; its message goes to stderr.
 Exit codes: 0 success, 1 usage error, 2 validation error, 3 numerical
 failure.
 
-``report`` and the ``fig3a``, ``fig4a`` and ``fig5a`` sweeps are closed
-form and run on ``math`` alone; numpy, ``fitting`` and ``montecarlo`` are
-imported only inside the commands that use them.
+``report``, the ``fig3a``, ``fig4a`` and ``fig5a`` sweeps and ``fit`` run
+on ``math`` alone: ``fit`` reads its CSV into lists of floats and calls
+the fitting core directly, with no ``Dataset`` or ``FitResult``.  numpy,
+``fitting`` and ``montecarlo`` are imported only inside the commands that
+use them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .config import (
@@ -40,7 +41,6 @@ from .config import (
 from .noise import (
     FILTER_BANDWIDTH_MAX_NM,
     FILTER_BANDWIDTH_MIN_NM,
-    DegenerateDenominatorError,
     ExtrapolationWarning,
     detection_probabilities,
     mu1,
@@ -55,9 +55,6 @@ from .timebin import (
     slot_statistics,
     visibility_model,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .fitting import Dataset
 
 __all__ = ["main", "run"]
 
@@ -177,7 +174,7 @@ def _preset_fig3b(cfg: ScenarioConfig):
     """
     import numpy as np
 
-    from .fitting import Dataset, _conversion_jacobian, _t975, conversion_model, fit_conversion
+    from .fitting import Dataset, _slopes, _t975, conversion_model, fit_conversion
 
     chain = cfg.chain
     wg = chain.waveguide
@@ -187,15 +184,15 @@ def _preset_fig3b(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
     y = truth * (1.0 + 0.05 * rng.standard_normal(truth.size))
     fit = fit_conversion(Dataset(x=pumps_w, y=y, xlabel="P_p_W", ylabel="eta_ext"), wg.length_cm)
-    pred = conversion_model(pumps_w, fit.params[0], fit.params[1], wg.length_cm)
-    jac = _conversion_jacobian(pumps_w, fit.params[0], fit.params[1], wg.length_cm)
-    band = _t975(fit.dof) * np.sqrt(np.einsum("ij,jk,ik->i", jac, fit.cov, jac))
+    eta, eta_n = fit.params.tolist()
+    (c00, c01), (c10, c11) = fit.cov.tolist()
+    tq = _t975(fit.dof)
     rows = []
-    for i, p in enumerate(pumps_mw):
-        rb = detection_probabilities(cfg.mu_in, float(p), chain)
-        rows.append(
-            (p, pred[i], pred[i] - band[i], pred[i] + band[i], snr(rb, subtract_dark=False))
-        )
+    for p, j1 in zip(pumps_mw.tolist(), _slopes(pumps_w.tolist(), eta, eta_n, wg.length_cm)):
+        j0 = conversion_model(p * 1e-3, 1.0, eta_n, wg.length_cm)  # the model's slope in eta
+        band = tq * math.sqrt(j0 * (c00 * j0 + c01 * j1) + j1 * (c10 * j0 + c11 * j1))
+        rb = detection_probabilities(cfg.mu_in, p, chain)
+        rows.append((p, eta * j0, eta * j0 - band, eta * j0 + band, snr(rb, subtract_dark=False)))
     return ["P_p_mW", "eta_ext", "eta_ext_ci_lo", "eta_ext_ci_hi", "snr_dc"], rows
 
 
@@ -242,10 +239,9 @@ def _cmd_sweep(cfg: ScenarioConfig, args):
 # --------------------------------------------------------------------- fit
 
 
-def _read_dataset_csv(path: Path) -> Dataset:
-    import numpy as np
-
-    from .fitting import Dataset
+def _read_dataset_csv(path: Path) -> tuple[list, list, list | None]:
+    """(x, y, sigma or None) from a CSV file, checked and sorted by x."""
+    from .fitting import RAGGED, _checked
 
     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
     if not lines:
@@ -256,41 +252,38 @@ def _read_dataset_csv(path: Path) -> Dataset:
     if len(header) not in (2, 3):
         raise ConfigError(f"{path}: expected 2 or 3 columns (x,y[,sigma])")
     try:
-        data = np.array(
-            [[float(c) for c in ln.split(",")] for ln in lines[1:]], dtype=float
-        )
+        rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric dataset entry: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise ConfigError(f"{path}: ragged rows in dataset")
-    sigma = data[:, 2] if len(header) == 3 else None
-    return Dataset(x=data[:, 0], y=data[:, 1], sigma=sigma,
-                   xlabel=header[0], ylabel=header[1])
+    if any(len(row) != len(header) for row in rows):
+        raise ConfigError(RAGGED)
+    x, y, *sigma = zip(*rows)
+    return _checked(x, y, sigma[0] if sigma else None, header[0], header[1])
 
 
 def _cmd_fit(cfg: ScenarioConfig, args):
-    from .fitting import fit_conversion
+    from .fitting import _conversion_values
 
-    data = _read_dataset_csv(Path(args.data))
-    fit = fit_conversion(data, cfg.chain.waveguide.length_cm)
+    fit = _conversion_values(*_read_dataset_csv(Path(args.data)), cfg.chain.waveguide.length_cm)
+    names, extras = fit["param_names"], fit["extras"]
     payload = {
         "data": str(args.data),
-        "params": dict(zip(fit.param_names, map(_rounded, fit.params))),
-        "ci95": dict(zip(fit.param_names, map(_rounded, fit.ci95))),
-        "total_normalized_per_w": _rounded(fit.extras["total_normalized_per_w"]),
-        "total_normalized_ci95": _rounded(fit.extras["total_normalized_ci95"]),
-        "ill_conditioned": bool(fit.ill_conditioned),
-        "rss": _rounded(fit.rss),
-        "dof": fit.dof,
+        "params": dict(zip(names, map(_rounded, fit["params"]))),
+        "ci95": dict(zip(names, map(_rounded, fit["ci95"]))),
+        "total_normalized_per_w": _rounded(extras["total_normalized_per_w"]),
+        "total_normalized_ci95": _rounded(extras["total_normalized_ci95"]),
+        "ill_conditioned": fit["ill_conditioned"],
+        "rss": _rounded(fit["rss"]),
+        "dof": fit["dof"],
     }
     lines = [
         f"{name} = {value:.6g} +- {ci:.3g}"
-        for name, value, ci in zip(fit.param_names, fit.params, fit.ci95)
+        for name, value, ci in zip(names, fit["params"], fit["ci95"])
     ]
     lines.append(f"total normalized conversion = "
-                 f"{fit.extras['total_normalized_per_w']:.6g} /W "
-                 f"+- {fit.extras['total_normalized_ci95']:.3g}")
-    if fit.ill_conditioned:
+                 f"{extras['total_normalized_per_w']:.6g} /W "
+                 f"+- {extras['total_normalized_ci95']:.3g}")
+    if fit["ill_conditioned"]:
         lines.append("warning: fit is ill-conditioned (saturation not resolved)")
     return "fit", {}, payload, "\n".join(lines)
 
@@ -427,15 +420,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _numerical_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that exit 3.  A fit or a numpy error can only be
-    raised once its module is loaded, so those are looked up, not imported."""
-    errors = [DegenerateDenominatorError]
+    """The exceptions that exit 3: a division by zero (a singular fit, or
+    ``DegenerateDenominatorError``) and, once ``fitting`` is loaded, a fit
+    that did not converge, looked up rather than imported."""
+    errors = [ZeroDivisionError]
     fitting = sys.modules.get(f"{__package__}.fitting")
     if fitting is not None:
         errors.append(fitting.FitConvergenceError)
-    np = sys.modules.get("numpy")
-    if np is not None:
-        errors.append(np.linalg.LinAlgError)
     return tuple(errors)
 
 
@@ -465,9 +456,7 @@ def run(argv: list[str] | None = None) -> int:
     except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:
-        # covers ConfigError and file errors; kept after the numerical
-        # clause because LinAlgError subclasses ValueError
+    except (ValueError, OSError) as exc:  # covers ConfigError and file errors
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print(text)

@@ -1,18 +1,14 @@
-"""Least-squares parameter estimation.
+"""Least-squares estimation on ``math`` alone: closed-form weighted line
+fits, and the sin^2 conversion curve by Gauss-Newton steps with Levenberg
+damping (Marquardt, SIAM J. Appl. Math. 11, 431 (1963)).  1x1 and 2x2
+normal matrices are inverted as adjugate over determinant, so a singular
+one raises ``ZeroDivisionError``; 95% half-widths use the linearized
+covariance scaled by the residual variance and the Student-t quantile.
 
-Linear fits use closed-form weighted normal equations; the conversion
-curve fit uses a Gauss-Newton iteration with Levenberg-style damping,
-implemented here (the two-parameter sin^2 model is well behaved and
-needs no external solver).  Both solve their 1x1 or 2x2 normal equations
-in closed form, through the adjugate over the determinant, with no
-LAPACK call: at this size numpy's dispatch costs more than the algebra.
-95% confidence half-widths come from the linearized covariance
-(J^T W J)^-1 scaled by the residual variance, with the Student-t 97.5%
-quantile for the finite degrees of freedom.  That
-quantile is computed here too (``_t975``): Newton's method on the
-two-sided t probability, which for integer degrees of freedom is a
-finite sum of cosine powers (Abramowitz & Stegun 26.7.3-4), so the
-package needs numpy alone at run time.
+The private core (``_checked``, ``_line_values``, ``_conversion_values``)
+works on lists of floats and returns a ``FitResult``'s fields; the CLI's
+``fit`` calls it directly.  numpy is imported only where the ndarray
+records ``Dataset`` and ``FitResult`` are built.
 """
 
 from __future__ import annotations
@@ -20,28 +16,48 @@ from __future__ import annotations
 import math
 import warnings
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .optics import Record, conversion_model
 
-from .optics import Record, conversion_model, replace
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
-__all__ = [
-    "Dataset",
-    "FitResult",
-    "FitConvergenceError",
-    "fit_linear",
-    "fit_conversion",
-    "extract_mu1",
-    "conversion_model",
-]
+__all__ = ["Dataset", "FitResult", "FitConvergenceError", "fit_linear", "fit_conversion",
+           "extract_mu1", "conversion_model"]
+
+RAGGED = "ragged rows: x, y and sigma must have the same length"
 
 
 class FitConvergenceError(RuntimeError):
     """Nonlinear fit failed to converge; carries the best parameters seen."""
 
-    def __init__(self, message: str, best_params: np.ndarray):
+    def __init__(self, message: str, best_params: tuple[float, ...]):
         super().__init__(message)
         self.best_params = best_params
+
+
+def _checked(x, y, sigma=None, xlabel: str = "x", ylabel: str = "y"):
+    """Float sequences (x, y, sigma or None) as lists, stably sorted by x; checked."""
+    x, y, sigma = (c if c is None else list(c) for c in (x, y, sigma))
+    if len(y) != len(x) or sigma is not None and len(sigma) != len(x):
+        raise ValueError(RAGGED)
+    if sigma is not None and any(s <= 0 for s in sigma):
+        raise ValueError("sigma values must be positive")
+    for name, values in ((xlabel, x), (ylabel, y), ("sigma", sigma)):
+        if values is not None and not all(map(math.isfinite, values)):
+            raise ValueError(f"{name} values must be finite")
+    if x != sorted(x):
+        order = sorted(range(len(x)), key=x.__getitem__)
+        x, y, sigma = (c if c is None else [c[i] for i in order] for c in (x, y, sigma))
+    if len(set(x)) < len(x):
+        raise ValueError("x values must be distinct")
+    return x, y, sigma
+
+
+def _weights(sigma, n: int) -> list[float]:
+    """1/sigma^2 weights; unit weights without uncertainties."""
+    return [1.0] * n if sigma is None else [1.0 / (s * s) for s in sigma]
 
 
 class Dataset(Record):
@@ -54,42 +70,25 @@ class Dataset(Record):
     ylabel: str = "y"
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim != 1 or x.shape != y.shape:
-            raise ValueError("x and y must be 1-d arrays of equal length")
-        sigma = self.sigma
-        if sigma is not None:
-            sigma = np.asarray(sigma, dtype=float)
-            if sigma.shape != x.shape:
-                raise ValueError("sigma must match x in length")
-            if (sigma <= 0).any():
-                raise ValueError("sigma values must be positive")
-        for name, values in ((self.xlabel, x), (self.ylabel, y), ("sigma", sigma)):
-            if values is not None and not np.isfinite(values).all():
-                raise ValueError(f"{name} values must be finite")
-        order = np.argsort(x, kind="stable")
-        x, y = x[order], y[order]
-        if sigma is not None:
-            sigma = sigma[order]
-        if (x[1:] <= x[:-1]).any():
-            raise ValueError("x values must be distinct")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "sigma", sigma)
+        import numpy as np
+
+        given = [np.asarray(v, dtype=float) for v in (self.x, self.y, self.sigma) if v is not None]
+        if any(c.ndim != 1 for c in given):
+            raise ValueError("x, y and sigma must be 1-d")
+        checked = _checked(*(c.tolist() for c in given), xlabel=self.xlabel, ylabel=self.ylabel)
+        for name, values in zip(("x", "y", "sigma"), checked):
+            object.__setattr__(self, name, values if values is None else np.array(values))
 
     def __len__(self) -> int:
         return self.x.size
 
-    def weights(self) -> np.ndarray:
-        """1/sigma^2 weights; unit weights when no uncertainties given."""
-        if self.sigma is None:
-            return np.ones_like(self.y)
-        return 1.0 / self.sigma**2
+    def _lists(self):
+        """x, y and sigma (or None) as lists of floats, for the core."""
+        return self.x.tolist(), self.y.tolist(), None if self.sigma is None else self.sigma.tolist()
 
 
 class FitResult(Record):
-    """Estimates, linearized covariance and 95% confidence half-widths."""
+    """Estimates, linearized covariance and 95% half-widths, as float ndarrays."""
 
     params: np.ndarray
     cov: np.ndarray
@@ -99,6 +98,12 @@ class FitResult(Record):
     param_names: tuple[str, ...]
     ill_conditioned: bool = False
     extras: dict = {}  # copied for each result
+
+    def __post_init__(self):
+        import numpy as np
+
+        for name in ("params", "cov", "ci95"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
     def __getitem__(self, name: str) -> float:
         return float(self.params[self.param_names.index(name)])
@@ -139,117 +144,148 @@ def _t975(dof: int) -> float:
     raise ArithmeticError(f"t quantile for {dof} degrees of freedom did not converge")
 
 
-def _ci_half_widths(cov: np.ndarray, dof: int) -> np.ndarray:
-    tq = _t975(dof) if dof > 0 else math.inf
-    return tq * np.sqrt(cov.diagonal())
-
-
-def _inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a 1x1 or 2x2 matrix, its adjugate over its determinant;
-    a zero determinant raises numpy's ``LinAlgError``."""
-    rows = a.tolist()
-    if len(rows) == 1:
-        det, adj = rows[0][0], [[1.0]]
-    else:
-        (a00, a01), (a10, a11) = rows
-        det, adj = a00 * a11 - a01 * a10, [[a11, -a01], [-a10, a00]]
-    if det == 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return np.array(adj) / det
+def _inverse(a: list[list[float]]) -> list[list[float]]:
+    """Inverse of a 1x1 or 2x2 matrix of nested lists, its adjugate over
+    its determinant; a zero determinant raises ``ZeroDivisionError``."""
+    if len(a) == 1:
+        return [[1.0 / a[0][0]]]
+    (a00, a01), (a10, a11) = a
+    det = a00 * a11 - a01 * a10
+    return [[a11 / det, -a01 / det], [-a10 / det, a00 / det]]
 
 
 def _damped_step(a00, a01, a11, g0, g1, lam):
     """s solving (A + lam diag(A)) s = g for A = [[a00, a01], [a01, a11]],
-    by the explicit inverse; a zero determinant raises ``LinAlgError``."""
+    by the explicit inverse; a zero determinant raises ``ZeroDivisionError``."""
     d00, d11 = a00 + lam * a00, a11 + lam * a11
     det = d00 * d11 - a01 * a01
-    if det == 0:
-        raise np.linalg.LinAlgError("Singular matrix")
     return (d11 * g0 - a01 * g1) / det, (d00 * g1 - a01 * g0) / det
 
 
-def _fit_result(params, a_inv, w, resid, names: tuple[str, ...]) -> FitResult:
-    """Covariance a^-1 scaled by the residual variance rss / dof (unscaled
-    without degrees of freedom) and its 95% half-widths."""
-    rss = float((w * resid**2).sum())
-    dof = resid.size - len(names)
+def _rss(w, r) -> float:
+    return sum(wi * (ri * ri) for wi, ri in zip(w, r))
+
+
+def _values(params, a_inv, rss: float, n_points: int, names: tuple[str, ...]) -> dict:
+    """FitResult fields: the covariance a^-1 scaled by rss / dof (unscaled,
+    and infinite 95% half-widths, without degrees of freedom)."""
+    dof = n_points - len(names)
     scale = rss / dof if dof > 0 else 1.0
-    cov = a_inv * scale
-    return FitResult(params=params, cov=cov, ci95=_ci_half_widths(cov, dof), rss=rss,
-                     dof=dof, param_names=names)
+    cov = [[v * scale for v in row] for row in a_inv]
+    tq = _t975(dof) if dof > 0 else math.inf
+    return {"params": list(params), "cov": cov, "rss": rss, "dof": dof, "param_names": names,
+            "ci95": [tq * math.sqrt(cov[i][i]) for i in range(len(names))]}
+
+
+def _line_values(x, y, sigma, force_zero_intercept: bool) -> dict:
+    """fit_linear on checked lists: the weighted normal equations."""
+    n_min = 1 if force_zero_intercept else 2
+    if len(x) < n_min:
+        raise ValueError(f"need at least {n_min} points")
+    w = _weights(sigma, len(x))
+    wx = x if sigma is None else [wi * xi for wi, xi in zip(w, x)]  # 1.0 * x is x
+    sxx, sxy = sum(a * xi for a, xi in zip(wx, x)), sum(a * yi for a, yi in zip(wx, y))
+    if force_zero_intercept:
+        a_inv = _inverse([[sxx]])
+        params = [a_inv[0][0] * sxy]
+        resid = [yi - params[0] * xi for xi, yi in zip(x, y)]
+        return _values(params, a_inv, _rss(w, resid), len(x), ("slope",))
+    sx, sy = sum(wx), sum(wi * yi for wi, yi in zip(w, y))
+    (i00, i01), (i10, i11) = a_inv = _inverse([[sxx, sx], [sx, sum(w)]])
+    slope, intercept = i00 * sxy + i01 * sy, i10 * sxy + i11 * sy
+    resid = [yi - (slope * xi + intercept) for xi, yi in zip(x, y)]
+    return _values((slope, intercept), a_inv, _rss(w, resid), len(x), ("slope", "intercept"))
 
 
 def fit_linear(data: Dataset, force_zero_intercept: bool = False) -> FitResult:
-    """Weighted least-squares line fit; closed-form normal equations.
-
-    Parameters are ``("slope",)`` with a forced zero intercept, otherwise
-    ``("slope", "intercept")``.
-    """
-    n_min = 1 if force_zero_intercept else 2
-    if len(data) < n_min:
-        raise ValueError(f"need at least {n_min} points")
-    x, y, w = data.x, data.y, data.weights()
-    if force_zero_intercept:
-        design, names = x[:, None], ("slope",)
-    else:
-        design, names = np.column_stack([x, np.ones_like(x)]), ("slope", "intercept")
-    wdt = design.T * w
-    a_inv = _inverse(wdt @ design)
-    params = a_inv @ (wdt @ y)
-    return _fit_result(params, a_inv, w, y - design @ params, names)
+    """Weighted least-squares line fit; parameters ``("slope",)`` with a
+    forced zero intercept, otherwise ``("slope", "intercept")``."""
+    return FitResult(**_line_values(*data._lists(), force_zero_intercept))
 
 
-def _conversion_jacobian(pump_w, eta_ext_max, eta_n, length_cm):
-    p = np.asarray(pump_w, dtype=float)
-    u = length_cm * np.sqrt(p * eta_n)
-    jac = np.empty((p.size, 2))
-    jac[:, 0] = conversion_model(p, 1.0, eta_n, length_cm)
-    jac[:, 1] = eta_ext_max * np.sin(2 * u) * length_cm * np.sqrt(p) / (2 * math.sqrt(eta_n))
-    return jac
+def _slopes(x, eta_ext_max, eta_n, length_cm) -> list[float]:
+    """The sin^2 model's derivative in eta_n at each pump power in x; the
+    one in eta_ext_max is the model itself at eta_ext_max = 1."""
+    k, c = 2 * length_cm * math.sqrt(eta_n), eta_ext_max * length_cm / (2 * math.sqrt(eta_n))
+    return [c * rp * math.sin(k * rp) for rp in map(math.sqrt, x)]
 
 
-def _levenberg(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, eta: float, eta_n: float, length_cm: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Damped Gauss-Newton on the sin^2 model with positive parameters
-    (eta_ext_max, eta_n), carried as floats; returns (params, J^T W J at
-    the solution, residuals, converged), where converged is False after
-    200 iterations.  J^T W J and J^T W r are read as floats once per
-    iteration."""
-    lam = 1e-3
-    converged = True
-    r = y - conversion_model(x, eta, eta_n, length_cm)
-    cost = float((w * r**2).sum())
-    for _ in range(200):
-        jac = _conversion_jacobian(x, eta, eta_n, length_cm)
-        wjt = jac.T * w
-        (a00, a01), (_, a11) = (wjt @ jac).tolist()
-        g0, g1 = (wjt @ r).tolist()
+def _residuals(x, y, w, eta, eta_n, length_cm) -> tuple[list[float], list[float], float]:
+    """The model at eta_ext_max = 1 per point, the residuals at eta, their RSS."""
+    s2 = [conversion_model(p, 1.0, eta_n, length_cm) for p in x]
+    r = [yi - eta * si for yi, si in zip(y, s2)]
+    return s2, r, _rss(w, r)
+
+
+def _levenberg(x, y, w, eta, eta_n, length_cm):
+    """Damped Gauss-Newton on the sin^2 model with positive parameters;
+    returns ((eta_ext_max, eta_n), J^T W J there as nested lists, the
+    weighted RSS, converged), converged being False after 200 steps."""
+    lam, s0, s1 = 1e-3, math.inf, math.inf
+    s2, r, cost = _residuals(x, y, w, eta, eta_n, length_cm)
+    for steps in range(201):
+        a00 = a01 = a11 = g0 = g1 = 0.0  # J^T W J and J^T W r
+        for j0, j1, wi, ri in zip(s2, _slopes(x, eta, eta_n, length_cm), w, r):
+            wj0, wj1 = wi * j0, wi * j1
+            a00 += wj0 * j0
+            a01 += wj0 * j1
+            a11 += wj1 * j1
+            g0 += wj0 * ri
+            g1 += wj1 * ri
+        converged = abs(s0) <= 1e-12 * eta and abs(s1) <= 1e-12 * eta_n
+        if converged or steps == 200:
+            break
         for _ in range(60):
             try:
                 s0, s1 = _damped_step(a00, a01, a11, g0, g1, lam)
-            except np.linalg.LinAlgError:
+            except ZeroDivisionError:
                 lam *= 10.0
                 continue
             cand_eta, cand_n = eta + s0, eta_n + s1
             if cand_eta <= 0 or cand_n <= 0:
                 lam *= 10.0
                 continue
-            cand_r = y - conversion_model(x, cand_eta, cand_n, length_cm)
-            cand_cost = float((w * cand_r**2).sum())
-            if cand_cost <= cost:
-                eta, eta_n, r, cost = cand_eta, cand_n, cand_r, cand_cost
+            cand = _residuals(x, y, w, cand_eta, cand_n, length_cm)
+            if cand[2] <= cost:
+                eta, eta_n, (s2, r, cost) = cand_eta, cand_n, cand
                 lam = max(lam / 10.0, 1e-14)
                 break
             lam *= 10.0
         else:
-            break  # damping saturated: stationary point
-        if abs(s0) <= 1e-12 * eta and abs(s1) <= 1e-12 * eta_n:
+            converged = True  # damping saturated: stationary point
             break
-    else:
-        converged = False
-    jac = _conversion_jacobian(x, eta, eta_n, length_cm)
-    return np.array([eta, eta_n]), (jac.T * w) @ jac, r, converged
+    return (eta, eta_n), [[a00, a01], [a01, a11]], cost, converged
+
+
+def _conversion_values(x, y, sigma, length_cm: float) -> dict:
+    """fit_conversion on checked lists: the FitResult fields,
+    with the ill-conditioning flag set and warned about."""
+    if len(x) < 3:
+        raise ValueError("need at least 3 points")
+    if min(x) <= 0:
+        raise ValueError("pump powers must be positive")
+    w = _weights(sigma, len(x))
+    eta0 = max(y)
+    if eta0 <= 0:
+        raise ValueError("fit requires positive efficiencies")
+    eta_n0 = (math.pi / 2.0) ** 2 / (length_cm**2 * x[y.index(eta0)])
+    params, a, rss, converged = _levenberg(x, y, w, eta0, eta_n0, length_cm)
+    values = _values(params, _inverse(a), rss, len(x), ("eta_ext_max", "eta_n"))
+    (c00, c01), (_, c11) = values["cov"]
+    corr = c01 / math.sqrt(c00 * c11) if c00 > 0 and c11 > 0 else 0.0
+    u_max = length_cm * math.sqrt(max(x) * params[1])
+    # noisy linear-regime data can place the fitted u_max just past pi/4,
+    # but then leave the parameters more than 0.99 correlated
+    ill = abs(corr) > 0.99 or u_max < math.pi / 4.0
+    if not converged and not ill:
+        raise FitConvergenceError("conversion fit did not converge", best_params=params)
+    if ill:
+        warnings.warn("conversion fit is ill-conditioned: the data do not resolve the "
+                      "saturation of the sin^2 curve, so the cap and the normalized "
+                      "efficiency are not separately identifiable", stacklevel=3)
+    extras = {"total_normalized_per_w": params[1] * length_cm**2,
+              "total_normalized_ci95": values["ci95"][1] * length_cm**2}
+    return {**values, "ill_conditioned": ill, "extras": extras}
 
 
 def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
@@ -264,42 +300,7 @@ def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
     returned even when the iteration cap stops it, any other fit that
     reaches the cap raises ``FitConvergenceError``.
     """
-    if len(data) < 3:
-        raise ValueError("need at least 3 points")
-    if (data.x <= 0).any():
-        raise ValueError("pump powers must be positive")
-    x, y, w = data.x, data.y, data.weights()
-    eta0 = float(y.max())
-    if eta0 <= 0:
-        raise ValueError("fit requires positive efficiencies")
-    p_peak = float(x[y.argmax()])
-    eta_n0 = (math.pi / 2.0) ** 2 / (length_cm**2 * p_peak)
-    params, a, resid, converged = _levenberg(x, y, w, eta0, eta_n0, length_cm)
-    res = _fit_result(params, _inverse(a), w, resid, ("eta_ext_max", "eta_n"))
-
-    cov = res.cov
-    corr = cov[0, 1] / math.sqrt(cov[0, 0] * cov[1, 1]) if cov[0, 0] > 0 and cov[1, 1] > 0 else 0.0
-    u_max = length_cm * math.sqrt(float(x.max()) * params[1])
-    # noisy linear-regime data can place the fitted u_max just past pi/4,
-    # but then leave the parameters more than 0.99 correlated
-    ill = abs(corr) > 0.99 or u_max < math.pi / 4.0
-    if not converged and not ill:
-        raise FitConvergenceError("conversion fit did not converge", best_params=params)
-    if ill:
-        warnings.warn(
-            "conversion fit is ill-conditioned: the data do not resolve the "
-            "saturation of the sin^2 curve, so the cap and the normalized "
-            "efficiency are not separately identifiable",
-            stacklevel=2,
-        )
-    return replace(
-        res,
-        ill_conditioned=ill,
-        extras={
-            "total_normalized_per_w": float(params[1]) * length_cm**2,
-            "total_normalized_ci95": float(res.ci95[1]) * length_cm**2,
-        },
-    )
+    return FitResult(**_conversion_values(*data._lists(), length_cm))
 
 
 def extract_mu1(snr_vs_mu: Dataset) -> tuple[float, float]:
@@ -308,13 +309,12 @@ def extract_mu1(snr_vs_mu: Dataset) -> tuple[float, float]:
 
     Returns (mu_1, 95% half-width).  The data must bracket SNR = 1.
     """
-    if not (snr_vs_mu.y.min() <= 1.0 <= snr_vs_mu.y.max()):
+    x, y, sigma = snr_vs_mu._lists()
+    if not (min(y) <= 1.0 <= max(y)):
         raise ValueError("dataset does not span SNR = 1; mu_1 not bracketed")
-    res = fit_linear(snr_vs_mu, force_zero_intercept=True)
-    slope = res["slope"]
+    res = _line_values(x, y, sigma, force_zero_intercept=True)
+    (slope,), (half_width,) = res["params"], res["ci95"]
     if slope <= 0:
         raise ValueError("nonpositive SNR slope; mu_1 undefined")
-    mu_1 = 1.0 / slope
-    # delta method: d(1/k)/dk = -1/k^2
-    return mu_1, float(res.ci95[0]) / slope**2
-
+    # mu_1 = 1/k, and by the delta method d(1/k)/dk = -1/k^2
+    return 1.0 / slope, half_width / slope**2

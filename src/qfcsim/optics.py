@@ -42,6 +42,18 @@ def _check_fraction(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
+def _equal(a, b) -> bool:
+    """``a == b`` as one bool, also for field values with a ``shape``
+    (numpy arrays): those are equal when their shapes and every element
+    are.  An object is equal to itself, as in a tuple comparison."""
+    if a is b:
+        return True
+    if getattr(a, "shape", ()) != getattr(b, "shape", ()):
+        return False
+    equal = a == b
+    return equal if isinstance(equal, bool) else bool(equal.all())
+
+
 class Record:
     """Base of the package's frozen records.
 
@@ -86,7 +98,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(map(_equal, self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())

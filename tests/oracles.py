@@ -8,7 +8,8 @@ adaptively truncated, rescaled one) instead of the closed-form fidelity
 bound, 50-digit decimal arithmetic instead of the expm1 form of the SNR,
 dense per-shot Monte Carlo draws instead of a superposed, thinned
 event stream, a sequential dead-time scan instead of pointer jumping,
-and LAPACK solves instead of closed-form 2x2 inverses.
+and numpy arrays with their own Jacobian and LAPACK solves instead of the
+math-only fitting core and its closed-form 2x2 inverses.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from qfcsim.fitting import _conversion_jacobian, conversion_model
 from qfcsim.montecarlo import (
     _CHUNK,
     _LANE_STRIDE,
@@ -158,17 +158,29 @@ def classical_bound_series(mu_in: float, eta: float) -> float:
     return numerator / weight
 
 
+def _sin2_and_jacobian(p, eta, eta_n, length_cm):
+    """eta sin^2(u), u = L sqrt(p eta_n), and its Jacobian in (eta, eta_n),
+    with numpy and d(sin^2 u)/du written as 2 sin u cos u."""
+    root_p = np.sqrt(p)
+    u = length_cm * root_p * math.sqrt(eta_n)
+    s, c = np.sin(u), np.cos(u)
+    jac = np.column_stack([s * s, eta * s * c * length_cm * root_p / math.sqrt(eta_n)])
+    return eta * s * s, jac
+
+
 def levenberg_lapack(x, y, w, eta, eta_n, length_cm):
     """``fitting._levenberg`` with numpy arrays and a LAPACK solve
     (``np.linalg.solve``) for every damped Gauss-Newton step: the same
-    start, damping schedule and stopping rule, and the same return."""
+    start, damping schedule and stopping rule, and the same return, in
+    the same plain-float form."""
+    x, y, w = (np.asarray(v, dtype=float) for v in (x, y, w))
     p = np.array([eta, eta_n])
     lam = 1e-3
     converged = True
-    r = y - conversion_model(x, p[0], p[1], length_cm)
+    model, jac = _sin2_and_jacobian(x, p[0], p[1], length_cm)
+    r = y - model
     cost = float(np.sum(w * r**2))
     for _ in range(200):
-        jac = _conversion_jacobian(x, p[0], p[1], length_cm)
         a = jac.T @ (w[:, None] * jac)
         g = jac.T @ (w * r)
         step = None
@@ -182,10 +194,11 @@ def levenberg_lapack(x, y, w, eta, eta_n, length_cm):
             if np.any(cand <= 0):
                 lam *= 10.0
                 continue
-            cand_r = y - conversion_model(x, cand[0], cand[1], length_cm)
+            cand_model, cand_jac = _sin2_and_jacobian(x, cand[0], cand[1], length_cm)
+            cand_r = y - cand_model
             cand_cost = float(np.sum(w * cand_r**2))
             if cand_cost <= cost:
-                step, p, r, cost = cand_step, cand, cand_r, cand_cost
+                step, p, r, jac, cost = cand_step, cand, cand_r, cand_jac, cand_cost
                 lam = max(lam / 10.0, 1e-14)
                 break
             lam *= 10.0
@@ -195,8 +208,7 @@ def levenberg_lapack(x, y, w, eta, eta_n, length_cm):
             break
     else:
         converged = False
-    jac = _conversion_jacobian(x, p[0], p[1], length_cm)
-    return p, jac.T @ (w[:, None] * jac), r, converged
+    return tuple(p.tolist()), (jac.T @ (w[:, None] * jac)).tolist(), cost, converged
 
 
 def jumped_stream(seed: int, lane: int, chunk: int) -> np.random.Generator:

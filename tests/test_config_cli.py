@@ -4,6 +4,7 @@ import io
 import json
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from qfcsim.config import (
     with_overrides,
 )
 from qfcsim.cli import _OVERRIDES, PRESETS, run
-from qfcsim.fitting import FitConvergenceError
+from qfcsim.fitting import FitConvergenceError, fit_conversion
 from qfcsim.noise import ALLOWED_GATE_WIDTHS_NS, DegenerateDenominatorError, detection_probabilities
 
 SCHEMA_KEYS = [(section, key) for section in _SCHEMA for key in _SCHEMA[section]]
@@ -504,28 +505,25 @@ class TestCliExitCodes:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "make_error, code, prefix",
+        "error, code, prefix",
         [
-            (lambda np: FitConvergenceError("no convergence", best_params=np.zeros(2)), 3,
+            (FitConvergenceError("no convergence", best_params=(0.0, 0.0)), 3,
              "numerical failure"),
-            (lambda np: np.linalg.LinAlgError("singular matrix"), 3, "numerical failure"),
-            (lambda np: DegenerateDenominatorError("zero denominator"), 3, "numerical failure"),
-            (lambda np: ValueError("bad value"), 2, "validation error"),
+            (ZeroDivisionError("float division by zero"), 3, "numerical failure"),
+            (DegenerateDenominatorError("zero denominator"), 3, "numerical failure"),
+            (ValueError("bad value"), 2, "validation error"),
         ],
-        ids=["FitConvergenceError", "LinAlgError", "DegenerateDenominatorError", "ValueError"],
+        ids=["FitConvergenceError", "ZeroDivisionError", "DegenerateDenominatorError",
+             "ValueError"],
     )
-    def test_fit_failure_exit_code(self, make_error, code, prefix, tmp_path, monkeypatch, capsys):
-        # LinAlgError subclasses ValueError, and still exits 3
-        import numpy as np
-
+    def test_fit_failure_exit_code(self, error, code, prefix, tmp_path, monkeypatch, capsys):
         from qfcsim import fitting
-
-        error = make_error(np)
 
         def failing_fit(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(fitting, "fit_conversion", failing_fit)
+        # the fitting core, which the command calls in place of fit_conversion
+        monkeypatch.setattr(fitting, "_conversion_values", failing_fit)
         data = tmp_path / "data.csv"
         data.write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,0.1\n0.3,0.15\n")
         assert run(["fit", str(data), "--out", str(tmp_path / "out")]) == code
@@ -599,3 +597,108 @@ class TestCliOutputs:
         run(["sweep", "--preset", "fig3a", "--out", str(tmp_path), "--mu", "2.0"])
         b2 = (tmp_path / "fig3a.csv").read_text()
         assert b1 != b2
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str, list[str]]:
+    """(exit code, stderr, warning messages) of one CLI run."""
+    with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+def _fit_quietly(data, length_cm: float):
+    """fit_conversion's result or exception, and its warning messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fit_conversion(data, length_cm)
+        except (FitConvergenceError, ValueError) as exc:
+            result = exc
+    return result, [str(w.message) for w in caught]
+
+
+class TestFitCliParity:
+    """``qfcsim fit`` and ``fit_conversion(Dataset(...))`` share one fitting
+    core: the same values, the same flag, the same rejections."""
+
+    LENGTH_CM = parse_config(REFERENCE_CONFIG).chain.waveguide.length_cm
+
+    @given(
+        n=st.integers(3, 40),
+        linear=st.booleans(),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_values_match(self, n, linear, weighted, seed):
+        import numpy as np
+
+        from qfcsim.cli import _rounded
+        from qfcsim.fitting import Dataset, conversion_model
+
+        # unsorted powers spanning the peak, or all far below it
+        rng = np.random.default_rng(seed)
+        hi_w = 0.02 if linear else 0.6
+        p = rng.uniform(hi_w / 20.0, hi_w, n)
+        y = conversion_model(p, 0.25, 0.72, 3.0) * (1.0 + 0.05 * rng.standard_normal(n))
+        sigma = 0.05 * y * rng.uniform(0.5, 2.0, n) if weighted else None
+        columns = [p, y] if sigma is None else [p, y, sigma]
+        header = "P_p_W,eta_ext" + (",sigma" if weighted else "")
+        lines = [header] + [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_text("\n".join(lines) + "\n")
+            code, err, cli_warnings = _run_quietly(["fit", str(path), "--out", f"{tmp}/out"])
+            bundle = json.loads((Path(tmp) / "out" / "fit.json").read_text()) if code == 0 else None
+        data = Dataset(x=p, y=y, sigma=sigma, xlabel="P_p_W", ylabel="eta_ext")
+        fit, lib_warnings = _fit_quietly(data, self.LENGTH_CM)
+        assert cli_warnings == lib_warnings
+        if isinstance(fit, FitConvergenceError):
+            assert (code, err) == (3, f"numerical failure: {fit}\n")
+            return
+        if isinstance(fit, ValueError):
+            assert (code, err) == (2, f"validation error: {fit}\n")
+            return
+        assert code == 0, err
+        names = fit.param_names
+        assert bundle["params"] == dict(zip(names, map(_rounded, fit.params)))
+        assert bundle["ci95"] == dict(zip(names, map(_rounded, fit.ci95)))
+        assert bundle["rss"] == _rounded(fit.rss)
+        assert bundle["dof"] == fit.dof == n - 2
+        assert bundle["ill_conditioned"] is fit.ill_conditioned
+        for key in ("total_normalized_per_w", "total_normalized_ci95"):
+            assert bundle[key] == _rounded(fit.extras[key])
+
+    ROWS = [(0.1, 0.05, 0.01), (0.3, 0.15, 0.01), (0.2, 0.1, 0.01), (0.4, 0.2, 0.01)]
+
+    @pytest.mark.parametrize("kind, weighted", [
+        ("nan", False), ("nan", True), ("duplicate_x", False), ("duplicate_x", True),
+        ("sigma_not_positive", True), ("ragged", False), ("ragged", True),
+    ])
+    def test_bad_rows_rejected_alike(self, kind, weighted, tmp_path):
+        from qfcsim.fitting import Dataset
+
+        rows = [list(r[:3] if weighted else r[:2]) for r in self.ROWS]
+        if kind == "nan":
+            rows[1][1] = float("nan")
+        elif kind == "duplicate_x":
+            rows[2][0] = rows[0][0]
+        elif kind == "sigma_not_positive":
+            rows[3][2] = 0.0
+        cells = [[repr(v) for v in row] for row in rows]
+        if kind == "ragged":
+            cells[2].pop()
+        header = "P_p_W,eta_ext" + (",sigma" if weighted else "")
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join([header] + [",".join(c) for c in cells]) + "\n")
+        code, err, _ = _run_quietly(["fit", str(path), "--out", str(tmp_path / "out")])
+
+        # the library gets the same columns; a short row shortens its last one
+        columns = [[float(c[j]) for c in cells if j < len(c)] for j in range(len(cells[0]))]
+        with pytest.raises(ValueError) as exc:
+            fit_conversion(Dataset(*columns[:2], columns[2] if weighted else None,
+                                   xlabel="P_p_W", ylabel="eta_ext"), self.LENGTH_CM)
+        assert (code, err) == (2, f"validation error: {exc.value}\n")
+        assert not (tmp_path / "out").exists()

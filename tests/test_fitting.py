@@ -12,7 +12,6 @@ from oracles import levenberg_lapack
 from qfcsim import fitting
 from qfcsim.fitting import (
     Dataset,
-    _ci_half_widths,
     _damped_step,
     _inverse,
     _t975,
@@ -53,8 +52,8 @@ class TestDataset:
             Dataset(x=[1.0, 2.0], y=[1.0])
 
     def test_unit_weights_default(self):
-        d = Dataset(x=[1.0, 2.0], y=[1.0, 2.0])
-        assert np.all(d.weights() == 1.0)
+        x, y = [1.0, 2.0, 3.0], [1.0, 2.5, 2.9]
+        assert fit_linear(Dataset(x=x, y=y)) == fit_linear(Dataset(x=x, y=y, sigma=[1.0] * 3))
 
 
 class TestStudentQuantile:
@@ -64,7 +63,8 @@ class TestStudentQuantile:
         np.testing.assert_allclose(ours, student_t.ppf(0.975, dofs), rtol=1e-12, atol=0)
 
     def test_no_degrees_of_freedom_gives_infinite_width(self):
-        assert np.all(np.isinf(_ci_half_widths(np.eye(2), 0)))
+        res = fit_linear(Dataset(x=[1.0, 2.0], y=[1.0, 3.0]))
+        assert res.dof == 0 and np.all(np.isinf(res.ci95))
 
     def test_repeated_dof_served_from_cache(self):
         _t975.cache_clear()
@@ -199,10 +199,14 @@ class TestFitRecovery:
 
 def _lapack_fit(data, length_cm):
     """``fit_conversion`` on the LAPACK path: the oracle's Gauss-Newton
-    iteration and ``np.linalg.inv`` for the covariance."""
-    with mock.patch.object(fitting, "_levenberg", levenberg_lapack), \
-            mock.patch.object(fitting, "_inverse", np.linalg.inv):
-        return fit_conversion(data, length_cm)
+    iteration and ``np.linalg.inv`` for the covariance, each checked to
+    have run."""
+    with mock.patch.object(fitting, "_levenberg", side_effect=levenberg_lapack) as solver, \
+            mock.patch.object(fitting, "_inverse",
+                              side_effect=lambda a: np.linalg.inv(a).tolist()) as inverse:
+        res = fit_conversion(data, length_cm)
+    assert solver.call_count == 1 and inverse.call_count == 1
+    return res
 
 
 class TestLapackOracle:
@@ -270,15 +274,16 @@ class TestLapackOracle:
         np.testing.assert_allclose(_damped_step(a00, a01, a11, g0, g1, lam), expected,
                                    rtol=1e-10, atol=tol)
         inv = np.linalg.inv(a)
-        np.testing.assert_allclose(_inverse(a), inv, rtol=1e-10, atol=1e-10 * np.abs(inv).max())
+        np.testing.assert_allclose(_inverse(a.tolist()), inv, rtol=1e-10,
+                                   atol=1e-10 * np.abs(inv).max())
 
-    def test_singular_designs_raise_linalg_error(self):
-        # the CLI maps LinAlgError to exit 3
-        with pytest.raises(np.linalg.LinAlgError):
+    def test_singular_designs_raise_zero_division(self):
+        # the CLI maps ZeroDivisionError to exit 3
+        with pytest.raises(ZeroDivisionError):
             fit_linear(Dataset(x=[0.0], y=[1.0]), force_zero_intercept=True)
-        with pytest.raises(np.linalg.LinAlgError):
-            _inverse(np.array([[1.0, 2.0], [2.0, 4.0]]))
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(ZeroDivisionError):
+            _inverse([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(ZeroDivisionError):
             _damped_step(0.0, 0.0, 0.0, 1.0, 1.0, 1e-3)
 
 

@@ -106,11 +106,31 @@ def test_closed_form_commands_load_no_numpy(tmp_path):
     lines = _probe(NUMPY_PROBE, str(tmp_path), str(FIT_DATA), cwd=tmp_path)
     for step in ("import", "report", "fig3a", "fig4a", "fig5a"):
         assert f"after {step}: []" in lines
-    assert "after fit: ['numpy', 'qfcsim.fitting']" in lines
+    assert "after fit: ['qfcsim.fitting']" in lines
+    assert "after fig3b: ['numpy', 'qfcsim.fitting']" in lines
     assert "after simulate: ['numpy', 'qfcsim.fitting', 'qfcsim.montecarlo']" in lines
     for name in ("report.txt", "fig3a.csv", "fig4a.csv", "fig5a.csv", "fit.json", "fig3b.csv",
                  "simulate.csv"):
         assert (tmp_path / name).is_file()
+
+
+def test_fit_command_imports_no_numpy(tmp_path):
+    # the fit command as a user runs it, in a fresh interpreter
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "qfcsim.cli", "fit", str(FIT_DATA),
+         "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:")]
+    assert "qfcsim.fitting" in modules
+    assert [m for m in modules if m.split(".")[0] == "numpy"] == []
+    assert (tmp_path / "fit.json").is_file()
 
 
 def test_import_and_closed_form_commands_load_no_dataclasses(tmp_path):

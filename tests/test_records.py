@@ -20,12 +20,19 @@ from qfcsim import (
     replace,
 )
 from qfcsim.config import REFERENCE_CONFIG
-from qfcsim.fitting import FitResult
+from qfcsim.fitting import Dataset, FitResult
+from qfcsim.montecarlo import CLICK_DTYPE, Histogram, HistogramTriple, SimulationResult
 
 
 def detector(**changes):
     fields = dict(gate_width_ns=20.0, efficiency=0.1, dark_rate_per_ns=1e-5, dead_time_us=10.0)
     return DetectorConfig(**{**fields, **changes})
+
+
+def _clicks(times_ns):
+    clicks = np.zeros(times_ns.size, dtype=CLICK_DTYPE)
+    clicks["time_ns"] = times_ns
+    return clicks
 
 
 class TestFrozen:
@@ -65,6 +72,33 @@ class TestEqualityAndHash:
         scenario = ExperimentScenario(cfg.chain, cfg.mu_in, cfg.pump_mw, cfg.n_shots, cfg.seed)
         assert scenario != cfg and cfg != scenario
         assert GaussianPulse(30.0) != 30.0
+
+    def test_array_fields_compare_as_one_bool(self):
+        # two distinct but equal datasets, which once raised numpy's
+        # "truth value of an array is ambiguous"
+        first = Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0])
+        assert first == Dataset(x=[3.0, 2.0, 1.0], y=[3.0, 2.0, 1.0])
+        assert first in [Dataset(x=[1.0, 2.0], y=[1.0, 2.0]),
+                         Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0])]
+        assert first != Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 4.0])
+        assert first != Dataset(x=[1.0, 2.0], y=[1.0, 2.0])
+        assert first != Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0], sigma=[1.0, 1.0, 1.0])
+        with pytest.raises(TypeError):
+            hash(first)
+
+    @pytest.mark.parametrize("make", [
+        lambda counts: FitResult(counts, np.diag(counts), counts, 0.0, 1, ("a", "b")),
+        lambda counts: HistogramTriple(*[Histogram(1.0, counts, 2.0)] * 3),
+        lambda counts: SimulationResult(0.1, 0.01, 0.05, 0.01, 1.0, 0.1, _clicks(counts),
+                                        _clicks(counts), 10, 10, 0, 0),
+    ], ids=["FitResult", "Histogram", "SimulationResult"])
+    def test_array_records_equal_by_elements(self, make):
+        counts = np.array([1.0, 2.0])
+        assert make(counts) == make(counts.copy())
+        assert make(counts) != make(np.array([1.0, 3.0]))
+        assert make(counts) != make(np.array([1.0, 2.0, 0.0]))
+        with pytest.raises(TypeError):
+            hash(make(counts))
 
     def test_derived_attributes_are_not_fields(self):
         cascade = EfficiencyCascade(0.61, 0.4, 0.26, 0.04)
