@@ -22,7 +22,9 @@ from .optics import (
     LossBudget,
     Record,
     WaveguideParams,
+    check_range,
     conversion_fraction,
+    conversion_model,
     dfg_output_wavelength,
     optimal_pump_power,
     replace,
@@ -46,10 +48,9 @@ class ConversionChain(Record):
     noise: NoiseModel
     repetition_rate_mhz: float
     # derived: beta, the detected signal fraction inside the gate, and _cascade
+    _bounds = {"repetition_rate_mhz": ("repetition rate", 0.0, math.inf, "()")}
 
     def __post_init__(self):
-        if not self.repetition_rate_mhz > 0:
-            raise ValueError("repetition rate must be positive")
         if not self.gate_period_ns > self.detector.gate_width_ns:
             raise ValueError(
                 f"the source_repetition_rate period ({self.gate_period_ns:g} ns) must "
@@ -58,10 +59,9 @@ class ConversionChain(Record):
         # validates the down-conversion ordering
         dfg_output_wavelength(self.input_wavelength_nm, self.pump_wavelength_nm)
         coupling = self.budget.signal.coupling
-        if not coupling > 0:
-            raise ValueError(f"losses_input_coupling must be positive, got {coupling}")
+        check_range("losses_input_coupling", coupling, bounds="()")
         eta_int_max = self.waveguide.max_external_efficiency / coupling
-        if not eta_int_max <= 1.0:
+        if eta_int_max > 1.0:
             raise ValueError(
                 "waveguide_max_external_efficiency exceeds losses_input_coupling "
                 f"({self.waveguide.max_external_efficiency} > {coupling})"
@@ -105,12 +105,12 @@ class ConversionChain(Record):
         gate cut to ``beta``; pump noise (alpha * P_p) is flat in time and
         in the filter passband, and dark counts are flat in time.  Both
         ``mu_in`` and ``pump_mw`` must be finite and nonnegative."""
-        if not 0 <= mu_in < math.inf:
-            raise ValueError(f"mu_in must be nonnegative and finite, got {mu_in}")
-        if not 0 <= pump_mw < math.inf:
-            raise ValueError(f"pump power must be nonnegative and finite, got {pump_mw}")
+        check_range("mu_in", mu_in)
+        check_range("pump power", pump_mw)
         eta = self._cascade.eta_dev_max * self.detector.efficiency
-        signal = mu_in * (eta * self.conversion_fraction(pump_mw))
+        wg = self.waveguide  # conversion_fraction(pump_mw * 1e-3, wg), the pump checked above
+        fraction = conversion_model(pump_mw * 1e-3, 1.0, wg.normalized_efficiency, wg.length_cm)
+        signal = mu_in * (eta * fraction)
         alpha = self.noise.alpha_unit * self.filter_stage.bandwidth_nm
         pump_noise = alpha * pump_mw * window_ns
         dark = self.detector.dark_rate_per_ns * window_ns
@@ -135,30 +135,17 @@ class ExperimentScenario(Record):
     pump_mw: float
     n_shots: int
     seed: int
+    _bounds = {"mu_in": ("mu_in (source_mean_photon_number)", 0.0, math.inf, "[)"),
+               "pump_mw": ("pump power (pump_power)", 0.0, math.inf, "[)")}
 
     def __post_init__(self):
-        if not 0 <= self.mu_in < math.inf:
-            raise ValueError(
-                f"mu_in (source_mean_photon_number) must be nonnegative and finite, "
-                f"got {self.mu_in}"
-            )
-        if not 0 <= self.pump_mw < math.inf:
-            raise ValueError(
-                f"pump power (pump_power) must be nonnegative and finite, got {self.pump_mw}"
-            )
         for name, key in (("n_shots", "montecarlo_shots"), ("seed", "montecarlo_seed")):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} ({key}) must be an integer, got {value!r}")
-        if not 0 < self.n_shots <= MAX_SHOTS:
-            raise ValueError(
-                f"n_shots (montecarlo_shots) must be positive and at most 2**40, "
-                f"got {self.n_shots}"
-            )
-        if not 0 <= self.seed < 1 << 128:
-            raise ValueError(
-                f"seed (montecarlo_seed) must be in [0, 2**128), got {self.seed}"
-            )
+        # after the type checks: a string would fail the comparison with another TypeError
+        check_range("n_shots (montecarlo_shots)", self.n_shots, 0, MAX_SHOTS, "(]")
+        check_range("seed (montecarlo_seed)", self.seed, 0, 1 << 128)
 
     @property
     def dead_gates(self) -> int:

@@ -109,7 +109,7 @@ def _load(args) -> ScenarioConfig:
 def _positive_pump(cfg: ScenarioConfig) -> float:
     """The pump power of a command that needs one to convert any light;
     ``pump_power = 0`` is a valid configuration only for ``simulate``."""
-    if not cfg.pump_mw > 0:
+    if cfg.pump_mw == 0:  # the scenario has checked it is nonnegative
         raise ConfigError(
             f"pump_power = {cfg.pump_mw:g} mW; this command needs a positive pump power"
         )

@@ -18,7 +18,7 @@ import warnings
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .optics import Record, conversion_model
+from .optics import Record, check_range, conversion_model
 
 if TYPE_CHECKING:  # pragma: no cover
     import numpy as np
@@ -77,7 +77,9 @@ class Dataset(Record):
             raise ValueError("x, y and sigma must be 1-d")
         checked = _checked(*(c.tolist() for c in given), xlabel=self.xlabel, ylabel=self.ylabel)
         for name, values in zip(("x", "y", "sigma"), checked):
-            object.__setattr__(self, name, values if values is None else np.array(values))
+            if values is not None:  # an absent sigma stays None
+                object.__setattr__(self, name, np.array(values))
+                getattr(self, name).flags.writeable = False  # so the checks keep holding
 
     def __len__(self) -> int:
         return self.x.size
@@ -103,7 +105,8 @@ class FitResult(Record):
         import numpy as np
 
         for name in ("params", "cov", "ci95"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+            getattr(self, name).flags.writeable = False
 
     def __getitem__(self, name: str) -> float:
         return float(self.params[self.param_names.index(name)])
@@ -262,12 +265,10 @@ def _conversion_values(x, y, sigma, length_cm: float) -> dict:
     with the ill-conditioning flag set and warned about."""
     if len(x) < 3:
         raise ValueError("need at least 3 points")
-    if min(x) <= 0:
-        raise ValueError("pump powers must be positive")
+    check_range("smallest pump power", min(x), bounds="()")
     w = _weights(sigma, len(x))
     eta0 = max(y)
-    if eta0 <= 0:
-        raise ValueError("fit requires positive efficiencies")
+    check_range("largest efficiency", eta0, bounds="()")
     eta_n0 = (math.pi / 2.0) ** 2 / (length_cm**2 * x[y.index(eta0)])
     params, a, rss, converged = _levenberg(x, y, w, eta0, eta_n0, length_cm)
     values = _values(params, _inverse(a), rss, len(x), ("eta_ext_max", "eta_n"))

@@ -47,7 +47,7 @@ import numpy as np
 
 from .chain import MAX_SHOTS, ConversionChain, ExperimentScenario
 from .noise import DegenerateDenominatorError
-from .optics import Record
+from .optics import Record, check_range
 
 __all__ = [
     "ExperimentScenario",
@@ -92,25 +92,16 @@ _LANE_STRIDE = MAX_SHOTS // _CHUNK  # chunks per lane
 MAX_EXPECTED_CLICKS_PER_GATE = 0.5
 
 
-def _check_bins(bin_width_ns: float, window_ns: float) -> None:
-    if not (math.isfinite(bin_width_ns) and bin_width_ns > 0):
-        raise ValueError(f"bin_width_ns must be positive and finite, got {bin_width_ns}")
-    if not (math.isfinite(window_ns) and window_ns >= bin_width_ns):
-        raise ValueError(
-            f"window_ns must be finite and at least one bin ({bin_width_ns} ns), "
-            f"got {window_ns}"
-        )
-
-
 class Histogram(Record):
     """Start-stop histogram over the detection window."""
 
     bin_width_ns: float
     counts: np.ndarray
     window_ns: float
+    _bounds = {"bin_width_ns": ("bin_width_ns", 0.0, math.inf, "()")}
 
     def __post_init__(self):
-        _check_bins(self.bin_width_ns, self.window_ns)
+        check_range("window_ns", self.window_ns, self.bin_width_ns)  # at least one bin
         if np.any(self.counts < 0):
             raise ValueError("counts must be nonnegative")
 
@@ -373,12 +364,9 @@ def start_stop_histogram(
     the noise pedestal), pump only (flat pedestal over dark floor) and
     everything blocked (flat dark floor).
     """
-    _check_bins(bin_width_ns, window_ns)
-    period = scenario.chain.gate_period_ns
-    if not window_ns < period:
-        raise ValueError(
-            f"window_ns ({window_ns} ns) must be shorter than the repetition period ({period} ns)"
-        )
+    check_range("bin_width_ns", bin_width_ns, bounds="()")
+    # at least one bin, and shorter than the repetition period
+    check_range("window_ns", window_ns, bin_width_ns, scenario.chain.gate_period_ns)
     passes = (
         (_LANE_HIST_SIGNAL, scenario.mu_in, scenario.pump_mw),
         (_LANE_HIST_PUMP, 0.0, scenario.pump_mw),
@@ -393,12 +381,9 @@ def start_stop_histogram(
 
 def gate_integrate(h: Histogram, gate_width_ns: float) -> float:
     """Sum the histogram counts inside a gate centered on the window."""
-    if not gate_width_ns >= 0:
-        raise ValueError(f"gate width must be nonnegative, got {gate_width_ns}")
+    check_range("gate width", gate_width_ns)
     if gate_width_ns > h.window_ns:
-        raise ValueError(
-            f"gate ({gate_width_ns} ns) exceeds the window ({h.window_ns} ns)"
-        )
+        raise ValueError(f"gate ({gate_width_ns} ns) exceeds the window ({h.window_ns} ns)")
     center = h.window_ns / 2.0
     centers = h.bin_centers
     mask = (centers >= center - gate_width_ns / 2.0) & (

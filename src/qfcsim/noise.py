@@ -21,7 +21,7 @@ import sys
 import warnings
 from typing import TYPE_CHECKING
 
-from .optics import GaussianPulse, Record, _check_fraction, bandwidth_nm_to_ghz
+from .optics import GaussianPulse, Record, bandwidth_nm_to_ghz, check_range
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chain import ConversionChain
@@ -71,13 +71,10 @@ class NoiseModel(Record):
     alpha_crystal_per_mw_ns: float
     reference_bandwidth_nm: float
     reference_gate_ns: float
-
-    def __post_init__(self):
-        for name in ("alpha_detected_per_mw", "alpha_crystal_per_mw_ns"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if not (self.reference_bandwidth_nm > 0 and self.reference_gate_ns > 0):
-            raise ValueError("reference bandwidth and gate width must be positive")
+    _bounds = {"alpha_detected_per_mw": ("alpha_detected_per_mw", 0.0, math.inf, "[)"),
+               "alpha_crystal_per_mw_ns": ("alpha_crystal_per_mw_ns", 0.0, math.inf, "[)"),
+               "reference_bandwidth_nm": ("reference bandwidth", 0.0, math.inf, "()"),
+               "reference_gate_ns": ("reference gate width", 0.0, math.inf, "()")}
 
     @property
     def alpha_unit(self) -> float:
@@ -96,21 +93,18 @@ class FilterStage(Record):
     bandpass_longpass: float
     total_transmission: float
     allow_extrapolation: bool = False
+    _bounds = {"bandwidth_nm": ("filter bandwidth", 0.0, math.inf, "()"),
+               **{n: (n, 0.0, 1.0, "[]") for n in (
+                   "fiber_coupling", "grating", "bandpass_longpass", "total_transmission")}}
 
     def __post_init__(self):
-        for name in ("fiber_coupling", "grating", "bandpass_longpass", "total_transmission"):
-            _check_fraction(name, getattr(self, name))
         product = self.fiber_coupling * self.grating * self.bandpass_longpass
         if not abs(self.total_transmission - product) <= 0.01:
             raise ValueError(
                 f"total_transmission {self.total_transmission} inconsistent "
                 f"with element product {product:.4f}"
             )
-        if not self.bandwidth_nm > 0:
-            raise ValueError("filter bandwidth must be positive")
-        in_range = (
-            FILTER_BANDWIDTH_MIN_NM <= self.bandwidth_nm <= FILTER_BANDWIDTH_MAX_NM
-        )
+        in_range = FILTER_BANDWIDTH_MIN_NM <= self.bandwidth_nm <= FILTER_BANDWIDTH_MAX_NM
         if not in_range and not self.allow_extrapolation:
             raise ValueError(
                 f"filter bandwidth {self.bandwidth_nm} nm outside the physical "
@@ -127,14 +121,12 @@ class DetectorConfig(Record):
     dark_rate_per_ns: float
     dead_time_us: float
     allow_any_gate: bool = False
+    _bounds = {"gate_width_ns": ("gate width", 0.0, math.inf, "()"),
+               "efficiency": ("detector efficiency", 0.0, 1.0, "[]"),
+               "dark_rate_per_ns": ("dark rate", 0.0, math.inf, "[)"),
+               "dead_time_us": ("dead time", 0.0, math.inf, "[)")}
 
     def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"detector efficiency must be in [0, 1], got {self.efficiency}")
-        if not self.dead_time_us >= 0:
-            raise ValueError("dead time must be nonnegative")
-        if not self.dark_rate_per_ns >= 0:
-            raise ValueError("dark rate must be nonnegative")
         if self.gate_width_ns not in ALLOWED_GATE_WIDTHS_NS and not self.allow_any_gate:
             raise ValueError(
                 f"gate width {self.gate_width_ns} ns not in the supported set "
@@ -155,12 +147,13 @@ class RateBreakdown(Record):
     signal: float
     pump_noise: float
     dark: float
+    _bounds = {"signal": ("signal mean", 0.0, math.inf, "[)"),
+               "pump_noise": ("pump-noise mean", 0.0, math.inf, "[)"),
+               "dark": ("dark mean", 0.0, math.inf, "[)")}
 
     def __post_init__(self):
         if not (self.p_signal >= self.p_noise >= 0.0):
             raise ValueError("expected p_signal >= p_noise >= 0")
-        if not (self.signal >= 0.0 and self.pump_noise >= 0.0 and self.dark >= 0.0):
-            raise ValueError("expected nonnegative signal, pump-noise and dark means")
 
     @property
     def p_net(self) -> float:
@@ -237,8 +230,7 @@ def mu1(chain: "ConversionChain", pump_mw: float) -> float:
     The subtracted SNR is linear in mu_in, so the crossing is closed form:
     mu_1 = pump noise / signal of the breakdown at mu_in = 1.
     """
-    if not pump_mw > 0:
-        raise ValueError(f"pump power must be positive, got {pump_mw}")
+    check_range("pump power", pump_mw, bounds="()")
     rates = detection_probabilities(1.0, pump_mw, chain)
     if rates.signal <= 0:
         raise DegenerateDenominatorError(
@@ -260,10 +252,7 @@ def projected_noise_floor(
     Projections below the measured 80 GHz range are allowed but flagged
     with an ``ExtrapolationWarning``.
     """
-    if not 0 < target_bandwidth_ghz < math.inf:
-        raise ValueError(
-            f"target bandwidth must be positive and finite, got {target_bandwidth_ghz}"
-        )
+    check_range("target bandwidth", target_bandwidth_ghz, bounds="()")
     if target_bandwidth_ghz < 80.0:
         warnings.warn(
             f"projecting the noise floor to {target_bandwidth_ghz} GHz, below "

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 
 __all__ = [
+    "check_range",
     "Record",
     "replace",
     "GaussianPulse",
@@ -37,9 +38,23 @@ _SPEED_OF_LIGHT_M_S = 2.99792458e8
 _FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
-def _check_fraction(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
+def check_range(name: str, value, low=0.0, high=math.inf, bounds: str = "[)") -> None:
+    """Raise ``ValueError`` naming ``name`` and ``value`` unless the value lies
+    between ``low`` and ``high``, closed at a "[" or "]" of ``bounds`` and open
+    at a "(" or ")"; NaN lies in no interval.  Give float values float ends:
+    CPython compares an int with a float more slowly."""
+    if low < value < high:
+        return
+    if value == low and bounds[0] == "[" or value == high and bounds[1] == "]":
+        return
+    if (low, high, bounds[1]) == (0, math.inf, ")"):
+        kind = ("nonnegative" if bounds[0] == "[" else "positive") + " and finite"
+    elif (low, high, bounds) == (-math.inf, math.inf, "()"):
+        kind = "finite"
+    else:
+        low, high = (str(end).removesuffix(".0") for end in (low, high))
+        kind = f"in {bounds[0]}{low}, {high}{bounds[1]}"
+    raise ValueError(f"{name} must be {kind}, got {value}")
 
 
 def _equal(a, b) -> bool:
@@ -59,20 +74,31 @@ class Record:
 
     A record's fields are the names annotated in its class body, after its
     bases' fields; a class-level value is that field's default, and a
-    ``dict`` default is copied for each record.  Each subclass compiles one
-    ``__init__`` with the real signature: it stores the fields, then calls
-    ``__post_init__`` if the class has one.  Attributes derived there are
-    set with ``object.__setattr__`` and are not fields, so ``==``, ``hash``,
-    ``repr`` and ``replace`` do not read them.
+    ``dict`` default is copied for each record.  ``_bounds`` adds to the
+    bases' table field -> (label, low, high, bounds) of ``check_range``.
+    Each subclass compiles one ``__init__`` with the real signature: it tests
+    each bound inline, calling ``check_range`` only to raise, stores the
+    fields, then calls ``__post_init__`` if the class has one.  Attributes
+    derived there are set with ``object.__setattr__`` and are not fields, so
+    ``==``, ``hash``, ``repr`` and ``replace`` do not read them.
     """
 
     _fields: tuple[str, ...] = ()
+    _bounds: dict[str, tuple] = {}
 
     def __init_subclass__(cls):
         own = [n for n in cls.__dict__.get("__annotations__", {}) if n not in cls._fields]
         cls._fields = fields = (*cls._fields, *own)
+        cls._bounds = {**cls.__base__._bounds, **cls.__dict__.get("_bounds", {})}
         defaults = {n: getattr(cls, n) for n in fields if hasattr(cls, n)}
         params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in fields)
+        # e.g. "if not 0.0 <= x < inf: _check_range('x', x, 0.0, inf, '[)')"
+        less = {"[": "<=", "]": "<=", "(": "<", ")": "<"}
+        checks = "".join(
+            f"\n if not {lo!r} {less[b[0]]} {n} {less[b[1]]} {hi!r}:"
+            f" _check_range({label!r}, {n}, {lo!r}, {hi!r}, {b!r})"
+            for n, (label, lo, hi, b) in cls._bounds.items()
+        )
         body = "".join(
             f"\n _setattr(self, {n!r}, dict({n}) if {n} is _defaults[{n!r}] else {n})"
             if isinstance(defaults.get(n), dict) else f"\n _setattr(self, {n!r}, {n})"
@@ -81,8 +107,9 @@ class Record:
         post = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
         # not through self.__dict__: reading it turns the inline attribute
         # values into a dict, and CPython 3.11 then reads each field ~4x slower
-        namespace = {"_defaults": defaults, "_setattr": object.__setattr__}
-        exec(f"def __init__(self, {params}):{body}{post}", namespace)
+        namespace = {"_defaults": defaults, "_setattr": object.__setattr__,
+                     "_check_range": check_range, "inf": math.inf}
+        exec(f"def __init__(self, {params}):{checks}{body}{post}", namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
@@ -117,10 +144,7 @@ class GaussianPulse(Record):
     """Gaussian temporal intensity profile, FWHM in ns."""
 
     fwhm_ns: float
-
-    def __post_init__(self):
-        if not self.fwhm_ns > 0:
-            raise ValueError(f"pulse FWHM must be positive, got {self.fwhm_ns}")
+    _bounds = {"fwhm_ns": ("pulse FWHM", 0.0, math.inf, "()")}
 
     @property
     def sigma_ns(self) -> float:
@@ -139,15 +163,9 @@ class WaveguideParams(Record):
     length_cm: float
     normalized_efficiency: float  # per (W * cm^2)
     max_external_efficiency: float
-
-    def __post_init__(self):
-        if not self.length_cm > 0:
-            raise ValueError(f"waveguide length must be positive, got {self.length_cm}")
-        if not self.normalized_efficiency > 0:
-            raise ValueError(
-                f"normalized efficiency must be positive, got {self.normalized_efficiency}"
-            )
-        _check_fraction("max_external_efficiency", self.max_external_efficiency)
+    _bounds = {"length_cm": ("waveguide length", 0.0, math.inf, "()"),
+               "normalized_efficiency": ("normalized efficiency", 0.0, math.inf, "()"),
+               "max_external_efficiency": ("max_external_efficiency", 0.0, 1.0, "[]")}
 
 
 class ElementTransmissions(Record):
@@ -157,10 +175,8 @@ class ElementTransmissions(Record):
     coupling: float
     propagation: float
     output_lens: float
-
-    def __post_init__(self):
-        for name in ("input_lens", "coupling", "propagation", "output_lens"):
-            _check_fraction(name, getattr(self, name))
+    _bounds = {n: (n, 0.0, 1.0, "[]")
+               for n in ("input_lens", "coupling", "propagation", "output_lens")}
 
     @property
     def total(self) -> float:
@@ -185,10 +201,10 @@ class EfficiencyCascade(Record):
     eta_int_max: float
     eta_filter: float
     eta_detection: float
+    _bounds = {n: (n, 0.0, 1.0, "[]")
+               for n in ("eta_coupling", "eta_int_max", "eta_filter", "eta_detection")}
 
     def __post_init__(self):
-        for name in ("eta_coupling", "eta_int_max", "eta_filter", "eta_detection"):
-            _check_fraction(name, getattr(self, name))
         object.__setattr__(self, "eta_ext_max", self.eta_coupling * self.eta_int_max)
         object.__setattr__(self, "eta_dev_max", self.eta_ext_max * self.eta_filter)
         object.__setattr__(self, "eta_tot_max", self.eta_dev_max * self.eta_detection)
@@ -200,8 +216,8 @@ def dfg_output_wavelength(lambda_in_nm: float, lambda_pump_nm: float) -> float:
     Energy conservation: 1/lambda_out = 1/lambda_in - 1/lambda_pump.
     The pump must be the longer wavelength (down-conversion).
     """
-    if not (lambda_in_nm > 0 and lambda_pump_nm > 0):
-        raise ValueError("wavelengths must be positive")
+    check_range("input wavelength", lambda_in_nm, bounds="()")
+    check_range("pump wavelength", lambda_pump_nm, bounds="()")
     if not lambda_pump_nm > lambda_in_nm:
         raise ValueError(
             f"pump wavelength ({lambda_pump_nm} nm) must exceed the input "
@@ -237,8 +253,7 @@ def external_efficiency(pump_w: float, wg: WaveguideParams) -> float:
 
 def conversion_fraction(pump_w: float, wg: WaveguideParams) -> float:
     """external_efficiency normalized to 1 at its peak: sin^2(L sqrt(P eta_n))."""
-    if not 0 <= pump_w < math.inf:
-        raise ValueError(f"pump power must be nonnegative and finite, got {pump_w}")
+    check_range("pump power", pump_w)
     return float(conversion_model(pump_w, 1.0, wg.normalized_efficiency, wg.length_cm))
 
 

@@ -20,7 +20,7 @@ import math
 import numbers
 from typing import TYPE_CHECKING, Sequence
 
-from .optics import Record, replace
+from .optics import Record, check_range, replace
 
 if TYPE_CHECKING:  # pragma: no cover
     from .fitting import Dataset
@@ -46,16 +46,12 @@ class TimeBinQubit(Record):
     separation_ns: float
     early_weight: float = 0.5
     late_weight: float = 0.5
+    _bounds = {"phase": ("phase", -math.inf, math.inf, "()"),
+               "separation_ns": ("separation_ns", 0.0, math.inf, "()"),
+               "early_weight": ("early_weight", 0.0, 1.0, "[]"),
+               "late_weight": ("late_weight", 0.0, 1.0, "[]")}
 
     def __post_init__(self):
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
-        if not 0 < self.separation_ns < math.inf:
-            raise ValueError(
-                f"separation_ns must be positive and finite, got {self.separation_ns}"
-            )
-        if not (self.early_weight >= 0 and self.late_weight >= 0):
-            raise ValueError("weights must be nonnegative")
         if abs(self.early_weight + self.late_weight - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
 
@@ -67,27 +63,17 @@ class Interferometer(Record):
     phase: float = 0.0
     max_visibility: float = 1.0
     splitter_ratio: float = 0.5
-
-    def __post_init__(self):
-        if not 0 < self.delay_ns < math.inf:
-            raise ValueError(f"delay_ns must be positive and finite, got {self.delay_ns}")
-        if not math.isfinite(self.phase):
-            raise ValueError(f"phase must be finite, got {self.phase}")
-        if not 0.0 <= self.max_visibility <= 1.0:
-            raise ValueError("max visibility must be in [0, 1]")
-        if not 0.0 < self.splitter_ratio < 1.0:
-            raise ValueError("splitter ratio must be in (0, 1)")
+    _bounds = {"delay_ns": ("delay_ns", 0.0, math.inf, "()"),
+               "phase": ("phase", -math.inf, math.inf, "()"),
+               "max_visibility": ("max visibility", 0.0, 1.0, "[]"),
+               "splitter_ratio": ("splitter ratio", 0.0, 1.0, "()")}
 
 
 class SlotCounts(Record):
     early: float
     central: float
     late: float
-
-    def __post_init__(self):
-        for name in ("early", "central", "late"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} slot count must be nonnegative and finite")
+    _bounds = {n: (f"{n} slot count", 0.0, math.inf, "[)") for n in ("early", "central", "late")}
 
 
 def slot_statistics(
@@ -102,10 +88,8 @@ def slot_statistics(
     fringe contrast of the central slot is capped by the intrinsic
     interferometer visibility.
     """
-    if not 0 <= mu < math.inf:
-        raise ValueError(f"mean photon number must be nonnegative and finite, got {mu}")
-    if not 0 <= noise_per_slot < math.inf:
-        raise ValueError(f"noise per slot must be nonnegative and finite, got {noise_per_slot}")
+    check_range("mean photon number", mu)
+    check_range("noise per slot", noise_per_slot)
     if abs(ifm.delay_ns - qubit.separation_ns) > 1e-9 * qubit.separation_ns:
         raise ValueError(
             f"interferometer delay ({ifm.delay_ns} ns) does not match the "
@@ -131,12 +115,9 @@ def slot_statistics(
 def visibility_model(mu_in: float, mu_1: float, v0: float) -> float:
     """Fringe visibility limited by the signal to noise ratio:
     V = V0 * mu_in / (mu_in + mu_1 / 2)."""
-    if not 0 <= mu_in < math.inf:
-        raise ValueError(f"mu_in must be nonnegative and finite, got {mu_in}")
-    if not 0 < mu_1 < math.inf:
-        raise ValueError(f"mu_1 must be positive and finite, got {mu_1}")
-    if not 0 <= v0 <= 1:
-        raise ValueError(f"v0 must be in [0, 1], got {v0}")
+    check_range("mu_in", mu_in)
+    check_range("mu_1", mu_1, bounds="()")
+    check_range("v0", v0, 0.0, 1.0, "[]")
     return v0 * mu_in / (mu_in + mu_1 / 2.0)
 
 
@@ -203,8 +184,7 @@ def fringe_scan(
 
 def fidelity_from_visibility(visibility: float) -> float:
     """Conditional qubit fidelity from fringe visibility: (1 + V) / 2."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {visibility}")
+    check_range("visibility", visibility, 0.0, 1.0, "[]")
     return (1.0 + visibility) / 2.0
 
 
@@ -240,10 +220,8 @@ def classical_fidelity_bound(mu_in: float, eta: float) -> float:
 
     Each branch costs O(1) in mu_in.
     """
-    if not 0.0 < mu_in < math.inf:
-        raise ValueError(f"mu_in must be positive and finite, got {mu_in}")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must be in (0, 1], got {eta}")
+    check_range("mu_in", mu_in, bounds="()")
+    check_range("eta", eta, 0.0, 1.0, "(]")
     a = mu_in * eta
     b = mu_in * (1.0 - eta)
     w = -math.expm1(-a)

@@ -56,6 +56,32 @@ class TestDataset:
         assert fit_linear(Dataset(x=x, y=y)) == fit_linear(Dataset(x=x, y=y, sigma=[1.0] * 3))
 
 
+class TestReadOnlyArrays:
+    """The arrays of a dataset and a fit cannot be written to, so a value
+    written after the checks of construction cannot reach a fit."""
+
+    def test_dataset_rejects_a_nan_written_after_its_checks(self):
+        data = Dataset(x=[0.1, 0.2, 0.3, 0.4], y=[0.05, 0.1, 0.15, 0.2])
+        with pytest.raises(ValueError, match="read-only"):
+            data.x[1] = math.nan
+        assert data.x.tolist() == [0.1, 0.2, 0.3, 0.4]
+
+    def test_dataset_rejects_a_duplicate_x_written_after_its_checks(self):
+        data = Dataset(x=[0.1, 0.2, 0.3, 0.4], y=[0.05, 0.1, 0.15, 0.2], sigma=[0.01] * 4)
+        for name in ("x", "y", "sigma"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(data, name)[1] = 0.1
+
+    def test_fit_result_arrays_read_only_and_not_the_callers(self):
+        fit = fit_linear(Dataset(x=[1.0, 2.0, 3.0], y=[2.0, 4.1, 5.9]))
+        for name in ("params", "cov", "ci95"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(fit, name)[0] = 0.0
+        params = np.array([1.0, 2.0])
+        fitting.FitResult(params, np.eye(2), params, 0.0, 1, ("a", "b"))
+        params[0] = 3.0  # the caller's array stays writeable
+
+
 class TestStudentQuantile:
     def test_matches_scipy(self):
         dofs = np.arange(1, 2001)

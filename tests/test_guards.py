@@ -200,6 +200,44 @@ SCALAR_CASES = {
     "with_overrides.shots_over_max": (
         lambda: with_overrides(CONFIG, montecarlo_shots=MAX_SHOTS + 1), "montecarlo_shots"
     ),
+    # +inf, which "not x > 0" and "not x >= 0" let through: a record field
+    # that accepted it gave mu_1 = 0 or inf, an OverflowError in simulate, or
+    # a "math domain error" that named no field
+    "GaussianPulse.fwhm_inf": (lambda: replace(CHAIN.pulse, fwhm_ns=math.inf), "pulse FWHM"),
+    "WaveguideParams.length_inf": (
+        lambda: replace(CHAIN.waveguide, length_cm=math.inf), "waveguide length"
+    ),
+    "WaveguideParams.normalized_efficiency_inf": (
+        lambda: replace(CHAIN.waveguide, normalized_efficiency=math.inf), "normalized efficiency"
+    ),
+    "NoiseModel.alpha_detected_inf": (
+        lambda: replace(CHAIN.noise, alpha_detected_per_mw=math.inf), "alpha_detected_per_mw"
+    ),
+    "NoiseModel.alpha_crystal_inf": (
+        lambda: replace(CHAIN.noise, alpha_crystal_per_mw_ns=math.inf), "alpha_crystal_per_mw_ns"
+    ),
+    "NoiseModel.reference_bandwidth_inf": (
+        lambda: replace(CHAIN.noise, reference_bandwidth_nm=math.inf), "reference bandwidth"
+    ),
+    "NoiseModel.reference_gate_inf": (
+        lambda: replace(CHAIN.noise, reference_gate_ns=math.inf), "reference gate width"
+    ),
+    "FilterStage.bandwidth_inf": (
+        lambda: replace(CHAIN.filter_stage, bandwidth_nm=math.inf, allow_extrapolation=True),
+        "filter bandwidth",
+    ),
+    "DetectorConfig.dead_time_inf": (
+        lambda: replace(CHAIN.detector, dead_time_us=math.inf), "dead time"
+    ),
+    "DetectorConfig.dark_rate_inf": (
+        lambda: replace(CHAIN.detector, dark_rate_per_ns=math.inf), "dark rate"
+    ),
+    "DetectorConfig.gate_width_inf": (
+        lambda: replace(CHAIN.detector, gate_width_ns=math.inf, allow_any_gate=True), "gate width"
+    ),
+    "dfg_output_wavelength.pump_inf": (
+        lambda: dfg_output_wavelength(780.24, math.inf), "pump wavelength"
+    ),
 }
 
 
