@@ -47,7 +47,7 @@ class ConversionChain(Record):
     detector: DetectorConfig
     noise: NoiseModel
     repetition_rate_mhz: float
-    # derived: beta, the detected signal fraction inside the gate, and _cascade
+    # derived: beta (the signal fraction inside the gate), _cascade, _event_factors
     _bounds = {"repetition_rate_mhz": ("repetition rate", 0.0, math.inf, "()")}
 
     def __post_init__(self):
@@ -72,6 +72,11 @@ class ConversionChain(Record):
             self.detector.efficiency * self.beta,
         )
         object.__setattr__(self, "_cascade", cascade)
+        # event_means' factors, once per chain
+        wg, det, alpha = self.waveguide, self.detector, self.noise.alpha_unit
+        object.__setattr__(self, "_event_factors", (
+            cascade.eta_dev_max * det.efficiency, alpha * self.filter_stage.bandwidth_nm,
+            det.dark_rate_per_ns, wg.normalized_efficiency, wg.length_cm))
 
     @property
     def output_wavelength_nm(self) -> float:
@@ -107,13 +112,12 @@ class ConversionChain(Record):
         ``mu_in`` and ``pump_mw`` must be finite and nonnegative."""
         check_range("mu_in", mu_in)
         check_range("pump power", pump_mw)
-        eta = self._cascade.eta_dev_max * self.detector.efficiency
-        wg = self.waveguide  # conversion_fraction(pump_mw * 1e-3, wg), the pump checked above
-        fraction = conversion_model(pump_mw * 1e-3, 1.0, wg.normalized_efficiency, wg.length_cm)
+        eta, alpha, dark_rate, eta_n, length_cm = self._event_factors
+        # conversion_fraction(pump_mw * 1e-3, self.waveguide), the pump checked above
+        fraction = conversion_model(pump_mw * 1e-3, 1.0, eta_n, length_cm)
         signal = mu_in * (eta * fraction)
-        alpha = self.noise.alpha_unit * self.filter_stage.bandwidth_nm
         pump_noise = alpha * pump_mw * window_ns
-        dark = self.detector.dark_rate_per_ns * window_ns
+        dark = dark_rate * window_ns
         return signal, pump_noise, dark
 
     def with_filter_bandwidth(self, bandwidth_nm: float) -> "ConversionChain":

@@ -92,6 +92,14 @@ _LANE_STRIDE = MAX_SHOTS // _CHUNK  # chunks per lane
 MAX_EXPECTED_CLICKS_PER_GATE = 0.5
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of ``array``, which itself stays writeable: a record stores
+    one so that its checks keep holding, and copies nothing."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 class Histogram(Record):
     """Start-stop histogram over the detection window."""
 
@@ -101,6 +109,7 @@ class Histogram(Record):
     _bounds = {"bin_width_ns": ("bin_width_ns", 0.0, math.inf, "()")}
 
     def __post_init__(self):
+        object.__setattr__(self, "counts", _read_only(self.counts))
         check_range("window_ns", self.window_ns, self.bin_width_ns)  # at least one bin
         if np.any(self.counts < 0):
             raise ValueError("counts must be nonnegative")
@@ -133,6 +142,10 @@ class SimulationResult(Record):
     alive_noise: int
     skipped_signal: int
     skipped_noise: int
+
+    def __post_init__(self):
+        for name in ("clicks_signal", "clicks_noise"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
 
 def _substreams(seed: int, lane: int, chunks: range) -> Iterator[np.random.Generator]:

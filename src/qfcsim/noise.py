@@ -64,7 +64,8 @@ class NoiseModel(Record):
     ``alpha_detected_per_mw`` is the detected noise slope (counts per gate
     per mW) at ``reference_gate_ns`` / ``reference_bandwidth_nm``;
     ``alpha_crystal_per_mw_ns`` is the noise floor at the waveguide output
-    for the same reference bandwidth.
+    for the same reference bandwidth.  ``alpha_unit``, derived here, is the
+    detected noise constant per (mW * ns * nm).
     """
 
     alpha_detected_per_mw: float
@@ -76,12 +77,17 @@ class NoiseModel(Record):
                "reference_bandwidth_nm": ("reference bandwidth", 0.0, math.inf, "()"),
                "reference_gate_ns": ("reference gate width", 0.0, math.inf, "()")}
 
-    @property
-    def alpha_unit(self) -> float:
-        """Detected noise constant per (mW * ns * nm)."""
-        return self.alpha_detected_per_mw / (
-            self.reference_gate_ns * self.reference_bandwidth_nm
-        )
+    def __post_init__(self):
+        product = self.reference_gate_ns * self.reference_bandwidth_nm
+        unit = self.alpha_detected_per_mw / product if product else math.inf
+        if unit == math.inf:  # the product underflowed, or the quotient overflowed
+            raise ValueError(
+                "alpha_detected_per_mw / (reference_gate_ns * reference_bandwidth_nm) must "
+                f"be finite, got {self.alpha_detected_per_mw:g} / ({self.reference_gate_ns:g}"
+                f" * {self.reference_bandwidth_nm:g}); set noise_reference_gate and "
+                "noise_reference_bandwidth to a larger product"
+            )
+        object.__setattr__(self, "alpha_unit", unit)
 
 
 class FilterStage(Record):
@@ -200,9 +206,7 @@ def detection_probabilities(
             )
     noise = pump_noise + dark
     return RateBreakdown(
-        p_signal=-math.expm1(-(signal + noise)),
-        p_noise=-math.expm1(-noise),
-        signal=signal, pump_noise=pump_noise, dark=dark,
+        -math.expm1(-(signal + noise)), -math.expm1(-noise), signal, pump_noise, dark
     )
 
 

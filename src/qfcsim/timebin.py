@@ -105,11 +105,7 @@ def slot_statistics(
         + wl * t1 * (1.0 - t2)
         + cross * ifm.max_visibility * math.cos(qubit.phase - ifm.phase)
     )
-    return SlotCounts(
-        early=early + noise_per_slot,
-        central=central + noise_per_slot,
-        late=late + noise_per_slot,
-    )
+    return SlotCounts(early + noise_per_slot, central + noise_per_slot, late + noise_per_slot)
 
 
 def visibility_model(mu_in: float, mu_1: float, v0: float) -> float:

@@ -8,8 +8,9 @@ adaptively truncated, rescaled one) instead of the closed-form fidelity
 bound, 50-digit decimal arithmetic instead of the expm1 form of the SNR,
 dense per-shot Monte Carlo draws instead of a superposed, thinned
 event stream, a sequential dead-time scan instead of pointer jumping,
-and numpy arrays with their own Jacobian and LAPACK solves instead of the
-math-only fitting core and its closed-form 2x2 inverses.
+numpy arrays with their own Jacobian and LAPACK solves instead of the
+math-only fitting core and its closed-form 2x2 inverses, and the event
+means from a chain's primitive fields instead of the factors it caches.
 """
 
 from __future__ import annotations
@@ -209,6 +210,22 @@ def levenberg_lapack(x, y, w, eta, eta_n, length_cm):
     else:
         converged = False
     return tuple(p.tolist()), (jac.T @ (w[:, None] * jac)).tolist(), cost, converged
+
+
+def event_means_from_fields(chain, mu_in: float, pump_mw: float, window_ns: float):
+    """``ConversionChain.event_means`` written out from the chain's own
+    fields on every call, with nothing taken from what the chain derived
+    when it was built.  The operations and their order are the library's,
+    so the two agree to the bit: the external efficiency is the cascade's
+    coupling * (cap / coupling), not the cap itself."""
+    wg, filt, det, noise = chain.waveguide, chain.filter_stage, chain.detector, chain.noise
+    coupling = chain.budget.signal.coupling
+    eta = coupling * (wg.max_external_efficiency / coupling) * filt.total_transmission
+    fraction = math.sin(wg.length_cm * math.sqrt(pump_mw * 1e-3 * wg.normalized_efficiency)) ** 2
+    alpha_unit = noise.alpha_detected_per_mw / (noise.reference_gate_ns * noise.reference_bandwidth_nm)
+    signal = mu_in * (eta * det.efficiency * fraction)
+    pump_noise = alpha_unit * filt.bandwidth_nm * pump_mw * window_ns
+    return signal, pump_noise, det.dark_rate_per_ns * window_ns
 
 
 def jumped_stream(seed: int, lane: int, chunk: int) -> np.random.Generator:

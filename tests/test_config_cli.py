@@ -388,6 +388,17 @@ class TestCliExitCodes:
         assert run(["fit", str(data), "--out", str(tmp_path / "out")]) == 2
         assert "no data rows" in capsys.readouterr().err
 
+    def test_reference_product_underflow_rejected(self, tmp_path, capsys):
+        # 1e-200 ns * 1e-200 nm is 0 in floating point; alpha_unit divides by it
+        text = _with_entry("noise", "reference_gate", "1e-200 ns")
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(_with_entry("noise", "reference_bandwidth", "1e-200 nm", text))
+        assert run(["report", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "noise_reference_gate" in err and "noise_reference_bandwidth" in err
+        assert "division" not in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_gate_longer_than_period_rejected(self, tmp_path, capsys):
         # 20 MHz is a 50 ns period, shorter than a 100 ns gate
         text = _with_entry("source", "repetition_rate", "20.0 MHz")

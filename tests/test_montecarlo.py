@@ -466,6 +466,41 @@ class TestHistograms:
         assert ratio == pytest.approx(chain.beta, abs=0.03)
 
 
+class TestReadOnlyArrays:
+    """A record's arrays cannot be written through it, so a value written
+    after its checks cannot reach a result; the caller's array stays
+    writeable and is not copied."""
+
+    def test_histogram_counts(self):
+        counts = np.ones(100, dtype=int)
+        h = Histogram(bin_width_ns=1.0, counts=counts, window_ns=100.0)
+        with pytest.raises(ValueError, match="read-only"):
+            h.counts[50] = -5
+        assert h.total == 100 and gate_integrate(h, 20.0) == 20.0
+        assert np.shares_memory(h.counts, counts)
+        counts[0] = 2  # the caller's array stays writeable
+        assert h.counts[0] == 2
+
+    def test_start_stop_histograms(self):
+        triple = start_stop_histogram(scenario(shots=20000))
+        for h in (triple.signal_on, triple.pump_only, triple.dark_only):
+            with pytest.raises(ValueError, match="read-only"):
+                h.counts[0] = -5
+
+    def test_simulation_clicks(self):
+        result = simulate(scenario(shots=20000))
+        for clicks in (result.clicks_signal, result.clicks_noise):
+            with pytest.raises(ValueError, match="read-only"):
+                clicks["time_ns"][0] = -1.0
+            with pytest.raises(ValueError, match="read-only"):
+                clicks[0] = clicks[0]
+        mine = np.zeros(3, dtype=CLICK_DTYPE)
+        built = replace(result, clicks_signal=mine)
+        assert np.shares_memory(built.clicks_signal, mine)
+        mine["shot"] = 7  # the caller's array stays writeable
+        assert built.clicks_signal["shot"].tolist() == [7, 7, 7]
+
+
 class TestScenarioValidation:
     def test_negative_inputs(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,11 @@ import warnings
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import beta_quadrature, snr_unsubtracted_decimal
+from oracles import beta_quadrature, event_means_from_fields, snr_unsubtracted_decimal
 from qfcsim import replace
 from qfcsim.chain import reference_chain
 from qfcsim.noise import (
+    ALLOWED_GATE_WIDTHS_NS,
     FILTER_BANDWIDTH_MAX_NM,
     FILTER_BANDWIDTH_MIN_NM,
     DegenerateDenominatorError,
@@ -125,6 +126,66 @@ class TestEventMeans:
             rate_chain().event_means(6.1, pump_mw, 20.0)
         with pytest.raises(ValueError, match="pump power"):
             detection_probabilities(6.1, pump_mw, rate_chain())
+
+
+_REFERENCE = reference_chain()
+
+# one step from a chain to a changed one, through each way a chain is rebuilt
+_CHAIN_STEP = st.one_of(
+    st.floats(FILTER_BANDWIDTH_MIN_NM, FILTER_BANDWIDTH_MAX_NM).map(
+        lambda bw: lambda c: c.with_filter_bandwidth(bw)),
+    st.sampled_from(ALLOWED_GATE_WIDTHS_NS).map(lambda gate: lambda c: c.with_gate_width(gate)),
+    st.tuples(st.floats(0.0, 1e-3), st.floats(0.1, 100.0), st.floats(0.1, 5.0)).map(
+        lambda v: lambda c: replace(c, noise=replace(
+            c.noise, alpha_detected_per_mw=v[0], reference_gate_ns=v[1],
+            reference_bandwidth_nm=v[2]))),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1e-3)).map(
+        lambda v: lambda c: replace(c, detector=replace(
+            c.detector, efficiency=v[0], dark_rate_per_ns=v[1]))),
+    st.tuples(st.floats(0.5, 5.0), st.floats(0.1, 2.0), st.floats(0.0, 0.6)).map(
+        lambda v: lambda c: replace(c, waveguide=replace(
+            c.waveguide, length_cm=v[0], normalized_efficiency=v[1],
+            max_external_efficiency=v[2]))),
+)
+
+
+class TestEventMeansOracle:
+    """The factors a chain caches for ``event_means`` when it is built are
+    never stale: after any sequence of rebuilds, its means equal the
+    formula from the primitive fields to the bit."""
+
+    @given(steps=st.lists(_CHAIN_STEP, max_size=6),
+           mu_in=st.floats(0.0, 100.0), pump_mw=st.floats(0.0, 1000.0),
+           window_ns=st.floats(0.0, 200.0))
+    def test_bit_identical_to_the_fields(self, steps, mu_in, pump_mw, window_ns):
+        chain = _REFERENCE
+        for step in steps:
+            chain = step(chain)
+        means = chain.event_means(mu_in, pump_mw, window_ns)
+        expected = event_means_from_fields(chain, mu_in, pump_mw, window_ns)
+        assert [m.hex() for m in means] == [e.hex() for e in expected]
+
+
+class TestNoiseModel:
+    def test_alpha_unit(self):
+        assert MODEL.alpha_unit == 6e-6 / (20.0 * 0.68)
+        assert replace(MODEL, alpha_detected_per_mw=0.0).alpha_unit == 0.0
+
+    @pytest.mark.parametrize("alpha, gate, bandwidth", [
+        (6e-6, 1e-200, 1e-200),  # the product underflows to 0
+        (0.0, 1e-200, 1e-200),  # 0 / 0
+        (1e300, 1e-10, 1e-10),  # the quotient overflows
+    ])
+    def test_non_finite_alpha_unit_rejected(self, alpha, gate, bandwidth):
+        message = (r"^alpha_detected_per_mw / \(reference_gate_ns \* reference_bandwidth_nm\) "
+                   r"must be finite, .*noise_reference_gate.*noise_reference_bandwidth")
+        with pytest.raises(ValueError, match=message):
+            replace(MODEL, alpha_detected_per_mw=alpha, reference_gate_ns=gate,
+                    reference_bandwidth_nm=bandwidth)
+
+    def test_smallest_products_accepted(self):
+        model = replace(MODEL, reference_gate_ns=1e-160, reference_bandwidth_nm=1e-140)
+        assert model.alpha_unit == 6e-6 / (1e-160 * 1e-140)
 
 
 class TestDetectionProbabilities:

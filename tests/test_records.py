@@ -7,14 +7,19 @@ import numpy as np
 import pytest
 
 from qfcsim import (
+    ConversionChain,
     DetectorConfig,
     EfficiencyCascade,
     ExperimentScenario,
     GaussianPulse,
     Interferometer,
+    NoiseModel,
     RateBreakdown,
     ScenarioConfig,
+    SlotCounts,
+    TimeBinQubit,
     beta_factor,
+    detection_probabilities,
     parse_config,
     reference_chain,
     replace,
@@ -22,6 +27,8 @@ from qfcsim import (
 from qfcsim.config import REFERENCE_CONFIG
 from qfcsim.fitting import Dataset, FitResult
 from qfcsim.montecarlo import CLICK_DTYPE, Histogram, HistogramTriple, SimulationResult
+from qfcsim.optics import Record
+from qfcsim.timebin import QuantumRegimeRow
 
 
 def detector(**changes):
@@ -33,6 +40,62 @@ def _clicks(times_ns):
     clicks = np.zeros(times_ns.size, dtype=CLICK_DTYPE)
     clicks["time_ns"] = times_ns
     return clicks
+
+
+def _records(cls=Record):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _records(sub)
+
+
+CHAIN = reference_chain()
+CONFIG = parse_config(REFERENCE_CONFIG)
+_COUNTS = np.ones(4, dtype=int)
+# one instance of every record class, and the attributes each derives in __post_init__
+INSTANCES = {
+    type(r): r for r in [
+        CHAIN, CHAIN.pulse, CHAIN.waveguide, CHAIN.budget, CHAIN.budget.signal, CHAIN.cascade(),
+        CHAIN.noise, CHAIN.filter_stage, CHAIN.detector, detection_probabilities(6.1, 120.0, CHAIN),
+        ExperimentScenario(CHAIN, 6.1, 120.0, 10, 1), CONFIG,
+        TimeBinQubit(0.0, 50.0), Interferometer(50.0), SlotCounts(1.0, 2.0, 1.0),
+        QuantumRegimeRow(1.0, 0.9, 0.95, 0.9, 0.9, 0.9, True),
+        Histogram(1.0, _COUNTS, 4.0), HistogramTriple(*[Histogram(1.0, _COUNTS, 4.0)] * 3),
+        SimulationResult(0.1, 0.01, 0.05, 0.01, 1.0, 0.1, _clicks(np.ones(2)),
+                         _clicks(np.ones(2)), 10, 10, 0, 0),
+        Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0]),
+        FitResult(np.ones(1), np.ones((1, 1)), np.ones(1), 0.0, 1, ("slope",)),
+    ]
+}
+DERIVED = {
+    ConversionChain: {"beta", "_cascade", "_event_factors"},
+    EfficiencyCascade: {"eta_ext_max", "eta_dev_max", "eta_tot_max"},
+    NoiseModel: {"alpha_unit"},
+}
+
+
+class TestInstanceDict:
+    """Each record stores its fields, and then its derived attributes, in
+    its instance dict, and nothing else."""
+
+    def test_every_record_class_has_an_instance(self):
+        assert set(INSTANCES) == set(_records())
+
+    @pytest.mark.parametrize("record", INSTANCES.values(), ids=[c.__name__ for c in INSTANCES])
+    def test_vars_are_the_fields_and_derived_attributes(self, record):
+        derived = DERIVED.get(type(record), set())
+        assert tuple(vars(record))[:len(record._fields)] == record._fields
+        assert set(vars(record)) == {*record._fields, *derived}
+
+    @pytest.mark.parametrize("record", INSTANCES.values(), ids=[c.__name__ for c in INSTANCES])
+    def test_no_attribute_assigned_or_deleted(self, record):
+        before = dict(vars(record))
+        for name in before:
+            with pytest.raises(AttributeError, match=name):
+                setattr(record, name, 1.0)
+            with pytest.raises(AttributeError, match=name):
+                delattr(record, name)
+        assert vars(record).keys() == before.keys()
+        assert all(vars(record)[n] is before[n] for n in before)
 
 
 class TestFrozen:
@@ -146,8 +209,9 @@ class TestConstruction:
 
         first, second = result(), result()
         assert first.extras == {} and first.extras is not second.extras
+        assert first.extras is not FitResult.extras
         first.extras["k"] = 1.0
-        assert second.extras == {} and result().extras == {}
+        assert second.extras == {} and result().extras == {} and FitResult.extras == {}
         given = {"k": 2.0}
         assert replace(first, extras=given).extras is given
 
