@@ -21,7 +21,7 @@ rng = np.random.default_rng(3)
 # ----------------------------------------------------------------------
 pumps = np.linspace(0.02, 0.6, 15)  # W
 truth = conversion_model(pumps, 0.25, 0.72, 3.0)
-measured = truth * (1.0 + 0.05 * rng.standard_normal(truth.size))
+measured = np.asarray(truth) * (1.0 + 0.05 * rng.standard_normal(len(truth)))
 
 fit = fit_conversion(Dataset(x=pumps, y=measured, xlabel="P_p_W", ylabel="eta_ext"),
                      length_cm=3.0)

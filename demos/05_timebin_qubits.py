@@ -40,7 +40,7 @@ data, vis = fringe_scan(
     seed=9,
 )
 print("central-slot fringe, 5000 shots per phase point:")
-peak = data.y.max()
+peak = max(data.y)
 for g, c in zip(data.x, data.y):
     print(f"  gamma = {g:5.2f}  {c:6.3f}  {'*' * int(30 * c / peak)}")
 print(f"fitted visibility: {vis:.3f} (interferometer limit 0.95, noise washout)")

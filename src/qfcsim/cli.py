@@ -182,13 +182,14 @@ def _preset_fig3b(cfg: ScenarioConfig):
     pumps_w = pumps_mw * 1e-3
     truth = conversion_model(pumps_w, wg.max_external_efficiency, wg.normalized_efficiency, wg.length_cm)
     rng = np.random.default_rng(cfg.seed)
-    y = truth * (1.0 + 0.05 * rng.standard_normal(truth.size))
+    y = np.asarray(truth) * (1.0 + 0.05 * rng.standard_normal(len(truth)))
     fit = fit_conversion(Dataset(x=pumps_w, y=y, xlabel="P_p_W", ylabel="eta_ext"), wg.length_cm)
     eta, eta_n = fit.params.tolist()
     (c00, c01), (c10, c11) = fit.cov.tolist()
     tq = _t975(fit.dof)
     rows = []
-    for p, j1 in zip(pumps_mw.tolist(), _slopes(pumps_w.tolist(), eta, eta_n, wg.length_cm)):
+    slopes = _slopes(np.sqrt(pumps_w).tolist(), eta, eta_n, wg.length_cm)
+    for p, j1 in zip(pumps_mw.tolist(), slopes):
         j0 = conversion_model(p * 1e-3, 1.0, eta_n, wg.length_cm)  # the model's slope in eta
         band = tq * math.sqrt(j0 * (c00 * j0 + c01 * j1) + j1 * (c10 * j0 + c11 * j1))
         rb = detection_probabilities(cfg.mu_in, p, chain)

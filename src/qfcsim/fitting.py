@@ -6,9 +6,10 @@ one raises ``ZeroDivisionError``; 95% half-widths use the linearized
 covariance scaled by the residual variance and the Student-t quantile.
 
 The private core (``_checked``, ``_line_values``, ``_conversion_values``)
-works on lists of floats and returns a ``FitResult``'s fields; the CLI's
-``fit`` calls it directly.  numpy is imported only where the ndarray
-records ``Dataset`` and ``FitResult`` are built.
+works on sequences of floats and returns a ``FitResult``'s fields; the
+CLI's ``fit`` calls it directly.  A ``Dataset`` holds tuples of floats, so
+building one and ``extract_mu1`` need no numpy; numpy is imported only
+where a ``FitResult``, whose fields are read-only ndarrays, is built.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from functools import lru_cache
+from operator import lt
 from typing import TYPE_CHECKING
 
 from .optics import Record, check_range, conversion_model
@@ -50,7 +52,7 @@ def _checked(x, y, sigma=None, xlabel: str = "x", ylabel: str = "y"):
     if x != sorted(x):
         order = sorted(range(len(x)), key=x.__getitem__)
         x, y, sigma = (c if c is None else [c[i] for i in order] for c in (x, y, sigma))
-    if len(set(x)) < len(x):
+    if not all(map(lt, x, x[1:])):  # sorted, so distinct if each is below the next
         raise ValueError("x values must be distinct")
     return x, y, sigma
 
@@ -61,32 +63,27 @@ def _weights(sigma, n: int) -> list[float]:
 
 
 class Dataset(Record):
-    """Ordered (x, y, sigma_y) triples; sorted by x on construction."""
+    """Ordered (x, y, sigma_y) triples: tuples of floats, sorted by x on construction."""
 
-    x: np.ndarray
-    y: np.ndarray
-    sigma: np.ndarray | None = None
+    x: tuple[float, ...]
+    y: tuple[float, ...]
+    sigma: tuple[float, ...] | None = None
     xlabel: str = "x"
     ylabel: str = "y"
 
     def __post_init__(self):
-        import numpy as np
-
-        given = [np.asarray(v, dtype=float) for v in (self.x, self.y, self.sigma) if v is not None]
-        if any(c.ndim != 1 for c in given):
-            raise ValueError("x, y and sigma must be 1-d")
-        checked = _checked(*(c.tolist() for c in given), xlabel=self.xlabel, ylabel=self.ylabel)
+        try:  # float() refuses a nested or non-numeric item, map() a scalar
+            given = [list(map(float, v.tolist() if hasattr(v, "tolist") else v))
+                     for v in (self.x, self.y, self.sigma) if v is not None]
+        except TypeError:
+            raise ValueError("x, y and sigma must be 1-d sequences of numbers") from None
+        checked = _checked(*given, xlabel=self.xlabel, ylabel=self.ylabel)
         for name, values in zip(("x", "y", "sigma"), checked):
             if values is not None:  # an absent sigma stays None
-                object.__setattr__(self, name, np.array(values))
-                getattr(self, name).flags.writeable = False  # so the checks keep holding
+                object.__setattr__(self, name, tuple(values))
 
     def __len__(self) -> int:
-        return self.x.size
-
-    def _lists(self):
-        """x, y and sigma (or None) as lists of floats, for the core."""
-        return self.x.tolist(), self.y.tolist(), None if self.sigma is None else self.sigma.tolist()
+        return len(self.x)
 
 
 class FitResult(Record):
@@ -203,19 +200,19 @@ def _line_values(x, y, sigma, force_zero_intercept: bool) -> dict:
 def fit_linear(data: Dataset, force_zero_intercept: bool = False) -> FitResult:
     """Weighted least-squares line fit; parameters ``("slope",)`` with a
     forced zero intercept, otherwise ``("slope", "intercept")``."""
-    return FitResult(**_line_values(*data._lists(), force_zero_intercept))
+    return FitResult(**_line_values(data.x, data.y, data.sigma, force_zero_intercept))
 
 
-def _slopes(x, eta_ext_max, eta_n, length_cm) -> list[float]:
-    """The sin^2 model's derivative in eta_n at each pump power in x; the
-    one in eta_ext_max is the model itself at eta_ext_max = 1."""
+def _slopes(roots, eta_ext_max, eta_n, length_cm) -> list[float]:
+    """The sin^2 model's derivative in eta_n at the pump powers with square
+    roots ``roots``; the one in eta_ext_max is the model at eta_ext_max = 1."""
     k, c = 2 * length_cm * math.sqrt(eta_n), eta_ext_max * length_cm / (2 * math.sqrt(eta_n))
-    return [c * rp * math.sin(k * rp) for rp in map(math.sqrt, x)]
+    return [c * rp * math.sin(k * rp) for rp in roots]
 
 
 def _residuals(x, y, w, eta, eta_n, length_cm) -> tuple[list[float], list[float], float]:
     """The model at eta_ext_max = 1 per point, the residuals at eta, their RSS."""
-    s2 = [conversion_model(p, 1.0, eta_n, length_cm) for p in x]
+    s2 = conversion_model(x, 1.0, eta_n, length_cm)
     r = [yi - eta * si for yi, si in zip(y, s2)]
     return s2, r, _rss(w, r)
 
@@ -225,10 +222,11 @@ def _levenberg(x, y, w, eta, eta_n, length_cm):
     returns ((eta_ext_max, eta_n), J^T W J there as nested lists, the
     weighted RSS, converged), converged being False after 200 steps."""
     lam, s0, s1 = 1e-3, math.inf, math.inf
+    roots = list(map(math.sqrt, x))
     s2, r, cost = _residuals(x, y, w, eta, eta_n, length_cm)
     for steps in range(201):
         a00 = a01 = a11 = g0 = g1 = 0.0  # J^T W J and J^T W r
-        for j0, j1, wi, ri in zip(s2, _slopes(x, eta, eta_n, length_cm), w, r):
+        for j0, j1, wi, ri in zip(s2, _slopes(roots, eta, eta_n, length_cm), w, r):
             wj0, wj1 = wi * j0, wi * j1
             a00 += wj0 * j0
             a01 += wj0 * j1
@@ -301,7 +299,7 @@ def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
     returned even when the iteration cap stops it, any other fit that
     reaches the cap raises ``FitConvergenceError``.
     """
-    return FitResult(**_conversion_values(*data._lists(), length_cm))
+    return FitResult(**_conversion_values(data.x, data.y, data.sigma, length_cm))
 
 
 def extract_mu1(snr_vs_mu: Dataset) -> tuple[float, float]:
@@ -310,7 +308,7 @@ def extract_mu1(snr_vs_mu: Dataset) -> tuple[float, float]:
 
     Returns (mu_1, 95% half-width).  The data must bracket SNR = 1.
     """
-    x, y, sigma = snr_vs_mu._lists()
+    x, y, sigma = snr_vs_mu.x, snr_vs_mu.y, snr_vs_mu.sigma
     if not (min(y) <= 1.0 <= max(y)):
         raise ValueError("dataset does not span SNR = 1; mu_1 not bracketed")
     res = _line_values(x, y, sigma, force_zero_intercept=True)

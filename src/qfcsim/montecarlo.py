@@ -101,7 +101,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 class Histogram(Record):
-    """Start-stop histogram over the detection window."""
+    """Start-stop histogram over the detection window, with a read-only copy of the counts."""
 
     bin_width_ns: float
     counts: np.ndarray
@@ -109,7 +109,7 @@ class Histogram(Record):
     _bounds = {"bin_width_ns": ("bin_width_ns", 0.0, math.inf, "()")}
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", _read_only(self.counts))
+        object.__setattr__(self, "counts", _read_only(np.array(self.counts)))
         check_range("window_ns", self.window_ns, self.bin_width_ns)  # at least one bin
         if np.any(self.counts < 0):
             raise ValueError("counts must be nonnegative")

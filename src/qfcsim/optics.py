@@ -229,20 +229,21 @@ def conversion_model(pump_w, eta_ext_max: float, eta_n: float, length_cm: float)
     """eta_ext_max * sin^2(L sqrt(P eta_n)) at pump powers ``pump_w`` (W).
 
     The undepleted classical-pump result for a quasi-phase-matched
-    waveguide.  Takes a Python scalar, evaluated with ``math``, or an
-    array, evaluated with numpy, which is imported only then.  Scalar
-    callers pass one value at a time: numpy's sin of a single value
-    matched ``math.sin`` on every power checked, while its vectorised
-    array loop can differ in the last bit.
+    waveguide.  A scalar, numpy's too, gives a float; a 1-d sequence (list,
+    tuple or ndarray) gives a list of floats, the scalar's ``math`` formula
+    at each power, so the two agree to the bit.
     """
     if isinstance(pump_w, (int, float)):
-        sin, sqrt = math.sin, math.sqrt
-    else:
-        import numpy as np
+        return eta_ext_max * math.sin(length_cm * math.sqrt(pump_w * eta_n)) ** 2
+    if hasattr(pump_w, "tolist"):  # numpy's: as Python numbers
+        return conversion_model(pump_w.tolist(), eta_ext_max, eta_n, length_cm)
+    return _conversion_list(pump_w, eta_ext_max, eta_n, length_cm)
 
-        sin, sqrt = np.sin, np.sqrt
-        pump_w = np.asarray(pump_w, dtype=float)
-    return eta_ext_max * sin(length_cm * sqrt(pump_w * eta_n)) ** 2
+
+def _conversion_list(pumps, eta_ext_max, eta_n, length_cm) -> list[float]:
+    # apart, as a comprehension in conversion_model costs its scalar calls closure cells
+    sin, sqrt = math.sin, math.sqrt
+    return [eta_ext_max * sin(length_cm * sqrt(p * eta_n)) ** 2 for p in pumps]
 
 
 def external_efficiency(pump_w: float, wg: WaveguideParams) -> float:

@@ -61,7 +61,7 @@ def test_criterion_02_optimal_pump():
 def test_criterion_03_fit_recovery():
     target = 0.72 * 9.0  # eta_n * L^2
     pumps = np.linspace(0.02, 0.6, 15)
-    truth = conversion_model(pumps, 0.25, 0.72, 3.0)
+    truth = np.asarray(conversion_model(pumps, 0.25, 0.72, 3.0))
     estimates = []
     covered = 0
     for seed in range(200):

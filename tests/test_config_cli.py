@@ -653,7 +653,7 @@ class TestFitCliParity:
         rng = np.random.default_rng(seed)
         hi_w = 0.02 if linear else 0.6
         p = rng.uniform(hi_w / 20.0, hi_w, n)
-        y = conversion_model(p, 0.25, 0.72, 3.0) * (1.0 + 0.05 * rng.standard_normal(n))
+        y = np.asarray(conversion_model(p, 0.25, 0.72, 3.0)) * (1.0 + 0.05 * rng.standard_normal(n))
         sigma = 0.05 * y * rng.uniform(0.5, 2.0, n) if weighted else None
         columns = [p, y] if sigma is None else [p, y, sigma]
         header = "P_p_W,eta_ext" + (",sigma" if weighted else "")

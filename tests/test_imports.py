@@ -1,7 +1,8 @@
 """The run-time dependencies: importing and running qfcsim loads no scipy,
 also on the paths that fit and so take the Student-t quantile;
-``import qfcsim`` and the closed-form commands load no numpy; and the
-records are built without ``dataclasses`` and its ``inspect``."""
+``import qfcsim``, the closed-form commands and a ``Dataset`` of lists
+load no numpy; and the records are built without ``dataclasses`` and its
+``inspect``."""
 
 import os
 import subprocess
@@ -156,6 +157,25 @@ print(sorted(m for m in ("numpy", "qfcsim.montecarlo") if m in sys.modules))
 
 def test_scenario_loads_no_numpy(tmp_path):
     assert _probe(SCENARIO_PROBE, cwd=tmp_path) == ["[]"]
+
+
+# A dataset built from lists, mu_1 from it, and the fitting core that the
+# CLI's fit calls, run on math alone; so does the model over a list.
+FITTING_PROBE = """
+import sys
+
+from qfcsim import fitting
+
+data = fitting.Dataset(x=[2.0, 0.5, 1.0, 1.5], y=[2.9, 0.7, 1.4, 2.1], sigma=[0.1] * 4)
+fitting.extract_mu1(data)
+p = [0.02 * i for i in range(1, 31)]
+fitting._conversion_values(p, fitting.conversion_model(p, 0.25, 0.72, 3.0), None, 3.0)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_dataset_and_fitting_core_load_no_numpy(tmp_path):
+    assert _probe(FITTING_PROBE, cwd=tmp_path) == ["[]"]
 
 
 # the names the package exports from fitting and montecarlo

@@ -469,7 +469,8 @@ class TestHistograms:
 class TestReadOnlyArrays:
     """A record's arrays cannot be written through it, so a value written
     after its checks cannot reach a result; the caller's array stays
-    writeable and is not copied."""
+    writeable.  A histogram copies its counts, one integer a bin; the
+    click arrays, the large ones, are not copied."""
 
     def test_histogram_counts(self):
         counts = np.ones(100, dtype=int)
@@ -477,9 +478,9 @@ class TestReadOnlyArrays:
         with pytest.raises(ValueError, match="read-only"):
             h.counts[50] = -5
         assert h.total == 100 and gate_integrate(h, 20.0) == 20.0
-        assert np.shares_memory(h.counts, counts)
-        counts[0] = 2  # the caller's array stays writeable
-        assert h.counts[0] == 2
+        assert not np.shares_memory(h.counts, counts)
+        counts[0] = -5  # the caller's array stays writeable, and is not the record's
+        assert h.counts[0] == 1 and h.total == 100
 
     def test_start_stop_histograms(self):
         triple = start_stop_histogram(scenario(shots=20000))

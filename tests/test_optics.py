@@ -103,15 +103,19 @@ class TestConversionModel:
     def test_scalar_path_returns_a_float(self):
         assert type(conversion_model(0.4, *MODEL_PARAMS[0])) is float
         assert type(conversion_model(1, *MODEL_PARAMS[0])) is float
+        expected = conversion_model(float(np.float32(0.4)), *MODEL_PARAMS[0])
+        for value in (np.float32(0.4), np.asarray(np.float32(0.4))):
+            assert type(conversion_model(value, *MODEL_PARAMS[0])) is float
+            assert conversion_model(value, *MODEL_PARAMS[0]) == expected
 
     @pytest.mark.parametrize("eta, eta_n, length", MODEL_PARAMS)
-    def test_array_path_unchanged(self, eta, eta_n, length):
+    def test_sequence_path_is_the_scalar_path(self, eta, eta_n, length):
         pumps = np.linspace(0.0, 1.0, 200_001)
-        expected = eta * np.sin(length * np.sqrt(pumps * eta_n)) ** 2
-        for values in (pumps, pumps.tolist()):
+        expected = [conversion_model(p, eta, eta_n, length) for p in pumps.tolist()]
+        for values in (pumps, pumps.tolist(), tuple(pumps.tolist())):
             result = conversion_model(values, eta, eta_n, length)
-            assert isinstance(result, np.ndarray)
-            np.testing.assert_array_equal(result, expected, strict=True)
+            assert type(result) is list and {type(v) for v in result} == {float}
+            assert list(map(float.hex, result)) == list(map(float.hex, expected))
 
 
 class TestLossBudget:

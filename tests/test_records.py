@@ -25,7 +25,7 @@ from qfcsim import (
     replace,
 )
 from qfcsim.config import REFERENCE_CONFIG
-from qfcsim.fitting import Dataset, FitResult
+from qfcsim.fitting import Dataset, FitResult, fit_linear
 from qfcsim.montecarlo import CLICK_DTYPE, Histogram, HistogramTriple, SimulationResult
 from qfcsim.optics import Record
 from qfcsim.timebin import QuantumRegimeRow
@@ -137,17 +137,26 @@ class TestEqualityAndHash:
         assert GaussianPulse(30.0) != 30.0
 
     def test_array_fields_compare_as_one_bool(self):
-        # two distinct but equal datasets, which once raised numpy's
+        # two distinct but equal fits, which once raised numpy's
         # "truth value of an array is ambiguous"
+        x, y = [1.0, 2.0, 3.0], [1.0, 2.5, 2.9]
+        first = fit_linear(Dataset(x=x, y=y))
+        assert first == fit_linear(Dataset(x=x[::-1], y=y[::-1]))
+        assert first in [fit_linear(Dataset(x=x[:2], y=y[:2])), fit_linear(Dataset(x=x, y=y))]
+        assert first != fit_linear(Dataset(x=x, y=[1.0, 2.5, 3.0]))
+        assert first != fit_linear(Dataset(x=x, y=y), force_zero_intercept=True)
+        with pytest.raises(TypeError):
+            hash(first)
+
+    def test_datasets_compare_and_hash_as_tuples(self):
         first = Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0])
         assert first == Dataset(x=[3.0, 2.0, 1.0], y=[3.0, 2.0, 1.0])
+        assert hash(first) == hash(Dataset(x=[3.0, 2.0, 1.0], y=[3.0, 2.0, 1.0]))
         assert first in [Dataset(x=[1.0, 2.0], y=[1.0, 2.0]),
                          Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0])]
         assert first != Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 4.0])
         assert first != Dataset(x=[1.0, 2.0], y=[1.0, 2.0])
         assert first != Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0], sigma=[1.0, 1.0, 1.0])
-        with pytest.raises(TypeError):
-            hash(first)
 
     @pytest.mark.parametrize("make", [
         lambda counts: FitResult(counts, np.diag(counts), counts, 0.0, 1, ("a", "b")),
