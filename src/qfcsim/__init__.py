@@ -17,7 +17,6 @@ from .chain import ConversionChain, ExperimentScenario, reference_chain
 from .config import (
     REFERENCE_CONFIG,
     ConfigError,
-    ScenarioConfig,
     config_hash,
     load_config,
     parse_config,

@@ -7,7 +7,7 @@ signal, pump-noise and dark events from it.  ``reference_chain`` builds
 the chain with the published apparatus values, which live only in the
 shipped scenario file ``data/reference.cfg``.  ``ExperimentScenario`` adds
 the source and run settings; it is the one place they are checked, and
-``config.ScenarioConfig`` is one.
+``config.parse_config`` returns one.
 """
 
 from __future__ import annotations

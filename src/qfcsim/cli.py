@@ -14,9 +14,10 @@ failure.
 
 ``report``, the ``fig3a``, ``fig4a`` and ``fig5a`` sweeps and ``fit`` run
 on ``math`` alone: ``fit`` reads its CSV into lists of floats and calls
-the fitting core directly, with no ``Dataset`` or ``FitResult``.  numpy,
-``fitting`` and ``montecarlo`` are imported only inside the commands that
-use them.
+the fitting core directly, with no ``Dataset`` or ``FitResult``, and so
+does ``fig3b``, which imports numpy only for its seeded normal draws.
+numpy, ``fitting`` and ``montecarlo`` are imported only inside the
+commands that use them.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ import warnings
 from pathlib import Path
 
 from . import __version__
+from .chain import ExperimentScenario
 from .config import (
     REFERENCE_CONFIG,
     ConfigError,
-    ScenarioConfig,
     config_hash,
     load_config,
     parse_config,
@@ -94,7 +95,7 @@ def _csv(columns: list[str] | tuple[str, ...], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _load(args) -> ScenarioConfig:
+def _load(args) -> ExperimentScenario:
     cfg = parse_config(REFERENCE_CONFIG) if args.config is None else load_config(args.config)
     overrides = {
         key: getattr(args, flag)
@@ -106,7 +107,7 @@ def _load(args) -> ScenarioConfig:
     return cfg
 
 
-def _positive_pump(cfg: ScenarioConfig) -> float:
+def _positive_pump(cfg: ExperimentScenario) -> float:
     """The pump power of a command that needs one to convert any light;
     ``pump_power = 0`` is a valid configuration only for ``simulate``."""
     if cfg.pump_mw == 0:  # the scenario has checked it is nonnegative
@@ -138,7 +139,7 @@ _SIMULATE_COLUMNS = (
 )
 
 
-def _cmd_simulate(cfg: ScenarioConfig, args):
+def _cmd_simulate(cfg: ExperimentScenario, args):
     from .montecarlo import simulate
 
     res = simulate(cfg)
@@ -156,7 +157,7 @@ def _cmd_simulate(cfg: ScenarioConfig, args):
 # ------------------------------------------------------------------- sweep
 
 
-def _preset_fig3a(cfg: ScenarioConfig):
+def _preset_fig3a(cfg: ExperimentScenario):
     """Click probabilities versus pump power, input on / blocked."""
     rows = []
     for p in [20.0 * i for i in range(31)]:  # 0 to 600 mW
@@ -165,7 +166,7 @@ def _preset_fig3a(cfg: ScenarioConfig):
     return ["P_p_mW", "p_signal", "p_noise", "p_net"], rows
 
 
-def _preset_fig3b(cfg: ScenarioConfig):
+def _preset_fig3b(cfg: ExperimentScenario):
     """Conversion-efficiency fit band and dark-subtracted SNR versus pump.
 
     A synthetic 5% relative-noise measurement of the sin^2 curve is drawn
@@ -174,22 +175,22 @@ def _preset_fig3b(cfg: ScenarioConfig):
     """
     import numpy as np
 
-    from .fitting import Dataset, _slopes, _t975, conversion_model, fit_conversion
+    from .fitting import _checked, _conversion_values, _slopes, _t975, conversion_model
 
     chain = cfg.chain
     wg = chain.waveguide
-    pumps_mw = np.arange(20.0, 601.0, 20.0)
-    pumps_w = pumps_mw * 1e-3
+    pumps_mw = [20.0 * i for i in range(1, 31)]
+    pumps_w = [p * 1e-3 for p in pumps_mw]
     truth = conversion_model(pumps_w, wg.max_external_efficiency, wg.normalized_efficiency, wg.length_cm)
-    rng = np.random.default_rng(cfg.seed)
-    y = np.asarray(truth) * (1.0 + 0.05 * rng.standard_normal(len(truth)))
-    fit = fit_conversion(Dataset(x=pumps_w, y=y, xlabel="P_p_W", ylabel="eta_ext"), wg.length_cm)
-    eta, eta_n = fit.params.tolist()
-    (c00, c01), (c10, c11) = fit.cov.tolist()
-    tq = _t975(fit.dof)
+    normals = np.random.default_rng(cfg.seed).standard_normal(len(truth)).tolist()
+    y = [t * (1.0 + 0.05 * n) for t, n in zip(truth, normals)]
+    fit = _conversion_values(*_checked(pumps_w, y, None, "P_p_W", "eta_ext"), wg.length_cm)
+    eta, eta_n = fit["params"]
+    (c00, c01), (c10, c11) = fit["cov"]
+    tq = _t975(fit["dof"])
     rows = []
-    slopes = _slopes(np.sqrt(pumps_w).tolist(), eta, eta_n, wg.length_cm)
-    for p, j1 in zip(pumps_mw.tolist(), slopes):
+    slopes = _slopes([math.sqrt(p) for p in pumps_w], eta, eta_n, wg.length_cm)
+    for p, j1 in zip(pumps_mw, slopes):
         j0 = conversion_model(p * 1e-3, 1.0, eta_n, wg.length_cm)  # the model's slope in eta
         band = tq * math.sqrt(j0 * (c00 * j0 + c01 * j1) + j1 * (c10 * j0 + c11 * j1))
         rb = detection_probabilities(cfg.mu_in, p, chain)
@@ -197,7 +198,7 @@ def _preset_fig3b(cfg: ScenarioConfig):
     return ["P_p_mW", "eta_ext", "eta_ext_ci_lo", "eta_ext_ci_hi", "snr_dc"], rows
 
 
-def _preset_fig4a(cfg: ScenarioConfig):
+def _preset_fig4a(cfg: ExperimentScenario):
     """SNR = 1 crossing versus filter bandwidth at the configured pump."""
     pump_mw = _positive_pump(cfg)
     bandwidths = _linspace(FILTER_BANDWIDTH_MIN_NM, FILTER_BANDWIDTH_MAX_NM, 12)
@@ -208,7 +209,7 @@ def _preset_fig4a(cfg: ScenarioConfig):
     return ["bandwidth_nm", "mu_1"], rows
 
 
-def _preset_fig5a(cfg: ScenarioConfig):
+def _preset_fig5a(cfg: ExperimentScenario):
     """Visibility, fidelity and classical bounds versus input photon number."""
     m1 = mu1(cfg.chain, _positive_pump(cfg))
     cas = cfg.chain.cascade()
@@ -229,7 +230,7 @@ PRESETS = {
 }
 
 
-def _cmd_sweep(cfg: ScenarioConfig, args):
+def _cmd_sweep(cfg: ExperimentScenario, args):
     columns, rows = PRESETS[args.preset](cfg)
     csv_name = f"{args.preset}.csv"
     payload = {"preset": args.preset, "rows": len(rows)}
@@ -262,7 +263,7 @@ def _read_dataset_csv(path: Path) -> tuple[list, list, list | None]:
     return _checked(x, y, sigma[0] if sigma else None, header[0], header[1])
 
 
-def _cmd_fit(cfg: ScenarioConfig, args):
+def _cmd_fit(cfg: ExperimentScenario, args):
     from .fitting import _conversion_values
 
     fit = _conversion_values(*_read_dataset_csv(Path(args.data)), cfg.chain.waveguide.length_cm)
@@ -312,7 +313,7 @@ REPORT_TARGETS = {
 }
 
 
-def _report_values(cfg: ScenarioConfig) -> dict[str, float]:
+def _report_values(cfg: ExperimentScenario) -> dict[str, float]:
     """The value of every REPORT_TARGETS row for this configuration."""
     pump_mw = _positive_pump(cfg)
     chain = cfg.chain
@@ -361,7 +362,7 @@ def _report_values(cfg: ScenarioConfig) -> dict[str, float]:
     }
 
 
-def _cmd_report(cfg: ScenarioConfig, args):
+def _cmd_report(cfg: ExperimentScenario, args):
     values = _report_values(cfg)
     rows = []
     for name, (target, check, a, b) in REPORT_TARGETS.items():

@@ -5,7 +5,10 @@ carry a mandatory unit suffix (``pulse_fwhm = 30 ns``); dimensionless
 ones are bare numbers.  Unknown sections or keys are rejected, as are
 missing required keys; every parse error carries the line number.
 
-``serialize`` emits a canonical form (fixed section and key order, one
+A parsed document is an ``ExperimentScenario`` and nothing more: each
+key's ``_SCHEMA`` row names the record field it lands in, and the records
+are built from those rows.  ``serialize`` reads the values back from the
+same fields and emits a canonical form (fixed section and key order, one
 space around ``=``), so serialize(parse(text)) normalizes whitespace
 only and a second round-trip is a fixed point.  ``config_hash`` is the
 SHA-256 of that canonical form and is stamped into report metadata.
@@ -17,13 +20,13 @@ import hashlib
 import math
 import numbers
 from importlib import resources
+from operator import attrgetter
 
 from .chain import ConversionChain, ExperimentScenario
 from .noise import DetectorConfig, FilterStage, NoiseModel
 from .optics import ElementTransmissions, GaussianPulse, LossBudget, WaveguideParams
 
 __all__ = [
-    "ScenarioConfig",
     "ConfigError",
     "parse_config",
     "load_config",
@@ -38,60 +41,58 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration document."""
 
 
-# Each key is (kind, argument).  Kinds: float with unit suffix (the
-# suffix string), bare float (None), "int" or "bool".  The argument is the
-# record field the value is passed as: the sections after [pump] are each
-# one record or, for [montecarlo], the scenario's fields, built from their
-# rows alone.
+# Each key is (kind, path).  Kinds: float with unit suffix (the suffix
+# string), bare float (None), "int" or "bool".  The path is the dotted one
+# from the scenario to the record field that holds the value.
 _FLOAT = None
 _SCHEMA: dict[str, dict[str, tuple[object, str]]] = {
     "source": {
-        "input_wavelength": ("nm", "input_wavelength_nm"),
-        "pulse_fwhm": ("ns", "fwhm_ns"),
+        "input_wavelength": ("nm", "chain.input_wavelength_nm"),
+        "pulse_fwhm": ("ns", "chain.pulse.fwhm_ns"),
         "mean_photon_number": (_FLOAT, "mu_in"),
-        "repetition_rate": ("MHz", "repetition_rate_mhz"),
+        "repetition_rate": ("MHz", "chain.repetition_rate_mhz"),
     },
     "pump": {
-        "wavelength": ("nm", "pump_wavelength_nm"),
+        "wavelength": ("nm", "chain.pump_wavelength_nm"),
         "power": ("mW", "pump_mw"),
     },
     "waveguide": {
-        "length": ("cm", "length_cm"),
-        "normalized_efficiency": ("/W/cm^2", "normalized_efficiency"),
-        "max_external_efficiency": (_FLOAT, "max_external_efficiency"),
+        "length": ("cm", "chain.waveguide.length_cm"),
+        "normalized_efficiency": ("/W/cm^2", "chain.waveguide.normalized_efficiency"),
+        "max_external_efficiency": (_FLOAT, "chain.waveguide.max_external_efficiency"),
     },
     "losses_input": {
-        "input_lens": (_FLOAT, "input_lens"),
-        "coupling": (_FLOAT, "coupling"),
-        "propagation": (_FLOAT, "propagation"),
-        "output_lens": (_FLOAT, "output_lens"),
+        "input_lens": (_FLOAT, "chain.budget.signal.input_lens"),
+        "coupling": (_FLOAT, "chain.budget.signal.coupling"),
+        "propagation": (_FLOAT, "chain.budget.signal.propagation"),
+        "output_lens": (_FLOAT, "chain.budget.signal.output_lens"),
     },
     "losses_pump": {
-        "input_lens": (_FLOAT, "input_lens"),
-        "coupling": (_FLOAT, "coupling"),
-        "propagation": (_FLOAT, "propagation"),
-        "output_lens": (_FLOAT, "output_lens"),
+        "input_lens": (_FLOAT, "chain.budget.pump.input_lens"),
+        "coupling": (_FLOAT, "chain.budget.pump.coupling"),
+        "propagation": (_FLOAT, "chain.budget.pump.propagation"),
+        "output_lens": (_FLOAT, "chain.budget.pump.output_lens"),
     },
     "filter": {
-        "bandwidth": ("nm", "bandwidth_nm"),
-        "fiber_coupling": (_FLOAT, "fiber_coupling"),
-        "grating": (_FLOAT, "grating"),
-        "bandpass_longpass": (_FLOAT, "bandpass_longpass"),
-        "total_transmission": (_FLOAT, "total_transmission"),
-        "allow_extrapolation": ("bool", "allow_extrapolation"),
+        "bandwidth": ("nm", "chain.filter_stage.bandwidth_nm"),
+        "fiber_coupling": (_FLOAT, "chain.filter_stage.fiber_coupling"),
+        "grating": (_FLOAT, "chain.filter_stage.grating"),
+        "bandpass_longpass": (_FLOAT, "chain.filter_stage.bandpass_longpass"),
+        "total_transmission": (_FLOAT, "chain.filter_stage.total_transmission"),
+        "allow_extrapolation": ("bool", "chain.filter_stage.allow_extrapolation"),
     },
     "detector": {
-        "gate_width": ("ns", "gate_width_ns"),
-        "efficiency": (_FLOAT, "efficiency"),
-        "dark_rate": ("/ns", "dark_rate_per_ns"),
-        "dead_time": ("us", "dead_time_us"),
-        "allow_any_gate": ("bool", "allow_any_gate"),
+        "gate_width": ("ns", "chain.detector.gate_width_ns"),
+        "efficiency": (_FLOAT, "chain.detector.efficiency"),
+        "dark_rate": ("/ns", "chain.detector.dark_rate_per_ns"),
+        "dead_time": ("us", "chain.detector.dead_time_us"),
+        "allow_any_gate": ("bool", "chain.detector.allow_any_gate"),
     },
     "noise": {
-        "alpha_detected": ("/mW", "alpha_detected_per_mw"),
-        "alpha_crystal": ("/mW/ns", "alpha_crystal_per_mw_ns"),
-        "reference_bandwidth": ("nm", "reference_bandwidth_nm"),
-        "reference_gate": ("ns", "reference_gate_ns"),
+        "alpha_detected": ("/mW", "chain.noise.alpha_detected_per_mw"),
+        "alpha_crystal": ("/mW/ns", "chain.noise.alpha_crystal_per_mw_ns"),
+        "reference_bandwidth": ("nm", "chain.noise.reference_bandwidth_nm"),
+        "reference_gate": ("ns", "chain.noise.reference_gate_ns"),
     },
     "montecarlo": {
         "shots": ("int", "n_shots"),
@@ -99,15 +100,20 @@ _SCHEMA: dict[str, dict[str, tuple[object, str]]] = {
     },
 }
 
+# (section, key) -> the getter of its value from a scenario, and record
+# path -> [(field, (section, key))] of the values that build that record
+_GETTERS = {}
+_RECORDS: dict[str, list[tuple[str, tuple[str, str]]]] = {}
+for _section, _keys in _SCHEMA.items():
+    for _key, (_, _path) in _keys.items():
+        _GETTERS[(_section, _key)] = attrgetter(_path)
+        _record, _, _field = _path.rpartition(".")
+        _RECORDS.setdefault(_record, []).append((_field, (_section, _key)))
+
 # Everything except these two defaults to the reference apparatus.
 _REQUIRED: frozenset[tuple[str, str]] = frozenset(
     {("pump", "power"), ("source", "mean_photon_number")}
 )
-
-class ScenarioConfig(ExperimentScenario):
-    """A validated scenario and the document values it was built from."""
-
-    values: dict  # (section, key) -> raw value, fully defaulted
 
 
 def _qualified(section: str, key: str) -> str:
@@ -190,7 +196,7 @@ def _parse_values(text: str) -> dict[tuple[str, str], object]:
     return values
 
 
-def parse_config(text: str) -> ScenarioConfig:
+def parse_config(text: str) -> ExperimentScenario:
     """Parse and validate a scenario document, applying defaults."""
     values = _parse_values(text)
     for sk in _REQUIRED:
@@ -202,51 +208,44 @@ def parse_config(text: str) -> ScenarioConfig:
     return _build(values)
 
 
-def _build(values: dict[tuple[str, str], object]) -> ScenarioConfig:
+def _build(values: dict[tuple[str, str], object]) -> ExperimentScenario:
     # NaN passes every range check below, so non-finite input stops here
     for (section, key), value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{_qualified(section, key)} must be finite, got {value}")
 
-    def fields(section: str) -> dict[str, object]:
-        return {arg: values[(section, key)] for key, (_, arg) in _SCHEMA[section].items()}
+    def fields(record: str) -> dict[str, object]:
+        return {field: values[sk] for field, sk in _RECORDS[record]}
 
-    # the source and pump keys feed the chain, its pulse and the scenario,
-    # which checks its own fields
-    mixed = {**fields("source"), **fields("pump")}
     try:
-        return ScenarioConfig(
-            chain=ConversionChain(
-                input_wavelength_nm=mixed["input_wavelength_nm"],
-                pump_wavelength_nm=mixed["pump_wavelength_nm"],
-                pulse=GaussianPulse(fwhm_ns=mixed["fwhm_ns"]),
-                waveguide=WaveguideParams(**fields("waveguide")),
-                budget=LossBudget(
-                    signal=ElementTransmissions(**fields("losses_input")),
-                    pump=ElementTransmissions(**fields("losses_pump")),
-                ),
-                filter_stage=FilterStage(**fields("filter")),
-                detector=DetectorConfig(**fields("detector")),
-                noise=NoiseModel(**fields("noise")),
-                repetition_rate_mhz=mixed["repetition_rate_mhz"],
-            ),
-            mu_in=mixed["mu_in"],
-            pump_mw=mixed["pump_mw"],
-            **fields("montecarlo"),
-            values=dict(values),
+        chain = ConversionChain(
+            pulse=GaussianPulse(**fields("chain.pulse")),
+            waveguide=WaveguideParams(**fields("chain.waveguide")),
+            budget=LossBudget(signal=ElementTransmissions(**fields("chain.budget.signal")),
+                              pump=ElementTransmissions(**fields("chain.budget.pump"))),
+            filter_stage=FilterStage(**fields("chain.filter_stage")),
+            detector=DetectorConfig(**fields("chain.detector")),
+            noise=NoiseModel(**fields("chain.noise")),
+            **fields("chain"),
         )
+        return ExperimentScenario(chain=chain, **fields(""))
     except ValueError as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
-def with_overrides(config: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """Rebuild a config with (section, key) entries replaced.
+def _values(scenario: ExperimentScenario) -> dict[tuple[str, str], object]:
+    """(section, key) -> value of every config key, read from the records."""
+    return {sk: get(scenario) for sk, get in _GETTERS.items()}
+
+
+def with_overrides(scenario: ExperimentScenario, **overrides) -> ExperimentScenario:
+    """Rebuild a scenario with (section, key) entries replaced.
 
     Override names are the qualified ``section_key`` forms, e.g.
     ``pump_power=400.0`` or ``detector_gate_width=50.0``.
     """
-    values = dict(config.values)
-    known = {_qualified(s, k): (s, k) for s in _SCHEMA for k in _SCHEMA[s]}
+    values = _values(scenario)
+    known = {_qualified(*sk): sk for sk in values}
     for name, value in overrides.items():
         if name not in known:
             raise ConfigError(f"unknown override {name!r}")
@@ -274,7 +273,7 @@ def _override_value(name: str, kind: object, value):
         raise ConfigError(f"{name} must be finite, got {value!r}") from None
 
 
-def load_config(path) -> ScenarioConfig:
+def load_config(path) -> ExperimentScenario:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
 
@@ -290,20 +289,20 @@ def _format_value(value, kind) -> str:
     return f"{num} {kind}"
 
 
-def serialize(config: ScenarioConfig) -> str:
-    """Canonical text form: schema section and key order, defaults included."""
+def serialize(scenario: ExperimentScenario) -> str:
+    """Canonical text form: schema section and key order, every key included."""
     lines = []
     for section, keys in _SCHEMA.items():
         lines.append(f"[{section}]")
         for key, (kind, _) in keys.items():
-            lines.append(f"{key} = {_format_value(config.values[(section, key)], kind)}")
+            lines.append(f"{key} = {_format_value(_GETTERS[(section, key)](scenario), kind)}")
         lines.append("")
     return "\n".join(lines)
 
 
-def config_hash(config: ScenarioConfig) -> str:
+def config_hash(scenario: ExperimentScenario) -> str:
     """SHA-256 hex digest of the canonical serialization."""
-    return hashlib.sha256(serialize(config).encode("utf-8")).hexdigest()
+    return hashlib.sha256(serialize(scenario).encode("utf-8")).hexdigest()
 
 
 # Reference apparatus document, shipped with the package: the only place

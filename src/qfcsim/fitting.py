@@ -7,7 +7,7 @@ covariance scaled by the residual variance and the Student-t quantile.
 
 The private core (``_checked``, ``_line_values``, ``_conversion_values``)
 works on sequences of floats and returns a ``FitResult``'s fields; the
-CLI's ``fit`` calls it directly.  A ``Dataset`` holds tuples of floats, so
+CLI's ``fit`` and ``fig3b`` call it directly.  A ``Dataset`` holds tuples of floats, so
 building one and ``extract_mu1`` need no numpy; numpy is imported only
 where a ``FitResult``, whose fields are read-only ndarrays, is built.
 """

@@ -17,6 +17,7 @@ from qfcsim.config import (
     _DEFAULTS,
     _REQUIRED,
     _SCHEMA,
+    _values,
     REFERENCE_CONFIG,
     ConfigError,
     config_hash,
@@ -27,6 +28,7 @@ from qfcsim.config import (
 from qfcsim.cli import _OVERRIDES, PRESETS, run
 from qfcsim.fitting import FitConvergenceError, fit_conversion
 from qfcsim.noise import ALLOWED_GATE_WIDTHS_NS, DegenerateDenominatorError, detection_probabilities
+from qfcsim.optics import Record
 
 SCHEMA_KEYS = [(section, key) for section in _SCHEMA for key in _SCHEMA[section]]
 
@@ -203,7 +205,7 @@ class TestParseConfig:
     def test_every_key_reaches_the_model(self, section, key):
         cfg = parse_config(REFERENCE_CONFIG)
         kind = _SCHEMA[section][key][0]
-        value = cfg.values[(section, key)]
+        value = _values(cfg)[(section, key)]
         if kind == "bool":
             other = not value
         elif kind == "int":
@@ -251,10 +253,10 @@ class TestSerialization:
         gate = entries.get(("detector", "gate_width"), _DEFAULTS[("detector", "gate_width")])
         assume(1e3 / rate > gate)
         cfg = parse_config(_document(entries))
-        assert all(cfg.values[sk] == v for sk, v in entries.items())
+        assert all(_values(cfg)[sk] == v for sk, v in entries.items())
         again = parse_config(serialize(cfg))
         assert config_hash(again) == config_hash(cfg)
-        assert again.values == cfg.values
+        assert _values(again) == _values(cfg)
 
     def test_whitespace_normalization_only(self):
         messy = REFERENCE_CONFIG.replace("power = 120.0 mW", "power   =    120.0   mW")
@@ -270,6 +272,54 @@ class TestSerialization:
         cfg = parse_config(REFERENCE_CONFIG)
         with pytest.raises(ConfigError, match="unknown override"):
             with_overrides(cfg, pump_wattage=1.0)
+
+
+class TestScenarioIsItsRecords:
+    """A scenario is its records: ``serialize`` and ``config_hash`` read
+    every key through its ``_SCHEMA`` path, so they follow a record
+    changed with ``replace`` and take a scenario built by hand."""
+
+    def test_hash_follows_replaced_records(self):
+        cfg = parse_config(REFERENCE_CONFIG)
+        pairs = [
+            (qfcsim.replace(cfg, seed=5), with_overrides(cfg, montecarlo_seed=5)),
+            (qfcsim.replace(cfg, chain=cfg.chain.with_gate_width(50.0)),
+             with_overrides(cfg, detector_gate_width=50.0)),
+        ]
+        for replaced, overridden in pairs:
+            assert replaced == overridden
+            assert serialize(replaced) == serialize(overridden)
+            assert config_hash(replaced) == config_hash(overridden) != config_hash(cfg)
+        assert "seed = 5\n" in serialize(pairs[0][0])
+        assert "gate_width = 50.0 ns\n" in serialize(pairs[1][0])
+
+    def test_hand_built_scenario(self):
+        cfg = parse_config(REFERENCE_CONFIG)
+        hand = qfcsim.ExperimentScenario(cfg.chain, cfg.mu_in, cfg.pump_mw, cfg.n_shots, cfg.seed)
+        assert serialize(hand) == serialize(cfg)
+        assert config_hash(hand) == config_hash(cfg)
+        assert with_overrides(hand) == cfg
+        assert with_overrides(hand, pump_power=400.0) == with_overrides(cfg, pump_power=400.0)
+
+    def test_every_field_has_one_path(self):
+        # a field with no key would drop out of serialize and the hash
+        def leaves(record, prefix=""):
+            for name in record._fields:
+                value = getattr(record, name)
+                if isinstance(value, Record):
+                    yield from leaves(value, f"{prefix}{name}.")
+                else:
+                    yield prefix + name
+
+        cfg = parse_config(REFERENCE_CONFIG)
+        paths = [path for keys in _SCHEMA.values() for _, path in keys.values()]
+        assert len(set(paths)) == len(paths)
+        assert sorted(paths) == sorted(leaves(cfg))
+        # attributes derived from the fields are no fields of their own
+        derived = {"beta": cfg.chain, "_cascade": cfg.chain, "_event_factors": cfg.chain,
+                   "alpha_unit": cfg.chain.noise}
+        for name, record in derived.items():
+            assert hasattr(record, name) and name not in record._fields
 
 
 class TestCliExitCodes:

@@ -545,7 +545,7 @@ class TestScenarioValidation:
 
         assert montecarlo.ExperimentScenario is chain.ExperimentScenario
         assert qfcsim.ExperimentScenario is chain.ExperimentScenario
-        assert issubclass(config.ScenarioConfig, chain.ExperimentScenario)
+        assert type(config.parse_config(config.REFERENCE_CONFIG)) is chain.ExperimentScenario
 
     def test_no_noise_click_raises(self):
         # no pump and no dark counts: the input-blocked lane cannot click,

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 import qfcsim
-from qfcsim import config, fitting, montecarlo  # noqa: F401  (every Record subclass)
+from qfcsim import fitting, montecarlo  # noqa: F401  (every Record subclass)
 from qfcsim.noise import FilterStage, detection_probabilities
 from qfcsim.optics import Record, check_range, replace
 from qfcsim.timebin import Interferometer, SlotCounts, TimeBinQubit
 
 CHAIN = qfcsim.reference_chain()
-CONFIG = qfcsim.parse_config(config.REFERENCE_CONFIG)
 
 # valid instances of each record class with bounds; a closed endpoint must
 # construct from at least one of them (a FilterStage element at 1 needs the
@@ -34,7 +33,6 @@ VALID = {
     qfcsim.RateBreakdown: [detection_probabilities(6.1, 120.0, CHAIN)],
     qfcsim.ConversionChain: [CHAIN],
     qfcsim.ExperimentScenario: [qfcsim.ExperimentScenario(CHAIN, 6.1, 120.0, 10, 1)],
-    qfcsim.ScenarioConfig: [CONFIG],
     TimeBinQubit: [TimeBinQubit(0.0, 50.0), TimeBinQubit(0.0, 50.0, 1.0, 0.0),
                    TimeBinQubit(0.0, 50.0, 0.0, 1.0)],
     Interferometer: [Interferometer(50.0)],
