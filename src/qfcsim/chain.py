@@ -23,7 +23,6 @@ from .optics import (
     Record,
     WaveguideParams,
     check_range,
-    conversion_fraction,
     conversion_model,
     dfg_output_wavelength,
     optimal_pump_power,
@@ -94,10 +93,6 @@ class ConversionChain(Record):
     def eta_tot_max(self) -> float:
         return self._cascade.eta_tot_max
 
-    def conversion_fraction(self, pump_mw: float) -> float:
-        """sin^2 conversion factor, normalized to 1 at the optimum."""
-        return conversion_fraction(pump_mw * 1e-3, self.waveguide)
-
     @property
     def optimal_pump_mw(self) -> float:
         return optimal_pump_power(self.waveguide) * 1e3
@@ -113,7 +108,7 @@ class ConversionChain(Record):
         check_range("mu_in", mu_in)
         check_range("pump power", pump_mw)
         eta, alpha, dark_rate, eta_n, length_cm = self._event_factors
-        # conversion_fraction(pump_mw * 1e-3, self.waveguide), the pump checked above
+        # optics.conversion_fraction(pump_mw * 1e-3, self.waveguide), the pump checked above
         fraction = conversion_model(pump_mw * 1e-3, 1.0, eta_n, length_cm)
         signal = mu_in * (eta * fraction)
         pump_noise = alpha * pump_mw * window_ns

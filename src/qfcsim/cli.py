@@ -9,8 +9,10 @@ command, writes its files and then its JSON bundle into ``--out``, and
 prints only once everything is written.  A command that fails creates
 no directory and prints nothing on stdout; its message goes to stderr.
 
-Exit codes: 0 success, 1 usage error, 2 validation error, 3 numerical
-failure.
+Exit codes: 0 success, 1 usage error, 2 validation error (a ``ValueError``
+or an ``OSError``), 3 numerical failure (an ``ArithmeticError``: a division
+by zero, an overflow, or ``FitConvergenceError``, which a fit with
+non-finite estimates raises).  The exception's class alone picks the code.
 
 ``report``, the ``fig3a``, ``fig4a`` and ``fig5a`` sweeps and ``fit`` run
 on ``math`` alone: ``fit`` reads its CSV into lists of floats and calls
@@ -292,29 +294,11 @@ def _cmd_fit(cfg: ExperimentScenario, args):
 
 # ------------------------------------------------------------------ report
 
-# Row name -> (printed target, check, a, b).  Check "+-" passes when
-# |value - a| <= b, check "in" when a <= value <= b.  The printed targets
-# stay literal because some ("2.6e-3 +- 1e-4") do not come back from a
-# float format.  "{pump}" in a name is the configured pump power.
-REPORT_TARGETS = {
-    "eta_ext_max": ("0.25 +- 0.005", "+-", 0.25, 0.005),
-    "eta_dev_max": ("0.066 +- 0.002", "+-", 0.066, 0.002),
-    "eta_tot_max": ("2.6e-3 +- 1e-4", "+-", 2.6e-3, 1e-4),
-    "optimal_pump_mw": ("[360, 440] mW", "in", 360.0, 440.0),
-    "beta_20ns": ("0.57 +- 0.01", "+-", 0.57, 0.01),
-    "beta_50ns": ("0.95 +- 0.03", "+-", 0.95, 0.03),
-    "mu_1_at_{pump:g}mW": ("[0.6, 0.8]", "in", 0.6, 0.8),
-    "snr_peak_pump_mw": ("[80, 130] mW", "in", 80.0, 130.0),
-    "snr_400mW_over_peak": ("[0.4, 0.6]", "in", 0.4, 0.6),
-    "alpha_crystal_50MHz": ("[2.5, 3.5]e-9 /mW/ns", "in", 2.5e-9, 3.5e-9),
-    "noise_photons_50MHz_50ns": ("6e-5 +- 1e-5", "+-", 6e-5, 1e-5),
-    "classical_bound_mu_to_0": ("2/3 +- 1e-6", "+-", 2.0 / 3.0, 1e-6),
-    "slot_fraction_central": ("1/2 (gamma-averaged)", "+-", 0.5, 1e-12),
-}
-
-
-def _report_values(cfg: ExperimentScenario) -> dict[str, float]:
-    """The value of every REPORT_TARGETS row for this configuration."""
+def _report_values(cfg: ExperimentScenario) -> list[tuple]:
+    """The report's rows for this configuration: (name, value, printed
+    target, check, a, b).  Check "+-" passes when |value - a| <= b, check
+    "in" when a <= value <= b.  The printed targets stay literal because
+    some ("2.6e-3 +- 1e-4") do not come back from a float format."""
     pump_mw = _positive_pump(cfg)
     chain = cfg.chain
     cas = chain.cascade()
@@ -345,30 +329,31 @@ def _report_values(cfg: ExperimentScenario) -> dict[str, float]:
         central += sc.central
         late += sc.late
 
-    return {
-        "eta_ext_max": cas.eta_ext_max,
-        "eta_dev_max": cas.eta_dev_max,
-        "eta_tot_max": cas.eta_tot_max,
-        "optimal_pump_mw": chain.optimal_pump_mw,
-        "beta_20ns": chain.with_gate_width(20.0).beta,
-        "beta_50ns": chain.with_gate_width(50.0).beta,
-        "mu_1_at_{pump:g}mW": mu1(chain, pump_mw),
-        "snr_peak_pump_mw": pumps[peak],
-        "snr_400mW_over_peak": snrs[pumps.index(400.0)] / snrs[peak],
-        "alpha_crystal_50MHz": alpha_scaled,
-        "noise_photons_50MHz_50ns": photons,
-        "classical_bound_mu_to_0": classical_fidelity_bound(1e-6, 1.0),
-        "slot_fraction_central": central / (early + central + late),
-    }
+    return [
+        ("eta_ext_max", cas.eta_ext_max, "0.25 +- 0.005", "+-", 0.25, 0.005),
+        ("eta_dev_max", cas.eta_dev_max, "0.066 +- 0.002", "+-", 0.066, 0.002),
+        ("eta_tot_max", cas.eta_tot_max, "2.6e-3 +- 1e-4", "+-", 2.6e-3, 1e-4),
+        ("optimal_pump_mw", chain.optimal_pump_mw, "[360, 440] mW", "in", 360.0, 440.0),
+        ("beta_20ns", chain.with_gate_width(20.0).beta, "0.57 +- 0.01", "+-", 0.57, 0.01),
+        ("beta_50ns", chain.with_gate_width(50.0).beta, "0.95 +- 0.03", "+-", 0.95, 0.03),
+        (f"mu_1_at_{pump_mw:g}mW", mu1(chain, pump_mw), "[0.6, 0.8]", "in", 0.6, 0.8),
+        ("snr_peak_pump_mw", pumps[peak], "[80, 130] mW", "in", 80.0, 130.0),
+        ("snr_400mW_over_peak", snrs[pumps.index(400.0)] / snrs[peak], "[0.4, 0.6]", "in",
+         0.4, 0.6),
+        ("alpha_crystal_50MHz", alpha_scaled, "[2.5, 3.5]e-9 /mW/ns", "in", 2.5e-9, 3.5e-9),
+        ("noise_photons_50MHz_50ns", photons, "6e-5 +- 1e-5", "+-", 6e-5, 1e-5),
+        ("classical_bound_mu_to_0", classical_fidelity_bound(1e-6, 1.0), "2/3 +- 1e-6", "+-",
+         2.0 / 3.0, 1e-6),
+        ("slot_fraction_central", central / (early + central + late), "1/2 (gamma-averaged)",
+         "+-", 0.5, 1e-12),
+    ]
 
 
 def _cmd_report(cfg: ExperimentScenario, args):
-    values = _report_values(cfg)
     rows = []
-    for name, (target, check, a, b) in REPORT_TARGETS.items():
-        v = values[name]
+    for name, v, target, check, a, b in _report_values(cfg):
         ok = abs(v - a) <= b if check == "+-" else a <= v <= b
-        rows.append((name.format(pump=cfg.pump_mw), v, target, "PASS" if ok else "FAIL"))
+        rows.append((name, v, target, "PASS" if ok else "FAIL"))
     width = max(len(r[0]) for r in rows)
     lines = ["quantity".ljust(width) + "  value         target              status"]
     for name, value, target, status in rows:
@@ -421,17 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _numerical_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that exit 3: a division by zero (a singular fit, or
-    ``DegenerateDenominatorError``) and, once ``fitting`` is loaded, a fit
-    that did not converge, looked up rather than imported."""
-    errors = [ZeroDivisionError]
-    fitting = sys.modules.get(f"{__package__}.fitting")
-    if fitting is not None:
-        errors.append(fitting.FitConvergenceError)
-    return tuple(errors)
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -455,7 +429,7 @@ def run(argv: list[str] | None = None) -> int:
         (out / f"{name}.json").write_text(
             json.dumps(bundle, sort_keys=True, indent=2) + "\n", encoding="utf-8"
         )
-    except _numerical_errors() as exc:
+    except ArithmeticError as exc:  # covers FitConvergenceError and overflows
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:  # covers ConfigError and file errors

@@ -31,8 +31,9 @@ __all__ = ["Dataset", "FitResult", "FitConvergenceError", "fit_linear", "fit_con
 RAGGED = "ragged rows: x, y and sigma must have the same length"
 
 
-class FitConvergenceError(RuntimeError):
-    """Nonlinear fit failed to converge; carries the best parameters seen."""
+class FitConvergenceError(ArithmeticError):
+    """An ``ArithmeticError``: a nonlinear fit failed to converge, or gave
+    non-finite estimates; carries the best parameters seen."""
 
     def __init__(self, message: str, best_params: tuple[float, ...]):
         super().__init__(message)
@@ -270,6 +271,11 @@ def _conversion_values(x, y, sigma, length_cm: float) -> dict:
     eta_n0 = (math.pi / 2.0) ** 2 / (length_cm**2 * x[y.index(eta0)])
     params, a, rss, converged = _levenberg(x, y, w, eta0, eta_n0, length_cm)
     values = _values(params, _inverse(a), rss, len(x), ("eta_ext_max", "eta_n"))
+    extras = {"total_normalized_per_w": params[1] * length_cm**2,
+              "total_normalized_ci95": values["ci95"][1] * length_cm**2}
+    # dof >= 1 here, so an infinite half-width is no estimate either
+    if not all(map(math.isfinite, (*params, rss, *values["ci95"], *extras.values()))):
+        raise FitConvergenceError("conversion fit gave non-finite estimates", best_params=params)
     (c00, c01), (_, c11) = values["cov"]
     corr = c01 / math.sqrt(c00 * c11) if c00 > 0 and c11 > 0 else 0.0
     u_max = length_cm * math.sqrt(max(x) * params[1])
@@ -282,8 +288,6 @@ def _conversion_values(x, y, sigma, length_cm: float) -> dict:
         warnings.warn("conversion fit is ill-conditioned: the data do not resolve the "
                       "saturation of the sin^2 curve, so the cap and the normalized "
                       "efficiency are not separately identifiable", stacklevel=3)
-    extras = {"total_normalized_per_w": params[1] * length_cm**2,
-              "total_normalized_ci95": values["ci95"][1] * length_cm**2}
     return {**values, "ill_conditioned": ill, "extras": extras}
 
 
@@ -297,7 +301,8 @@ def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
     ``extras``.  Data confined to the linear regime leaves the two
     parameters unidentifiable and sets ``ill_conditioned``; such a fit is
     returned even when the iteration cap stops it, any other fit that
-    reaches the cap raises ``FitConvergenceError``.
+    reaches the cap raises ``FitConvergenceError``, as does a fit whose
+    estimates, RSS or half-widths are not finite.
     """
     return FitResult(**_conversion_values(data.x, data.y, data.sigma, length_cm))
 

@@ -288,8 +288,10 @@ def _run_lane(
     last accepted shot + dead_gates carries over: a batch's clicks up to it
     are dropped, and the skipped counts add up exactly, because accepted
     clicks lie more than dead_gates apart and only the last dead window of
-    the run can be cut short."""
-    chain, n_shots, dead_gates = scenario.chain, scenario.n_shots, scenario.dead_gates
+    the run can be cut short.  A window of n_shots gates already blanks
+    the rest of the run, so a longer one is cut to it."""
+    chain, n_shots = scenario.chain, scenario.n_shots
+    dead_gates = min(scenario.dead_gates, n_shots)
     # a float, so that a subnormal rate gives inf chunks, not an overflow
     lam = float(sum(chain.event_means(mu_in, pump_mw, window_ns)))
     if lam > MAX_EXPECTED_CLICKS_PER_GATE:

@@ -251,7 +251,8 @@ def projected_noise_floor(
     Returns ``(alpha_crystal_scaled, photons_per_pulse)``: the linearly
     rescaled unconditional noise floor (photons per mW per ns at the
     waveguide output) and the noise photons per pulse it implies at the
-    maximum-conversion pump power for the configured gate width.
+    maximum-conversion pump power for the configured gate width.  A
+    projection that overflows raises ``OverflowError``.
 
     Projections below the measured 80 GHz range are allowed but flagged
     with an ``ExtrapolationWarning``.
@@ -272,5 +273,7 @@ def projected_noise_floor(
     )
     pump_mw = chain.optimal_pump_mw
     photons = alpha_scaled * pump_mw * chain.detector.gate_width_ns
+    if not math.isfinite(photons):  # so is an overflowed alpha_scaled: pump and gate are positive
+        raise OverflowError(f"the noise floor projected to {target_bandwidth_ghz:g} GHz overflows")
     return alpha_scaled, photons
 

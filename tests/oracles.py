@@ -241,9 +241,9 @@ def dense_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns, 
     center = window_ns / 2.0
     sigma = chain.pulse.sigma_ns
     # the rates from the primitive fields, not from the chain's event_means
-    filt, det, noise = chain.filter_stage, chain.detector, chain.noise
-    eta = chain.waveguide.max_external_efficiency * filt.total_transmission * det.efficiency
-    p_surv = eta * chain.conversion_fraction(pump_mw)
+    wg, filt, det, noise = chain.waveguide, chain.filter_stage, chain.detector, chain.noise
+    eta = wg.max_external_efficiency * filt.total_transmission * det.efficiency
+    p_surv = eta * math.sin(wg.length_cm * math.sqrt(pump_mw * 1e-3 * wg.normalized_efficiency)) ** 2
     alpha_unit = noise.alpha_detected_per_mw / (
         noise.reference_gate_ns * noise.reference_bandwidth_nm
     )

@@ -1,7 +1,9 @@
 """Configuration parsing, serialization and command-line behavior."""
 
 import io
+import itertools
 import json
+import re
 import sys
 import tempfile
 import warnings
@@ -60,6 +62,25 @@ COMMANDS = {
     "fit": ["fit", "data.csv"],
     **{f"sweep_{preset}": ["sweep", "--preset", preset] for preset in PRESETS},
 }
+
+
+# every float config key, set to each extreme magnitude in turn
+EXTREMES = ("5e-324", "1e-300", "1e300", repr(sys.float_info.max))
+EXTREME_CASES = [
+    (section, key, value if kind is None else f"{value} {kind}")
+    for section, keys in _SCHEMA.items()
+    for key, (kind, _) in keys.items()
+    if kind not in ("int", "bool")
+    for value in EXTREMES
+]
+# fit datasets: the columns of a sin^2-like curve, each scaled to a tiny,
+# normal or huge magnitude or left out, as (column name, values) lists
+_COLUMNS = (("P_p_W", (0.1, 0.2, 0.3, 0.4, 0.5)), ("eta_ext", (0.05, 0.15, 0.22, 0.25, 0.2)),
+            ("sigma", (0.01,) * 5))
+EXTREME_DATASETS = [
+    [(name, [m * v for v in values]) for (name, values), m in zip(_COLUMNS, scales) if m]
+    for scales in itertools.product((1e-300, 1.0, 1e300, None), repeat=3)
+]
 
 
 # valid values for every key but the filter's transmissions, which stay at
@@ -572,10 +593,12 @@ class TestCliExitCodes:
              "numerical failure"),
             (ZeroDivisionError("float division by zero"), 3, "numerical failure"),
             (DegenerateDenominatorError("zero denominator"), 3, "numerical failure"),
+            (OverflowError("math range error"), 3, "numerical failure"),
+            (ArithmeticError("t quantile did not converge"), 3, "numerical failure"),
             (ValueError("bad value"), 2, "validation error"),
         ],
         ids=["FitConvergenceError", "ZeroDivisionError", "DegenerateDenominatorError",
-             "ValueError"],
+             "OverflowError", "ArithmeticError", "ValueError"],
     )
     def test_fit_failure_exit_code(self, error, code, prefix, tmp_path, monkeypatch, capsys):
         from qfcsim import fitting
@@ -593,12 +616,75 @@ class TestCliExitCodes:
         assert captured.err == f"{prefix}: {error}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_fit_huge_efficiencies_fail(self, tmp_path, capsys):
+        # an eta_ext column all at 1e300 gave NaN estimates and exit 0
+        data = tmp_path / "data.csv"
+        data.write_text("P_p_W,eta_ext\n" + "".join(f"{p},1e300\n" for p in (0.1, 0.2, 0.3, 0.4)))
+        assert run(["fit", str(data), "--out", str(tmp_path / "out")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: conversion fit gave non-finite estimates\n"
+        assert not (tmp_path / "out").exists()
+
     def test_report_success(self, tmp_path, capsys):
         assert run(["report", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "eta_tot_max" in out
         line = next(ln for ln in out.splitlines() if ln.startswith("eta_tot_max"))
         assert "PASS" in line
+
+
+class TestExtremeValues:
+    """Every command on every float config key at each extreme magnitude,
+    and ``fit`` on datasets of extreme magnitudes: a run exits 0, 2 or 3,
+    raises nothing, leaves no output directory when it fails, and writes
+    no NaN or infinity when it succeeds."""
+
+    NONFINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+
+    def test_no_traceback_and_no_nonfinite_output(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,0.1\n0.3,0.15\n")
+        commands = {**COMMANDS, "simulate": ["simulate", "--shots", "2000"]}
+        runs = []
+        for section, key, raw in EXTREME_CASES:
+            cfg = tmp_path / f"{section}_{key}_{raw.split()[0]}.cfg"
+            cfg.write_text(_with_entry(section, key, raw))
+            runs += [(f"{name} {section}_{key} = {raw}", [*argv, "--config", str(cfg)])
+                     for name, argv in commands.items()]
+        for i, columns in enumerate(EXTREME_DATASETS):
+            path = tmp_path / f"data{i}.csv"
+            names, values = zip(*columns) if columns else ((), ())
+            rows = [",".join(names), *(",".join(map(repr, row)) for row in zip(*values))]
+            path.write_text("\n".join(rows) + "\n")
+            runs.append((f"fit {path.name} ({', '.join(names)})", ["fit", str(path)]))
+
+        violations = []
+        for i, (label, argv) in enumerate(runs):
+            out = tmp_path / f"out{i}"
+            violations += [f"{label}: {v}" for v in self._violations([*argv, "--out", str(out)], out)]
+        assert not violations, "\n".join(violations)
+
+    def _violations(self, argv, out) -> list[str]:
+        with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()) as stdout, \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                code = run(argv)
+            except Exception as exc:  # the traceback a process would end in
+                return [f"raised {type(exc).__name__}: {exc}"]
+        found = []
+        if code not in (0, 2, 3):
+            found.append(f"exit {code}")
+        if "Traceback" in err.getvalue():
+            found.append("traceback on stderr")
+        if code != 0 and out.exists():
+            found.append(f"exit {code} created {out.name}")
+        if code == 0:
+            texts = {"stdout": stdout.getvalue(), **{p.name: p.read_text() for p in out.iterdir()}}
+            found += [f"{name} holds {m.group()}" for name, text in texts.items()
+                      if (m := self.NONFINITE.search(text))]
+        return found
 
 
 class TestCliOutputs:

@@ -203,6 +203,14 @@ class TestFitConversion:
             res = fit_conversion(Dataset(x=p, y=y), length_cm=3.0)
         assert res.ill_conditioned
 
+    def test_nonfinite_estimates_raise(self):
+        # efficiencies of 1e300 square to an infinite RSS, which no estimate has
+        d = Dataset(x=[0.1, 0.2, 0.3, 0.4, 0.5], y=[1e300] * 5)
+        with pytest.raises(FitConvergenceError, match="non-finite estimates") as exc:
+            fit_conversion(d, length_cm=3.0)
+        assert isinstance(exc.value, ArithmeticError)
+        assert len(exc.value.best_params) == 2
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="positive"):
             fit_conversion(Dataset(x=[-0.1, 0.2, 0.3], y=[0.1, 0.1, 0.1]), 3.0)

@@ -425,6 +425,19 @@ class TestDeadTime:
     def test_dead_gates_count(self):
         assert scenario().dead_gates == 20
 
+    def test_dead_window_past_the_run(self):
+        # after the first click every later gate is blank, whether the
+        # window is n_shots gates or 1e300 us, which no int64 index holds
+        shots = 2000
+        long, short = (
+            simulate(scenario(shots=shots, seed=9, chain=_dead_time_chain(gates)))
+            for gates in (1e300, shots)
+        )
+        assert scenario(chain=_dead_time_chain(1e300)).dead_gates > 2**63
+        assert long == short
+        assert long.clicks_signal.size == 1
+        assert long.skipped_signal == shots - 1 - long.clicks_signal["shot"][0]
+
 
 class TestHistograms:
     def test_three_passes_structure(self):

@@ -25,7 +25,7 @@ from qfcsim.noise import (
     projected_noise_floor,
     snr,
 )
-from qfcsim.optics import GaussianPulse
+from qfcsim.optics import GaussianPulse, conversion_fraction
 
 MODEL = NoiseModel(
     alpha_detected_per_mw=6e-6,
@@ -116,7 +116,7 @@ class TestEventMeans:
         # the gate keeps the fraction beta of it
         chain = rate_chain()
         signal, _, _ = chain.event_means(6.1, 120.0, 20.0)
-        expected = 6.1 * chain.eta_tot_max * chain.conversion_fraction(120.0)
+        expected = 6.1 * chain.eta_tot_max * conversion_fraction(0.12, chain.waveguide)
         assert signal * chain.beta == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("pump_mw", [-1.0, math.nan])
@@ -353,6 +353,14 @@ class TestProjectedNoiseFloor:
     def test_validation(self):
         with pytest.raises(ValueError):
             projected_noise_floor(0.0, reference_chain())
+
+    @pytest.mark.parametrize("alpha, reference_nm", [(sys.float_info.max, 0.68), (1e10, 1e-300)])
+    def test_overflow_raises(self, alpha, reference_nm):
+        # photons per pulse, or the scaled alpha itself, past the largest float
+        chain = reference_chain()
+        noise = replace(chain.noise, alpha_crystal_per_mw_ns=alpha, reference_bandwidth_nm=reference_nm)
+        with pytest.raises(OverflowError, match="overflows"):
+            projected_noise_floor(85.0, replace(chain, noise=noise))
 
 
 class TestFilterStage:
