@@ -7,8 +7,9 @@ experiment), ``montecarlo`` (shot-level simulation), ``fitting``
 (least-squares estimation), ``timebin`` (interferometer statistics and
 fidelity bounds), ``config`` / ``cli`` (scenario files and orchestration).
 
-The names of ``fitting`` and ``montecarlo`` are loaded on first use, so
-``import qfcsim`` and the analytic commands never import numpy.
+The names of ``fitting``, ``montecarlo`` and ``timebin`` are loaded on
+first use, so ``import qfcsim`` imports no numpy, and each command of the
+``qfcsim`` CLI loads only the submodules it uses.
 """
 
 import importlib
@@ -49,35 +50,18 @@ from .optics import (
     optimal_pump_power,
     replace,
 )
-from .timebin import (
-    Interferometer,
-    QuantumRegimeRow,
-    SlotCounts,
-    TimeBinQubit,
-    classical_fidelity_bound,
-    fidelity_from_visibility,
-    fringe_scan,
-    quantum_regime_report,
-    slot_statistics,
-    visibility_model,
-)
 
 __version__ = "0.1.0"
 
 # name -> the submodule that defines it, imported by the first access
 _LAZY = {
-    "Dataset": "fitting",
-    "FitConvergenceError": "fitting",
-    "FitResult": "fitting",
-    "extract_mu1": "fitting",
-    "fit_conversion": "fitting",
-    "fit_linear": "fitting",
-    "Histogram": "montecarlo",
-    "HistogramTriple": "montecarlo",
-    "SimulationResult": "montecarlo",
-    "gate_integrate": "montecarlo",
-    "simulate": "montecarlo",
-    "start_stop_histogram": "montecarlo",
+    **dict.fromkeys(["Dataset", "FitConvergenceError", "FitResult", "extract_mu1",
+                     "fit_conversion", "fit_linear"], "fitting"),
+    **dict.fromkeys(["Histogram", "HistogramTriple", "SimulationResult", "gate_integrate",
+                     "simulate", "start_stop_histogram"], "montecarlo"),
+    **dict.fromkeys(["Interferometer", "QuantumRegimeRow", "SlotCounts", "TimeBinQubit",
+                     "classical_fidelity_bound", "fidelity_from_visibility", "fringe_scan",
+                     "quantum_regime_report", "slot_statistics", "visibility_model"], "timebin"),
 }
 
 

@@ -149,7 +149,13 @@ class ExperimentScenario(Record):
     @property
     def dead_gates(self) -> int:
         dead_ns = self.chain.detector.dead_time_us * 1e3
-        return math.ceil(dead_ns / self.chain.gate_period_ns)
+        try:
+            return math.ceil(dead_ns / self.chain.gate_period_ns)
+        except OverflowError:  # the ceiling of inf
+            raise OverflowError(
+                f"the detector dead time ({self.chain.detector.dead_time_us:g} us) spans "
+                "more gate periods than a float holds"
+            ) from None
 
 
 def reference_chain() -> ConversionChain:

@@ -14,11 +14,11 @@ or an ``OSError``), 3 numerical failure (an ``ArithmeticError``: a division
 by zero, an overflow, or ``FitConvergenceError``, which a fit with
 non-finite estimates raises).  The exception's class alone picks the code.
 
-``report``, the ``fig3a``, ``fig4a`` and ``fig5a`` sweeps and ``fit`` run
-on ``math`` alone: ``fit`` reads its CSV into lists of floats and calls
-the fitting core directly, with no ``Dataset`` or ``FitResult``, and so
-does ``fig3b``, which imports numpy only for its seeded normal draws.
-numpy, ``fitting`` and ``montecarlo`` are imported only inside the
+Every command but ``simulate`` runs without numpy: ``fit`` reads its CSV
+into lists of floats and calls the fitting core directly, with no
+``Dataset`` or ``FitResult``, and so does ``fig3b``, which draws its
+normals by Box-Muller from the standard library's ``random``.  numpy,
+``fitting``, ``montecarlo`` and ``timebin`` are imported only inside the
 commands that use them.
 """
 
@@ -49,14 +49,6 @@ from .noise import (
     mu1,
     projected_noise_floor,
     snr,
-)
-from .timebin import (
-    Interferometer,
-    TimeBinQubit,
-    classical_fidelity_bound,
-    quantum_regime_report,
-    slot_statistics,
-    visibility_model,
 )
 
 __all__ = ["main", "run"]
@@ -129,6 +121,21 @@ def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> lis
     return points
 
 
+def _normals(seed: int, n: int) -> list[float]:
+    """``n`` standard normal draws, in Box-Muller pairs from the uniforms of
+    ``random.Random(seed)``, whose stream Python keeps across versions (that
+    of ``gauss`` it does not keep)."""
+    import random
+
+    uniform = random.Random(seed).random
+    draws = []
+    while len(draws) < n:
+        r = math.sqrt(-2.0 * math.log(1.0 - uniform()))  # 1 - u lies in (0, 1]
+        theta = 2.0 * math.pi * uniform()
+        draws += (r * math.cos(theta), r * math.sin(theta))
+    return draws[:n]
+
+
 # Each command takes (cfg, args) and returns (bundle name, {file name:
 # text}, bundle payload, stdout text); ``run`` writes and prints them.
 
@@ -175,8 +182,6 @@ def _preset_fig3b(cfg: ExperimentScenario):
     from the configured seed, fitted, and reported with a pointwise 95%
     confidence band.
     """
-    import numpy as np
-
     from .fitting import _checked, _conversion_values, _slopes, _t975, conversion_model
 
     chain = cfg.chain
@@ -184,8 +189,7 @@ def _preset_fig3b(cfg: ExperimentScenario):
     pumps_mw = [20.0 * i for i in range(1, 31)]
     pumps_w = [p * 1e-3 for p in pumps_mw]
     truth = conversion_model(pumps_w, wg.max_external_efficiency, wg.normalized_efficiency, wg.length_cm)
-    normals = np.random.default_rng(cfg.seed).standard_normal(len(truth)).tolist()
-    y = [t * (1.0 + 0.05 * n) for t, n in zip(truth, normals)]
+    y = [t * (1.0 + 0.05 * n) for t, n in zip(truth, _normals(cfg.seed, len(truth)))]
     fit = _conversion_values(*_checked(pumps_w, y, None, "P_p_W", "eta_ext"), wg.length_cm)
     eta, eta_n = fit["params"]
     (c00, c01), (c10, c11) = fit["cov"]
@@ -213,6 +217,8 @@ def _preset_fig4a(cfg: ExperimentScenario):
 
 def _preset_fig5a(cfg: ExperimentScenario):
     """Visibility, fidelity and classical bounds versus input photon number."""
+    from .timebin import quantum_regime_report, visibility_model
+
     m1 = mu1(cfg.chain, _positive_pump(cfg))
     cas = cfg.chain.cascade()
     mus = _linspace(1.0, 25.0, 25)
@@ -299,6 +305,8 @@ def _report_values(cfg: ExperimentScenario) -> list[tuple]:
     target, check, a, b).  Check "+-" passes when |value - a| <= b, check
     "in" when a <= value <= b.  The printed targets stay literal because
     some ("2.6e-3 +- 1e-4") do not come back from a float format."""
+    from .timebin import Interferometer, TimeBinQubit, classical_fidelity_bound, slot_statistics
+
     pump_mw = _positive_pump(cfg)
     chain = cfg.chain
     cas = chain.cascade()

@@ -268,7 +268,12 @@ def _conversion_values(x, y, sigma, length_cm: float) -> dict:
     w = _weights(sigma, len(x))
     eta0 = max(y)
     check_range("largest efficiency", eta0, bounds="()")
-    eta_n0 = (math.pi / 2.0) ** 2 / (length_cm**2 * x[y.index(eta0)])
+    try:
+        eta_n0 = (math.pi / 2.0) ** 2 / (length_cm**2 * x[y.index(eta0)])
+    except ArithmeticError:  # L^2 overflows, or L^2 * P underflows to 0
+        raise ArithmeticError(
+            f"the waveguide length ({length_cm:g} cm) puts L^2 outside the float range"
+        ) from None
     params, a, rss, converged = _levenberg(x, y, w, eta0, eta_n0, length_cm)
     values = _values(params, _inverse(a), rss, len(x), ("eta_ext_max", "eta_n"))
     extras = {"total_normalized_per_w": params[1] * length_cm**2,

@@ -14,6 +14,7 @@ efficiencies as dimensionless fractions in [0, 1].
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = [
     "check_range",
@@ -143,7 +144,8 @@ class GaussianPulse(Record):
     """Gaussian temporal intensity profile, FWHM in ns."""
 
     fwhm_ns: float
-    _bounds = {"fwhm_ns": ("pulse FWHM", 0.0, math.inf, "()")}
+    # a subnormal FWHM has lost its digits, and 5e-324 has a sigma of 0
+    _bounds = {"fwhm_ns": ("pulse FWHM", sys.float_info.min, math.inf, "[)")}
 
     @property
     def sigma_ns(self) -> float:
@@ -262,7 +264,13 @@ def optimal_pump_power(wg: WaveguideParams) -> float:
 
     L * sqrt(P * eta_n) = pi/2  =>  P = (pi/2)^2 / (L^2 * eta_n).
     """
-    return (math.pi / 2.0) ** 2 / (wg.length_cm**2 * wg.normalized_efficiency)
+    try:
+        return (math.pi / 2.0) ** 2 / (wg.length_cm**2 * wg.normalized_efficiency)
+    except ArithmeticError:  # L^2 overflows, or L^2 * eta_n underflows to 0
+        raise ArithmeticError(
+            f"the waveguide length ({wg.length_cm:g} cm) and normalized efficiency "
+            f"({wg.normalized_efficiency:g} /W/cm^2) put L^2 * eta_n outside the float range"
+        ) from None
 
 
 def bandwidth_nm_to_ghz(bandwidth_nm: float, wavelength_nm: float) -> float:

@@ -626,6 +626,52 @@ class TestCliExitCodes:
         assert captured.err == "numerical failure: conversion fit gave non-finite estimates\n"
         assert not (tmp_path / "out").exists()
 
+    def _run_with_entry(self, argv, section, key, raw, tmp_path, monkeypatch, capsys):
+        """(exit code, stderr) of a command on the reference with one entry
+        replaced; a failing command prints nothing and writes nothing."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,0.1\n0.3,0.15\n")
+        (tmp_path / "edited.cfg").write_text(_with_entry(section, key, raw))
+        code = run([*argv, "--config", "edited.cfg", "--out", "out"])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+        return code, captured.err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subnormal_pulse_fwhm_rejected(self, command, tmp_path, monkeypatch, capsys):
+        # its sigma underflowed to 0, and beta_factor divided by it while the
+        # config was parsed: exit 3, "float division by zero"
+        code, err = self._run_with_entry(COMMANDS[command], "source", "pulse_fwhm", "5e-324 ns",
+                                         tmp_path, monkeypatch, capsys)
+        assert code == 2
+        assert err.startswith("validation error: invalid configuration: pulse FWHM must be in [")
+        assert err.endswith(", got 5e-324\n")
+
+    @pytest.mark.parametrize("command, length, where", [
+        ("report", "1e+300", "and normalized efficiency"),  # optics.optimal_pump_power
+        ("fit", "1e+300", "puts L^2"),  # the fitting core's start value
+        ("fit", "1e-300", "puts L^2"),  # L^2 underflowed to 0: "float division by zero"
+    ])
+    def test_waveguide_length_out_of_float_range_named(self, command, length, where, tmp_path,
+                                                       monkeypatch, capsys):
+        # length_cm**2 raised OverflowError "(34, 'Numerical result out of range')"
+        code, err = self._run_with_entry(COMMANDS[command], "waveguide", "length",
+                                         f"{length} cm", tmp_path, monkeypatch, capsys)
+        assert code == 3
+        assert err.startswith(f"numerical failure: the waveguide length ({length} cm) ")
+        assert where in err
+
+    def test_overflowing_dead_time_named(self, tmp_path, monkeypatch, capsys):
+        # ExperimentScenario.dead_gates' math.ceil(inf) said only "cannot
+        # convert float infinity to integer"
+        code, err = self._run_with_entry(["simulate", "--shots", "2000"], "detector", "dead_time",
+                                         f"{sys.float_info.max!r} us", tmp_path, monkeypatch,
+                                         capsys)
+        assert code == 3
+        assert err == ("numerical failure: the detector dead time (1.79769e+308 us) spans more "
+                       "gate periods than a float holds\n")
+
     def test_report_success(self, tmp_path, capsys):
         assert run(["report", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -1,8 +1,8 @@
 """The run-time dependencies: importing and running qfcsim loads no scipy,
 also on the paths that fit and so take the Student-t quantile;
-``import qfcsim``, the closed-form commands and a ``Dataset`` of lists
-load no numpy; and the records are built without ``dataclasses`` and its
-``inspect``."""
+``import qfcsim``, every command but ``simulate`` and a ``Dataset`` of
+lists load no numpy; only the commands that use ``timebin`` load it; and
+the records are built without ``dataclasses`` and its ``inspect``."""
 
 import os
 import subprocess
@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import qfcsim
-from qfcsim import fitting, montecarlo
+from qfcsim import fitting, montecarlo, timebin
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIT_DATA = Path(__file__).resolve().parent / "golden" / "fit_data.csv"
@@ -108,7 +108,7 @@ def test_closed_form_commands_load_no_numpy(tmp_path):
     for step in ("import", "report", "fig3a", "fig4a", "fig5a"):
         assert f"after {step}: []" in lines
     assert "after fit: ['qfcsim.fitting']" in lines
-    assert "after fig3b: ['numpy', 'qfcsim.fitting']" in lines
+    assert "after fig3b: ['qfcsim.fitting']" in lines
     assert "after simulate: ['numpy', 'qfcsim.fitting', 'qfcsim.montecarlo']" in lines
     for name in ("report.txt", "fig3a.csv", "fig4a.csv", "fig5a.csv", "fit.json", "fig3b.csv",
                  "simulate.csv"):
@@ -132,6 +132,30 @@ def test_fit_command_imports_no_numpy(tmp_path):
     assert "qfcsim.fitting" in modules
     assert [m for m in modules if m.split(".")[0] == "numpy"] == []
     assert (tmp_path / "fit.json").is_file()
+
+
+# One command in a fresh interpreter: does it load timebin?
+TIMEBIN_PROBE = """
+import sys
+
+from qfcsim.cli import run
+
+assert run(sys.argv[1:]) == 0
+print("qfcsim.timebin" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["report"], True),
+    (["sweep", "--preset", "fig5a"], True),
+    (["sweep", "--preset", "fig3a"], False),
+    (["sweep", "--preset", "fig3b"], False),
+    (["sweep", "--preset", "fig4a"], False),
+    (["fit", str(FIT_DATA)], False),
+    (["simulate", "--shots", "1000"], False),
+], ids=["report", "fig5a", "fig3a", "fig3b", "fig4a", "fit", "simulate"])
+def test_only_the_timebin_commands_load_it(argv, loads, tmp_path):
+    assert _probe(TIMEBIN_PROBE, *argv, "--out", str(tmp_path), cwd=tmp_path)[-1] == str(loads)
 
 
 def test_import_and_closed_form_commands_load_no_dataclasses(tmp_path):
@@ -178,7 +202,7 @@ def test_dataset_and_fitting_core_load_no_numpy(tmp_path):
     assert _probe(FITTING_PROBE, cwd=tmp_path) == ["[]"]
 
 
-# the names the package exports from fitting and montecarlo
+# the names the package exports from fitting, montecarlo and timebin
 LAZY_NAMES = [
     (fitting, "Dataset"),
     (fitting, "FitConvergenceError"),
@@ -194,6 +218,16 @@ LAZY_NAMES = [
     (montecarlo, "gate_integrate"),
     (montecarlo, "simulate"),
     (montecarlo, "start_stop_histogram"),
+    (timebin, "Interferometer"),
+    (timebin, "QuantumRegimeRow"),
+    (timebin, "SlotCounts"),
+    (timebin, "TimeBinQubit"),
+    (timebin, "classical_fidelity_bound"),
+    (timebin, "fidelity_from_visibility"),
+    (timebin, "fringe_scan"),
+    (timebin, "quantum_regime_report"),
+    (timebin, "slot_statistics"),
+    (timebin, "visibility_model"),
 ]
 
 
@@ -205,12 +239,13 @@ def test_lazy_name_is_the_submodules_own(module, name):
 def test_lazy_names_follow_a_rebinding(monkeypatch):
     # a wrapper set on the submodule is seen through the package while it
     # is set, and the original once it is removed: nothing is cached
-    original = montecarlo.simulate
-    monkeypatch.setattr(montecarlo, "simulate", len)
-    assert qfcsim.simulate is len
-    monkeypatch.undo()
-    assert qfcsim.simulate is original
-    assert "simulate" not in vars(qfcsim)
+    for module, name in ((montecarlo, "simulate"), (timebin, "slot_statistics")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, len)
+        assert getattr(qfcsim, name) is len
+        monkeypatch.undo()
+        assert getattr(qfcsim, name) is original
+        assert name not in vars(qfcsim)
 
 
 def test_unknown_attribute_raises():

@@ -68,6 +68,13 @@ class TestConversionCurve:
         # (pi/2)^2 / (9 * 0.72), independently evaluated
         assert optimal_pump_power(WG) == pytest.approx(0.38077177473338575, rel=1e-12)
 
+    @pytest.mark.parametrize("length_cm, eta_n", [(1e300, 0.72), (1e-160, 1e-300)])
+    def test_optimal_pump_outside_float_range_names_the_length(self, length_cm, eta_n):
+        # L^2 overflowed ("(34, 'Numerical result out of range')"), or L^2 * eta_n
+        # underflowed to 0 ("float division by zero")
+        with pytest.raises(ArithmeticError, match=r"^the waveguide length \("):
+            optimal_pump_power(WaveguideParams(length_cm, eta_n, 0.25))
+
     def test_negative_pump_rejected(self):
         with pytest.raises(ValueError):
             external_efficiency(-0.1, WG)
