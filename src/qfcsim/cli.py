@@ -323,6 +323,13 @@ def _report_values(cfg: ExperimentScenario) -> list[tuple]:
     snrs = [snr(rb, subtract_dark=False) for rb in rates]
     # the first peak, as numpy's argmax finds it
     peak = max(range(len(snrs)), key=snrs.__getitem__)
+    if not snrs[peak] > 0:  # the snr_400mW_over_peak row divides by it
+        raise ConfigError(
+            f"the noise (pump-noise mean {rates[peak].pump_noise:g}, dark mean "
+            f"{rates[peak].dark:g} per gate) swamps the signal at every pump power; the "
+            "report cannot resolve its SNR rows: noise_alpha_detected, noise_reference_gate, "
+            "noise_reference_bandwidth and detector_dark_rate set the noise"
+        )
 
     with warnings.catch_warnings():
         # the 50 MHz projection is a deliberate extrapolation

@@ -120,44 +120,47 @@ def _qualified(section: str, key: str) -> str:
     return f"{section}_{key}"
 
 
-def _parse_value(
-    raw: str, kind: object, section: str, key: str, lineno: int
-):
-    name = _qualified(section, key)
+def _coerce(name: str, kind: object, value):
+    """``value`` as a key of ``kind`` holds it, from a document entry or an
+    override alike: a bool key takes a bool, an int key an integral value
+    that is no bool, a float key a finite real."""
     if kind == "bool":
-        low = raw.strip().lower()
-        if low in ("true", "false"):
-            return low == "true"
-        raise ConfigError(
-            f"line {lineno}: {name} expects true or false, got {raw!r}"
-        )
+        if isinstance(value, bool):
+            return value
+        raise ConfigError(f"{name} expects true or false, got {value!r}")
     if kind == "int":
-        try:
-            return int(raw.strip())
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: {name} expects an integer, got {raw!r}"
-            ) from None
-    parts = raw.strip().split()
-    if kind is _FLOAT:
-        if len(parts) != 1:
-            raise ConfigError(
-                f"line {lineno}: {name} is dimensionless, got {raw!r}"
-            )
-        num = parts[0]
-    else:
-        if len(parts) != 2 or parts[1] != kind:
-            raise ConfigError(
-                f"line {lineno}: {name} requires the unit suffix "
-                f"'{kind}', got {raw!r}"
-            )
-        num = parts[0]
+        if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+            return int(value)
+        raise ConfigError(f"{name} expects an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} expects a real number, got {value!r}")
     try:
-        return float(num)
-    except ValueError:
-        raise ConfigError(
-            f"line {lineno}: {name} has a non-numeric value {num!r}"
-        ) from None
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if math.isfinite(number):  # NaN passes every range check of the records
+        return number
+    raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
+def _parse_value(raw: str, kind: object, name: str):
+    """A document entry's value: its unit suffix checked, its number read as
+    the literal of ``kind``.  A token that is no such literal passes on as
+    text, for ``_coerce`` to reject."""
+    token = raw
+    if kind not in ("bool", "int"):
+        parts = raw.split()
+        if kind is _FLOAT and len(parts) != 1:
+            raise ConfigError(f"{name} is dimensionless, got {raw!r}")
+        if kind is not _FLOAT and (len(parts) != 2 or parts[1] != kind):
+            raise ConfigError(f"{name} requires the unit suffix '{kind}', got {raw!r}")
+        token = parts[0]
+    try:
+        if kind == "bool":
+            return {"true": True, "false": False}[token.lower()]
+        return int(token) if kind == "int" else float(token)
+    except (KeyError, ValueError):
+        return token
 
 
 def _parse_values(text: str) -> dict[tuple[str, str], object]:
@@ -168,31 +171,25 @@ def _parse_values(text: str) -> dict[tuple[str, str], object]:
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            section = stripped[1:-1].strip()
-            if section not in _SCHEMA:
-                raise ConfigError(f"line {lineno}: unknown section [{section}]")
-            continue
-        if "=" not in stripped:
-            raise ConfigError(
-                f"line {lineno}: expected 'key = value', got {stripped!r}"
-            )
-        if section is None:
-            raise ConfigError(
-                f"line {lineno}: key outside any section"
-            )
-        key, raw = (s.strip() for s in stripped.split("=", 1))
-        if key not in _SCHEMA[section]:
-            raise ConfigError(
-                f"line {lineno}: unknown key {key!r} in section [{section}]"
-            )
-        if (section, key) in values:
-            raise ConfigError(
-                f"line {lineno}: duplicate key {_qualified(section, key)}"
-            )
-        values[(section, key)] = _parse_value(
-            raw, _SCHEMA[section][key][0], section, key, lineno
-        )
+        try:
+            if stripped.startswith("[") and stripped.endswith("]"):
+                section = stripped[1:-1].strip()
+                if section not in _SCHEMA:
+                    raise ConfigError(f"unknown section [{section}]")
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"expected 'key = value', got {stripped!r}")
+            if section is None:
+                raise ConfigError("key outside any section")
+            key, raw = (s.strip() for s in stripped.split("=", 1))
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            name, kind = _qualified(section, key), _SCHEMA[section][key][0]
+            if (section, key) in values:
+                raise ConfigError(f"duplicate key {name}")
+            values[(section, key)] = _coerce(name, kind, _parse_value(raw, kind, name))
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     return values
 
 
@@ -209,11 +206,6 @@ def parse_config(text: str) -> ExperimentScenario:
 
 
 def _build(values: dict[tuple[str, str], object]) -> ExperimentScenario:
-    # NaN passes every range check below, so non-finite input stops here
-    for (section, key), value in values.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{_qualified(section, key)} must be finite, got {value}")
-
     def fields(record: str) -> dict[str, object]:
         return {field: values[sk] for field, sk in _RECORDS[record]}
 
@@ -250,27 +242,8 @@ def with_overrides(scenario: ExperimentScenario, **overrides) -> ExperimentScena
         if name not in known:
             raise ConfigError(f"unknown override {name!r}")
         section, key = known[name]
-        values[(section, key)] = _override_value(name, _SCHEMA[section][key][0], value)
+        values[(section, key)] = _coerce(name, _SCHEMA[section][key][0], value)
     return _build(values)
-
-
-def _override_value(name: str, kind: object, value):
-    """``value`` as the type a document entry of ``kind`` parses to.  A
-    bool is no number here, and an integer key takes no fraction."""
-    if kind == "bool":
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"{name} expects true or false, got {value!r}")
-    numeric = numbers.Integral if kind == "int" else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, numeric):
-        expected = "an integer" if kind == "int" else "a real number"
-        raise ConfigError(f"{name} expects {expected}, got {value!r}")
-    if kind == "int":
-        return int(value)
-    try:
-        return float(value)
-    except OverflowError:  # an integer past the float range
-        raise ConfigError(f"{name} must be finite, got {value!r}") from None
 
 
 def load_config(path) -> ExperimentScenario:

@@ -2,7 +2,8 @@
 fits, and the sin^2 conversion curve by Gauss-Newton steps with Levenberg
 damping (Marquardt, SIAM J. Appl. Math. 11, 431 (1963)).  1x1 and 2x2
 normal matrices are inverted as adjugate over determinant, so a singular
-one raises ``ZeroDivisionError``; 95% half-widths use the linearized
+one raises ``ZeroDivisionError`` (``FitConvergenceError`` in a conversion
+fit); 95% half-widths use the linearized
 covariance scaled by the residual variance and the Student-t quantile.
 
 The private core (``_checked``, ``_line_values``, ``_conversion_values``)
@@ -45,8 +46,8 @@ def _checked(x, y, sigma=None, xlabel: str = "x", ylabel: str = "y"):
     x, y, sigma = (c if c is None else list(c) for c in (x, y, sigma))
     if len(y) != len(x) or sigma is not None and len(sigma) != len(x):
         raise ValueError(RAGGED)
-    if sigma is not None and any(s <= 0 for s in sigma):
-        raise ValueError("sigma values must be positive")
+    if sigma is not None and any(s <= 0 or s * s == 0 for s in sigma):  # weights are 1/s^2
+        raise ValueError("sigma values must be positive, with squares that do not underflow to 0")
     for name, values in ((xlabel, x), (ylabel, y), ("sigma", sigma)):
         if values is not None and not all(map(math.isfinite, values)):
             raise ValueError(f"{name} values must be finite")
@@ -105,9 +106,6 @@ class FitResult(Record):
         for name in ("params", "cov", "ci95"):
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
             getattr(self, name).flags.writeable = False
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.params[self.param_names.index(name)])
 
 
 @lru_cache(maxsize=128)
@@ -275,7 +273,14 @@ def _conversion_values(x, y, sigma, length_cm: float) -> dict:
             f"the waveguide length ({length_cm:g} cm) puts L^2 outside the float range"
         ) from None
     params, a, rss, converged = _levenberg(x, y, w, eta0, eta_n0, length_cm)
-    values = _values(params, _inverse(a), rss, len(x), ("eta_ext_max", "eta_n"))
+    try:
+        a_inv = _inverse(a)
+    except ZeroDivisionError:  # the curve's values are too small for J^T W J's products
+        raise FitConvergenceError(
+            f"the normal matrix J^T W J is singular at eta_ext_max = {params[0]:g}, "
+            f"eta_n = {params[1]:g}; the fit has no covariance", best_params=params
+        ) from None
+    values = _values(params, a_inv, rss, len(x), ("eta_ext_max", "eta_n"))
     extras = {"total_normalized_per_w": params[1] * length_cm**2,
               "total_normalized_ci95": values["ci95"][1] * length_cm**2}
     # dof >= 1 here, so an infinite half-width is no estimate either

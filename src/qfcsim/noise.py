@@ -238,7 +238,11 @@ def mu1(chain: "ConversionChain", pump_mw: float) -> float:
     rates = detection_probabilities(1.0, pump_mw, chain)
     if rates.signal <= 0:
         raise DegenerateDenominatorError(
-            "zero signal efficiency at this pump power; mu_1 undefined"
+            f"zero signal efficiency at pump power {pump_mw:g} mW (eta_tot = "
+            f"{chain.eta_tot_max:g}); mu_1 undefined: pump_power, waveguide_length and "
+            "waveguide_normalized_efficiency set the sin^2 factor, and "
+            "waveguide_max_external_efficiency, filter_total_transmission and "
+            "detector_efficiency set eta_tot"
         )
     return rates.pump_noise / rates.signal
 

@@ -275,7 +275,13 @@ def optimal_pump_power(wg: WaveguideParams) -> float:
 
 def bandwidth_nm_to_ghz(bandwidth_nm: float, wavelength_nm: float) -> float:
     """Convert a spectral width from nm to GHz around ``wavelength_nm``."""
-    return (
-        _SPEED_OF_LIGHT_M_S * bandwidth_nm * 1e-9 / (wavelength_nm * 1e-9) ** 2 / 1e9
-    )
+    try:
+        return (
+            _SPEED_OF_LIGHT_M_S * bandwidth_nm * 1e-9 / (wavelength_nm * 1e-9) ** 2 / 1e9
+        )
+    except ArithmeticError:  # the squared wavelength underflows to 0, or overflows
+        raise ArithmeticError(
+            f"the output wavelength ({wavelength_nm:g} nm) puts its square outside the float "
+            "range; source_input_wavelength and pump_wavelength set it"
+        ) from None
 

@@ -3,6 +3,8 @@
 import io
 import itertools
 import json
+import math
+import random
 import re
 import sys
 import tempfile
@@ -73,6 +75,8 @@ EXTREME_CASES = [
     if kind not in ("int", "bool")
     for value in EXTREMES
 ]
+# scenarios of the seeded multi-key probe, each run through every command
+RANDOM_SCENARIOS = 200
 # fit datasets: the columns of a sin^2-like curve, each scaled to a tiny,
 # normal or huge magnitude or left out, as (column name, values) lists
 _COLUMNS = (("P_p_W", (0.1, 0.2, 0.3, 0.4, 0.5)), ("eta_ext", (0.05, 0.15, 0.22, 0.25, 0.2)),
@@ -81,6 +85,25 @@ EXTREME_DATASETS = [
     [(name, [m * v for v in values]) for (name, values), m in zip(_COLUMNS, scales) if m]
     for scales in itertools.product((1e-300, 1.0, 1e300, None), repeat=3)
 ]
+
+# values of the wrong kind for each kind of key, given alike as a document
+# entry and through with_overrides: bool keys take only a bool, int keys an
+# integral value that is no bool, float keys a finite real
+_WRONG_KIND = {
+    "bool": (1, 0.5, "yes"),
+    "int": (2.5, True, "x", math.nan),
+    "float": (True, "x", math.nan, math.inf, -math.inf, 10**400),
+}
+GRAMMAR_CASES = [
+    (section, key, kind, value)
+    for section, keys in _SCHEMA.items()
+    for key, (kind, _) in keys.items()
+    for value in _WRONG_KIND[kind if kind in ("bool", "int") else "float"]
+]
+# Python's own texts of an arithmetic failure, which name no config key
+_BARE_ARITHMETIC = ("float division by zero", "division by zero", "math range error",
+                    "math domain error", "(34, 'Numerical result out of range')",
+                    "cannot convert float infinity to integer")
 
 
 # valid values for every key but the filter's transmissions, which stay at
@@ -257,6 +280,30 @@ class TestParseConfig:
         text = "# comment\n[pump]\npower = 120.0 mW  # trailing\n[source]\nmean_photon_number = 6.1\n"
         cfg = parse_config(text)
         assert cfg.pump_mw == 120.0
+
+
+class TestValueGrammar:
+    """One grammar per kind of key: a document entry and an override of
+    the same wrong-kind value both raise ``ConfigError`` naming the key,
+    and the document's error names the entry's line."""
+
+    @pytest.mark.parametrize(
+        "section, key, kind, value",
+        GRAMMAR_CASES,
+        ids=[f"{s}_{k}={'10**400' if v == 10**400 else repr(v)}" for s, k, _, v in GRAMMAR_CASES],
+    )
+    def test_wrong_kind_rejected_alike(self, section, key, kind, value):
+        name = f"{section}_{key}"
+        text = str(value).lower() if isinstance(value, bool) else str(value)
+        raw = text if kind in (None, "bool", "int") else f"{text} {kind}"
+        document = _with_entry(section, key, raw)
+        assert document != REFERENCE_CONFIG
+        with pytest.raises(ConfigError, match=rf"^line (\d+): {name} ") as parsed:
+            parse_config(document)
+        lineno = int(re.match(r"line (\d+)", str(parsed.value)).group(1))
+        assert document.splitlines()[lineno - 1] == f"{key} = {raw}"
+        with pytest.raises(ConfigError, match=rf"^{name} "):
+            with_overrides(parse_config(REFERENCE_CONFIG), **{name: value})
 
 
 class TestSerialization:
@@ -711,6 +758,33 @@ class TestExtremeValues:
             violations += [f"{label}: {v}" for v in self._violations([*argv, "--out", str(out)], out)]
         assert not violations, "\n".join(violations)
 
+    def test_random_key_combinations(self, tmp_path, monkeypatch):
+        # three float keys at once, each scaled from the reference by
+        # 10^U(-40, 40): combinations that no single-key extreme reaches
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,0.1\n0.3,0.15\n")
+        commands = {**COMMANDS, "simulate": ["simulate", "--shots", "2000"]}
+        reference = _values(parse_config(REFERENCE_CONFIG))
+        keys = [(s, k, kind) for s, keys in _SCHEMA.items() for k, (kind, _) in keys.items()
+                if kind not in ("int", "bool")]
+        rng = random.Random(7)
+        violations = []
+        for i in range(RANDOM_SCENARIOS):
+            document, entries = REFERENCE_CONFIG, []
+            for section, key, kind in rng.sample(keys, 3):
+                value = reference[(section, key)] * 10.0 ** rng.uniform(-40.0, 40.0)
+                raw = repr(value) if kind is None else f"{value!r} {kind}"
+                document = _with_entry(section, key, raw, document)
+                entries.append(f"{section}_{key} = {raw}")
+            cfg = tmp_path / f"scenario{i}.cfg"
+            cfg.write_text(document)
+            for name, argv in commands.items():
+                out = tmp_path / f"out{i}_{name}"
+                violations += [f"{name} {', '.join(entries)}: {v}" for v in
+                               self._violations([*argv, "--config", str(cfg), "--out", str(out)],
+                                                out)]
+        assert not violations, "\n".join(violations)
+
     def _violations(self, argv, out) -> list[str]:
         with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()) as stdout, \
                 warnings.catch_warnings():
@@ -724,6 +798,9 @@ class TestExtremeValues:
             found.append(f"exit {code}")
         if "Traceback" in err.getvalue():
             found.append("traceback on stderr")
+        if code == 3 and err.getvalue().strip().removeprefix("numerical failure: ") in \
+                _BARE_ARITHMETIC:
+            found.append(f"bare arithmetic text {err.getvalue().strip()!r}")
         if code != 0 and out.exists():
             found.append(f"exit {code} created {out.name}")
         if code == 0:

@@ -131,15 +131,15 @@ class TestFitLinear:
     def test_exact_line(self):
         d = Dataset(x=[1.0, 2.0, 3.0, 4.0], y=[2.5 * v + 1.0 for v in (1.0, 2.0, 3.0, 4.0)])
         res = fit_linear(d)
-        assert res["slope"] == pytest.approx(2.5, rel=1e-12)
-        assert res["intercept"] == pytest.approx(1.0, rel=1e-12)
+        assert res.params[res.param_names.index("slope")] == pytest.approx(2.5, rel=1e-12)
+        assert res.params[res.param_names.index("intercept")] == pytest.approx(1.0, rel=1e-12)
         assert res.rss == pytest.approx(0.0, abs=1e-20)
 
     def test_zero_intercept(self):
         d = Dataset(x=[1.0, 2.0, 4.0], y=[0.7, 1.4, 2.8])
         res = fit_linear(d, force_zero_intercept=True)
         assert res.param_names == ("slope",)
-        assert res["slope"] == pytest.approx(0.7, rel=1e-12)
+        assert res.params[res.param_names.index("slope")] == pytest.approx(0.7, rel=1e-12)
 
     def test_singular_design(self):
         with pytest.raises(ValueError, match="need at least"):
@@ -149,7 +149,7 @@ class TestFitLinear:
         # a tight point dominates a loose outlier
         d = Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 9.0], sigma=[0.01, 0.01, 10.0])
         res = fit_linear(d)
-        assert res["slope"] == pytest.approx(1.0, abs=0.01)
+        assert res.params[res.param_names.index("slope")] == pytest.approx(1.0, abs=0.01)
 
     @given(
         slope=st.floats(-10.0, 10.0),
@@ -160,8 +160,8 @@ class TestFitLinear:
         x = np.array([0.5, 1.0, 2.0, 3.5, 5.0])
         d = Dataset(x=x, y=slope * x + intercept)
         res = fit_linear(d)
-        assert res["slope"] == pytest.approx(slope, abs=1e-8)
-        assert res["intercept"] == pytest.approx(intercept, abs=1e-8)
+        assert res.params[res.param_names.index("slope")] == pytest.approx(slope, abs=1e-8)
+        assert res.params[res.param_names.index("intercept")] == pytest.approx(intercept, abs=1e-8)
 
 
 class TestFitConversion:
@@ -169,8 +169,8 @@ class TestFitConversion:
         p = np.linspace(0.02, 0.6, 15)
         d = Dataset(x=p, y=conversion_model(p, 0.25, 0.72, 3.0))
         res = fit_conversion(d, length_cm=3.0)
-        assert res["eta_ext_max"] == pytest.approx(0.25, rel=1e-9)
-        assert res["eta_n"] == pytest.approx(0.72, rel=1e-9)
+        assert res.params[res.param_names.index("eta_ext_max")] == pytest.approx(0.25, rel=1e-9)
+        assert res.params[res.param_names.index("eta_n")] == pytest.approx(0.72, rel=1e-9)
         assert res.extras["total_normalized_per_w"] == pytest.approx(6.48, rel=1e-9)
         assert not res.ill_conditioned
 
@@ -180,8 +180,8 @@ class TestFitConversion:
         y = np.asarray(conversion_model(p, 0.25, 0.72, 3.0))
         y *= 1.0 + 0.05 * rng.standard_normal(p.size)
         res = fit_conversion(Dataset(x=p, y=y), length_cm=3.0)
-        assert res["eta_ext_max"] == pytest.approx(0.25, rel=0.1)
-        assert res["eta_n"] == pytest.approx(0.72, rel=0.1)
+        assert res.params[res.param_names.index("eta_ext_max")] == pytest.approx(0.25, rel=0.1)
+        assert res.params[res.param_names.index("eta_n")] == pytest.approx(0.72, rel=0.1)
 
     def test_linear_regime_flagged(self):
         # all powers far below the quarter-wave point: only the product
@@ -242,8 +242,9 @@ class TestFitRecovery:
         # the peak, at (pi/2)^2 / (L^2 eta_n) <= 0.55 W, lies inside the powers
         res = fit_conversion(_noisy_curve(eta_ext_max, eta_n, 0.02, 0.6, seed), length_cm=3.0)
         assert not res.ill_conditioned
-        assert abs(res["eta_ext_max"] - eta_ext_max) <= 4.0 * res.ci95[0]
-        assert abs(res["eta_n"] - eta_n) <= 4.0 * res.ci95[1]
+        i, j = res.param_names.index("eta_ext_max"), res.param_names.index("eta_n")
+        assert abs(res.params[i] - eta_ext_max) <= 4.0 * res.ci95[i]
+        assert abs(res.params[j] - eta_n) <= 4.0 * res.ci95[j]
 
     @given(
         eta_ext_max=st.floats(0.2, 0.3),
