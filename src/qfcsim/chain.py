@@ -46,7 +46,8 @@ class ConversionChain(Record):
     detector: DetectorConfig
     noise: NoiseModel
     repetition_rate_mhz: float
-    # derived: beta (the signal fraction inside the gate), _cascade, _event_factors
+    # derived: output_wavelength_nm, beta (the signal fraction inside the gate),
+    # _cascade, _event_factors
     _bounds = {"repetition_rate_mhz": ("repetition rate", 0.0, math.inf, "()")}
 
     def __post_init__(self):
@@ -55,8 +56,12 @@ class ConversionChain(Record):
                 f"the source_repetition_rate period ({self.gate_period_ns:g} ns) must "
                 f"exceed the detector_gate_width ({self.detector.gate_width_ns:g} ns)"
             )
-        # validates the down-conversion ordering
-        dfg_output_wavelength(self.input_wavelength_nm, self.pump_wavelength_nm)
+        # validates the down-conversion ordering; 1/lambda_in can overflow, and the
+        # difference of the inverses underflow
+        out = dfg_output_wavelength(self.input_wavelength_nm, self.pump_wavelength_nm)
+        check_range("output wavelength (source_input_wavelength, pump_wavelength)", out,
+                    bounds="()")
+        object.__setattr__(self, "output_wavelength_nm", out)
         coupling = self.budget.signal.coupling
         check_range("losses_input_coupling", coupling, bounds="()")
         eta_int_max = self.waveguide.max_external_efficiency / coupling
@@ -76,10 +81,6 @@ class ConversionChain(Record):
         object.__setattr__(self, "_event_factors", (
             cascade.eta_dev_max * det.efficiency, alpha * self.filter_stage.bandwidth_nm,
             det.dark_rate_per_ns, wg.normalized_efficiency, wg.length_cm))
-
-    @property
-    def output_wavelength_nm(self) -> float:
-        return dfg_output_wavelength(self.input_wavelength_nm, self.pump_wavelength_nm)
 
     @property
     def gate_period_ns(self) -> float:

@@ -141,7 +141,7 @@ def _normals(seed: int, n: int) -> list[float]:
 
 # ---------------------------------------------------------------- simulate
 
-# simulate.csv columns, each a SimulationResult field
+# simulate.csv columns, each a SimulationResult attribute
 _SIMULATE_COLUMNS = (
     "p_signal", "p_signal_err", "p_noise", "p_noise_err", "snr", "snr_err",
     "alive_signal", "alive_noise", "skipped_signal", "skipped_noise",

@@ -34,11 +34,7 @@ RAGGED = "ragged rows: x, y and sigma must have the same length"
 
 class FitConvergenceError(ArithmeticError):
     """An ``ArithmeticError``: a nonlinear fit failed to converge, or gave
-    non-finite estimates; carries the best parameters seen."""
-
-    def __init__(self, message: str, best_params: tuple[float, ...]):
-        super().__init__(message)
-        self.best_params = best_params
+    non-finite estimates."""
 
 
 def _checked(x, y, sigma=None, xlabel: str = "x", ylabel: str = "y"):
@@ -97,8 +93,8 @@ class FitResult(Record):
     rss: float
     dof: int
     param_names: tuple[str, ...]
+    extras: dict
     ill_conditioned: bool = False
-    extras: dict = {}  # copied for each result
 
     def __post_init__(self):
         import numpy as np
@@ -166,14 +162,14 @@ def _rss(w, r) -> float:
 
 
 def _values(params, a_inv, rss: float, n_points: int, names: tuple[str, ...]) -> dict:
-    """FitResult fields: the covariance a^-1 scaled by rss / dof (unscaled,
-    and infinite 95% half-widths, without degrees of freedom)."""
+    """FitResult fields, ``extras`` empty: the covariance a^-1 scaled by rss / dof
+    (unscaled, and infinite 95% half-widths, without degrees of freedom)."""
     dof = n_points - len(names)
     scale = rss / dof if dof > 0 else 1.0
     cov = [[v * scale for v in row] for row in a_inv]
     tq = _t975(dof) if dof > 0 else math.inf
     return {"params": list(params), "cov": cov, "rss": rss, "dof": dof, "param_names": names,
-            "ci95": [tq * math.sqrt(cov[i][i]) for i in range(len(names))]}
+            "ci95": [tq * math.sqrt(cov[i][i]) for i in range(len(names))], "extras": {}}
 
 
 def _line_values(x, y, sigma, force_zero_intercept: bool) -> dict:
@@ -278,14 +274,14 @@ def _conversion_values(x, y, sigma, length_cm: float) -> dict:
     except ZeroDivisionError:  # the curve's values are too small for J^T W J's products
         raise FitConvergenceError(
             f"the normal matrix J^T W J is singular at eta_ext_max = {params[0]:g}, "
-            f"eta_n = {params[1]:g}; the fit has no covariance", best_params=params
+            f"eta_n = {params[1]:g}; the fit has no covariance"
         ) from None
     values = _values(params, a_inv, rss, len(x), ("eta_ext_max", "eta_n"))
     extras = {"total_normalized_per_w": params[1] * length_cm**2,
               "total_normalized_ci95": values["ci95"][1] * length_cm**2}
     # dof >= 1 here, so an infinite half-width is no estimate either
     if not all(map(math.isfinite, (*params, rss, *values["ci95"], *extras.values()))):
-        raise FitConvergenceError("conversion fit gave non-finite estimates", best_params=params)
+        raise FitConvergenceError("conversion fit gave non-finite estimates")
     (c00, c01), (_, c11) = values["cov"]
     corr = c01 / math.sqrt(c00 * c11) if c00 > 0 and c11 > 0 else 0.0
     u_max = length_cm * math.sqrt(max(x) * params[1])
@@ -293,7 +289,7 @@ def _conversion_values(x, y, sigma, length_cm: float) -> dict:
     # but then leave the parameters more than 0.99 correlated
     ill = abs(corr) > 0.99 or u_max < math.pi / 4.0
     if not converged and not ill:
-        raise FitConvergenceError("conversion fit did not converge", best_params=params)
+        raise FitConvergenceError("conversion fit did not converge")
     if ill:
         warnings.warn("conversion fit is ill-conditioned: the data do not resolve the "
                       "saturation of the sin^2 curve, so the cap and the normalized "

@@ -129,23 +129,49 @@ class HistogramTriple(Record):
     dark_only: Histogram
 
 
+def _binomial_err(p: float, n: int) -> float:
+    return math.sqrt(p * (1.0 - p) / n)
+
+
 class SimulationResult(Record):
-    p_signal: float
-    p_signal_err: float
-    p_noise: float
-    p_noise_err: float
-    snr: float
-    snr_err: float
+    """The accepted clicks and skipped gates of ``simulate``'s two lanes,
+    and what follows from them: each lane's alive gates (``n_shots`` less
+    the skipped), its click probability over them (``p_signal``,
+    ``p_noise``) with binomial errors, and the unsubtracted SNR
+    (p_S - p_N) / p_N with its propagated error.  No click with the input
+    blocked leaves p_N at 0 and raises ``DegenerateDenominatorError``."""
+
     clicks_signal: np.ndarray  # CLICK_DTYPE, input on
     clicks_noise: np.ndarray  # CLICK_DTYPE, input blocked
-    alive_signal: int
-    alive_noise: int
+    n_shots: int
     skipped_signal: int
     skipped_noise: int
 
     def __post_init__(self):
         for name in ("clicks_signal", "clicks_noise"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
+        # each lane of simulate keeps at least one alive gate: the first accepted click's
+        alive_s = self.n_shots - self.skipped_signal
+        alive_n = self.n_shots - self.skipped_noise
+        for name, alive, clicks in (("signal", alive_s, self.clicks_signal),
+                                    ("noise", alive_n, self.clicks_noise)):
+            check_range(f"n_shots - skipped_{name}", alive, max(1, clicks.size), self.n_shots, "[]")
+        if self.clicks_noise.size == 0:
+            raise DegenerateDenominatorError(
+                "zero noise probability; SNR undefined (no click with the input blocked, "
+                f"{alive_n} alive gates): pump_power, noise_alpha_detected, filter_bandwidth "
+                "and detector_dark_rate set its click rate per gate, and montecarlo_shots "
+                "the number of gates"
+            )
+        p_s = self.clicks_signal.size / alive_s
+        p_n = self.clicks_noise.size / alive_n
+        err_s = _binomial_err(p_s, alive_s)
+        err_n = _binomial_err(p_n, alive_n)
+        vars(self).update(
+            alive_signal=alive_s, alive_noise=alive_n, p_signal=p_s, p_signal_err=err_s,
+            p_noise=p_n, p_noise_err=err_n, snr=(p_s - p_n) / p_n,
+            snr_err=math.hypot(err_s / p_n, p_s * err_n / p_n**2),
+        )
 
 
 def _substreams(seed: int, lane: int, chunks: range) -> Iterator[np.random.Generator]:
@@ -316,10 +342,6 @@ def _run_lane(
     return np.concatenate(kept), skipped
 
 
-def _binomial_err(p: float, n: int) -> float:
-    return math.sqrt(p * (1.0 - p) / n)
-
-
 def simulate(scenario: ExperimentScenario) -> SimulationResult:
     """Estimate per-gate click probabilities with the input on (p_S) and
     blocked (p_N), plus the unsubtracted SNR, all with binomial errors.
@@ -331,32 +353,7 @@ def simulate(scenario: ExperimentScenario) -> SimulationResult:
     pump = scenario.pump_mw
     clicks_s, skip_s = _run_lane(scenario, _LANE_SIGNAL, scenario.mu_in, pump, window)
     clicks_n, skip_n = _run_lane(scenario, _LANE_NOISE, 0.0, pump, window)
-    # each lane keeps at least one alive gate: the first accepted click's
-    alive_s = scenario.n_shots - skip_s
-    alive_n = scenario.n_shots - skip_n
-    if clicks_n.size == 0:
-        raise DegenerateDenominatorError(
-            "zero noise probability; SNR undefined (no click with the input "
-            f"blocked, {alive_n} alive gates)"
-        )
-    p_s = clicks_s.size / alive_s
-    p_n = clicks_n.size / alive_n
-    err_s = _binomial_err(p_s, alive_s)
-    err_n = _binomial_err(p_n, alive_n)
-    return SimulationResult(
-        p_signal=p_s,
-        p_signal_err=err_s,
-        p_noise=p_n,
-        p_noise_err=err_n,
-        snr=(p_s - p_n) / p_n,
-        snr_err=math.hypot(err_s / p_n, p_s * err_n / p_n**2),
-        clicks_signal=clicks_s,
-        clicks_noise=clicks_n,
-        alive_signal=alive_s,
-        alive_noise=alive_n,
-        skipped_signal=skip_s,
-        skipped_noise=skip_n,
-    )
+    return SimulationResult(clicks_s, clicks_n, scenario.n_shots, skip_s, skip_n)
 
 
 def _histogram_from_clicks(

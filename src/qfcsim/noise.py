@@ -141,15 +141,15 @@ class DetectorConfig(Record):
 
 
 class RateBreakdown(Record):
-    """Per-gate click probabilities and the in-gate means behind them.
+    """The in-gate means of one chain and the click probabilities they give.
 
     ``signal``, ``pump_noise`` and ``dark`` are the chain's ``event_means``
     over the gate, the signal already cut to ``beta``; ``p_signal`` /
-    ``p_noise`` are the click probabilities with the input on / blocked.
+    ``p_noise`` are the click probabilities with the input on / blocked,
+    by Poissonian thinning, p = 1 - exp(-mean), written as -expm1(-mean)
+    so that it keeps its digits at the small rates of interest.
     """
 
-    p_signal: float
-    p_noise: float
     signal: float
     pump_noise: float
     dark: float
@@ -157,9 +157,13 @@ class RateBreakdown(Record):
                "pump_noise": ("pump-noise mean", 0.0, math.inf, "[)"),
                "dark": ("dark mean", 0.0, math.inf, "[)")}
 
-    def __post_init__(self):
-        if not (self.p_signal >= self.p_noise >= 0.0):
-            raise ValueError("expected p_signal >= p_noise >= 0")
+    @property
+    def p_signal(self) -> float:
+        return -math.expm1(-(self.signal + (self.pump_noise + self.dark)))
+
+    @property
+    def p_noise(self) -> float:
+        return -math.expm1(-(self.pump_noise + self.dark))
 
     @property
     def p_net(self) -> float:
@@ -182,17 +186,15 @@ def beta_factor(pulse: GaussianPulse, gate: DetectorConfig) -> float:
 def detection_probabilities(
     mu_in: float, pump_mw: float, chain: "ConversionChain"
 ) -> RateBreakdown:
-    """Expected per-gate rates and click probabilities for the full chain.
+    """Expected per-gate rates, and so click probabilities, for the full chain.
 
     The chain's ``event_means`` over the gate, the signal cut to ``beta``:
-    mu_in * eta_tot_max * fhat(P_p) and noise alpha * P_p + dark.  Click
-    probabilities use Poissonian thinning, p = 1 - exp(-mean), written as
-    -expm1(-mean) so that it keeps its digits at the small rates of
-    interest, where it reduces to the linear estimate.  A signal mean of
-    exactly 0 is valid (no input, or the pump off); a subnormal one has
-    lost the digits of every rate formed from it and is rejected.  So is a
-    positive mu_in that a positive total efficiency scales below the
-    smallest normal float, even where the pump makes the signal exactly 0.
+    mu_in * eta_tot_max * fhat(P_p) and noise alpha * P_p + dark.  A
+    signal mean of exactly 0 is valid (no input, or the pump off); a
+    subnormal one has lost the digits of every rate formed from it and is
+    rejected.  So is a positive mu_in that a positive total efficiency
+    scales below the smallest normal float, even where the pump makes the
+    signal exactly 0.
     """
     signal, pump_noise, dark = chain.event_means(mu_in, pump_mw, chain.detector.gate_width_ns)
     signal *= chain.beta
@@ -204,10 +206,7 @@ def detection_probabilities(
                 f"a signal mean of {signal:.3g} per gate ({full:.3g} at full conversion), "
                 "below the smallest normal float"
             )
-    noise = pump_noise + dark
-    return RateBreakdown(
-        -math.expm1(-(signal + noise)), -math.expm1(-noise), signal, pump_noise, dark
-    )
+    return RateBreakdown(signal, pump_noise, dark)
 
 
 def snr(rates: RateBreakdown, subtract_dark: bool = True) -> float:
@@ -223,9 +222,10 @@ def snr(rates: RateBreakdown, subtract_dark: bool = True) -> float:
                 "no noise above dark counts; dark-subtracted SNR undefined"
             )
         return rates.signal / rates.pump_noise
-    if rates.p_noise <= 0:
+    p_noise = rates.p_noise
+    if p_noise <= 0:
         raise DegenerateDenominatorError("zero noise probability; SNR undefined")
-    return rates.p_net / rates.p_noise
+    return rates.p_net / p_noise
 
 
 def mu1(chain: "ConversionChain", pump_mw: float) -> float:

@@ -74,14 +74,14 @@ class Record:
     """Base of the package's frozen records.
 
     A record's fields are the names annotated in its class body, after its
-    bases' fields; a class-level value is that field's default, and a
-    ``dict`` default is copied for each record.  ``_bounds`` adds to the
-    bases' table field -> (label, low, high, bounds) of ``check_range``.
-    Each subclass compiles one ``__init__`` with the real signature: it tests
-    each bound inline, calling ``check_range`` only to raise, stores the
-    fields as one new instance ``__dict__``, then calls ``__post_init__`` if
-    the class has one.  Attributes derived there, set with ``object.__setattr__``,
-    are not fields, so ``==``, ``hash``, ``repr`` and ``replace`` skip them.
+    bases' fields; a class-level value is that field's default.  ``_bounds``
+    adds to the bases' table field -> (label, low, high, bounds) of
+    ``check_range``.  Each subclass compiles one ``__init__`` with the real
+    signature: it tests each bound inline, calling ``check_range`` only to
+    raise, stores the fields as one new instance ``__dict__``, then calls
+    ``__post_init__`` if the class has one.  Attributes derived there, set
+    with ``object.__setattr__`` or into ``vars(self)``, are not fields, so
+    ``==``, ``hash``, ``repr`` and ``replace`` skip them.
     """
 
     _fields: tuple[str, ...] = ()
@@ -101,11 +101,7 @@ class Record:
             for n, (label, lo, hi, b) in cls._bounds.items()
         )
         # one __dict__ store, not one per field: builds are cheaper, reads a bit dearer
-        body = "\n _setattr(self, '__dict__', {" + ", ".join(
-            f"{n!r}: dict({n}) if {n} is _defaults[{n!r}] else {n}"
-            if isinstance(defaults.get(n), dict) else f"{n!r}: {n}"
-            for n in fields
-        ) + "})"
+        body = "\n _setattr(self, '__dict__', {" + ", ".join(f"{n!r}: {n}" for n in fields) + "})"
         post = "\n self.__post_init__()" if hasattr(cls, "__post_init__") else ""
         namespace = {"_defaults": defaults, "_setattr": object.__setattr__,
                      "_check_range": check_range, "inf": math.inf}
@@ -224,7 +220,8 @@ def dfg_output_wavelength(lambda_in_nm: float, lambda_pump_nm: float) -> float:
             f"pump wavelength ({lambda_pump_nm} nm) must exceed the input "
             f"wavelength ({lambda_in_nm} nm) for down-conversion"
         )
-    return 1.0 / (1.0 / lambda_in_nm - 1.0 / lambda_pump_nm)
+    inverse = 1.0 / lambda_in_nm - 1.0 / lambda_pump_nm
+    return 1.0 / inverse if inverse else math.inf  # 0 where the inverses round alike
 
 
 def conversion_model(pump_w, eta_ext_max: float, eta_n: float, length_cm: float):

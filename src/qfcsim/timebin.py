@@ -251,13 +251,19 @@ def classical_fidelity_bound(mu_in: float, eta: float) -> float:
 
 
 class QuantumRegimeRow(Record):
+    """One (mu, visibility) pair and its classical bounds; the fidelity
+    (1 + V) / 2 and whether it beats the external-efficiency bound
+    (``exceeds_ext``) are derived."""
+
     mu_in: float
     visibility: float
-    fidelity: float
     bound_unit: float
     bound_ext: float
     bound_dev: float
-    exceeds_ext: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "fidelity", fidelity_from_visibility(self.visibility))
+        object.__setattr__(self, "exceeds_ext", self.fidelity > self.bound_ext)
 
 
 def quantum_regime_report(
@@ -278,21 +284,6 @@ def quantum_regime_report(
         raise ValueError(
             f"mus and visibilities must have equal length, got {len(mus)} and {len(visibilities)}"
         )
-    rows = []
-    for mu, v in sorted(zip(mus, visibilities), key=lambda pair: pair[0]):
-        f = fidelity_from_visibility(v)
-        b1 = classical_fidelity_bound(mu, 1.0)
-        b_ext = classical_fidelity_bound(mu, eta_ext)
-        b_dev = classical_fidelity_bound(mu, eta_dev)
-        rows.append(
-            QuantumRegimeRow(
-                mu_in=mu,
-                visibility=v,
-                fidelity=f,
-                bound_unit=b1,
-                bound_ext=b_ext,
-                bound_dev=b_dev,
-                exceeds_ext=f > b_ext,
-            )
-        )
-    return rows
+    etas = (1.0, eta_ext, eta_dev)
+    return [QuantumRegimeRow(mu, v, *[classical_fidelity_bound(mu, eta) for eta in etas])
+            for mu, v in sorted(zip(mus, visibilities), key=lambda pair: pair[0])]

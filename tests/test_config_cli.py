@@ -636,7 +636,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "error, code, prefix",
         [
-            (FitConvergenceError("no convergence", best_params=(0.0, 0.0)), 3,
+            (FitConvergenceError("no convergence"), 3,
              "numerical failure"),
             (ZeroDivisionError("float division by zero"), 3, "numerical failure"),
             (DegenerateDenominatorError("zero denominator"), 3, "numerical failure"),
@@ -784,6 +784,33 @@ class TestExtremeValues:
                                self._violations([*argv, "--config", str(cfg), "--out", str(out)],
                                                 out)]
         assert not violations, "\n".join(violations)
+
+    @pytest.mark.parametrize("entries, names, code, named", [
+        # 1/lambda_in overflows to inf: the output wavelength was 0.0 nm
+        ([("source", "input_wavelength", "5e-324 nm")], list(COMMANDS), 2,
+         "source_input_wavelength"),
+        # the inverses round alike: the output wavelength was a division by zero
+        ([("source", "input_wavelength", "1e308 nm"),
+          ("pump", "wavelength", "1.0000000000000002e308 nm")], list(COMMANDS), 2,
+         "pump_wavelength"),
+        # no click with the input blocked in 2000 gates
+        ([("pump", "power", "3.0e-27 mW"), ("detector", "dark_rate", "1.37e-41 /ns")],
+         ["simulate"], 3, "detector_dark_rate"),
+    ], ids=["subnormal_input_wavelength", "equal_inverse_wavelengths", "no_blocked_click"])
+    def test_failure_names_its_keys(self, entries, names, code, named, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,0.1\n0.3,0.15\n")
+        document = REFERENCE_CONFIG
+        for section, key, raw in entries:
+            document = _with_entry(section, key, raw, document)
+        (tmp_path / "case.cfg").write_text(document)
+        commands = {**COMMANDS, "simulate": ["simulate", "--shots", "2000"]}
+        for name in names:
+            with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()):
+                exit_code = run([*commands[name], "--config", "case.cfg", "--out", "out"])
+            assert exit_code == code, (name, err.getvalue())
+            assert named in err.getvalue() and "\n" not in err.getvalue().strip()
+            assert not (tmp_path / "out").exists()
 
     def _violations(self, argv, out) -> list[str]:
         with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()) as stdout, \

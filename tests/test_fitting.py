@@ -105,7 +105,7 @@ class TestReadOnlyArrays:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(fit, name)[0] = 0.0
         params = np.array([1.0, 2.0])
-        fitting.FitResult(params, np.eye(2), params, 0.0, 1, ("a", "b"))
+        fitting.FitResult(params, np.eye(2), params, 0.0, 1, ("a", "b"), {})
         params[0] = 3.0  # the caller's array stays writeable
 
 
@@ -209,7 +209,6 @@ class TestFitConversion:
         with pytest.raises(FitConvergenceError, match="non-finite estimates") as exc:
             fit_conversion(d, length_cm=3.0)
         assert isinstance(exc.value, ArithmeticError)
-        assert len(exc.value.best_params) == 2
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="positive"):
@@ -376,8 +375,7 @@ def _pinned_fits() -> list:
     a zero intercept.  Odd cases pass their points in falling x.  The noise
     is uniform, so that the data are plain arithmetic on the draws and the
     one model evaluation ``conversion_model``'s scalar ``math`` formula.
-    Returns per fit the repr-able fields, or the error and its best
-    parameters."""
+    Returns per fit the repr-able fields, or the error and its message."""
     rng = random.Random(20131104)
     fits = []
 
@@ -385,7 +383,7 @@ def _pinned_fits() -> list:
         try:
             fit = make()
         except FitConvergenceError as exc:
-            return ("FitConvergenceError", exc.best_params)
+            return ("FitConvergenceError", str(exc))
         return (fit.params.tolist(), fit.cov.tolist(), fit.ci95.tolist(), fit.rss, fit.dof,
                 fit.ill_conditioned)
 

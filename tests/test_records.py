@@ -2,12 +2,15 @@
 ``replace``, all read from the annotated names of each class body."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qfcsim import (
     ConversionChain,
+    DegenerateDenominatorError,
     DetectorConfig,
     EfficiencyCascade,
     ExperimentScenario,
@@ -24,7 +27,7 @@ from qfcsim import (
     replace,
 )
 from qfcsim.config import REFERENCE_CONFIG
-from qfcsim.fitting import Dataset, FitResult, fit_linear
+from qfcsim.fitting import Dataset, FitResult, fit_conversion, fit_linear
 from qfcsim.montecarlo import CLICK_DTYPE, Histogram, HistogramTriple, SimulationResult
 from qfcsim.optics import Record
 from qfcsim.timebin import QuantumRegimeRow
@@ -58,18 +61,20 @@ INSTANCES = {
         CHAIN.noise, CHAIN.filter_stage, CHAIN.detector, detection_probabilities(6.1, 120.0, CHAIN),
         ExperimentScenario(CHAIN, 6.1, 120.0, 10, 1),
         TimeBinQubit(0.0, 50.0), Interferometer(50.0), SlotCounts(1.0, 2.0, 1.0),
-        QuantumRegimeRow(1.0, 0.9, 0.95, 0.9, 0.9, 0.9, True),
+        QuantumRegimeRow(1.0, 0.9, 0.9, 0.9, 0.9),
         Histogram(1.0, _COUNTS, 4.0), HistogramTriple(*[Histogram(1.0, _COUNTS, 4.0)] * 3),
-        SimulationResult(0.1, 0.01, 0.05, 0.01, 1.0, 0.1, _clicks(np.ones(2)),
-                         _clicks(np.ones(2)), 10, 10, 0, 0),
+        SimulationResult(_clicks(np.ones(2)), _clicks(np.ones(2)), 10, 0, 0),
         Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0]),
-        FitResult(np.ones(1), np.ones((1, 1)), np.ones(1), 0.0, 1, ("slope",)),
+        FitResult(np.ones(1), np.ones((1, 1)), np.ones(1), 0.0, 1, ("slope",), {}),
     ]
 }
 DERIVED = {
-    ConversionChain: {"beta", "_cascade", "_event_factors"},
+    ConversionChain: {"output_wavelength_nm", "beta", "_cascade", "_event_factors"},
     EfficiencyCascade: {"eta_ext_max", "eta_dev_max", "eta_tot_max"},
     NoiseModel: {"alpha_unit"},
+    QuantumRegimeRow: {"fidelity", "exceeds_ext"},
+    SimulationResult: {"alive_signal", "alive_noise", "p_signal", "p_signal_err", "p_noise",
+                       "p_noise_err", "snr", "snr_err"},
 }
 
 
@@ -162,10 +167,9 @@ class TestEqualityAndHash:
         assert first != Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0], sigma=[1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("make", [
-        lambda counts: FitResult(counts, np.diag(counts), counts, 0.0, 1, ("a", "b")),
+        lambda counts: FitResult(counts, np.diag(counts), counts, 0.0, 1, ("a", "b"), {}),
         lambda counts: HistogramTriple(*[Histogram(1.0, counts, 2.0)] * 3),
-        lambda counts: SimulationResult(0.1, 0.01, 0.05, 0.01, 1.0, 0.1, _clicks(counts),
-                                        _clicks(counts), 10, 10, 0, 0),
+        lambda counts: SimulationResult(_clicks(counts), _clicks(counts), 10, 0, 0),
     ], ids=["FitResult", "Histogram", "SimulationResult"])
     def test_array_records_equal_by_elements(self, make):
         counts = np.array([1.0, 2.0])
@@ -215,15 +219,16 @@ class TestConstruction:
         with pytest.raises(TypeError):
             call()
 
-    def test_dict_default_is_fresh(self):
-        def result():
-            return FitResult(np.ones(1), np.ones((1, 1)), np.ones(1), 0.0, 1, ("slope",))
-
-        first, second = result(), result()
+    def test_each_fit_gets_its_own_extras(self):
+        data = Dataset(x=[1.0, 2.0, 3.0], y=[2.0, 4.1, 5.9])
+        first, second = fit_linear(data), fit_linear(data)
         assert first.extras == {} and first.extras is not second.extras
-        assert first.extras is not FitResult.extras
         first.extras["k"] = 1.0
-        assert second.extras == {} and result().extras == {} and FitResult.extras == {}
+        assert second.extras == {} and fit_linear(data).extras == {}
+        curve = Dataset(x=[0.1, 0.2, 0.3, 0.4, 0.5], y=[0.05, 0.15, 0.22, 0.25, 0.2])
+        fits = [fit_conversion(curve, 3.0) for _ in range(2)]
+        assert fits[0].extras == fits[1].extras and fits[0].extras is not fits[1].extras
+        assert set(fits[0].extras) == {"total_normalized_per_w", "total_normalized_ci95"}
         given = {"k": 2.0}
         assert replace(first, extras=given).extras is given
 
@@ -240,12 +245,71 @@ class TestFields:
 
     def test_signature(self):
         assert list(inspect.signature(RateBreakdown).parameters) == [
-            "p_signal", "p_noise", "signal", "pump_noise", "dark",
-        ]
-        rb = RateBreakdown(0.2, 0.1, 0.1, 0.05, 0.05)
-        assert repr(rb) == (
-            "RateBreakdown(p_signal=0.2, p_noise=0.1, signal=0.1, pump_noise=0.05, dark=0.05)"
-        )
+            "signal", "pump_noise", "dark"]
+        rb = RateBreakdown(0.1, 0.05, 0.05)
+        assert repr(rb) == "RateBreakdown(signal=0.1, pump_noise=0.05, dark=0.05)"
+        assert rb.p_signal == -math.expm1(-0.2) and rb.p_noise == -math.expm1(-0.1)
+
+
+class TestDerivedValues:
+    """What a result record derives from its fields equals, to the bit, the
+    expression that computed it where the record was built; ``repr`` tells
+    apart the values and types that ``==`` would not (0.0 and -0.0, 1 and 1.0)."""
+
+    finite = st.floats(min_value=0.0, allow_infinity=False)
+
+    @given(finite, finite, finite)
+    def test_rate_breakdown(self, signal, pump_noise, dark):
+        rb = RateBreakdown(signal, pump_noise, dark)
+        noise = pump_noise + dark
+        assert repr((rb.p_signal, rb.p_noise)) == repr(
+            (-math.expm1(-(signal + noise)), -math.expm1(-noise)))
+        assert rb.p_signal >= rb.p_noise >= 0.0
+
+    @given(st.data())
+    def test_simulation_result(self, data):
+        n_shots = data.draw(st.integers(1, 10**12))
+        skip_s, skip_n = (data.draw(st.integers(0, n_shots - 1)) for _ in range(2))
+        k_s = data.draw(st.integers(0, min(n_shots - skip_s, 3000)))
+        k_n = data.draw(st.integers(1, min(n_shots - skip_n, 3000)))
+        res = SimulationResult(_clicks(np.zeros(k_s)), _clicks(np.zeros(k_n)), n_shots, skip_s,
+                               skip_n)
+        alive_s, alive_n = n_shots - skip_s, n_shots - skip_n
+        p_s, p_n = k_s / alive_s, k_n / alive_n
+        err_s = math.sqrt(p_s * (1.0 - p_s) / alive_s)
+        err_n = math.sqrt(p_n * (1.0 - p_n) / alive_n)
+        expected = {
+            "alive_signal": alive_s, "alive_noise": alive_n, "p_signal": p_s,
+            "p_signal_err": err_s, "p_noise": p_n, "p_noise_err": err_n,
+            "snr": (p_s - p_n) / p_n, "snr_err": math.hypot(err_s / p_n, p_s * err_n / p_n**2),
+        }
+        assert {n: repr(getattr(res, n)) for n in expected} == {
+            n: repr(v) for n, v in expected.items()}
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_quantum_regime_row(self, visibility, bound_ext):
+        row = QuantumRegimeRow(1.0, visibility, 2.0 / 3.0, bound_ext, 0.9)
+        fidelity = (1.0 + visibility) / 2.0
+        assert repr((row.fidelity, row.exceeds_ext)) == repr((fidelity, fidelity > bound_ext))
+
+    def test_quantum_regime_row_checks_the_visibility(self):
+        with pytest.raises(ValueError, match="visibility must be in"):
+            QuantumRegimeRow(1.0, 1.5, 2.0 / 3.0, 0.7, 0.9)
+
+    def test_simulation_result_alive_and_skipped_add_up(self):
+        res = SimulationResult(_clicks(np.ones(3)), _clicks(np.ones(2)), 100, 7, 4)
+        assert res.alive_signal + res.skipped_signal == res.n_shots == 100
+        assert res.alive_noise + res.skipped_noise == 100
+        assert (res.p_signal, res.p_noise) == (3 / 93, 2 / 96)
+        # more gates skipped than shots, or fewer alive than clicks, or none
+        for skip_s, skip_n in ((101, 4), (7, 99), (7, 100)):
+            with pytest.raises(ValueError, match="n_shots - skipped_"):
+                SimulationResult(_clicks(np.ones(3)), _clicks(np.ones(2)), 100, skip_s, skip_n)
+
+    def test_simulation_result_without_a_noise_click_raises(self):
+        message = r"no click with the input blocked, 96 alive gates\): pump_power, .*dark_rate"
+        with pytest.raises(DegenerateDenominatorError, match=message):
+            SimulationResult(_clicks(np.ones(3)), _clicks(np.ones(0)), 100, 7, 4)
 
 
 class TestReplace:
