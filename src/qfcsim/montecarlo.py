@@ -23,19 +23,25 @@ grouped.  Each chunk makes only its own draws; the origin lookup, the
 window cut and the choice of the first event per shot (a radix sort by
 shot) run once over a batch of chunks holding about ``_BATCH_EVENTS``
 expected events, which shares numpy's fixed per-call cost among them.
+An event alone in its shot is that shot's click, so the earliest-time
+choice runs only over the events of shared shots: at the reference point
+about 1% of the events in the window.
 
 Gates in the dead time after an accepted click are skipped and excluded
 from the probability denominators.  Within a batch, a click more than the
 dead gates after the click before it is accepted outright; the others lie
-in runs behind such a click.  Each click's successor, the first click past
-its dead window, is found by one sorted search, and each run's accepted
-clicks are the chain of successors from its head, found for all runs at
-once by pointer doubling (Hillis & Steele 1986) in ceil(log2 L) rounds for
-the longest chain, of L clicks.  At the reference point L was at most 3
-in every batch measured (2 rounds); one chain over the whole batch takes
-about 12.  Between batches only the last accepted shot plus the dead
-gates carries over, so a lane keeps only its accepted records, and the
-results are bit-reproducible for a given seed.
+in runs behind such a click.  A click that is also more than the dead
+gates before the next one is in no run, and at the reference point that
+holds for about two thirds of the input-on clicks and 97% of the blocked
+ones.  Only the clicks in runs, compacted, are searched: each one's
+successor, the first click past its dead window, is found by one sorted
+search, and each run's accepted clicks are the chain of successors from
+its head, found for all runs at once by pointer doubling (Hillis & Steele
+1986) in ceil(log2 L) rounds for the longest chain, of L clicks.  At the
+reference point L was at most 3 in every batch measured (2 rounds).
+Between batches only the last accepted shot plus the dead gates carries
+over, so a lane keeps only its accepted records, and the results are
+bit-reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -76,8 +82,10 @@ CLICK_DTYPE = np.dtype(
 
 _CHUNK = 1 << 16
 # expected events per batch of chunks: the work after the draws runs once
-# per batch, which shares its fixed numpy cost among the batch's chunks
-_BATCH_EVENTS = _CHUNK // 8
+# per batch, which shares its fixed numpy cost among the batch's chunks.
+# At the reference rate a lane's time fell from _CHUNK // 16 to // 4;
+# larger batches saved a few percent more for a larger heap peak
+_BATCH_EVENTS = _CHUNK // 4
 # a batch spans at most 2**32 shots, so its shots sort as two 16-bit digits
 _MAX_BATCH_CHUNKS = (1 << 32) // _CHUNK
 
@@ -190,6 +198,25 @@ def _substreams(seed: int, lane: int, chunks: range) -> Iterator[np.random.Gener
         yield rng
 
 
+def _first_per_shot(shot: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Indices of each shot's click in events stably sorted by shot: its
+    earliest event, and of equal times the first in the arrays.
+
+    An event alone in its shot is that shot's click, so the group minimum
+    runs only over the events of shared shots."""
+    # new[i]: event i starts a shot, new[n] closes the last one
+    new = np.ones(shot.size + 1, dtype=bool)
+    new[1:-1] = shot[1:] != shot[:-1]
+    pick = new[:-1] & new[1:]  # alone in its shot
+    shared = np.flatnonzero(~pick)
+    ts = t[shared]
+    head = new[shared]
+    group = np.cumsum(head) - 1
+    at_min = np.flatnonzero(ts == np.minimum.reduceat(ts, np.flatnonzero(head))[group])
+    pick[shared[at_min[np.diff(group[at_min], prepend=-1) != 0]]] = True
+    return np.flatnonzero(pick)
+
+
 def _collect_clicks(
     chain: ConversionChain,
     mu_in: float,
@@ -246,11 +273,8 @@ def _collect_clicks(
     rel = shot[inside] - chunks.start * _CHUNK
     order = inside[np.lexsort((rel.astype(np.uint16), (rel >> 16).astype(np.uint16)))]
     shot, t = shot[order], t[order]
-    # a shot's click is its earliest event, and of equal times the first drawn
-    head = np.diff(shot, prepend=-1) != 0
-    group = np.cumsum(head) - 1
-    at_min = np.flatnonzero(t == np.minimum.reduceat(t, np.flatnonzero(head))[group])
-    first = at_min[np.diff(group[at_min], prepend=-1) != 0]
+    # the stable sort keeps each shot's events in draw order
+    first = _first_per_shot(shot, t)
     rec = np.empty(first.size, dtype=CLICK_DTYPE)
     rec["shot"] = shot[first]
     rec["time_ns"] = t[first]
@@ -270,11 +294,14 @@ def _apply_dead_time(
 
     A click more than dead_gates after the one before it is isolated and
     accepted whatever came earlier; the others form runs behind isolated
-    heads.  An accepted click i blanks the gates up to shot + dead_gates,
-    so the next accepted one is ``jump[i]``, the first past that, or the
-    sentinel ``n`` where that is isolated.  Pointer doubling follows each
-    run's chain head, jump[head], ... at once: while ``kept`` holds the
-    first 2^k links of each chain and ``jump`` spans 2^k, ``jump[kept]``
+    heads.  A click isolated from the next one too is in no run, so only
+    the clicks in runs, compacted, are searched.  There an accepted click
+    i blanks the gates up to shot + dead_gates, so the next accepted one
+    is ``jump[i]``, the first past that, or the sentinel ``m`` where that
+    lies past i's run; the first click past a run is a lone click or the
+    next head, so compacting changes no chain.  Pointer doubling follows
+    each run's chain head, jump[head], ... at once: while ``kept`` holds
+    the first 2^k links of each chain and ``jump`` spans 2^k, ``jump[kept]``
     are the next 2^k and ``jump[jump]`` spans 2^(k+1); ceil(log2 L) rounds
     for the longest chain, L <= 1 + (its run's span) // (dead_gates + 1)."""
     n = clicks.size
@@ -285,15 +312,22 @@ def _apply_dead_time(
     # keep: accepted so far, the isolated clicks and the sentinel
     keep = np.ones(n + 1, dtype=bool)
     keep[1:n] = np.diff(shots) > dead_gates
-    jump = np.append(np.searchsorted(shots, shots + dead_gates, side="right"), n).astype(itype)
-    jump[keep.take(jump)] = n
-    kept = np.flatnonzero(keep[:n] & ~keep[1:])  # the heads of the runs
+    runs = np.flatnonzero(~(keep[:n] & keep[1:]))  # the clicks in runs, in order
+    m = runs.size
+    in_run = shots.take(runs)
+    # keep over the clicks in runs and the sentinel: at first the isolated
+    # ones, which are the heads of the runs
+    keep_run = np.append(keep.take(runs), True)
+    jump = np.append(np.searchsorted(in_run, in_run + dead_gates, side="right"), m).astype(itype)
+    jump[keep_run.take(jump)] = m
+    kept = np.flatnonzero(keep_run[:m])
     links = jump.take(kept)
-    while (links := links[links < n]).size:
-        keep[links] = True
+    while (links := links[links < m]).size:
+        keep_run[links] = True
         kept = np.concatenate((kept, links))
         jump = jump.take(jump)
         links = jump.take(kept)
+    keep[runs] = keep_run[:m]
     # compress copies whole records, faster than a boolean index of them
     accepted = np.compress(keep[:n], clicks)
     # skipped is the sum of min(s + dead_gates, n_shots - 1) - s over the

@@ -233,6 +233,15 @@ def jumped_stream(seed: int, lane: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(lane * _LANE_STRIDE + chunk))
 
 
+def first_per_shot(shot, t):
+    """Index of each shot's first event, in order of shot: the earliest,
+    and of equal times the first in the arrays, by a stable lexsort on
+    (shot, time) and ``np.unique``."""
+    order = np.lexsort((t, shot))
+    _, first = np.unique(shot[order], return_index=True)
+    return order[first]
+
+
 def dense_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns, chunks):
     """First event per shot in the shots of ``chunks`` from per-shot draws:
     a Poisson photon number thinned binomially, and a Poisson count of
@@ -273,9 +282,7 @@ def dense_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns, 
         if not shots:
             continue
         s, t, o = np.concatenate(shots), np.concatenate(times), np.concatenate(origins)
-        order = np.lexsort((t, s))
-        s, t, o = s[order], t[order], o[order]
-        _, first = np.unique(s, return_index=True)
+        first = first_per_shot(s, t)
         rec = np.empty(first.size, dtype=CLICK_DTYPE)
         rec["shot"] = s[first] + start
         rec["time_ns"] = t[first]
@@ -288,7 +295,7 @@ def chunked_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns
     """First event per shot of a whole lane from the thinned event stream,
     one chunk at a time: per chunk, the same draws from the same substream
     as the library, an origin by sorted search and the first event per shot
-    by a lexsort on (shot, time) and ``np.unique``."""
+    by ``first_per_shot``."""
     means = np.array(chain.event_means(mu_in, pump_mw, window_ns))
     codes = np.flatnonzero(means > 0).astype(np.int8)
     edges = np.cumsum(means[codes])
@@ -310,9 +317,7 @@ def chunked_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns
         t[~signal] = rng.uniform(0.0, window_ns, n - n_signal)
         inside = (t >= 0.0) & (t < window_ns)
         shot, t, origin = shot[inside], t[inside], origin[inside]
-        order = np.lexsort((t, shot))
-        _, first = np.unique(shot[order], return_index=True)
-        first = order[first]
+        first = first_per_shot(shot, t)
         rec = np.empty(first.size, dtype=CLICK_DTYPE)
         rec["shot"] = shot[first] + start
         rec["time_ns"] = t[first]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
-from oracles import chunked_collect_clicks, dead_time_loop, dense_collect_clicks
+from oracles import chunked_collect_clicks, dead_time_loop, dense_collect_clicks, first_per_shot
 from qfcsim import montecarlo, replace
 from qfcsim.chain import MAX_SHOTS, reference_chain
 from qfcsim.montecarlo import (
@@ -160,6 +160,33 @@ class TestOrigins:
 
 
 @st.composite
+def _shot_sorted_events(draw):
+    # few shots and few distinct times, so that shots repeat and times tie
+    n = draw(st.integers(0, 60))
+    offset = draw(st.integers(0, 2**40))
+    shot = np.sort(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))).astype(np.int64)
+    t = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=n, max_size=n)))
+    return shot + offset, t
+
+
+class TestFirstPerShot:
+    @settings(max_examples=300)
+    @given(_shot_sorted_events())
+    @example((np.zeros(0, dtype=np.int64), np.zeros(0)))
+    @example((np.array([3]), np.array([2.5])))
+    def test_matches_lexsort(self, events):
+        shot, t = events
+        got = montecarlo._first_per_shot(shot, t)
+        assert got.tolist() == first_per_shot(shot, t).tolist()
+
+    def test_equal_times_take_the_first(self):
+        # shot 4's earliest time is held by its second and third events;
+        # shot 7 is alone
+        shot, t = np.array([4, 4, 4, 7]), np.array([1.0, 0.5, 0.5, 0.0])
+        assert montecarlo._first_per_shot(shot, t).tolist() == [1, 3]
+
+
+@st.composite
 def _click_streams(draw):
     n_shots = draw(st.integers(1, 300))
     shots = draw(st.lists(st.integers(0, n_shots - 1), unique=True, max_size=n_shots))
@@ -191,6 +218,14 @@ class TestDeadTimeOracle:
     @example((10, [0, 1, 2, 9]), 0)
     @example((10, [2, 9]), 6)
     @example((1, [0]), 5)
+    # lone clicks, in no run, mixed with runs: a lone click between two
+    # runs, a run at the first click, a run at the last click (its dead
+    # window cut short), lone clicks only and one run only
+    @example((30, [0, 2, 4, 10, 20, 22, 24]), 3)
+    @example((20, [0, 1, 9, 15]), 3)
+    @example((14, [0, 6, 12, 13]), 3)
+    @example((14, [1, 5, 9, 13]), 3)
+    @example((12, [3, 4, 6, 7, 9]), 3)
     def test_matches_loop(self, stream, dead_gates):
         n_shots, shots = stream
         self._check(_clicks(shots), n_shots, dead_gates)
@@ -289,7 +324,9 @@ class TestBatchedOracle:
 
     def test_dead_window_carried_across_batches(self, monkeypatch):
         # 200 dead gates at 0.09 expected events per gate: the last accepted
-        # click of a one-chunk batch blanks the start of the next batch
+        # click of a one-chunk batch blanks the start of the next batch.  A
+        # target of 1 event makes every batch one chunk
+        monkeypatch.setattr(montecarlo, "_BATCH_EVENTS", 1)
         collected, offered = [], []
         collect_clicks, apply_dead_time = montecarlo._collect_clicks, montecarlo._apply_dead_time
 
