@@ -15,9 +15,9 @@ by zero, an overflow, or ``FitConvergenceError``, which a fit with
 non-finite estimates raises).  The exception's class alone picks the code.
 
 Every command but ``simulate`` runs without numpy: ``fit`` reads its CSV
-into lists of floats and calls the fitting core directly, with no
-``Dataset`` or ``FitResult``, and so does ``fig3b``, which draws its
-normals by Box-Muller from the standard library's ``random``.  numpy,
+into a ``Dataset`` and calls the fitting core directly, with no
+``FitResult``, and so does ``fig3b``, which draws its normals by
+Box-Muller from the standard library's ``random``.  numpy,
 ``fitting``, ``montecarlo`` and ``timebin`` are imported only inside the
 commands that use them.
 """
@@ -71,10 +71,10 @@ _OVERRIDES = (
 
 
 def _fmt(v) -> str:
-    # the values are Python ints and floats and numpy float64s
+    # the values are Python ints and floats
     if isinstance(v, int):
         return str(v)
-    return f"{float(v):.9g}"
+    return f"{v:.9g}"
 
 
 def _rounded(v) -> float:
@@ -182,7 +182,7 @@ def _preset_fig3b(cfg: ExperimentScenario):
     from the configured seed, fitted, and reported with a pointwise 95%
     confidence band.
     """
-    from .fitting import _checked, _conversion_values, _slopes, _t975, conversion_model
+    from .fitting import Dataset, _conversion_values, _slopes, _t975, conversion_model
 
     chain = cfg.chain
     wg = chain.waveguide
@@ -190,7 +190,7 @@ def _preset_fig3b(cfg: ExperimentScenario):
     pumps_w = [p * 1e-3 for p in pumps_mw]
     truth = conversion_model(pumps_w, wg.max_external_efficiency, wg.normalized_efficiency, wg.length_cm)
     y = [t * (1.0 + 0.05 * n) for t, n in zip(truth, _normals(cfg.seed, len(truth)))]
-    fit = _conversion_values(*_checked(pumps_w, y, None, "P_p_W", "eta_ext"), wg.length_cm)
+    fit = _conversion_values(Dataset(pumps_w, y, xlabel="P_p_W", ylabel="eta_ext"), wg.length_cm)
     eta, eta_n = fit["params"]
     (c00, c01), (c10, c11) = fit["cov"]
     tq = _t975(fit["dof"])
@@ -249,9 +249,9 @@ def _cmd_sweep(cfg: ExperimentScenario, args):
 # --------------------------------------------------------------------- fit
 
 
-def _read_dataset_csv(path: Path) -> tuple[list, list, list | None]:
-    """(x, y, sigma or None) from a CSV file, checked and sorted by x."""
-    from .fitting import RAGGED, _checked
+def _read_dataset_csv(path: Path):
+    """The ``Dataset`` of a CSV file, its labels from the header."""
+    from .fitting import RAGGED, Dataset
 
     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
     if not lines:
@@ -265,16 +265,16 @@ def _read_dataset_csv(path: Path) -> tuple[list, list, list | None]:
         rows = [[float(c) for c in ln.split(",")] for ln in lines[1:]]
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric dataset entry: {exc}") from exc
-    if any(len(row) != len(header) for row in rows):
+    if any(len(row) != len(header) for row in rows):  # zip would cut every column short
         raise ConfigError(RAGGED)
     x, y, *sigma = zip(*rows)
-    return _checked(x, y, sigma[0] if sigma else None, header[0], header[1])
+    return Dataset(x, y, sigma[0] if sigma else None, header[0], header[1])
 
 
 def _cmd_fit(cfg: ExperimentScenario, args):
     from .fitting import _conversion_values
 
-    fit = _conversion_values(*_read_dataset_csv(Path(args.data)), cfg.chain.waveguide.length_cm)
+    fit = _conversion_values(_read_dataset_csv(Path(args.data)), cfg.chain.waveguide.length_cm)
     names, extras = fit["param_names"], fit["extras"]
     payload = {
         "data": str(args.data),

@@ -138,7 +138,7 @@ def _coerce(name: str, kind: object, value):
         number = float(value)
     except OverflowError:  # an integer past the float range
         number = math.inf
-    if math.isfinite(number):  # NaN passes every range check of the records
+    if math.isfinite(number):  # the records reject NaN too, but this message names the key
         return number
     raise ConfigError(f"{name} must be finite, got {value!r}")
 

@@ -6,11 +6,11 @@ one raises ``ZeroDivisionError`` (``FitConvergenceError`` in a conversion
 fit); 95% half-widths use the linearized
 covariance scaled by the residual variance and the Student-t quantile.
 
-The private core (``_checked``, ``_line_values``, ``_conversion_values``)
-works on sequences of floats and returns a ``FitResult``'s fields; the
-CLI's ``fit`` and ``fig3b`` call it directly.  A ``Dataset`` holds tuples of floats, so
-building one and ``extract_mu1`` need no numpy; numpy is imported only
-where a ``FitResult``, whose fields are read-only ndarrays, is built.
+A ``Dataset`` holds its checked columns as tuples of floats, sorted by x.
+The private core (``_line_values``, ``_conversion_values``) takes one and
+returns a ``FitResult``'s fields; the CLI's ``fit`` and ``fig3b`` call it
+directly.  None of this, nor ``extract_mu1``, needs numpy, which is imported
+only where a ``FitResult``, whose fields are read-only ndarrays, is built.
 """
 
 from __future__ import annotations
@@ -37,24 +37,6 @@ class FitConvergenceError(ArithmeticError):
     non-finite estimates."""
 
 
-def _checked(x, y, sigma=None, xlabel: str = "x", ylabel: str = "y"):
-    """Float sequences (x, y, sigma or None) as lists, stably sorted by x; checked."""
-    x, y, sigma = (c if c is None else list(c) for c in (x, y, sigma))
-    if len(y) != len(x) or sigma is not None and len(sigma) != len(x):
-        raise ValueError(RAGGED)
-    if sigma is not None and any(s <= 0 or s * s == 0 for s in sigma):  # weights are 1/s^2
-        raise ValueError("sigma values must be positive, with squares that do not underflow to 0")
-    for name, values in ((xlabel, x), (ylabel, y), ("sigma", sigma)):
-        if values is not None and not all(map(math.isfinite, values)):
-            raise ValueError(f"{name} values must be finite")
-    if x != sorted(x):
-        order = sorted(range(len(x)), key=x.__getitem__)
-        x, y, sigma = (c if c is None else [c[i] for i in order] for c in (x, y, sigma))
-    if not all(map(lt, x, x[1:])):  # sorted, so distinct if each is below the next
-        raise ValueError("x values must be distinct")
-    return x, y, sigma
-
-
 def _weights(sigma, n: int) -> list[float]:
     """1/sigma^2 weights; unit weights without uncertainties."""
     return [1.0] * n if sigma is None else [1.0 / (s * s) for s in sigma]
@@ -71,17 +53,25 @@ class Dataset(Record):
 
     def __post_init__(self):
         try:  # float() refuses a nested or non-numeric item, map() a scalar
-            given = [list(map(float, v.tolist() if hasattr(v, "tolist") else v))
-                     for v in (self.x, self.y, self.sigma) if v is not None]
+            x, y, sigma = (
+                c if c is None else tuple(map(float, c.tolist() if hasattr(c, "tolist") else c))
+                for c in (self.x, self.y, self.sigma))
         except TypeError:
             raise ValueError("x, y and sigma must be 1-d sequences of numbers") from None
-        checked = _checked(*given, xlabel=self.xlabel, ylabel=self.ylabel)
-        for name, values in zip(("x", "y", "sigma"), checked):
-            if values is not None:  # an absent sigma stays None
-                object.__setattr__(self, name, tuple(values))
-
-    def __len__(self) -> int:
-        return len(self.x)
+        if len(y) != len(x) or sigma is not None and len(sigma) != len(x):
+            raise ValueError(RAGGED)
+        if sigma is not None and any(s <= 0 or s * s == 0 for s in sigma):  # weights are 1/s^2
+            raise ValueError("sigma values must be positive, "
+                             "with squares that do not underflow to 0")
+        for name, values in ((self.xlabel, x), (self.ylabel, y), ("sigma", sigma)):
+            if values is not None and not all(map(math.isfinite, values)):
+                raise ValueError(f"{name} values must be finite")
+        if not all(map(lt, x, x[1:])):  # unsorted or repeated: sort stably, then look again
+            order = sorted(range(len(x)), key=x.__getitem__)
+            x, y, sigma = (c if c is None else tuple([c[i] for i in order]) for c in (x, y, sigma))
+            if not all(map(lt, x, x[1:])):
+                raise ValueError("x values must be distinct")
+        vars(self).update(x=x, y=y, sigma=sigma)
 
 
 class FitResult(Record):
@@ -158,7 +148,10 @@ def _damped_step(a00, a01, a11, g0, g1, lam):
 
 
 def _rss(w, r) -> float:
-    return sum(wi * (ri * ri) for wi, ri in zip(w, r))
+    rss = 0.0  # summed left to right: builtin sum() of floats is compensated from Python 3.12
+    for wi, ri in zip(w, r):
+        rss += wi * (ri * ri)
+    return rss
 
 
 def _values(params, a_inv, rss: float, n_points: int, names: tuple[str, ...]) -> dict:
@@ -172,21 +165,23 @@ def _values(params, a_inv, rss: float, n_points: int, names: tuple[str, ...]) ->
             "ci95": [tq * math.sqrt(cov[i][i]) for i in range(len(names))], "extras": {}}
 
 
-def _line_values(x, y, sigma, force_zero_intercept: bool) -> dict:
-    """fit_linear on checked lists: the weighted normal equations."""
+def _line_values(data: Dataset, force_zero_intercept: bool) -> dict:
+    """fit_linear's fields: the weighted normal equations."""
+    x, y = data.x, data.y
     n_min = 1 if force_zero_intercept else 2
     if len(x) < n_min:
         raise ValueError(f"need at least {n_min} points")
-    w = _weights(sigma, len(x))
-    wx = x if sigma is None else [wi * xi for wi, xi in zip(w, x)]  # 1.0 * x is x
-    sxx, sxy = sum(a * xi for a, xi in zip(wx, x)), sum(a * yi for a, yi in zip(wx, y))
+    w = _weights(data.sigma, len(x))
+    sw = sx = sy = sxx = sxy = 0.0  # summed left to right, as in _rss
+    for wi, xi, yi in zip(w, x, y):
+        wx = wi * xi  # 1.0 * x is x
+        sw, sx, sy, sxx, sxy = sw + wi, sx + wx, sy + wi * yi, sxx + wx * xi, sxy + wx * yi
     if force_zero_intercept:
         a_inv = _inverse([[sxx]])
         params = [a_inv[0][0] * sxy]
         resid = [yi - params[0] * xi for xi, yi in zip(x, y)]
         return _values(params, a_inv, _rss(w, resid), len(x), ("slope",))
-    sx, sy = sum(wx), sum(wi * yi for wi, yi in zip(w, y))
-    (i00, i01), (i10, i11) = a_inv = _inverse([[sxx, sx], [sx, sum(w)]])
+    (i00, i01), (i10, i11) = a_inv = _inverse([[sxx, sx], [sx, sw]])
     slope, intercept = i00 * sxy + i01 * sy, i10 * sxy + i11 * sy
     resid = [yi - (slope * xi + intercept) for xi, yi in zip(x, y)]
     return _values((slope, intercept), a_inv, _rss(w, resid), len(x), ("slope", "intercept"))
@@ -195,7 +190,7 @@ def _line_values(x, y, sigma, force_zero_intercept: bool) -> dict:
 def fit_linear(data: Dataset, force_zero_intercept: bool = False) -> FitResult:
     """Weighted least-squares line fit; parameters ``("slope",)`` with a
     forced zero intercept, otherwise ``("slope", "intercept")``."""
-    return FitResult(**_line_values(data.x, data.y, data.sigma, force_zero_intercept))
+    return FitResult(**_line_values(data, force_zero_intercept))
 
 
 def _slopes(roots, eta_ext_max, eta_n, length_cm) -> list[float]:
@@ -253,13 +248,13 @@ def _levenberg(x, y, w, eta, eta_n, length_cm):
     return (eta, eta_n), [[a00, a01], [a01, a11]], cost, converged
 
 
-def _conversion_values(x, y, sigma, length_cm: float) -> dict:
-    """fit_conversion on checked lists: the FitResult fields,
-    with the ill-conditioning flag set and warned about."""
+def _conversion_values(data: Dataset, length_cm: float) -> dict:
+    """fit_conversion's fields, with the ill-conditioning flag set and warned about."""
+    x, y = data.x, data.y
     if len(x) < 3:
         raise ValueError("need at least 3 points")
     check_range("smallest pump power", min(x), bounds="()")
-    w = _weights(sigma, len(x))
+    w = _weights(data.sigma, len(x))
     eta0 = max(y)
     check_range("largest efficiency", eta0, bounds="()")
     try:
@@ -310,7 +305,7 @@ def fit_conversion(data: Dataset, length_cm: float) -> FitResult:
     reaches the cap raises ``FitConvergenceError``, as does a fit whose
     estimates, RSS or half-widths are not finite.
     """
-    return FitResult(**_conversion_values(data.x, data.y, data.sigma, length_cm))
+    return FitResult(**_conversion_values(data, length_cm))
 
 
 def extract_mu1(snr_vs_mu: Dataset) -> tuple[float, float]:
@@ -319,10 +314,9 @@ def extract_mu1(snr_vs_mu: Dataset) -> tuple[float, float]:
 
     Returns (mu_1, 95% half-width).  The data must bracket SNR = 1.
     """
-    x, y, sigma = snr_vs_mu.x, snr_vs_mu.y, snr_vs_mu.sigma
-    if not (min(y) <= 1.0 <= max(y)):
+    if not (min(snr_vs_mu.y) <= 1.0 <= max(snr_vs_mu.y)):
         raise ValueError("dataset does not span SNR = 1; mu_1 not bracketed")
-    res = _line_values(x, y, sigma, force_zero_intercept=True)
+    res = _line_values(snr_vs_mu, force_zero_intercept=True)
     (slope,), (half_width,) = res["params"], res["ci95"]
     if slope <= 0:
         raise ValueError("nonpositive SNR slope; mu_1 undefined")

@@ -352,8 +352,8 @@ def _run_lane(
     the rest of the run, so a longer one is cut to it."""
     chain, n_shots = scenario.chain, scenario.n_shots
     dead_gates = min(scenario.dead_gates, n_shots)
-    # a float, so that a subnormal rate gives inf chunks, not an overflow
-    lam = float(sum(chain.event_means(mu_in, pump_mw, window_ns)))
+    # as in _collect_clicks; a float, so that a subnormal rate gives inf chunks, not an overflow
+    lam = float(np.cumsum(chain.event_means(mu_in, pump_mw, window_ns))[-1])
     if lam > MAX_EXPECTED_CLICKS_PER_GATE:
         raise ValueError(
             f"expected {lam:.3g} clicks per gate exceeds the model validity "

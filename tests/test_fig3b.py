@@ -8,7 +8,7 @@ from scipy import stats
 
 from qfcsim import REFERENCE_CONFIG, parse_config
 from qfcsim.cli import _normals, run
-from qfcsim.fitting import _checked, _conversion_values, conversion_model
+from qfcsim.fitting import Dataset, _conversion_values, conversion_model
 
 WAVEGUIDE = parse_config(REFERENCE_CONFIG).chain.waveguide
 
@@ -42,7 +42,8 @@ def test_fit_recovery():
     estimates, covered = ([], []), [0, 0]
     for seed in range(200):
         y = [t * (1.0 + 0.05 * n) for t, n in zip(truth, _normals(seed, len(truth)))]
-        fit = _conversion_values(*_checked(pumps_w, y, None, "P_p_W", "eta_ext"), wg.length_cm)
+        fit = _conversion_values(Dataset(pumps_w, y, xlabel="P_p_W", ylabel="eta_ext"),
+                                 wg.length_cm)
         extras = fit["extras"]
         for i, (est, half) in enumerate(((fit["params"][0], fit["ci95"][0]),
                                          (extras["total_normalized_per_w"],

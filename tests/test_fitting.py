@@ -73,7 +73,7 @@ class TestDataset:
             d = Dataset(x=x, y=np.array([0.2, 0.1, 0.3], dtype=np.float32), sigma=[1, 1, 2])
             for values in (d.x, d.y, d.sigma):
                 assert type(values) is tuple and {type(v) for v in values} == {float}
-            assert d.x == (1.0, 2.0, 3.0) and d.sigma == (1.0, 1.0, 2.0) and len(d) == 3
+            assert d.x == (1.0, 2.0, 3.0) and d.sigma == (1.0, 1.0, 2.0)
         assert Dataset(x=[1.0, 2.0], y=[1.0, 2.0]).sigma is None
 
     def test_unit_weights_default(self):
@@ -162,6 +162,23 @@ class TestFitLinear:
         res = fit_linear(d)
         assert res.params[res.param_names.index("slope")] == pytest.approx(slope, abs=1e-8)
         assert res.params[res.param_names.index("intercept")] == pytest.approx(intercept, abs=1e-8)
+
+
+class TestLeftToRightSums:
+    """The fits add floats left to right from 0.0, as ``sum()`` did before
+    Python 3.12 compensated it, so their last bits do not move with the
+    interpreter."""
+
+    def test_rss(self):
+        # 1e16 + 1 rounds to 1e16, twice; the exact sum is 1e16 + 2
+        assert fitting._rss([1.0] * 3, [1e8, 1.0, 1.0]) == 1e16
+        assert math.fsum([1e16, 1.0, 1.0]) == 1e16 + 2
+
+    def test_line_sums(self):
+        # x * y is 1e16, 1 and 1, so the sum over x * y reads 1e16, not 1e16 + 2
+        d = Dataset(x=[1.0, 2.0, 3.0], y=[1e16, 0.5, 1.0 / 3.0])
+        assert fit_linear(d, force_zero_intercept=True).params[0] == 1e16 / 14.0
+        assert (1e16 + 2.0) / 14.0 != 1e16 / 14.0
 
 
 class TestFitConversion:

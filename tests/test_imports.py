@@ -193,7 +193,7 @@ from qfcsim import fitting
 data = fitting.Dataset(x=[2.0, 0.5, 1.0, 1.5], y=[2.9, 0.7, 1.4, 2.1], sigma=[0.1] * 4)
 fitting.extract_mu1(data)
 p = [0.02 * i for i in range(1, 31)]
-fitting._conversion_values(p, fitting.conversion_model(p, 0.25, 0.72, 3.0), None, 3.0)
+fitting._conversion_values(fitting.Dataset(p, fitting.conversion_model(p, 0.25, 0.72, 3.0)), 3.0)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
 

@@ -1,0 +1,117 @@
+"""Source lints over ``src/qfcsim``: float sums that do not move with the
+Python version, and config keys named in messages that are still keys."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import qfcsim
+from qfcsim.config import _SCHEMA
+
+SRC = Path(qfcsim.__file__).parent
+SOURCES = sorted(SRC.glob("*.py"))
+
+# ------------------------------------------------------ the builtin sum()
+
+
+def builtin_sum_calls(source: str) -> list[int]:
+    """Lines of each call to the builtin ``sum``, which from Python 3.12 on
+    adds floats with compensation and so gives other last bits than a
+    left-to-right loop.  A method such as numpy's ``.sum()`` is no such call."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum"]
+
+
+@pytest.mark.parametrize("call", [
+    "total = sum(values)",
+    "lam = float(sum(chain.event_means(mu, p, w)))",
+    "rss = sum(wi * ri * ri for wi, ri in zip(w, r))",
+])
+def test_sum_lint_finds_a_call(call):
+    assert builtin_sum_calls(call) == [1]
+
+
+@pytest.mark.parametrize("call", [
+    "n = int(counts.sum())",
+    "total = np.sum(values)",
+    "edges = np.cumsum(means)",
+    "total = math.fsum(values)",
+])
+def test_sum_lint_passes_other_sums(call):
+    assert builtin_sum_calls(call) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_builtin_sum(path):
+    assert builtin_sum_calls(path.read_text(encoding="utf-8")) == [], (
+        f"{path.name}: add floats in a left-to-right loop from 0.0, not with sum()"
+    )
+
+
+# --------------------------------------------- config keys in messages
+
+KEYS = {f"{section}_{key}" for section, keys in _SCHEMA.items() for key in keys}
+# a word that starts with a section and an underscore names a key
+KEY_LIKE = re.compile(r"\b(?:%s)_\w+" % "|".join(sorted(_SCHEMA, key=len, reverse=True)))
+
+
+def _strings(node, skip=frozenset()) -> list[str]:
+    return [n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str) and n not in skip]
+
+
+def named_keys(source: str) -> list[str]:
+    """The ``<section>_<key>`` words in the raise messages, the
+    ``check_range`` labels and the ``_bounds`` labels of a source file.
+    A ``_bounds`` table's dict keys are field names, not labels."""
+    strings = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            strings += _strings(node.exc)
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "check_range"
+              and node.args):
+            strings += _strings(node.args[0])
+        elif isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_bounds"]:
+            fields = {k for d in ast.walk(node.value) if isinstance(d, ast.Dict) for k in d.keys}
+            strings += _strings(node.value, fields)
+    return [word for text in strings for word in KEY_LIKE.findall(text)]
+
+
+@pytest.mark.parametrize("source, stale", [
+    ('raise ValueError("pump_powr sets the noise")', ["pump_powr"]),
+    ('raise ConfigError(f"{x:g} mW; set detector_dark_rates")', ["detector_dark_rates"]),
+    ('check_range("gate (detector_gate_widht)", gate)', ["detector_gate_widht"]),
+    ('_bounds = {"length_cm": ("length (waveguide_lenght)", 0.0, inf, "()")}',
+     ["waveguide_lenght"]),
+    ('_bounds = {**{n: (n, 0.0, 1.0, "[]") for n in ("losses_input_lens",)}}',
+     ["losses_input_lens"]),
+])
+def test_key_scan_finds_a_stale_key(source, stale):
+    assert [w for w in named_keys(source) if w not in KEYS] == stale
+
+
+@pytest.mark.parametrize("source", [
+    'raise ValueError("pump_power and losses_input_coupling")',
+    '_bounds = {"pump_noise": ("pump-noise mean", 0.0, inf, "[)")}',  # a field, not a label
+    'hint = "pump_powr"',  # not a message
+])
+def test_key_scan_passes(source):
+    assert [w for w in named_keys(source) if w not in KEYS] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_messages_name_config_keys(path):
+    stale = [w for w in named_keys(path.read_text(encoding="utf-8")) if w not in KEYS]
+    assert stale == [], f"{path.name}: {stale} are not keys of config._SCHEMA"
+
+
+def test_key_scan_reads_the_package():
+    named = {w for path in SOURCES for w in named_keys(path.read_text(encoding="utf-8"))}
+    # SimulationResult's and noise.mu1's messages, and ExperimentScenario's labels
+    assert {"detector_dark_rate", "montecarlo_shots", "pump_power", "waveguide_length",
+            "waveguide_normalized_efficiency", "waveguide_max_external_efficiency",
+            "filter_total_transmission", "detector_efficiency",
+            "source_mean_photon_number"} <= named
