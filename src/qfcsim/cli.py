@@ -16,10 +16,10 @@ non-finite estimates raises).  The exception's class alone picks the code.
 
 Every command but ``simulate`` runs without numpy: ``fit`` reads its CSV
 into a ``Dataset`` and calls the fitting core directly, with no
-``FitResult``, and so does ``fig3b``, which draws its normals by
-Box-Muller from the standard library's ``random``.  numpy,
-``fitting``, ``montecarlo`` and ``timebin`` are imported only inside the
-commands that use them.
+``FitResult``, and so does ``fig3b``, which takes its fitted curve and 95%
+band from ``fitting`` and draws its normals by Box-Muller from ``random``.
+numpy, ``fitting``, ``montecarlo`` and ``timebin`` are imported only inside
+the commands that use them.
 """
 
 from __future__ import annotations
@@ -182,7 +182,7 @@ def _preset_fig3b(cfg: ExperimentScenario):
     from the configured seed, fitted, and reported with a pointwise 95%
     confidence band.
     """
-    from .fitting import Dataset, _conversion_values, _slopes, _t975, conversion_model
+    from .fitting import Dataset, _conversion_band, _conversion_values, conversion_model
 
     chain = cfg.chain
     wg = chain.waveguide
@@ -191,16 +191,10 @@ def _preset_fig3b(cfg: ExperimentScenario):
     truth = conversion_model(pumps_w, wg.max_external_efficiency, wg.normalized_efficiency, wg.length_cm)
     y = [t * (1.0 + 0.05 * n) for t, n in zip(truth, _normals(cfg.seed, len(truth)))]
     fit = _conversion_values(Dataset(pumps_w, y, xlabel="P_p_W", ylabel="eta_ext"), wg.length_cm)
-    eta, eta_n = fit["params"]
-    (c00, c01), (c10, c11) = fit["cov"]
-    tq = _t975(fit["dof"])
     rows = []
-    slopes = _slopes([math.sqrt(p) for p in pumps_w], eta, eta_n, wg.length_cm)
-    for p, j1 in zip(pumps_mw, slopes):
-        j0 = conversion_model(p * 1e-3, 1.0, eta_n, wg.length_cm)  # the model's slope in eta
-        band = tq * math.sqrt(j0 * (c00 * j0 + c01 * j1) + j1 * (c10 * j0 + c11 * j1))
+    for p, (eta, band) in zip(pumps_mw, _conversion_band(fit, pumps_w, wg.length_cm)):
         rb = detection_probabilities(cfg.mu_in, p, chain)
-        rows.append((p, eta * j0, eta * j0 - band, eta * j0 + band, snr(rb, subtract_dark=False)))
+        rows.append((p, eta, eta - band, eta + band, snr(rb, subtract_dark=False)))
     return ["P_p_mW", "eta_ext", "eta_ext_ci_lo", "eta_ext_ci_hi", "snr_dc"], rows
 
 

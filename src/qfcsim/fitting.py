@@ -1,16 +1,16 @@
 """Least-squares estimation on ``math`` alone: closed-form weighted line
 fits, and the sin^2 conversion curve by Gauss-Newton steps with Levenberg
-damping (Marquardt, SIAM J. Appl. Math. 11, 431 (1963)).  1x1 and 2x2
-normal matrices are inverted as adjugate over determinant, so a singular
-one raises ``ZeroDivisionError`` (``FitConvergenceError`` in a conversion
-fit); 95% half-widths use the linearized
-covariance scaled by the residual variance and the Student-t quantile.
+damping (Marquardt, SIAM J. Appl. Math. 11, 431 (1963)).  A 2x2 normal
+matrix is inverted as adjugate over determinant, so a singular one raises
+``ZeroDivisionError`` (``FitConvergenceError`` in a conversion fit); 95%
+half-widths and bands use the linearized covariance scaled by the residual
+variance and the Student-t quantile.
 
 A ``Dataset`` holds its checked columns as tuples of floats, sorted by x.
 The private core (``_line_values``, ``_conversion_values``) takes one and
-returns a ``FitResult``'s fields; the CLI's ``fit`` and ``fig3b`` call it
-directly.  None of this, nor ``extract_mu1``, needs numpy, which is imported
-only where a ``FitResult``, whose fields are read-only ndarrays, is built.
+returns a ``FitResult``'s fields, ``_conversion_band`` the fitted curve and
+its 95% band from those; the CLI's ``fit`` and ``fig3b`` call them.  None of
+this, nor ``extract_mu1``, needs numpy: only building a ``FitResult`` does.
 """
 
 from __future__ import annotations
@@ -130,10 +130,8 @@ def _t975(dof: int) -> float:
 
 
 def _inverse(a: list[list[float]]) -> list[list[float]]:
-    """Inverse of a 1x1 or 2x2 matrix of nested lists, its adjugate over
-    its determinant; a zero determinant raises ``ZeroDivisionError``."""
-    if len(a) == 1:
-        return [[1.0 / a[0][0]]]
+    """Inverse of a 2x2 matrix of nested lists, its adjugate over its
+    determinant; a zero determinant raises ``ZeroDivisionError``."""
     (a00, a01), (a10, a11) = a
     det = a00 * a11 - a01 * a10
     return [[a11 / det, -a01 / det], [-a10 / det, a00 / det]]
@@ -177,7 +175,7 @@ def _line_values(data: Dataset, force_zero_intercept: bool) -> dict:
         wx = wi * xi  # 1.0 * x is x
         sw, sx, sy, sxx, sxy = sw + wi, sx + wx, sy + wi * yi, sxx + wx * xi, sxy + wx * yi
     if force_zero_intercept:
-        a_inv = _inverse([[sxx]])
+        a_inv = [[1.0 / sxx]]  # a zero sxx raises ZeroDivisionError
         params = [a_inv[0][0] * sxy]
         resid = [yi - params[0] * xi for xi, yi in zip(x, y)]
         return _values(params, a_inv, _rss(w, resid), len(x), ("slope",))
@@ -198,6 +196,16 @@ def _slopes(roots, eta_ext_max, eta_n, length_cm) -> list[float]:
     roots ``roots``; the one in eta_ext_max is the model at eta_ext_max = 1."""
     k, c = 2 * length_cm * math.sqrt(eta_n), eta_ext_max * length_cm / (2 * math.sqrt(eta_n))
     return [c * rp * math.sin(k * rp) for rp in roots]
+
+
+def _conversion_band(fit: dict, x, length_cm: float) -> list[tuple[float, float]]:
+    """(fitted value, 95% half-width) at each pump power of ``x`` (W) for the
+    ``_conversion_values`` fields ``fit``: t sqrt(g C g^T), g the model's gradient."""
+    (eta, eta_n), ((c00, c01), (c10, c11)) = fit["params"], fit["cov"]
+    tq = _t975(fit["dof"])
+    slopes = _slopes(list(map(math.sqrt, x)), eta, eta_n, length_cm)
+    return [(eta * j0, tq * math.sqrt(j0 * (c00 * j0 + c01 * j1) + j1 * (c10 * j0 + c11 * j1)))
+            for j0, j1 in zip(conversion_model(x, 1.0, eta_n, length_cm), slopes)]
 
 
 def _residuals(x, y, w, eta, eta_n, length_cm) -> tuple[list[float], list[float], float]:
@@ -314,6 +322,8 @@ def extract_mu1(snr_vs_mu: Dataset) -> tuple[float, float]:
 
     Returns (mu_1, 95% half-width).  The data must bracket SNR = 1.
     """
+    if not snr_vs_mu.y:  # before min() and max(), which name no field
+        raise ValueError("need at least 1 points")
     if not (min(snr_vs_mu.y) <= 1.0 <= max(snr_vs_mu.y)):
         raise ValueError("dataset does not span SNR = 1; mu_1 not bracketed")
     res = _line_values(snr_vs_mu, force_zero_intercept=True)

@@ -119,8 +119,8 @@ class Histogram(Record):
     def __post_init__(self):
         object.__setattr__(self, "counts", _read_only(np.array(self.counts)))
         check_range("window_ns", self.window_ns, self.bin_width_ns)  # at least one bin
-        if np.any(self.counts < 0):
-            raise ValueError("counts must be nonnegative")
+        if self.counts.ndim != 1 or not np.all(np.isfinite(self.counts) & (self.counts >= 0)):
+            raise ValueError("counts must be a 1-d array of finite, nonnegative values")
 
     @property
     def bin_centers(self) -> np.ndarray:

@@ -4,13 +4,16 @@ draws behind its 5% noise, and the fit of its recipe over many seeds."""
 import random
 import statistics
 
+import numpy as np
+import pytest
 from scipy import stats
 
-from qfcsim import REFERENCE_CONFIG, parse_config
-from qfcsim.cli import _normals, run
-from qfcsim.fitting import Dataset, _conversion_values, conversion_model
+from qfcsim import REFERENCE_CONFIG, parse_config, replace
+from qfcsim.cli import _normals, _preset_fig3b, run
+from qfcsim.fitting import Dataset, _conversion_values, conversion_model, fit_conversion
 
-WAVEGUIDE = parse_config(REFERENCE_CONFIG).chain.waveguide
+CONFIG = parse_config(REFERENCE_CONFIG)
+WAVEGUIDE = CONFIG.chain.waveguide
 
 # the first draws for seed 3, the seed of fig3b's golden
 SEED_3 = ["-0x1.6afc440e79022p-1", "-0x1.9e36ab334561dp-3",
@@ -53,6 +56,36 @@ def test_fit_recovery():
     for target, values, hits in zip(targets, estimates, covered):
         assert abs(statistics.fmean(values) - target) / target < 0.03
         assert 0.88 <= hits / 200 <= 0.99
+
+
+@pytest.mark.parametrize("seed", [0, 3, 41, 299])
+def test_band_is_the_linearized_95_percent_band(seed):
+    # each half-width rebuilt apart from fitting's algebra: t(0.975, dof)
+    # sqrt(g C g^T), g the model's gradient by central differences and
+    # C = (J^T J)^-1 rss / dof at the fitted parameters (Bates & Watts, 1988)
+    columns, rows = _preset_fig3b(replace(CONFIG, seed=seed))
+    table = dict(zip(columns, np.array(rows).T))
+    pumps_w = table["P_p_mW"] * 1e-3
+    wg = WAVEGUIDE
+    truth = conversion_model(pumps_w, wg.max_external_efficiency, wg.normalized_efficiency,
+                             wg.length_cm)
+    y = [t * (1.0 + 0.05 * n) for t, n in zip(truth, _normals(seed, len(truth)))]
+    params = fit_conversion(Dataset(pumps_w, y), wg.length_cm).params
+
+    def model(p):
+        return np.array(conversion_model(pumps_w, *p, wg.length_cm))
+
+    jac = np.empty((len(pumps_w), 2))
+    for i in range(2):
+        step = np.zeros(2)
+        step[i] = 1e-5 * params[i]
+        jac[:, i] = (model(params + step) - model(params - step)) / (2 * step[i])
+    dof = len(pumps_w) - 2
+    cov = np.linalg.inv(jac.T @ jac) * np.sum((np.array(y) - model(params)) ** 2) / dof
+    half = stats.t.ppf(0.975, dof) * np.sqrt(np.einsum("ij,jk,ik->i", jac, cov, jac))
+    np.testing.assert_allclose(table["eta_ext"], model(params), rtol=1e-12)
+    np.testing.assert_allclose(table["eta_ext_ci_hi"] - table["eta_ext"], half, rtol=1e-6)
+    np.testing.assert_allclose(table["eta_ext"] - table["eta_ext_ci_lo"], half, rtol=1e-6)
 
 
 def test_exits_0_on_1000_seeds(tmp_path, capsys):

@@ -382,6 +382,11 @@ class TestExtractMu1:
         with pytest.raises(ValueError, match="bracketed"):
             extract_mu1(Dataset(x=mu, y=mu / 0.7))
 
+    def test_empty_dataset_names_the_point_count(self):
+        # min() and max() of no values would raise a message naming nothing
+        with pytest.raises(ValueError, match=r"^need at least 1 points$"):
+            extract_mu1(Dataset(x=[], y=[]))
+
 
 
 def _pinned_fits() -> list:

@@ -140,6 +140,12 @@ SCALAR_CASES = {
     "fringe_scan.gammas_inf": (
         lambda: fringe_scan(QUBIT, IFM, 1.0, 0.0, [*GAMMAS[:-1], math.inf]), "gammas"
     ),
+    # counts that no histogram has; NaN passes a plain counts < 0 test
+    "Histogram.counts_nan": (lambda: Histogram(1.0, np.full(100, math.nan), 100.0), "counts"),
+    "Histogram.counts_inf": (lambda: Histogram(1.0, np.full(100, math.inf), 100.0), "counts"),
+    "Histogram.counts_negative": (lambda: Histogram(1.0, np.full(100, -1), 100.0), "counts"),
+    "Histogram.counts_2d": (lambda: Histogram(1.0, np.ones((10, 10), dtype=int), 100.0), "counts"),
+    "Histogram.counts_0d": (lambda: Histogram(1.0, np.array(5), 100.0), "counts"),
     # non-finite, non-positive or sub-bin histogram settings, before any collection
     "start_stop_histogram.bin_width_nan": (
         lambda: start_stop_histogram(SCENARIO, bin_width_ns=math.nan), "bin_width_ns"

@@ -183,8 +183,9 @@ def test_scenario_loads_no_numpy(tmp_path):
     assert _probe(SCENARIO_PROBE, cwd=tmp_path) == ["[]"]
 
 
-# A dataset built from lists, mu_1 from it, and the fitting core that the
-# CLI's fit calls, run on math alone; so does the model over a list.
+# A dataset built from lists, mu_1 from it, and the fitting core and the
+# band that the CLI's fit and fig3b call, run on math alone; so does the
+# model over a list.
 FITTING_PROBE = """
 import sys
 
@@ -193,7 +194,8 @@ from qfcsim import fitting
 data = fitting.Dataset(x=[2.0, 0.5, 1.0, 1.5], y=[2.9, 0.7, 1.4, 2.1], sigma=[0.1] * 4)
 fitting.extract_mu1(data)
 p = [0.02 * i for i in range(1, 31)]
-fitting._conversion_values(fitting.Dataset(p, fitting.conversion_model(p, 0.25, 0.72, 3.0)), 3.0)
+fit = fitting._conversion_values(fitting.Dataset(p, fitting.conversion_model(p, 0.25, 0.72, 3.0)), 3.0)
+fitting._conversion_band(fit, p, 3.0)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
 """
 
