@@ -175,7 +175,13 @@ def _line_values(data: Dataset, force_zero_intercept: bool) -> dict:
         wx = wi * xi  # 1.0 * x is x
         sw, sx, sy, sxx, sxy = sw + wi, sx + wx, sy + wi * yi, sxx + wx * xi, sxy + wx * yi
     if force_zero_intercept:
-        a_inv = [[1.0 / sxx]]  # a zero sxx raises ZeroDivisionError
+        # 1/sxx, the slope's variance, is undefined at sxx == 0 and inf at a subnormal sxx
+        if sxx == 0.0 or 1.0 / sxx == math.inf:
+            raise ZeroDivisionError(
+                f"the zero-intercept line fit's weighted sum of {data.xlabel}^2 ({sxx:g}) "
+                f"has no finite inverse: every {data.xlabel} is 0 or too small to square"
+            )
+        a_inv = [[1.0 / sxx]]
         params = [a_inv[0][0] * sxy]
         resid = [yi - params[0] * xi for xi, yi in zip(x, y)]
         return _values(params, a_inv, _rss(w, resid), len(x), ("slope",))

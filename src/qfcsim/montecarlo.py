@@ -20,12 +20,12 @@ Randomness is counter-based (Philox, Salmon et al., SC 2011): each
 (lane, chunk) pair owns an independent substream derived from the
 scenario seed, so the records do not depend on how the chunks are
 grouped.  Each chunk makes only its own draws; the origin lookup, the
-window cut and the choice of the first event per shot (a radix sort by
-shot) run once over a batch of chunks holding about ``_BATCH_EVENTS``
-expected events, which shares numpy's fixed per-call cost among them.
-An event alone in its shot is that shot's click, so the earliest-time
-choice runs only over the events of shared shots: at the reference point
-about 1% of the events in the window.
+window cut and the choice of the first event per shot (one sort of packed
+(shot, draw index) keys) run once over a batch of chunks holding about
+``_BATCH_EVENTS`` expected events, which shares numpy's fixed per-call cost
+among them.  An event alone in its shot is that shot's click, so the
+earliest-time choice runs only over the events of shared shots: at the
+reference point about 1% of the events in the window.
 
 Gates in the dead time after an accepted click are skipped and excluded
 from the probability denominators.  Within a batch, a click more than the
@@ -79,6 +79,9 @@ ORIGIN_NAMES = {int(ORIGIN_SIGNAL): "signal", int(ORIGIN_PUMP): "pump-noise", in
 CLICK_DTYPE = np.dtype(
     [("shot", np.int64), ("time_ns", np.float64), ("origin", np.int8)]
 )
+# a record as one opaque item of its size: numpy concatenates structured
+# records field by field, and these whole
+_CLICK_BYTES = np.dtype((np.void, CLICK_DTYPE.itemsize))
 
 _CHUNK = 1 << 16
 # expected events per batch of chunks: the work after the draws runs once
@@ -86,7 +89,8 @@ _CHUNK = 1 << 16
 # At the reference rate a lane's time fell from _CHUNK // 16 to // 4;
 # larger batches saved a few percent more for a larger heap peak
 _BATCH_EVENTS = _CHUNK // 4
-# a batch spans at most 2**32 shots, so its shots sort as two 16-bit digits
+# a batch spans at most 2**32 shots, so a shot within it and an event index
+# pack into one 64-bit sort key
 _MAX_BATCH_CHUNKS = (1 << 32) // _CHUNK
 
 # lanes 0/1: simulate (input on / blocked); lanes 2/3/4: histogram passes
@@ -198,18 +202,20 @@ def _substreams(seed: int, lane: int, chunks: range) -> Iterator[np.random.Gener
         yield rng
 
 
-def _first_per_shot(shot: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Indices of each shot's click in events stably sorted by shot: its
-    earliest event, and of equal times the first in the arrays.
+def _first_per_shot(shot: np.ndarray, t: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Indices of each shot's click in events stably sorted by shot, the
+    i-th of which has shot ``shot[i]`` and time ``t[order[i]]``: its
+    earliest event, and of equal times the first in the sorted order.
 
     An event alone in its shot is that shot's click, so the group minimum
-    runs only over the events of shared shots."""
+    runs only over the events of shared shots, and only their times are
+    read."""
     # new[i]: event i starts a shot, new[n] closes the last one
     new = np.ones(shot.size + 1, dtype=bool)
     new[1:-1] = shot[1:] != shot[:-1]
     pick = new[:-1] & new[1:]  # alone in its shot
     shared = np.flatnonzero(~pick)
-    ts = t[shared]
+    ts = t[order[shared]]
     head = new[shared]
     group = np.cumsum(head) - 1
     at_min = np.flatnonzero(ts == np.minimum.reduceat(ts, np.flatnonzero(head))[group])
@@ -242,44 +248,64 @@ def _collect_clicks(
     # the cumulative means; the index of each mean is its origin code
     edges = np.cumsum(chain.event_means(mu_in, pump_mw, window_ns))
     lam = edges[-1]
-    # u·λ < λ for any normal λ, and the clamp to the double below λ keeps it
-    # so for a subnormal one: no draw lands past the last positive rate
-    below = np.nextafter(lam, 0.0)
-    shots, draws, normals, uniforms = [], [], [], []
+    base = chunks.start * _CHUNK
+    # u·λ <= λ, and the clamp below moves only values at λ, which then lie
+    # below edges[0] only if it is λ: so, before the clamp, a chunk's signal
+    # events are those below edges[0], or all of them if edges[0] is λ
+    all_signal = edges[0] == lam
+    rels, draws, normals, uniforms = [], [], [np.empty(0)], [np.empty(0)]
     for ci, rng in zip(chunks, _substreams(seed, lane, chunks)):
         start = ci * _CHUNK
         m = min(_CHUNK, n_shots - start)
         n = int(rng.poisson(m * lam))
         if n == 0:
             continue
-        # the draws of integers(0, m) offset by start
-        shots.append(rng.integers(start, start + m, n))
-        u = np.minimum(rng.random(n) * lam, below)
-        k = int(np.count_nonzero(u < edges[0]))
+        # the draws of integers(0, m), offset by the chunk's start in the batch
+        rels.append(rng.integers(start - base, start - base + m, n))
+        u = rng.random(n)
+        u *= lam
+        k = n if all_signal else int(np.count_nonzero(u < edges[0]))
         draws.append(u)
-        normals.append(rng.standard_normal(k))
-        uniforms.append(rng.uniform(0.0, window_ns, n - k))
-    if not shots:
+        # a draw of no values takes nothing from the stream: skipping it
+        # saves a call and keeps every record
+        if k:
+            normals.append(rng.standard_normal(k))
+        if k < n:
+            uniforms.append(rng.uniform(0.0, window_ns, n - k))
+    if not rels:
         return np.empty(0, dtype=CLICK_DTYPE)
-    shot = np.concatenate(shots)
     u = np.concatenate(draws)
+    # u·λ < λ for any normal λ, and the clamp to the double below λ keeps it
+    # so for a subnormal one: no draw lands past the last positive rate
+    np.minimum(u, np.nextafter(lam, 0.0), out=u)
     signal = u < edges[0]
-    t = np.empty(shot.size)
-    t[signal] = window_ns / 2.0 + chain.pulse.sigma_ns * np.concatenate(normals)
+    t = np.empty(u.size)
+    pulse = np.concatenate(normals)
+    pulse *= chain.pulse.sigma_ns
+    pulse += window_ns / 2.0
+    t[signal] = pulse
     t[~signal] = np.concatenate(uniforms)
+    # one sort of the events in the window by (shot within the batch, draw
+    # index), packed as shot << 32 | index into 64 unsigned bits: the keys
+    # are distinct, so the sort is stable by shot, and each half is read
+    # back with no gather
     inside = np.flatnonzero((t >= 0.0) & (t < window_ns))
-    # a stable sort of the events in the window by shot, on two 16-bit
-    # digits of the shot within the batch, which numpy sorts by radix
-    rel = shot[inside] - chunks.start * _CHUNK
-    order = inside[np.lexsort((rel.astype(np.uint16), (rel >> 16).astype(np.uint16)))]
-    shot, t = shot[order], t[order]
+    key = np.concatenate(rels)[inside].view(np.uint64)
+    key <<= 32
+    key |= inside.view(np.uint64)
+    key.sort()
+    # both halves as signed integers, which numpy indexes and stores uncast
+    order = (key & 0xFFFFFFFF).view(np.intp)
+    key >>= 32
+    shot = key.view(np.int64)
     # the stable sort keeps each shot's events in draw order
-    first = _first_per_shot(shot, t)
+    first = _first_per_shot(shot, t, order)
+    drawn = order[first]
     rec = np.empty(first.size, dtype=CLICK_DTYPE)
-    rec["shot"] = shot[first]
-    rec["time_ns"] = t[first]
+    rec["shot"] = shot[first] + base
+    rec["time_ns"] = t[drawn]
     # the origin: how many of the first two edges lie at or below u·λ
-    u = u[order[first]]
+    u = u[drawn]
     rec["origin"] = np.add(u >= edges[0], u >= edges[1], dtype=np.int8)
     return rec
 
@@ -311,14 +337,18 @@ def _apply_dead_time(
     shots = clicks["shot"].astype(itype)
     # keep: accepted so far, the isolated clicks and the sentinel
     keep = np.ones(n + 1, dtype=bool)
-    keep[1:n] = np.diff(shots) > dead_gates
+    np.greater(np.diff(shots), dead_gates, out=keep[1:n])
     runs = np.flatnonzero(~(keep[:n] & keep[1:]))  # the clicks in runs, in order
     m = runs.size
     in_run = shots.take(runs)
     # keep over the clicks in runs and the sentinel: at first the isolated
     # ones, which are the heads of the runs
-    keep_run = np.append(keep.take(runs), True)
-    jump = np.append(np.searchsorted(in_run, in_run + dead_gates, side="right"), m).astype(itype)
+    keep_run = np.empty(m + 1, dtype=bool)
+    keep.take(runs, out=keep_run[:m])
+    keep_run[m] = True
+    jump = np.empty(m + 1, dtype=itype)
+    jump[:m] = np.searchsorted(in_run, in_run + dead_gates, side="right")
+    jump[m] = m
     jump[keep_run.take(jump)] = m
     kept = np.flatnonzero(keep_run[:m])
     links = jump.take(kept)
@@ -328,7 +358,8 @@ def _apply_dead_time(
         jump = jump.take(jump)
         links = jump.take(kept)
     keep[runs] = keep_run[:m]
-    # compress copies whole records, faster than a boolean index of them
+    # compress copies whole records: faster than a boolean index of them,
+    # and as fast as a compress of their raw bytes
     accepted = np.compress(keep[:n], clicks)
     # skipped is the sum of min(s + dead_gates, n_shots - 1) - s over the
     # accepted clicks; they lie more than dead_gates apart, so only the
@@ -371,9 +402,9 @@ def _run_lane(
         accepted, skip = _apply_dead_time(clicks, n_shots, dead_gates)
         if accepted.size:
             dead_until = int(accepted["shot"][-1]) + dead_gates
-        kept.append(accepted)
+        kept.append(accepted.view(_CLICK_BYTES))
         skipped += skip
-    return np.concatenate(kept), skipped
+    return np.concatenate(kept).view(CLICK_DTYPE), skipped
 
 
 def simulate(scenario: ExperimentScenario) -> SimulationResult:

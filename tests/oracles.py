@@ -8,6 +8,7 @@ adaptively truncated, rescaled one) instead of the closed-form fidelity
 bound, 50-digit decimal arithmetic instead of the expm1 form of the SNR,
 dense per-shot Monte Carlo draws instead of a superposed, thinned
 event stream, a sequential dead-time scan instead of pointer jumping,
+dead time as a renewal process instead of a count of skipped gates,
 numpy arrays with their own Jacobian and LAPACK solves instead of the
 math-only fitting core and its closed-form 2x2 inverses, and the event
 means from a chain's primitive fields instead of the factors it caches.
@@ -341,3 +342,28 @@ def dead_time_loop(clicks, n_shots, dead_gates):
         skipped += end - s
         dead_until = end
     return clicks[keep], skipped
+
+
+def click_probability(chain, mu_in: float, pump_mw: float, window_ns: float) -> float:
+    """A gate's click probability, 1 - exp(-m), with m the expected events
+    in a window centered on the pulse: its whole-pulse signal mean times
+    the Gaussian share erf(w / (2 sqrt(2) sigma)) inside the window, plus
+    the pump-noise and dark means, all from the chain's primitive fields."""
+    signal, pump_noise, dark = event_means_from_fields(chain, mu_in, pump_mw, window_ns)
+    inside = math.erf(window_ns / (2.0 * math.sqrt(2.0) * chain.pulse.sigma_ns))
+    return -math.expm1(-(signal * inside + pump_noise + dark))
+
+
+def skipped_gates_renewal(p: float, dead_gates: int, n_gates: int) -> tuple[float, float]:
+    """Mean and variance of the gates skipped over ``n_gates`` gates that
+    click with probability ``p`` while alive, with dead time as a renewal
+    process (Cox, *Renewal Theory*, 1962; Mueller, Nucl. Instrum. Meth. 112,
+    47 (1973)).  A cycle is Geom(p) alive gates, up to and with a click,
+    then D = ``dead_gates`` dead ones, so it lasts 1/p + D gates with
+    variance (1 - p)/p^2, and n gates hold about n p / (1 + p D) cycles
+    with variance n p (1 - p) / (1 + p D)^3; each cycle skips D gates.  The
+    end of the run, which can cut the last dead window short, moves the
+    count by at most D."""
+    d = dead_gates
+    cycles = n_gates * p / (1.0 + p * d)
+    return d * cycles, d * d * n_gates * p * (1.0 - p) / (1.0 + p * d) ** 3

@@ -387,6 +387,13 @@ class TestExtractMu1:
         with pytest.raises(ValueError, match=r"^need at least 1 points$"):
             extract_mu1(Dataset(x=[], y=[]))
 
+    @pytest.mark.parametrize("x", [1e-200, 1e-155])
+    def test_vanishing_sum_of_squares_is_named(self, x):
+        # sum w x^2 underflows to 0 (1e-200), or to a subnormal whose
+        # inverse is inf (1e-155), which gave mu_1 = 0 with a nan error
+        with pytest.raises(ArithmeticError, match=r"weighted sum of mu\^2 \("):
+            extract_mu1(Dataset(x=[0.0, x], y=[0.0, 2.0], xlabel="mu"))
+
 
 
 def _pinned_fits() -> list:

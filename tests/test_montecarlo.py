@@ -7,7 +7,14 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.stats import chi2_contingency
 
-from oracles import chunked_collect_clicks, dead_time_loop, dense_collect_clicks, first_per_shot
+from oracles import (
+    chunked_collect_clicks,
+    click_probability,
+    dead_time_loop,
+    dense_collect_clicks,
+    first_per_shot,
+    skipped_gates_renewal,
+)
 from qfcsim import montecarlo, replace
 from qfcsim.chain import MAX_SHOTS, reference_chain
 from qfcsim.montecarlo import (
@@ -118,6 +125,19 @@ class TestStreams:
             rng.integers(0, 10, 3)
             rng.random(5)
 
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_draws_of_no_values_take_nothing(self, buffered):
+        # a chunk skips its normal or uniform draw when it has no event of
+        # that kind, which keeps the records only because such a draw takes
+        # nothing from the stream, with or without a buffered 32-bit half
+        (rng,) = montecarlo._substreams(3, 1, range(2, 3))
+        if buffered:
+            rng.integers(0, 10, 1)
+        before = _state(rng.bit_generator)
+        rng.standard_normal(0)
+        rng.uniform(0.0, 20.0, 0)
+        assert _state(rng.bit_generator) == before
+
 
 # the lanes of simulate and start_stop_histogram: (lane, mu_in, pump_mw, window_ns)
 def _lanes(mu, pump):
@@ -166,24 +186,28 @@ def _shot_sorted_events(draw):
     offset = draw(st.integers(0, 2**40))
     shot = np.sort(draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))).astype(np.int64)
     t = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=n, max_size=n)))
-    return shot + offset, t
+    # the events' places in draw order
+    order = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    return shot + offset, t, order
 
 
 class TestFirstPerShot:
     @settings(max_examples=300)
     @given(_shot_sorted_events())
-    @example((np.zeros(0, dtype=np.int64), np.zeros(0)))
-    @example((np.array([3]), np.array([2.5])))
+    @example((np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.intp)))
+    @example((np.array([3]), np.array([2.5]), np.array([0])))
     def test_matches_lexsort(self, events):
-        shot, t = events
-        got = montecarlo._first_per_shot(shot, t)
+        shot, t, order = events
+        drawn = np.empty_like(t)
+        drawn[order] = t
+        got = montecarlo._first_per_shot(shot, drawn, order)
         assert got.tolist() == first_per_shot(shot, t).tolist()
 
     def test_equal_times_take_the_first(self):
         # shot 4's earliest time is held by its second and third events;
         # shot 7 is alone
         shot, t = np.array([4, 4, 4, 7]), np.array([1.0, 0.5, 0.5, 0.0])
-        assert montecarlo._first_per_shot(shot, t).tolist() == [1, 3]
+        assert montecarlo._first_per_shot(shot, t, np.arange(4)).tolist() == [1, 3]
 
 
 @st.composite
@@ -272,8 +296,10 @@ def _dead_time_chain(dead_gates, dark_rate_per_ns=REFERENCE.detector.dark_rate_p
     return replace(REFERENCE, detector=detector)
 
 
-def _lane_run(mu, pump, shots, dead_gates, lane=0, window=20.0, **detector):
+def _lane_run(mu, pump, shots, dead_gates, lane=0, window=20.0, noise_alpha=None, **detector):
     chain = _dead_time_chain(dead_gates, **detector)
+    if noise_alpha is not None:
+        chain = replace(chain, noise=replace(chain.noise, alpha_detected_per_mw=noise_alpha))
     return scenario(mu=mu, pump=pump, shots=shots, seed=5, chain=chain), lane, window
 
 
@@ -315,6 +341,9 @@ class TestBatchedOracle:
     # which gives no records and no skipped gates
     @example(_lane_run(6.1, 120.0, 3 * _CHUNK + 7, 20, dark_rate_per_ns=0.0), None)
     @example(_lane_run(0.0, 0.0, 2 * _CHUNK + 1, 20, dark_rate_per_ns=0.0), None)
+    # signal alone: the first cumulative mean is λ itself, so every event
+    # is a signal event and no chunk draws uniform times
+    @example(_lane_run(6.1, 120.0, 3 * _CHUNK + 7, 20, noise_alpha=0.0, dark_rate_per_ns=0.0), None)
     def test_matches_chunked(self, run, batch_events):
         sc, lane, window = run
         with pytest.MonkeyPatch.context() as mp:
@@ -344,6 +373,26 @@ class TestBatchedOracle:
         self._check(sc, montecarlo._LANE_SIGNAL, sc.mu_in, sc.pump_mw, 20.0)
         assert len(collected) == 5
         assert any(o.size < c.size for o, c in zip(offered[1:], collected[1:]))
+
+    def test_batch_past_2_31_shots(self, monkeypatch):
+        # 2e-6 dark events per gate and an unbounded batch target: one batch
+        # of 32,808 chunks, whose shots pass 2**31 within it, where a signed
+        # 64-bit sort key of shot << 32 would overflow
+        monkeypatch.setattr(montecarlo, "_BATCH_EVENTS", 1 << 30)
+        collected = []
+        collect_clicks = montecarlo._collect_clicks
+
+        def collect(*args):
+            collected.append((args[-1], collect_clicks(*args)))
+            return collected[-1][1]
+
+        monkeypatch.setattr(montecarlo, "_collect_clicks", collect)
+        chain = _dead_time_chain(20, dark_rate_per_ns=1e-7)
+        sc = scenario(mu=0.0, pump=0.0, shots=2**31 + 40 * _CHUNK, seed=5, chain=chain)
+        self._check(sc, montecarlo._LANE_HIST_DARK, 0.0, 0.0, 20.0)
+        ((chunks, clicks),) = collected
+        assert chunks == range(2**15 + 40)
+        assert np.count_nonzero(clicks["shot"] >= 2**31) > 0
 
     def test_vanishing_rate(self):
         # about 1e-315 events per gate: the chunks per batch overflow to
@@ -474,6 +523,40 @@ class TestDeadTime:
         assert long == short
         assert long.clicks_signal.size == 1
         assert long.skipped_signal == shots - 1 - long.clicks_signal["shot"][0]
+
+
+class TestRenewalOracle:
+    """simulate's skipped gates in both lanes against dead time as a
+    renewal process: the dead-time path checked against the physics, not
+    only against the loop oracle."""
+
+    SHOTS = 200_000
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        budget=st.floats(0.0, 1.0),
+        pump=st.floats(1.0, 600.0),
+        gate=st.sampled_from(ALLOWED_GATE_WIDTHS_NS),
+        dead_gates=st.sampled_from([1, 20, 50]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # the reference point's 20 dead gates
+    @example(budget=0.0336, pump=120.0, gate=20.0, dead_gates=20, seed=0)
+    def test_skipped_gates(self, budget, pump, gate, dead_gates, seed):
+        chain = _dead_time_chain(dead_gates).with_gate_width(gate)
+        signal, noise, dark = chain.event_means(1.0, pump, gate)
+        # mu up to the validity bound, with room for rounding
+        mu = budget * (0.999 * montecarlo.MAX_EXPECTED_CLICKS_PER_GATE - noise - dark) / signal
+        assume(mu >= 0.0)
+        p_lanes = [click_probability(chain, m, pump, gate) for m in (mu, 0.0)]
+        # enough clicks for the normal approximation, and the run's end,
+        # which moves the count by at most the dead gates, far inside 5 sigma
+        assume(min(p_lanes) * self.SHOTS >= 50)
+        res = simulate(scenario(mu=mu, pump=pump, shots=self.SHOTS, seed=seed, chain=chain))
+        for skipped, p in zip((res.skipped_signal, res.skipped_noise), p_lanes):
+            mean, var = skipped_gates_renewal(p, dead_gates, self.SHOTS)
+            assert dead_gates < math.sqrt(var)
+            assert abs(skipped - mean) < 5.0 * math.sqrt(var)
 
 
 class TestHistograms:
