@@ -12,9 +12,10 @@ chunk of m shots draws one Poisson(m·λ) event count, then per event a
 uniform shot, a uniform u, whose u·λ falls between two cumulative sums
 of the three means and so names the origin, and a Gaussian (signal) or
 uniform time; events outside the window are dropped and the earliest
-one per shot is the click.  At the reference point about 1% of gates
-click, so this draws about m/100 events where per-shot draws would need
-4m numbers.
+one per shot is the click.  A lane of at most 2.2e-308 events per gate,
+the smallest normal double, draws nothing.  At the reference point about
+1% of gates click, so this draws about m/100 events where per-shot draws
+would need 4m numbers.
 
 Randomness is counter-based (Philox, Salmon et al., SC 2011): each
 (lane, chunk) pair owns an independent substream derived from the
@@ -47,11 +48,12 @@ bit-reproducible for a given seed.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 
 import numpy as np
 
-from .chain import MAX_SHOTS, ConversionChain, ExperimentScenario
+from .chain import MAX_SHOTS, ExperimentScenario
 from .noise import DegenerateDenominatorError
 from .optics import Record, check_range
 
@@ -224,9 +226,8 @@ def _first_per_shot(shot: np.ndarray, t: np.ndarray, order: np.ndarray) -> np.nd
 
 
 def _collect_clicks(
-    chain: ConversionChain,
-    mu_in: float,
-    pump_mw: float,
+    edges: np.ndarray,
+    sigma_ns: float,
     n_shots: int,
     seed: int,
     lane: int,
@@ -234,25 +235,20 @@ def _collect_clicks(
     chunks: range,
 ) -> np.ndarray:
     """First detected event per shot in the shots of ``chunks``, before
-    dead-time bookkeeping.
+    dead-time bookkeeping, from the lane's cumulative event means ``edges``,
+    whose index is the origin code.
 
     The window spans [0, window_ns) with the pulse centered at its middle.
     Each chunk draws from its own substream: one Poisson(m·λ) event count,
     spread uniformly over its m shots, a uniform u per event, then the
     signal events' Gaussian times and the others' uniform times.  The
-    origin of u·λ is the number of cumulative event means at or below it
-    (λ, the last, never is), so each origin is drawn in proportion to its
-    rate and one of zero rate, whose edge repeats the one before it,
-    never.  All that follows the draws runs once over the chunks'
-    concatenated events."""
-    # the cumulative means; the index of each mean is its origin code
-    edges = np.cumsum(chain.event_means(mu_in, pump_mw, window_ns))
+    origin of u·λ is the number of edges at or below it (λ, the last,
+    never is: u <= 1 - 2**-53, and u·λ rounds below any normal λ above
+    2**-1022), so each origin is drawn in proportion to its rate and one
+    of zero rate, whose edge repeats the one before it, never.  All that
+    follows the draws runs once over the chunks' concatenated events."""
     lam = edges[-1]
     base = chunks.start * _CHUNK
-    # u·λ <= λ, and the clamp below moves only values at λ, which then lie
-    # below edges[0] only if it is λ: so, before the clamp, a chunk's signal
-    # events are those below edges[0], or all of them if edges[0] is λ
-    all_signal = edges[0] == lam
     rels, draws, normals, uniforms = [], [], [np.empty(0)], [np.empty(0)]
     for ci, rng in zip(chunks, _substreams(seed, lane, chunks)):
         start = ci * _CHUNK
@@ -264,7 +260,7 @@ def _collect_clicks(
         rels.append(rng.integers(start - base, start - base + m, n))
         u = rng.random(n)
         u *= lam
-        k = n if all_signal else int(np.count_nonzero(u < edges[0]))
+        k = int(np.count_nonzero(u < edges[0]))
         draws.append(u)
         # a draw of no values takes nothing from the stream: skipping it
         # saves a call and keeps every record
@@ -275,13 +271,10 @@ def _collect_clicks(
     if not rels:
         return np.empty(0, dtype=CLICK_DTYPE)
     u = np.concatenate(draws)
-    # u·λ < λ for any normal λ, and the clamp to the double below λ keeps it
-    # so for a subnormal one: no draw lands past the last positive rate
-    np.minimum(u, np.nextafter(lam, 0.0), out=u)
     signal = u < edges[0]
     t = np.empty(u.size)
     pulse = np.concatenate(normals)
-    pulse *= chain.pulse.sigma_ns
+    pulse *= sigma_ns
     pulse += window_ns / 2.0
     t[signal] = pulse
     t[~signal] = np.concatenate(uniforms)
@@ -380,24 +373,26 @@ def _run_lane(
     are dropped, and the skipped counts add up exactly, because accepted
     clicks lie more than dead_gates apart and only the last dead window of
     the run can be cut short.  A window of n_shots gates already blanks
-    the rest of the run, so a longer one is cut to it."""
-    chain, n_shots = scenario.chain, scenario.n_shots
+    the rest of the run, so a longer one is cut to it.  The lane's event
+    means are read here, once; a lane of at most the smallest normal
+    double, 2.2e-308 events per gate, draws nothing."""
+    n_shots, sigma_ns = scenario.n_shots, scenario.chain.pulse.sigma_ns
     dead_gates = min(scenario.dead_gates, n_shots)
-    # as in _collect_clicks; a float, so that a subnormal rate gives inf chunks, not an overflow
-    lam = float(np.cumsum(chain.event_means(mu_in, pump_mw, window_ns))[-1])
+    edges = np.cumsum(scenario.chain.event_means(mu_in, pump_mw, window_ns))
+    lam = edges[-1]
     if lam > MAX_EXPECTED_CLICKS_PER_GATE:
         raise ValueError(
             f"expected {lam:.3g} clicks per gate exceeds the model validity "
             f"bound of {MAX_EXPECTED_CLICKS_PER_GATE}"
         )
-    if lam == 0:
+    if lam <= sys.float_info.min:
         return np.empty(0, dtype=CLICK_DTYPE), 0
     n_chunks = (n_shots + _CHUNK - 1) // _CHUNK
     per_batch = max(1, int(min(_BATCH_EVENTS / (_CHUNK * lam), _MAX_BATCH_CHUNKS)))
     kept, skipped, dead_until = [], 0, -1
     for lo in range(0, n_chunks, per_batch):
         chunks = range(lo, min(lo + per_batch, n_chunks))
-        clicks = _collect_clicks(chain, mu_in, pump_mw, n_shots, scenario.seed, lane, window_ns, chunks)
+        clicks = _collect_clicks(edges, sigma_ns, n_shots, scenario.seed, lane, window_ns, chunks)
         clicks = clicks[np.searchsorted(clicks["shot"], dead_until, side="right"):]
         accepted, skip = _apply_dead_time(clicks, n_shots, dead_gates)
         if accepted.size:

@@ -9,6 +9,8 @@ bound, 50-digit decimal arithmetic instead of the expm1 form of the SNR,
 dense per-shot Monte Carlo draws instead of a superposed, thinned
 event stream, a sequential dead-time scan instead of pointer jumping,
 dead time as a renewal process instead of a count of skipped gates,
+first-click bin probabilities in closed form instead of drawn and
+histogrammed click times,
 numpy arrays with their own Jacobian and LAPACK solves instead of the
 math-only fitting core and its closed-form 2x2 inverses, and the event
 means from a chain's primitive fields instead of the factors it caches.
@@ -21,6 +23,7 @@ import math
 from decimal import Decimal, localcontext
 
 import numpy as np
+from scipy.special import ndtr
 
 from qfcsim.montecarlo import (
     _CHUNK,
@@ -367,3 +370,22 @@ def skipped_gates_renewal(p: float, dead_gates: int, n_gates: int) -> tuple[floa
     d = dead_gates
     cycles = n_gates * p / (1.0 + p * d)
     return d * cycles, d * d * n_gates * p * (1.0 - p) / (1.0 + p * d) ** 3
+
+
+def first_click_bin_probabilities(
+    chain, mu_in: float, pump_mw: float, window_ns: float, bin_width_ns: float
+) -> np.ndarray:
+    """Per alive gate, the probability that its first click falls in each
+    whole bin [a, b) of a start-stop histogram over a window w centered on
+    the pulse: e^(-L(a)) - e^(-L(b)), where L(t) = s (Phi((t - w/2) / sigma)
+    - Phi(-w / (2 sigma))) + r t is the expected events in [0, t), s the
+    whole-pulse signal mean and r = (pump noise + dark) / w, all from the
+    chain's primitive fields.  Dead time does not bend this shape, because
+    a gate's alive state depends only on earlier gates."""
+    signal, pump_noise, dark = event_means_from_fields(chain, mu_in, pump_mw, window_ns)
+    sigma = chain.pulse.sigma_ns
+    t = np.arange(int(window_ns / bin_width_ns) + 1) * bin_width_ns
+    cum = signal * (ndtr((t - window_ns / 2.0) / sigma) - ndtr(-window_ns / (2.0 * sigma)))
+    cum += (pump_noise + dark) / window_ns * t
+    # e^(-L(a)) (1 - e^(-(L(b) - L(a)))), with no cancellation in small bins
+    return np.exp(-cum[:-1]) * -np.expm1(-np.diff(cum))

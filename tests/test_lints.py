@@ -1,5 +1,6 @@
 """Source lints over ``src/qfcsim``: float sums that do not move with the
-Python version, and config keys named in messages that are still keys."""
+Python version, config keys named in messages that are still keys, and
+no imported name left unused."""
 
 import ast
 import re
@@ -115,3 +116,72 @@ def test_key_scan_reads_the_package():
             "waveguide_normalized_efficiency", "waveguide_max_external_efficiency",
             "filter_total_transmission", "detector_efficiency",
             "source_mean_photon_number"} <= named
+
+
+# ------------------------------------------------------ unused imports
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never uses, either as a name or inside a
+    quoted annotation.  A ``from __future__`` import is a directive, and
+    ``import a.b`` binds ``a``."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    trees = [tree] + [ast.parse(text, mode="eval") for a in annotations if a is not None
+                      for text in _strings(a)]
+    used = {n.id for t in trees for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("source, unused", [
+    ("import os", ["os"]),
+    ("import os.path\nx = 1", ["os"]),
+    ("import numpy as np\nnumpy = 1", ["np"]),
+    ("from .chain import MAX_SHOTS, ConversionChain\nn = MAX_SHOTS", ["ConversionChain"]),
+    ('from .chain import ConversionChain\nhint = "ConversionChain"', ["ConversionChain"]),
+])
+def test_import_lint_finds_an_unused_name(source, unused):
+    assert unused_imports(source) == unused
+
+
+@pytest.mark.parametrize("source", [
+    "from __future__ import annotations",
+    "import os.path\np = os.path.join('a', 'b')",
+    "import numpy as np\nx = np.zeros(3)",
+    'from .chain import ConversionChain\ndef f() -> "ConversionChain": ...',
+    'from .chain import ConversionChain\ndef f(c: "list[ConversionChain]"): ...',
+    'from .chain import ConversionChain\nc: "ConversionChain"',
+])
+def test_import_lint_passes_a_used_name(source):
+    assert unused_imports(source) == []
+
+
+def test_import_lint_flags_a_leftover_import():
+    # montecarlo reads a lane's rates through its scenario's chain, and
+    # names no ConversionChain
+    source = (SRC / "montecarlo.py").read_text(encoding="utf-8")
+    old = "from .chain import MAX_SHOTS, "
+    assert old in source
+    leftover = source.replace(old, old + "ConversionChain, ")
+    assert unused_imports(leftover) == ["ConversionChain"]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == [], (
+        f"{path.name}: an imported name is never used"
+    )

@@ -1,22 +1,24 @@
 """Stochastic simulator unit tests (determinism, dead time, histograms)."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, chisquare
 
 from oracles import (
     chunked_collect_clicks,
     click_probability,
     dead_time_loop,
     dense_collect_clicks,
+    first_click_bin_probabilities,
     first_per_shot,
     skipped_gates_renewal,
 )
 from qfcsim import montecarlo, replace
-from qfcsim.chain import MAX_SHOTS, reference_chain
+from qfcsim.chain import MAX_SHOTS, ConversionChain, reference_chain
 from qfcsim.montecarlo import (
     _CHUNK,
     CLICK_DTYPE,
@@ -323,6 +325,38 @@ def _lane_runs(draw):
     return sc, lane, window
 
 
+def _never_called(*args):
+    raise AssertionError("no clicks are collected")
+
+
+class TestRateRounding:
+    """Why no draw needs a clamp at λ: numpy's largest uniform is
+    1 - 2**-53, and that times any normal λ above 2**-1022 rounds to a
+    double below λ, so the origin lookup never lands past the last edge.
+    At 2**-1022 itself the spacing below is subnormal and the product
+    rounds back to λ, which is why a lane of λ <= 2**-1022 draws nothing."""
+
+    U_MAX = 1.0 - 2.0**-53
+
+    @pytest.mark.parametrize("lam", [math.nextafter(2.0**-1022, 1.0), 0.5])
+    def test_below_rate(self, lam):
+        assert self.U_MAX * lam < lam
+
+    def test_below_powers_of_two(self):
+        # exact at a power of two: half a spacing below it is a double
+        for e in range(-1021, 1024):
+            assert self.U_MAX * 2.0**e == 2.0**e - 2.0 ** (e - 53) < 2.0**e
+
+    @settings(max_examples=500)
+    @given(st.floats(2.0**-1022, sys.float_info.max, exclude_min=True))
+    def test_below_normal_rate(self, lam):
+        assert self.U_MAX * lam < lam
+
+    def test_equal_at_smallest_normal(self):
+        assert sys.float_info.min == 2.0**-1022
+        assert self.U_MAX * sys.float_info.min == sys.float_info.min
+
+
 class TestBatchedOracle:
     """Batched collection with the carried dead time against the chunk by
     chunk collection and one dead-time pass over the whole lane, bit for
@@ -394,15 +428,64 @@ class TestBatchedOracle:
         assert chunks == range(2**15 + 40)
         assert np.count_nonzero(clicks["shot"] >= 2**31) > 0
 
-    def test_vanishing_rate(self):
-        # about 1e-315 events per gate: the chunks per batch overflow to
-        # inf, which the 2**32-shot bound on a batch caps
+    def test_vanishing_rate(self, monkeypatch):
+        # about 1e-315 events per gate, a subnormal rate: the lane draws
+        # nothing and collects nothing
+        monkeypatch.setattr(montecarlo, "_collect_clicks", _never_called)
         chain = replace(
             REFERENCE, detector=replace(REFERENCE.detector, dark_rate_per_ns=0.0)
         )
         sc = scenario(mu=6.1, pump=1e-310, shots=3 * _CHUNK, chain=chain)
         assert 0 < sum(chain.event_means(sc.mu_in, sc.pump_mw, 20.0)) < 1e-300
-        self._check(sc, montecarlo._LANE_SIGNAL, sc.mu_in, sc.pump_mw, 20.0)
+        lane = montecarlo._LANE_SIGNAL
+        accepted, skipped = montecarlo._run_lane(sc, lane, sc.mu_in, sc.pump_mw, 20.0)
+        assert accepted.dtype == CLICK_DTYPE and accepted.size == 0 and skipped == 0
+        self._check(sc, lane, sc.mu_in, sc.pump_mw, 20.0)
+
+    @pytest.mark.parametrize("dark, collects", [
+        (sys.float_info.min, False),
+        (math.nextafter(sys.float_info.min, 1.0), True),
+    ])
+    def test_smallest_normal_rate(self, dark, collects, monkeypatch):
+        # dark events alone over a 1 ns window: λ is the dark rate itself.
+        # A lane collects once λ is above the smallest normal double, and
+        # at such a rate its Poisson counts are 0
+        collected = []
+        collect_clicks = montecarlo._collect_clicks
+
+        def collect(*args):
+            collected.append(collect_clicks(*args))
+            return collected[-1]
+
+        monkeypatch.setattr(montecarlo, "_collect_clicks", collect)
+        sc = scenario(mu=0.0, pump=0.0, shots=3 * _CHUNK, chain=_dead_time_chain(20, dark))
+        assert sum(sc.chain.event_means(0.0, 0.0, 1.0)) == dark
+        accepted, skipped = montecarlo._run_lane(sc, montecarlo._LANE_HIST_DARK, 0.0, 0.0, 1.0)
+        assert accepted.size == 0 and skipped == 0
+        assert bool(collected) == collects
+        assert all(c.size == 0 for c in collected)
+
+    def test_rate_read_once_per_lane(self, monkeypatch):
+        # a target of 1 event makes every batch one chunk, and the lane
+        # reads its event means once, not once per batch
+        monkeypatch.setattr(montecarlo, "_BATCH_EVENTS", 1)
+        sc = scenario(shots=5 * _CHUNK, seed=4)
+        reads, batches = [], []
+        event_means, collect_clicks = ConversionChain.event_means, montecarlo._collect_clicks
+
+        def counted(chain, *args):
+            reads.append(args)
+            return event_means(chain, *args)
+
+        def collect(*args):
+            batches.append(args[-1])
+            return collect_clicks(*args)
+
+        monkeypatch.setattr(ConversionChain, "event_means", counted)
+        monkeypatch.setattr(montecarlo, "_collect_clicks", collect)
+        montecarlo._run_lane(sc, montecarlo._LANE_SIGNAL, sc.mu_in, sc.pump_mw, 20.0)
+        assert batches == [range(ci, ci + 1) for ci in range(5)]
+        assert reads == [(sc.mu_in, sc.pump_mw, 20.0)]
 
     @staticmethod
     def _check(sc, lane, mu, pump, window):
@@ -427,7 +510,21 @@ class TestDenseOracle:
         hist_sc = scenario(mu=5.0, pump=120.0, shots=500000, seed=seed)
         new = simulate(sc)
         new_hist = start_stop_histogram(hist_sc).signal_on.counts
-        monkeypatch.setattr(montecarlo, "_collect_clicks", dense_collect_clicks)
+        # each lane's (scenario, mu, pump): the oracle takes its rates from
+        # the chain's fields, not from the edges the lane passes
+        lanes = {
+            montecarlo._LANE_SIGNAL: (sc, sc.mu_in, sc.pump_mw),
+            montecarlo._LANE_NOISE: (sc, 0.0, sc.pump_mw),
+            montecarlo._LANE_HIST_SIGNAL: (hist_sc, hist_sc.mu_in, hist_sc.pump_mw),
+            montecarlo._LANE_HIST_PUMP: (hist_sc, 0.0, hist_sc.pump_mw),
+            montecarlo._LANE_HIST_DARK: (hist_sc, 0.0, 0.0),
+        }
+
+        def dense(edges, sigma_ns, n_shots, seed, lane, window_ns, chunks):
+            source, mu, pump = lanes[lane]
+            return dense_collect_clicks(source.chain, mu, pump, n_shots, seed, lane, window_ns, chunks)
+
+        monkeypatch.setattr(montecarlo, "_collect_clicks", dense)
         monkeypatch.setattr(montecarlo, "_apply_dead_time", dead_time_loop)
         other = seed + 1000
         old = simulate(replace(sc, seed=other))
@@ -442,6 +539,49 @@ class TestDenseOracle:
         table = np.array([new_hist, old_hist]).reshape(2, -1, 4).sum(axis=2)
         assert table.min() >= 5
         assert chi2_contingency(table).pvalue > 0.001
+
+
+def _pooled(counts, expected, min_expected=5.0):
+    """Adjacent bins pooled from the left until each group expects at least
+    ``min_expected`` counts; a short remainder joins the last group."""
+    obs, exp = [], []
+    o = e = 0.0
+    for oi, ei in zip(counts.tolist(), expected.tolist()):
+        o, e = o + oi, e + ei
+        if e >= min_expected:
+            obs.append(o)
+            exp.append(e)
+            o = e = 0.0
+    obs[-1] += o
+    exp[-1] += e
+    return np.array(obs), np.array(exp)
+
+
+class TestHistogramOracle:
+    """Every pass of start_stop_histogram against the first-click bin
+    probabilities in closed form: a chi^2 test normalised to the observed
+    total (one degree of freedom fewer, so no count of alive gates is
+    needed), over bins pooled to expect at least 5 counts each.  At 4e7
+    shots a pulse 0.3 ns off center or 2% wider fails the input-on pass."""
+
+    @pytest.mark.parametrize("shots, mu, pump, dead_gates, bin_width, window", [
+        (4_000_000, 5.0, 120.0, 20, 0.64, 100.0),  # criterion 8, over its 156 whole bins
+        (40_000_000, 5.0, 120.0, 20, 0.64, 100.0),
+        (40_000_000, 5.0, 120.0, 20, 1.0, 100.0),
+        (40_000_000, 20.0, 300.0, 200, 2.0, 60.0),
+        (40_000_000, 10.0, 50.0, 1, 0.5, 50.0),
+    ])
+    def test_first_click_times(self, shots, mu, pump, dead_gates, bin_width, window):
+        chain = _dead_time_chain(dead_gates)
+        sc = scenario(mu=mu, pump=pump, shots=shots, seed=8, chain=chain)
+        triple = start_stop_histogram(sc, bin_width, window)
+        for hist, m, p in ((triple.signal_on, mu, pump), (triple.pump_only, 0.0, pump),
+                           (triple.dark_only, 0.0, 0.0)):
+            probs = first_click_bin_probabilities(sc.chain, m, p, window, bin_width)
+            assert probs.size == hist.counts.size == int(window / bin_width)
+            obs, exp = _pooled(hist.counts, probs * (hist.total / probs.sum()))
+            assert obs.size > 10
+            assert chisquare(obs, exp).pvalue > 0.001
 
 
 class TestAgreementWithAnalytics:
