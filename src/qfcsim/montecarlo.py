@@ -41,7 +41,9 @@ its head, found for all runs at once by pointer doubling (Hillis & Steele
 1986) in ceil(log2 L) rounds for the longest chain, of L clicks.  At the
 reference point L was at most 3 in every batch measured (2 rounds).
 Between batches only the last accepted shot plus the dead gates carries
-over, so a lane keeps only its accepted records, and the results are
+over, so a lane streams its batches and keeps none: ``simulate`` counts
+each batch's accepted clicks by origin and ``start_stop_histogram`` bins
+them, and neither's memory grows with the shot count.  The results are
 bit-reproducible for a given seed.
 """
 
@@ -77,13 +79,10 @@ ORIGIN_PUMP = np.int8(1)
 ORIGIN_DARK = np.int8(2)
 ORIGIN_NAMES = {int(ORIGIN_SIGNAL): "signal", int(ORIGIN_PUMP): "pump-noise", int(ORIGIN_DARK): "dark"}
 
-# origin is diagnostic only; estimators never read it
+# a click of one batch; simulate keeps only its lane's counts by origin
 CLICK_DTYPE = np.dtype(
     [("shot", np.int64), ("time_ns", np.float64), ("origin", np.int8)]
 )
-# a record as one opaque item of its size: numpy concatenates structured
-# records field by field, and these whole
-_CLICK_BYTES = np.dtype((np.void, CLICK_DTYPE.itemsize))
 
 _CHUNK = 1 << 16
 # expected events per batch of chunks: the work after the draws runs once
@@ -114,8 +113,16 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
+def _bin_count(bin_width_ns: float, window_ns: float) -> int:
+    """The whole bins of the window; a click past the last one is not counted."""
+    bins = window_ns / bin_width_ns
+    check_range("bins in the window (window_ns / bin_width_ns)", bins)  # not inf
+    return int(bins)
+
+
 class Histogram(Record):
-    """Start-stop histogram over the detection window, with a read-only copy of the counts."""
+    """Start-stop histogram over the detection window, with a read-only copy
+    of the counts, one per whole bin of the window."""
 
     bin_width_ns: float
     counts: np.ndarray
@@ -125,8 +132,9 @@ class Histogram(Record):
     def __post_init__(self):
         object.__setattr__(self, "counts", _read_only(np.array(self.counts)))
         check_range("window_ns", self.window_ns, self.bin_width_ns)  # at least one bin
-        if self.counts.ndim != 1 or not np.all(np.isfinite(self.counts) & (self.counts >= 0)):
-            raise ValueError("counts must be a 1-d array of finite, nonnegative values")
+        counts, n_bins = self.counts, _bin_count(self.bin_width_ns, self.window_ns)
+        if counts.shape != (n_bins,) or not np.all(np.isfinite(counts) & (counts >= 0)):
+            raise ValueError(f"counts must be {n_bins} finite, nonnegative values, one a whole bin")
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -152,33 +160,39 @@ class SimulationResult(Record):
     and what follows from them: each lane's alive gates (``n_shots`` less
     the skipped), its click probability over them (``p_signal``,
     ``p_noise``) with binomial errors, and the unsubtracted SNR
-    (p_S - p_N) / p_N with its propagated error.  No click with the input
-    blocked leaves p_N at 0 and raises ``DegenerateDenominatorError``."""
+    (p_S - p_N) / p_N with its propagated error.  A lane's clicks are a
+    read-only copy of its 3 counts by origin, indexed by ``ORIGIN_SIGNAL``,
+    ``ORIGIN_PUMP`` and ``ORIGIN_DARK``, as int64; their sum is the lane's
+    accepted clicks.  No click with the input blocked leaves p_N at 0 and
+    raises ``DegenerateDenominatorError``."""
 
-    clicks_signal: np.ndarray  # CLICK_DTYPE, input on
-    clicks_noise: np.ndarray  # CLICK_DTYPE, input blocked
+    clicks_signal: np.ndarray  # accepted clicks by origin, input on
+    clicks_noise: np.ndarray  # accepted clicks by origin, input blocked
     n_shots: int
     skipped_signal: int
     skipped_noise: int
 
     def __post_init__(self):
         for name in ("clicks_signal", "clicks_noise"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
+            counts = np.asarray(getattr(self, name))
+            if counts.shape != (3,) or counts.dtype.kind not in "iu" or np.any(counts < 0):
+                raise ValueError(f"{name} must be 3 nonnegative integer counts, one per origin")
+            object.__setattr__(self, name, _read_only(counts.astype(np.int64)))
+        clicks_s, clicks_n = int(self.clicks_signal.sum()), int(self.clicks_noise.sum())
         # each lane of simulate keeps at least one alive gate: the first accepted click's
         alive_s = self.n_shots - self.skipped_signal
         alive_n = self.n_shots - self.skipped_noise
-        for name, alive, clicks in (("signal", alive_s, self.clicks_signal),
-                                    ("noise", alive_n, self.clicks_noise)):
-            check_range(f"n_shots - skipped_{name}", alive, max(1, clicks.size), self.n_shots, "[]")
-        if self.clicks_noise.size == 0:
+        for name, alive, clicks in (("signal", alive_s, clicks_s), ("noise", alive_n, clicks_n)):
+            check_range(f"n_shots - skipped_{name}", alive, max(1, clicks), self.n_shots, "[]")
+        if clicks_n == 0:
             raise DegenerateDenominatorError(
                 "zero noise probability; SNR undefined (no click with the input blocked, "
                 f"{alive_n} alive gates): pump_power, noise_alpha_detected, filter_bandwidth "
                 "and detector_dark_rate set its click rate per gate, and montecarlo_shots "
                 "the number of gates"
             )
-        p_s = self.clicks_signal.size / alive_s
-        p_n = self.clicks_noise.size / alive_n
+        p_s = clicks_s / alive_s
+        p_n = clicks_n / alive_n
         err_s = _binomial_err(p_s, alive_s)
         err_n = _binomial_err(p_n, alive_n)
         vars(self).update(
@@ -326,8 +340,7 @@ def _apply_dead_time(
     n = clicks.size
     if dead_gates == 0 or n == 0:
         return clicks, 0
-    itype = np.int32 if n_shots + dead_gates <= np.iinfo(np.int32).max else np.int64
-    shots = clicks["shot"].astype(itype)
+    shots = clicks["shot"]
     # keep: accepted so far, the isolated clicks and the sentinel
     keep = np.ones(n + 1, dtype=bool)
     np.greater(np.diff(shots), dead_gates, out=keep[1:n])
@@ -339,7 +352,7 @@ def _apply_dead_time(
     keep_run = np.empty(m + 1, dtype=bool)
     keep.take(runs, out=keep_run[:m])
     keep_run[m] = True
-    jump = np.empty(m + 1, dtype=itype)
+    jump = np.empty(m + 1, dtype=np.intp)
     jump[:m] = np.searchsorted(in_run, in_run + dead_gates, side="right")
     jump[m] = m
     jump[keep_run.take(jump)] = m
@@ -364,8 +377,9 @@ def _apply_dead_time(
 
 def _run_lane(
     scenario: ExperimentScenario, lane: int, mu_in: float, pump_mw: float, window_ns: float
-) -> tuple[np.ndarray, int]:
-    """Accepted clicks and skipped gates of one lane of the scenario.
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Each batch's accepted clicks and skipped gates, in shot order, for one
+    lane of the scenario: the lane's are their concatenation and sum.
 
     The chunks are collected in batches of about ``_BATCH_EVENTS`` expected
     events, and dead time runs once per batch.  Between batches only the
@@ -374,22 +388,25 @@ def _run_lane(
     clicks lie more than dead_gates apart and only the last dead window of
     the run can be cut short.  A window of n_shots gates already blanks
     the rest of the run, so a longer one is cut to it.  The lane's event
-    means are read here, once; a lane of at most the smallest normal
-    double, 2.2e-308 events per gate, draws nothing."""
+    means are read once, when the first batch is asked for; a lane of at
+    most the smallest normal double, 2.2e-308 events per gate, yields
+    nothing."""
     n_shots, sigma_ns = scenario.n_shots, scenario.chain.pulse.sigma_ns
     dead_gates = min(scenario.dead_gates, n_shots)
     edges = np.cumsum(scenario.chain.event_means(mu_in, pump_mw, window_ns))
     lam = edges[-1]
     if lam > MAX_EXPECTED_CLICKS_PER_GATE:
         raise ValueError(
-            f"expected {lam:.3g} clicks per gate exceeds the model validity "
-            f"bound of {MAX_EXPECTED_CLICKS_PER_GATE}"
+            f"expected {lam:.3g} clicks per gate over a {window_ns:g} ns window exceeds the "
+            f"model validity bound of {MAX_EXPECTED_CLICKS_PER_GATE}: source_mean_photon_number, "
+            "pump_power, noise_alpha_detected, filter_bandwidth, detector_dark_rate and the "
+            "window width set it"
         )
     if lam <= sys.float_info.min:
-        return np.empty(0, dtype=CLICK_DTYPE), 0
+        return
     n_chunks = (n_shots + _CHUNK - 1) // _CHUNK
     per_batch = max(1, int(min(_BATCH_EVENTS / (_CHUNK * lam), _MAX_BATCH_CHUNKS)))
-    kept, skipped, dead_until = [], 0, -1
+    dead_until = -1
     for lo in range(0, n_chunks, per_batch):
         chunks = range(lo, min(lo + per_batch, n_chunks))
         clicks = _collect_clicks(edges, sigma_ns, n_shots, scenario.seed, lane, window_ns, chunks)
@@ -397,9 +414,7 @@ def _run_lane(
         accepted, skip = _apply_dead_time(clicks, n_shots, dead_gates)
         if accepted.size:
             dead_until = int(accepted["shot"][-1]) + dead_gates
-        kept.append(accepted.view(_CLICK_BYTES))
-        skipped += skip
-    return np.concatenate(kept).view(CLICK_DTYPE), skipped
+        yield accepted, skip
 
 
 def simulate(scenario: ExperimentScenario) -> SimulationResult:
@@ -408,21 +423,27 @@ def simulate(scenario: ExperimentScenario) -> SimulationResult:
     Raises ``DegenerateDenominatorError`` when p_N is 0.
 
     The detection window is the configured gate, centered on the pulse.
+    Each lane's accepted clicks are counted by origin, batch by batch.
     """
     window = scenario.chain.detector.gate_width_ns
-    pump = scenario.pump_mw
-    clicks_s, skip_s = _run_lane(scenario, _LANE_SIGNAL, scenario.mu_in, pump, window)
-    clicks_n, skip_n = _run_lane(scenario, _LANE_NOISE, 0.0, pump, window)
+    lanes = []
+    for lane, mu in ((_LANE_SIGNAL, scenario.mu_in), (_LANE_NOISE, 0.0)):
+        counts, skipped = np.zeros(3, dtype=np.int64), 0
+        for accepted, skip in _run_lane(scenario, lane, mu, scenario.pump_mw, window):
+            counts += np.bincount(accepted["origin"], minlength=3)
+            skipped += skip
+        lanes.append((counts, skipped))
+    (clicks_s, skip_s), (clicks_n, skip_n) = lanes
     return SimulationResult(clicks_s, clicks_n, scenario.n_shots, skip_s, skip_n)
 
 
 def _histogram_from_clicks(
     clicks: np.ndarray, bin_width_ns: float, window_ns: float
-) -> Histogram:
-    n_bins = int(window_ns / bin_width_ns)
-    edges = np.arange(n_bins + 1) * bin_width_ns
+) -> np.ndarray:
+    """One batch's clicks counted in the window's whole bins."""
+    edges = np.arange(_bin_count(bin_width_ns, window_ns) + 1) * bin_width_ns
     counts, _ = np.histogram(clicks["time_ns"], bins=edges)
-    return Histogram(bin_width_ns=bin_width_ns, counts=counts, window_ns=window_ns)
+    return counts
 
 
 def start_stop_histogram(
@@ -446,8 +467,10 @@ def start_stop_histogram(
     )
     hists = []
     for lane, mu, pump in passes:
-        accepted, _ = _run_lane(scenario, lane, mu, pump, window_ns)
-        hists.append(_histogram_from_clicks(accepted, bin_width_ns, window_ns))
+        counts = np.zeros(_bin_count(bin_width_ns, window_ns), dtype=np.int64)
+        for accepted, _ in _run_lane(scenario, lane, mu, pump, window_ns):
+            counts += _histogram_from_clicks(accepted, bin_width_ns, window_ns)
+        hists.append(Histogram(bin_width_ns, counts, window_ns))
     return HistogramTriple(*hists)
 
 

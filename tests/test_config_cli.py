@@ -489,8 +489,9 @@ class TestCliExitCodes:
     def test_validity_bound_message_is_short(self, tmp_path, capsys):
         assert run(["simulate", "--mu", "1e308", "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert "validity bound" in err
-        assert len(err) < 120
+        # one line that names the keys setting the rate, and no more
+        assert "validity bound" in err and "source_mean_photon_number" in err
+        assert len(err) < 250 and "\n" not in err.strip()
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -796,7 +797,11 @@ class TestExtremeValues:
         # no click with the input blocked in 2000 gates
         ([("pump", "power", "3.0e-27 mW"), ("detector", "dark_rate", "1.37e-41 /ns")],
          ["simulate"], 3, "detector_dark_rate"),
-    ], ids=["subnormal_input_wavelength", "equal_inverse_wavelengths", "no_blocked_click"])
+        # 2.71 expected clicks per gate, past the model's validity bound
+        ([("source", "mean_photon_number", "1000")], ["simulate"], 2,
+         "source_mean_photon_number"),
+    ], ids=["subnormal_input_wavelength", "equal_inverse_wavelengths", "no_blocked_click",
+            "past_validity_bound"])
     def test_failure_names_its_keys(self, entries, names, code, named, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "data.csv").write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,0.1\n0.3,0.15\n")

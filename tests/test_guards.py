@@ -12,6 +12,7 @@ from qfcsim.config import REFERENCE_CONFIG, parse_config, with_overrides
 from qfcsim.montecarlo import (
     ExperimentScenario,
     Histogram,
+    SimulationResult,
     gate_integrate,
     simulate,
     start_stop_histogram,
@@ -146,6 +147,25 @@ SCALAR_CASES = {
     "Histogram.counts_negative": (lambda: Histogram(1.0, np.full(100, -1), 100.0), "counts"),
     "Histogram.counts_2d": (lambda: Histogram(1.0, np.ones((10, 10), dtype=int), 100.0), "counts"),
     "Histogram.counts_0d": (lambda: Histogram(1.0, np.array(5), 100.0), "counts"),
+    # 3 counts do not fill 100 bins of 1 ns: a 20 ns gate would integrate none of them
+    "gate_integrate.short_counts": (
+        lambda: gate_integrate(Histogram(1.0, [1, 2, 3], 100.0), 20.0), "counts"
+    ),
+    # bins too narrow for their number in the window to be a finite double
+    "Histogram.bins_inf": (lambda: Histogram(5e-324, [1], 1.0), "bins in the window"),
+    "start_stop_histogram.bins_inf": (
+        lambda: start_stop_histogram(SCENARIO, bin_width_ns=5e-324), "bins in the window"
+    ),
+    # a lane's clicks are 3 nonnegative integer counts, one per origin
+    "SimulationResult.clicks_floats": (
+        lambda: SimulationResult([1.0, 0.0, 0.0], [1, 0, 0], 10, 0, 0), "clicks_signal"
+    ),
+    "SimulationResult.clicks_two": (
+        lambda: SimulationResult([1, 0, 0], [1, 0], 10, 0, 0), "clicks_noise"
+    ),
+    "SimulationResult.clicks_negative": (
+        lambda: SimulationResult([2, -1, 0], [1, 0, 0], 10, 0, 0), "clicks_signal"
+    ),
     # non-finite, non-positive or sub-bin histogram settings, before any collection
     "start_stop_histogram.bin_width_nan": (
         lambda: start_stop_histogram(SCENARIO, bin_width_ns=math.nan), "bin_width_ns"

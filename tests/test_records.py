@@ -28,7 +28,7 @@ from qfcsim import (
 )
 from qfcsim.config import REFERENCE_CONFIG
 from qfcsim.fitting import Dataset, FitResult, fit_conversion, fit_linear
-from qfcsim.montecarlo import CLICK_DTYPE, Histogram, HistogramTriple, SimulationResult
+from qfcsim.montecarlo import Histogram, HistogramTriple, SimulationResult
 from qfcsim.optics import Record
 from qfcsim.timebin import QuantumRegimeRow
 
@@ -38,10 +38,9 @@ def detector(**changes):
     return DetectorConfig(**{**fields, **changes})
 
 
-def _clicks(times_ns):
-    clicks = np.zeros(times_ns.size, dtype=CLICK_DTYPE)
-    clicks["time_ns"] = times_ns
-    return clicks
+def _clicks(k):
+    """k accepted clicks counted by origin: all of them signal."""
+    return np.array([k, 0, 0])
 
 
 def _records(cls=Record):
@@ -63,7 +62,7 @@ INSTANCES = {
         TimeBinQubit(0.0, 50.0), Interferometer(50.0), SlotCounts(1.0, 2.0, 1.0),
         QuantumRegimeRow(1.0, 0.9, 0.9, 0.9, 0.9),
         Histogram(1.0, _COUNTS, 4.0), HistogramTriple(*[Histogram(1.0, _COUNTS, 4.0)] * 3),
-        SimulationResult(_clicks(np.ones(2)), _clicks(np.ones(2)), 10, 0, 0),
+        SimulationResult(_clicks(2), _clicks(2), 10, 0, 0),
         Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0]),
         FitResult(np.ones(1), np.ones((1, 1)), np.ones(1), 0.0, 1, ("slope",), {}),
     ]
@@ -168,8 +167,9 @@ class TestEqualityAndHash:
 
     @pytest.mark.parametrize("make", [
         lambda counts: FitResult(counts, np.diag(counts), counts, 0.0, 1, ("a", "b"), {}),
-        lambda counts: HistogramTriple(*[Histogram(1.0, counts, 2.0)] * 3),
-        lambda counts: SimulationResult(_clicks(counts), _clicks(counts), 10, 0, 0),
+        lambda counts: HistogramTriple(*[Histogram(1.0, counts, float(counts.size))] * 3),
+        # 3 counts by origin, repeating the given ones
+        lambda counts: SimulationResult(np.resize(counts.astype(int), 3), _clicks(1), 10, 0, 0),
     ], ids=["FitResult", "Histogram", "SimulationResult"])
     def test_array_records_equal_by_elements(self, make):
         counts = np.array([1.0, 2.0])
@@ -272,8 +272,7 @@ class TestDerivedValues:
         skip_s, skip_n = (data.draw(st.integers(0, n_shots - 1)) for _ in range(2))
         k_s = data.draw(st.integers(0, min(n_shots - skip_s, 3000)))
         k_n = data.draw(st.integers(1, min(n_shots - skip_n, 3000)))
-        res = SimulationResult(_clicks(np.zeros(k_s)), _clicks(np.zeros(k_n)), n_shots, skip_s,
-                               skip_n)
+        res = SimulationResult(_clicks(k_s), _clicks(k_n), n_shots, skip_s, skip_n)
         alive_s, alive_n = n_shots - skip_s, n_shots - skip_n
         p_s, p_n = k_s / alive_s, k_n / alive_n
         err_s = math.sqrt(p_s * (1.0 - p_s) / alive_s)
@@ -297,19 +296,19 @@ class TestDerivedValues:
             QuantumRegimeRow(1.0, 1.5, 2.0 / 3.0, 0.7, 0.9)
 
     def test_simulation_result_alive_and_skipped_add_up(self):
-        res = SimulationResult(_clicks(np.ones(3)), _clicks(np.ones(2)), 100, 7, 4)
+        res = SimulationResult(_clicks(3), _clicks(2), 100, 7, 4)
         assert res.alive_signal + res.skipped_signal == res.n_shots == 100
         assert res.alive_noise + res.skipped_noise == 100
         assert (res.p_signal, res.p_noise) == (3 / 93, 2 / 96)
         # more gates skipped than shots, or fewer alive than clicks, or none
         for skip_s, skip_n in ((101, 4), (7, 99), (7, 100)):
             with pytest.raises(ValueError, match="n_shots - skipped_"):
-                SimulationResult(_clicks(np.ones(3)), _clicks(np.ones(2)), 100, skip_s, skip_n)
+                SimulationResult(_clicks(3), _clicks(2), 100, skip_s, skip_n)
 
     def test_simulation_result_without_a_noise_click_raises(self):
         message = r"no click with the input blocked, 96 alive gates\): pump_power, .*dark_rate"
         with pytest.raises(DegenerateDenominatorError, match=message):
-            SimulationResult(_clicks(np.ones(3)), _clicks(np.ones(0)), 100, 7, 4)
+            SimulationResult(_clicks(3), _clicks(0), 100, 7, 4)
 
 
 class TestReplace:
