@@ -9,10 +9,11 @@ command, writes its files and then its JSON bundle into ``--out``, and
 prints only once everything is written.  A command that fails creates
 no directory and prints nothing on stdout; its message goes to stderr.
 
-Exit codes: 0 success, 1 usage error, 2 validation error (a ``ValueError``
-or an ``OSError``), 3 numerical failure (an ``ArithmeticError``: a division
-by zero, an overflow, or ``FitConvergenceError``, which a fit with
-non-finite estimates raises).  The exception's class alone picks the code.
+Exit codes: 0 success, 1 usage error, 2 validation error (a ``ValueError``,
+an ``OSError``, or a warning raised as an error, as under ``python -W
+error``), 3 numerical failure (an ``ArithmeticError``: a division by zero,
+an overflow, or ``FitConvergenceError``, which a fit with non-finite
+estimates raises).  The exception's class alone picks the code.
 
 Every command but ``simulate`` runs without numpy: ``fit`` reads its CSV
 into a ``Dataset`` and calls the fitting core directly, with no
@@ -99,16 +100,6 @@ def _load(args) -> ExperimentScenario:
     if overrides:
         cfg = with_overrides(cfg, **overrides)
     return cfg
-
-
-def _positive_pump(cfg: ExperimentScenario) -> float:
-    """The pump power of a command that needs one to convert any light;
-    ``pump_power = 0`` is a valid configuration only for ``simulate``."""
-    if cfg.pump_mw == 0:  # the scenario has checked it is nonnegative
-        raise ConfigError(
-            f"pump_power = {cfg.pump_mw:g} mW; this command needs a positive pump power"
-        )
-    return cfg.pump_mw
 
 
 def _linspace(start: float, stop: float, num: int, endpoint: bool = True) -> list[float]:
@@ -200,12 +191,11 @@ def _preset_fig3b(cfg: ExperimentScenario):
 
 def _preset_fig4a(cfg: ExperimentScenario):
     """SNR = 1 crossing versus filter bandwidth at the configured pump."""
-    pump_mw = _positive_pump(cfg)
     bandwidths = _linspace(FILTER_BANDWIDTH_MIN_NM, FILTER_BANDWIDTH_MAX_NM, 12)
     rows = []
     for bw in bandwidths:
         chain = cfg.chain.with_filter_bandwidth(bw)
-        rows.append((bw, mu1(chain, pump_mw)))
+        rows.append((bw, mu1(chain, cfg.pump_mw)))
     return ["bandwidth_nm", "mu_1"], rows
 
 
@@ -213,7 +203,7 @@ def _preset_fig5a(cfg: ExperimentScenario):
     """Visibility, fidelity and classical bounds versus input photon number."""
     from .timebin import quantum_regime_report, visibility_model
 
-    m1 = mu1(cfg.chain, _positive_pump(cfg))
+    m1 = mu1(cfg.chain, cfg.pump_mw)
     cas = cfg.chain.cascade()
     mus = _linspace(1.0, 25.0, 25)
     vis = [visibility_model(mu, m1, 1.0) for mu in mus]
@@ -301,7 +291,6 @@ def _report_values(cfg: ExperimentScenario) -> list[tuple]:
     some ("2.6e-3 +- 1e-4") do not come back from a float format."""
     from .timebin import Interferometer, TimeBinQubit, classical_fidelity_bound, slot_statistics
 
-    pump_mw = _positive_pump(cfg)
     chain = cfg.chain
     cas = chain.cascade()
 
@@ -345,7 +334,7 @@ def _report_values(cfg: ExperimentScenario) -> list[tuple]:
         ("optimal_pump_mw", chain.optimal_pump_mw, "[360, 440] mW", "in", 360.0, 440.0),
         ("beta_20ns", chain.with_gate_width(20.0).beta, "0.57 +- 0.01", "+-", 0.57, 0.01),
         ("beta_50ns", chain.with_gate_width(50.0).beta, "0.95 +- 0.03", "+-", 0.95, 0.03),
-        (f"mu_1_at_{pump_mw:g}mW", mu1(chain, pump_mw), "[0.6, 0.8]", "in", 0.6, 0.8),
+        (f"mu_1_at_{cfg.pump_mw:g}mW", mu1(chain, cfg.pump_mw), "[0.6, 0.8]", "in", 0.6, 0.8),
         ("snr_peak_pump_mw", pumps[peak], "[80, 130] mW", "in", 80.0, 130.0),
         ("snr_400mW_over_peak", snrs[pumps.index(400.0)] / snrs[peak], "[0.4, 0.6]", "in",
          0.4, 0.6),
@@ -441,7 +430,7 @@ def run(argv: list[str] | None = None) -> int:
     except ArithmeticError as exc:  # covers FitConvergenceError and overflows
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, OSError) as exc:  # covers ConfigError and file errors
+    except (ValueError, OSError, Warning) as exc:  # ConfigError, file errors, -W error
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     print(text)

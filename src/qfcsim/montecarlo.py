@@ -104,6 +104,10 @@ _LANE_STRIDE = MAX_SHOTS // _CHUNK  # chunks per lane
 
 MAX_EXPECTED_CLICKS_PER_GATE = 0.5
 
+# the most bins a histogram holds: 1 ps bins over the reference 1 us gate
+# period, 8 MiB per count array
+_MAX_BINS = 1 << 20
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """A read-only view of ``array``, which itself stays writeable: a record stores
@@ -114,15 +118,16 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _bin_count(bin_width_ns: float, window_ns: float) -> int:
-    """The whole bins of the window; a click past the last one is not counted."""
+    """The whole bins of the window, 1 to ``_MAX_BINS`` of them; a click
+    past the last one is not counted.  ``bin_width_ns`` is positive."""
     bins = window_ns / bin_width_ns
-    check_range("bins in the window (window_ns / bin_width_ns)", bins)  # not inf
+    check_range("bins in the window (window_ns / bin_width_ns)", bins, 1.0, _MAX_BINS, "[]")
     return int(bins)
 
 
 class Histogram(Record):
     """Start-stop histogram over the detection window, with a read-only copy
-    of the counts, one per whole bin of the window."""
+    of the counts, one per whole bin of the window (``_bin_count``)."""
 
     bin_width_ns: float
     counts: np.ndarray
@@ -131,7 +136,6 @@ class Histogram(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "counts", _read_only(np.array(self.counts)))
-        check_range("window_ns", self.window_ns, self.bin_width_ns)  # at least one bin
         counts, n_bins = self.counts, _bin_count(self.bin_width_ns, self.window_ns)
         if counts.shape != (n_bins,) or not np.all(np.isfinite(counts) & (counts >= 0)):
             raise ValueError(f"counts must be {n_bins} finite, nonnegative values, one a whole bin")
@@ -437,11 +441,9 @@ def simulate(scenario: ExperimentScenario) -> SimulationResult:
     return SimulationResult(clicks_s, clicks_n, scenario.n_shots, skip_s, skip_n)
 
 
-def _histogram_from_clicks(
-    clicks: np.ndarray, bin_width_ns: float, window_ns: float
-) -> np.ndarray:
-    """One batch's clicks counted in the window's whole bins."""
-    edges = np.arange(_bin_count(bin_width_ns, window_ns) + 1) * bin_width_ns
+def _histogram_from_clicks(clicks: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """One batch's clicks counted between ``edges``, those of the window's
+    whole bins, which the caller builds once."""
     counts, _ = np.histogram(clicks["time_ns"], bins=edges)
     return counts
 
@@ -455,11 +457,12 @@ def start_stop_histogram(
 
     Three passes mirror the measurement procedure: input on (signal over
     the noise pedestal), pump only (flat pedestal over dark floor) and
-    everything blocked (flat dark floor).
+    everything blocked (flat dark floor).  The bins are checked and their
+    edges built before any pass is drawn.
     """
     check_range("bin_width_ns", bin_width_ns, bounds="()")
-    # at least one bin, and shorter than the repetition period
-    check_range("window_ns", window_ns, bin_width_ns, scenario.chain.gate_period_ns)
+    check_range("window_ns", window_ns, high=scenario.chain.gate_period_ns)
+    edges = np.arange(_bin_count(bin_width_ns, window_ns) + 1) * bin_width_ns
     passes = (
         (_LANE_HIST_SIGNAL, scenario.mu_in, scenario.pump_mw),
         (_LANE_HIST_PUMP, 0.0, scenario.pump_mw),
@@ -467,9 +470,9 @@ def start_stop_histogram(
     )
     hists = []
     for lane, mu, pump in passes:
-        counts = np.zeros(_bin_count(bin_width_ns, window_ns), dtype=np.int64)
+        counts = np.zeros(edges.size - 1, dtype=np.int64)
         for accepted, _ in _run_lane(scenario, lane, mu, pump, window_ns):
-            counts += _histogram_from_clicks(accepted, bin_width_ns, window_ns)
+            counts += _histogram_from_clicks(accepted, edges)
         hists.append(Histogram(bin_width_ns, counts, window_ns))
     return HistogramTriple(*hists)
 

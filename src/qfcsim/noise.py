@@ -219,12 +219,16 @@ def snr(rates: RateBreakdown, subtract_dark: bool = True) -> float:
     if subtract_dark:
         if not rates.pump_noise > 0:
             raise DegenerateDenominatorError(
-                "no noise above dark counts; dark-subtracted SNR undefined"
+                "no noise above dark counts; dark-subtracted SNR undefined: pump_power, "
+                "noise_alpha_detected and filter_bandwidth set the pump noise per gate"
             )
         return rates.signal / rates.pump_noise
     p_noise = rates.p_noise
     if p_noise <= 0:
-        raise DegenerateDenominatorError("zero noise probability; SNR undefined")
+        raise DegenerateDenominatorError(
+            "zero noise probability; SNR undefined: pump_power, noise_alpha_detected, "
+            "filter_bandwidth and detector_dark_rate set the noise per gate"
+        )
     return rates.p_net / p_noise
 
 
@@ -234,7 +238,7 @@ def mu1(chain: "ConversionChain", pump_mw: float) -> float:
     The subtracted SNR is linear in mu_in, so the crossing is closed form:
     mu_1 = pump noise / signal of the breakdown at mu_in = 1.
     """
-    check_range("pump power", pump_mw, bounds="()")
+    check_range("pump power (pump_power)", pump_mw, bounds="()")
     rates = detection_probabilities(1.0, pump_mw, chain)
     if rates.signal <= 0:
         raise DegenerateDenominatorError(

@@ -67,7 +67,7 @@ COMMANDS = {
 
 
 # every float config key, set to each extreme magnitude in turn
-EXTREMES = ("5e-324", "1e-300", "1e300", repr(sys.float_info.max))
+EXTREMES = ("0.0", "5e-324", "1e-300", "1e300", repr(sys.float_info.max))
 EXTREME_CASES = [
     (section, key, value if kind is None else f"{value} {kind}")
     for section, keys in _SCHEMA.items()
@@ -664,6 +664,21 @@ class TestCliExitCodes:
         assert captured.err == f"{prefix}: {error}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_warning_raised_as_error_is_a_validation_error(self, tmp_path, capsys):
+        # under python -W error the ill-conditioned fit's UserWarning ended
+        # the process in a traceback, exit 1
+        data = tmp_path / "lin.csv"
+        data.write_text("P_p_W,eta_ext\n0.01,0.001\n0.02,0.002\n0.03,0.003\n0.04,0.004\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["fit", str(data), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("validation error: conversion fit is ill-conditioned")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_fit_huge_efficiencies_fail(self, tmp_path, capsys):
         # an eta_ext column all at 1e300 gave NaN estimates and exit 0
         data = tmp_path / "data.csv"
@@ -800,8 +815,11 @@ class TestExtremeValues:
         # 2.71 expected clicks per gate, past the model's validity bound
         ([("source", "mean_photon_number", "1000")], ["simulate"], 2,
          "source_mean_photon_number"),
+        # no noise at all: the unsubtracted SNR divides by p_N = 0
+        ([("noise", "alpha_detected", "0.0 /mW"), ("detector", "dark_rate", "0.0 /ns")],
+         ["report", "sweep_fig3b"], 3, "noise_alpha_detected"),
     ], ids=["subnormal_input_wavelength", "equal_inverse_wavelengths", "no_blocked_click",
-            "past_validity_bound"])
+            "past_validity_bound", "zero_noise"])
     def test_failure_names_its_keys(self, entries, names, code, named, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "data.csv").write_text("P_p_W,eta_ext\n0.1,0.05\n0.2,0.1\n0.3,0.15\n")

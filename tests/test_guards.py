@@ -2,13 +2,17 @@
 other non-finite or out-of-range inputs they name."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qfcsim import replace
 from qfcsim.chain import MAX_SHOTS, reference_chain
+from qfcsim.cli import _read_dataset_csv
 from qfcsim.config import REFERENCE_CONFIG, parse_config, with_overrides
+from qfcsim.fitting import Dataset, extract_mu1
 from qfcsim.montecarlo import (
     ExperimentScenario,
     Histogram,
@@ -17,13 +21,21 @@ from qfcsim.montecarlo import (
     simulate,
     start_stop_histogram,
 )
-from qfcsim.noise import detection_probabilities, mu1, projected_noise_floor
+from qfcsim.noise import (
+    DegenerateDenominatorError,
+    RateBreakdown,
+    detection_probabilities,
+    mu1,
+    projected_noise_floor,
+    snr,
+)
 from qfcsim.optics import conversion_fraction, dfg_output_wavelength, external_efficiency
 from qfcsim.timebin import (
     Interferometer,
     SlotCounts,
     TimeBinQubit,
     fringe_scan,
+    quantum_regime_report,
     slot_statistics,
     visibility_model,
 )
@@ -61,8 +73,16 @@ def test_nan_rejected(valid, field):
         replace(valid, **{field: math.nan})
 
 
+def _read_csv_text(text: str):
+    """``_read_dataset_csv`` of a file holding ``text``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "data.csv")
+        path.write_text(text)
+        return _read_dataset_csv(path)
+
+
 # (a call with one NaN or otherwise invalid argument, the name the error
-# message must give)
+# message must give[, the error's class if not ValueError])
 SCALAR_CASES = {
     "conversion_fraction": (lambda: conversion_fraction(math.nan, CHAIN.waveguide), "pump power"),
     "external_efficiency": (lambda: external_efficiency(math.nan, CHAIN.waveguide), "pump power"),
@@ -155,6 +175,10 @@ SCALAR_CASES = {
     "Histogram.bins_inf": (lambda: Histogram(5e-324, [1], 1.0), "bins in the window"),
     "start_stop_histogram.bins_inf": (
         lambda: start_stop_histogram(SCENARIO, bin_width_ns=5e-324), "bins in the window"
+    ),
+    # one bin past 2**20, 1 ps bins over the reference 1 us gate period
+    "Histogram.bins_over_max": (
+        lambda: Histogram(1.0, np.zeros(2**20 + 1, dtype=int), 2.0**20 + 1), "bins in the window"
     ),
     # a lane's clicks are 3 nonnegative integer counts, one per origin
     "SimulationResult.clicks_floats": (
@@ -264,11 +288,42 @@ SCALAR_CASES = {
     "dfg_output_wavelength.pump_inf": (
         lambda: dfg_output_wavelength(780.24, math.inf), "pump wavelength"
     ),
+    # a zero pump converts no light, so mu_1 is undefined
+    "mu1.zero": (lambda: mu1(CHAIN, 0.0), "pump_power"),
+    # no noise at all: p_N = 0 divides the unsubtracted SNR
+    "snr.zero_noise": (
+        lambda: snr(RateBreakdown(1.0, 0.0, 0.0), subtract_dark=False), "noise_alpha_detected",
+        DegenerateDenominatorError,
+    ),
+    "snr.no_pump_noise": (lambda: snr(RateBreakdown(1.0, 0.0, 0.5)), "pump_power",
+                          DegenerateDenominatorError),
+    # inputs of the CSV reader, the config grammar and the analysis helpers
+    "_read_dataset_csv.non_numeric": (
+        lambda: _read_csv_text("P_p_W,eta_ext\n0.1,x\n"), "non-numeric dataset entry"
+    ),
+    "parse_config.unit_on_dimensionless": (
+        lambda: parse_config("[source]\nmean_photon_number = 6.1 mW\n[pump]\npower = 120.0 mW\n"),
+        "source_mean_photon_number is dimensionless",
+    ),
+    "parse_config.key_outside_section": (
+        lambda: parse_config("power = 120.0 mW\n"), "key outside any section"
+    ),
+    "extract_mu1.negative_slope": (
+        lambda: extract_mu1(Dataset([1.0, 2.0], [2.0, -2.0])), "nonpositive SNR slope"
+    ),
+    "fringe_scan.one_point": (
+        lambda: fringe_scan(QUBIT, IFM, 1.0, 0.0, [0.0]), "at least 2 phase points"
+    ),
+    # no light and no noise: every count is 0
+    "fringe_scan.dark": (lambda: fringe_scan(QUBIT, IFM, 0.0, 0.0, GAMMAS), "degenerate fringe"),
+    "quantum_regime_report.lengths": (
+        lambda: quantum_regime_report([1.0, 2.0], [0.5], 0.25, 0.066), "equal length"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", SCALAR_CASES)
 def test_scalar_nan_rejected(case):
-    call, name = SCALAR_CASES[case]
-    with pytest.raises(ValueError, match=name):
+    call, name, *error = SCALAR_CASES[case]
+    with pytest.raises(error[0] if error else ValueError, match=name):
         call()

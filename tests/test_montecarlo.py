@@ -745,6 +745,16 @@ class TestHistograms:
         assert np.array_equal(t1.signal_on.counts, t2.signal_on.counts)
         assert np.array_equal(t1.pump_only.counts, t2.pump_only.counts)
 
+    def test_too_many_bins_rejected_before_any_pass(self, monkeypatch):
+        # 1e14 bins of 1e-12 ns asked numpy for a 728 TiB count array, a
+        # MemoryError that no caller maps
+        def lane(*args):
+            raise AssertionError("a pass was drawn")
+
+        monkeypatch.setattr(montecarlo, "_run_lane", lane)
+        with pytest.raises(ValueError, match=r"\(window_ns / bin_width_ns\) must be in \["):
+            start_stop_histogram(scenario(shots=1000), bin_width_ns=1e-12)
+
     def test_gate_integration(self):
         h = Histogram(bin_width_ns=1.0, counts=np.ones(100, dtype=int), window_ns=100.0)
         assert gate_integrate(h, 20.0) == 20.0
