@@ -12,21 +12,30 @@ chunk of m shots draws one Poisson(m·λ) event count, then per event a
 uniform shot, a uniform u, whose u·λ falls between two cumulative sums
 of the three means and so names the origin, and a Gaussian (signal) or
 uniform time; events outside the window are dropped and the earliest
-one per shot is the click.  A lane of at most 2.2e-308 events per gate,
-the smallest normal double, draws nothing.  At the reference point about
-1% of gates click, so this draws about m/100 events where per-shot draws
+one per shot is the click.  The shots, the u and the uniform times are
+Philox's raw 64-bit words, cut by the package's own transforms into the
+numbers numpy's ``integers``, ``random`` and ``uniform`` give, bit for
+bit: a shot is the top 16 bits of a 32-bit half, Lemire's multiply-shift
+(ACM TOMACS 29(1), 2019), which never rejects for 2**16 shots; a double
+is a word's top 53 bits.  The origin compares the u word itself with
+each edge's smallest word (``_word_edge``).  The Poisson counts, the
+normals and the shots of a lane's partial last chunk are numpy's
+``Generator`` methods.  A lane of at most 2.2e-308 events per gate, the
+smallest normal double, draws nothing.  At the reference point about 1%
+of gates click, so this draws about m/100 events where per-shot draws
 would need 4m numbers.
 
 Randomness is counter-based (Philox, Salmon et al., SC 2011): each
 (lane, chunk) pair owns an independent substream derived from the
 scenario seed, so the records do not depend on how the chunks are
-grouped.  Each chunk makes only its own draws; the origin lookup, the
-window cut and the choice of the first event per shot (one sort of packed
-(shot, draw index) keys) run once over a batch of chunks holding about
-``_BATCH_EVENTS`` expected events, which shares numpy's fixed per-call cost
-among them.  An event alone in its shot is that shot's click, so the
-earliest-time choice runs only over the events of shared shots: at the
-reference point about 1% of the events in the window.
+grouped.  Each chunk makes only its own draws; the transforms of the
+raw words, the origin lookup, the window cut and the choice of the first
+event per shot (one sort of packed (shot, draw index) keys) run once over
+a batch of chunks holding about ``_BATCH_EVENTS`` expected events, which
+shares numpy's fixed per-call cost among them.  An event alone in its
+shot is that shot's click, so the earliest-time choice runs only over the
+events of shared shots: at the reference point about 1% of the events in
+the window.
 
 Gates in the dead time after an accepted click are skipped and excluded
 from the probability denominators.  Within a batch, a click more than the
@@ -103,6 +112,10 @@ _LANE_HIST_DARK = 4
 _LANE_STRIDE = MAX_SHOTS // _CHUNK  # chunks per lane
 
 MAX_EXPECTED_CLICKS_PER_GATE = 0.5
+
+# Generator.random's double of a raw word w is (w >> 11) * _U53
+_U53 = 2.0**-53
+_EMPTY_WORDS = np.empty(0, dtype=np.uint64)
 
 # the most bins a histogram holds: 1 ps bins over the reference 1 us gate
 # period, 8 MiB per count array
@@ -212,7 +225,11 @@ def _substreams(seed: int, lane: int, chunks: range) -> Iterator[np.random.Gener
     Each has the state of Philox(key=seed).jumped(lane * _LANE_STRIDE + ci),
     since a jump adds to counter word 2.  One generator is set to each
     state in turn, which is cheaper than building one per chunk, so finish
-    with each substream before taking the next."""
+    with each substream before taking the next.  A chunk draws through the
+    generator's methods and its bit generator's ``random_raw`` alike: both
+    read one stream of 64-bit words, and setting the next state drops what
+    either left buffered (four words a Philox block, and the spare 32-bit
+    half of an odd count of 32-bit draws)."""
     bitgen = np.random.Philox(key=seed)
     state = bitgen.state
     rng = np.random.Generator(bitgen)
@@ -243,6 +260,32 @@ def _first_per_shot(shot: np.ndarray, t: np.ndarray, order: np.ndarray) -> np.nd
     return np.flatnonzero(pick)
 
 
+def _doubles(words: np.ndarray, scale: float) -> np.ndarray:
+    """``Generator.random``'s doubles of raw ``words``, (w >> 11)·2**-53,
+    times ``scale``: for a scale of w, ``Generator.uniform(0, w)``'s
+    doubles, bit for bit (the first product is exact)."""
+    doubles = np.multiply(words >> 11, _U53)
+    doubles *= scale
+    return doubles
+
+
+def _word_edge(edge: float, lam: float) -> int:
+    """The smallest raw word r whose u·λ is at least ``edge``, where u is
+    r's double from ``Generator.random``: u·λ < edge exactly when r is below
+    it.  2**64, past every word, when no u·λ reaches the edge, as for an
+    edge at a normal λ itself.
+
+    u·λ is monotone in r, so a guess from edge / λ is corrected by the
+    float predicate itself.  For a normal λ the guess is off by a few steps
+    of 2**-53 at most, even where u·λ is subnormal."""
+    q = min(math.ceil(edge / lam * 2.0**53), 1 << 53)
+    while q > 0 and (q - 1) * _U53 * lam >= edge:
+        q -= 1
+    while q < 1 << 53 and q * _U53 * lam < edge:
+        q += 1
+    return q << 11
+
+
 def _collect_clicks(
     edges: np.ndarray,
     sigma_ns: float,
@@ -258,50 +301,72 @@ def _collect_clicks(
 
     The window spans [0, window_ns) with the pulse centered at its middle.
     Each chunk draws from its own substream: one Poisson(m·λ) event count,
-    spread uniformly over its m shots, a uniform u per event, then the
-    signal events' Gaussian times and the others' uniform times.  The
-    origin of u·λ is the number of edges at or below it (λ, the last,
-    never is: u <= 1 - 2**-53, and u·λ rounds below any normal λ above
-    2**-1022), so each origin is drawn in proportion to its rate and one
-    of zero rate, whose edge repeats the one before it, never.  All that
-    follows the draws runs once over the chunks' concatenated events."""
+    then in one call the raw words of its events' shots and one u word per
+    event, then the signal events' Gaussian times and the raw words of the
+    others' uniform times.  A full chunk's n shots are the top 16 bits of
+    each 32-bit half of its first ceil(n/2) words, low half first: the draws
+    of ``integers(0, 2**16, n)``, since Lemire's multiply-shift never
+    rejects for a range of 2**16.  A lane's partial last chunk can reject,
+    so it draws its shots with ``integers``.  Beyond its draws a chunk only
+    counts its u words below the signal's word edge; every transform runs
+    once over the batch.
+
+    No u is made.  The origin of u·λ is the number of the first two edges
+    at or below it, which ``_word_edge`` turns into words, so an event's
+    origin is the number of those word edges at or below its u word.  λ,
+    the last edge, is never reached (u <= 1 - 2**-53, and u·λ rounds below
+    any normal λ above 2**-1022), so each origin is drawn in proportion to
+    its rate and one of zero rate, whose edge repeats the one before it,
+    never.  All that follows the draws runs once over the chunks'
+    concatenated events."""
     lam = edges[-1]
+    signal_edge, dark_edge = _word_edge(edges[0], lam), _word_edge(edges[1], lam)
     base = chunks.start * _CHUNK
-    rels, draws, normals, uniforms = [], [], [np.empty(0)], [np.empty(0)]
+    shot_words, counts, offsets, partial = [], [], [], []
+    u_words, normals, time_words = [], [np.empty(0)], [_EMPTY_WORDS]
     for ci, rng in zip(chunks, _substreams(seed, lane, chunks)):
         start = ci * _CHUNK
         m = min(_CHUNK, n_shots - start)
         n = int(rng.poisson(m * lam))
         if n == 0:
             continue
-        # the draws of integers(0, m), offset by the chunk's start in the batch
-        rels.append(rng.integers(start - base, start - base + m, n))
-        u = rng.random(n)
-        u *= lam
-        k = int(np.count_nonzero(u < edges[0]))
-        draws.append(u)
+        raw = rng.bit_generator.random_raw
+        if m == _CHUNK:
+            h = (n + 1) // 2
+            words = raw(h + n)
+            shot_words.append(words[:h])
+            counts.append(n)
+            offsets.append(start - base)
+            u = words[h:]
+        else:
+            # the draws of integers(0, m), offset by the chunk's start in the batch
+            partial.append(rng.integers(start - base, start - base + m, n).view(np.uint64))
+            u = raw(n)
+        u_words.append(u)
+        # a lane with no signal has its signal word edge at 0: nothing to count
+        k = int(np.count_nonzero(u < signal_edge)) if signal_edge else 0
         # a draw of no values takes nothing from the stream: skipping it
         # saves a call and keeps every record
         if k:
             normals.append(rng.standard_normal(k))
         if k < n:
-            uniforms.append(rng.uniform(0.0, window_ns, n - k))
-    if not rels:
+            time_words.append(raw(n - k))
+    if not u_words:
         return np.empty(0, dtype=CLICK_DTYPE)
-    u = np.concatenate(draws)
-    signal = u < edges[0]
+    u = np.concatenate(u_words)
+    signal = u < signal_edge
     t = np.empty(u.size)
     pulse = np.concatenate(normals)
     pulse *= sigma_ns
     pulse += window_ns / 2.0
     t[signal] = pulse
-    t[~signal] = np.concatenate(uniforms)
+    t[~signal] = _doubles(np.concatenate(time_words), window_ns)
     # one sort of the events in the window by (shot within the batch, draw
     # index), packed as shot << 32 | index into 64 unsigned bits: the keys
     # are distinct, so the sort is stable by shot, and each half is read
     # back with no gather
     inside = np.flatnonzero((t >= 0.0) & (t < window_ns))
-    key = np.concatenate(rels)[inside].view(np.uint64)
+    key = np.concatenate([_full_chunk_shots(shot_words, counts, offsets), *partial])[inside]
     key <<= 32
     key |= inside.view(np.uint64)
     key.sort()
@@ -315,10 +380,30 @@ def _collect_clicks(
     rec = np.empty(first.size, dtype=CLICK_DTYPE)
     rec["shot"] = shot[first] + base
     rec["time_ns"] = t[drawn]
-    # the origin: how many of the first two edges lie at or below u·λ
+    # the origin: how many of the first two word edges lie at or below u's word
     u = u[drawn]
-    rec["origin"] = np.add(u >= edges[0], u >= edges[1], dtype=np.int8)
+    rec["origin"] = np.add(u >= signal_edge, u >= dark_edge, dtype=np.int8)
     return rec
+
+
+def _full_chunk_shots(words: list, counts: list, offsets: list) -> np.ndarray:
+    """The shots within the batch of the full chunks' events, as uint64.
+    Chunk i drew ``counts[i]`` shots from ``words[i]``, ceil(counts[i] / 2)
+    raw words, and starts ``offsets[i]`` shots into the batch.
+
+    A shot is the top 16 bits of a word's 32-bit half, low half first: the
+    16-bit pieces 1 and 3 of the word's little-endian bytes, which ``astype``
+    leaves in place on a little-endian machine and swaps into place on a
+    big-endian one.  An odd count leaves its chunk's last high half unused."""
+    w = np.concatenate([_EMPTY_WORDS, *words]).astype("<u8", copy=False)
+    tops = w.view("<u2")[1::2]
+    n = np.array(counts, dtype=np.int64)
+    odd = n & 1
+    if odd.any():
+        tops = np.delete(tops, np.cumsum(n + odd)[odd == 1] - 1)
+    shots = np.repeat(np.array(offsets, dtype=np.uint64), n)
+    shots += tops
+    return shots
 
 
 def _apply_dead_time(

@@ -1,11 +1,13 @@
 """Source lints over ``src/qfcsim``: float sums that do not move with the
-Python version, config keys named in messages that are still keys, and
-no imported name left unused."""
+Python version, config keys named in messages that are still keys, no
+imported name left unused, and Monte Carlo draws that rest on Philox's
+raw words."""
 
 import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qfcsim
@@ -185,3 +187,58 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == [], (
         f"{path.name}: an imported name is never used"
     )
+
+
+# ------------------------------------------------ numpy's random draws
+
+# every drawing method of numpy's Generator and of its bit generators
+DRAWS = {name for cls in (np.random.Generator, np.random.Philox)
+         for name in dir(cls) if not name.startswith("_") and callable(getattr(cls, name))}
+# the Monte Carlo's own transforms cut the shots, u and uniform times from
+# raw words; the Poisson counts, the normals and a partial chunk's shots
+# are still numpy's methods, whose output numpy's RNG policy does not freeze
+MONTECARLO_DRAWS = {"poisson", "standard_normal", "integers", "random_raw"}
+
+
+def generator_draws(source: str) -> list[tuple[int, str]]:
+    """Line and name of each Generator or bit-generator drawing method the
+    source reads, whatever it reads it from, called at once or bound and
+    called later: ``rng.random(n)``, ``raw = rng.bit_generator.random_raw``.
+    ``np.random`` is the module, and ``np.random.Generator(bitgen)`` builds
+    a generator: neither is a draw."""
+    return [(node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in DRAWS
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))]
+
+
+@pytest.mark.parametrize("call, name", [
+    ("u = rng.random(n)", "random"),
+    ("t = rng.uniform(0.0, window_ns, n - k)", "uniform"),
+    ("x = rng.normal(0.0, sigma_ns, k)", "normal"),
+    ("s = np.random.default_rng(seed).choice(m, n)", "choice"),
+    ("bitgen = bitgen.jumped(ci)", "jumped"),
+    ("draw = rng.random\nu = draw(n)", "random"),
+    ("u = np.random.random(n)", "random"),
+])
+def test_draw_lint_finds_a_call(call, name):
+    assert generator_draws(call) == [(1, name)]
+    assert name not in MONTECARLO_DRAWS
+
+
+@pytest.mark.parametrize("call", [
+    "n = int(rng.poisson(m * lam))",
+    "normals.append(rng.standard_normal(k))",
+    "s = rng.integers(start - base, start - base + m, n)",
+    "words = rng.bit_generator.random_raw(h + n)",
+    "raw = rng.bit_generator.random_raw",
+    "rng = np.random.Generator(np.random.Philox(key=seed))",
+    "t = np.multiply(words >> 11, scale)",
+])
+def test_draw_lint_passes(call):
+    assert {name for _, name in generator_draws(call)} <= MONTECARLO_DRAWS
+
+
+def test_montecarlo_draws():
+    draws = generator_draws((SRC / "montecarlo.py").read_text(encoding="utf-8"))
+    # the lint reads each of the four, and nothing else
+    assert {name for _, name in draws} == MONTECARLO_DRAWS, draws

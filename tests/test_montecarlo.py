@@ -24,6 +24,7 @@ from qfcsim.montecarlo import (
     _CHUNK,
     CLICK_DTYPE,
     ORIGIN_DARK,
+    ORIGIN_PUMP,
     ORIGIN_SIGNAL,
     ExperimentScenario,
     Histogram,
@@ -150,18 +151,65 @@ class TestStreams:
             rng.integers(0, 10, 3)
             rng.random(5)
 
+    def test_each_chunk_starts_afresh_after_raw_words(self):
+        # raw words, whose last high half no shot reads and which stop inside
+        # a Philox block of four words, then a partial chunk's odd count of
+        # 32-bit draws: the next chunk's state holds none of them
+        for ci, rng in zip(range(3, 6), montecarlo._substreams(7, 2, range(3, 6))):
+            jumped = np.random.Philox(key=7).jumped(2 * montecarlo._LANE_STRIDE + ci)
+            assert _state(rng.bit_generator) == _state(jumped)
+            rng.bit_generator.random_raw(3)
+            rng.integers(0, 10, 3)
+            rng.bit_generator.random_raw(2)
+
     @pytest.mark.parametrize("buffered", [False, True])
     def test_draws_of_no_values_take_nothing(self, buffered):
-        # a chunk skips its normal or uniform draw when it has no event of
-        # that kind, which keeps the records only because such a draw takes
-        # nothing from the stream, with or without a buffered 32-bit half
+        # a chunk skips its normal or uniform-time draw when it has no event
+        # of that kind, which keeps the records only because such a draw
+        # takes nothing from the stream, with or without a buffered 32-bit half
         (rng,) = montecarlo._substreams(3, 1, range(2, 3))
         if buffered:
             rng.integers(0, 10, 1)
         before = _state(rng.bit_generator)
         rng.standard_normal(0)
-        rng.uniform(0.0, 20.0, 0)
+        rng.bit_generator.random_raw(0)
         assert _state(rng.bit_generator) == before
+
+    @pytest.mark.parametrize("n", [1, 2, 999, 1200])
+    def test_raw_words_are_numpys_draws(self, n):
+        # one full chunk's draws from one substream state, once by the
+        # Generator's methods and once from raw words as _collect_clicks
+        # cuts them; both then stand at the same word of the stream
+        window = 20.0
+        (methods,) = montecarlo._substreams(9, 0, range(5, 6))
+        shots = methods.integers(0, 2**16, n)
+        u = methods.random(n)
+        k = int(np.count_nonzero(u < 0.3))
+        normals = methods.standard_normal(k)
+        times = methods.uniform(0.0, window, n - k)
+        (rng,) = montecarlo._substreams(9, 0, range(5, 6))
+        raw = rng.bit_generator.random_raw
+        h = (n + 1) // 2
+        words = raw(h + n)
+        assert montecarlo._full_chunk_shots([words[:h]], [n], [0]).tolist() == shots.tolist()
+        assert montecarlo._doubles(words[h:], 1.0).tobytes() == u.tobytes()
+        assert np.count_nonzero(words[h:] < montecarlo._word_edge(0.3, 1.0)) == k
+        assert rng.standard_normal(k).tobytes() == normals.tobytes()
+        assert montecarlo._doubles(raw(n - k), window).tobytes() == times.tobytes()
+        after, want = _state(rng.bit_generator), _state(methods.bit_generator)
+        assert (after["state"], after["buffer_pos"]) == (want["state"], want["buffer_pos"])
+
+    def test_full_chunk_shots_of_a_batch(self):
+        # chunks of odd and even counts, each offset by its start in the batch:
+        # an odd count's unused high half is dropped, not read as a shot
+        counts, offsets = [3, 4, 1, 6, 7], [0, _CHUNK, 2 * _CHUNK, 5 * _CHUNK, 6 * _CHUNK]
+        words, want = [], []
+        for n, rng in zip(counts, montecarlo._substreams(2, 1, range(10, 15))):
+            words.append(rng.bit_generator.random_raw((n + 1) // 2))
+        for n, off, rng in zip(counts, offsets, montecarlo._substreams(2, 1, range(10, 15))):
+            want += (rng.integers(0, 2**16, n) + off).tolist()
+        got = montecarlo._full_chunk_shots(words, counts, offsets)
+        assert got.dtype == np.uint64 and got.tolist() == want
 
 
 # the lanes of simulate and start_stop_histogram: (lane, mu_in, pump_mw, window_ns)
@@ -353,17 +401,24 @@ def _never_called(*args):
 
 
 class TestRateRounding:
-    """Why no draw needs a clamp at λ: numpy's largest uniform is
-    1 - 2**-53, and that times any normal λ above 2**-1022 rounds to a
-    double below λ, so the origin lookup never lands past the last edge.
-    At 2**-1022 itself the spacing below is subnormal and the product
-    rounds back to λ, which is why a lane of λ <= 2**-1022 draws nothing."""
+    """Why λ's word edge lies past every word, so that no draw needs a
+    clamp at λ: the largest raw word, 2**64 - 1, gives numpy's largest
+    uniform, 1 - 2**-53, and that times any normal λ above 2**-1022 rounds
+    to a double below λ, so the origin lookup never lands past the last
+    edge.  At 2**-1022 itself the spacing below is subnormal and the
+    product rounds back to λ, which is why a lane of λ <= 2**-1022 draws
+    nothing."""
 
     U_MAX = 1.0 - 2.0**-53
+
+    def test_largest_word(self):
+        largest = np.array([2**64 - 1], dtype=np.uint64)
+        assert montecarlo._doubles(largest, 1.0)[0] == self.U_MAX
 
     @pytest.mark.parametrize("lam", [math.nextafter(2.0**-1022, 1.0), 0.5])
     def test_below_rate(self, lam):
         assert self.U_MAX * lam < lam
+        assert montecarlo._word_edge(lam, lam) == 2**64
 
     def test_below_powers_of_two(self):
         # exact at a power of two: half a spacing below it is a double
@@ -374,10 +429,93 @@ class TestRateRounding:
     @given(st.floats(2.0**-1022, sys.float_info.max, exclude_min=True))
     def test_below_normal_rate(self, lam):
         assert self.U_MAX * lam < lam
+        assert montecarlo._word_edge(lam, lam) == 2**64
 
     def test_equal_at_smallest_normal(self):
         assert sys.float_info.min == 2.0**-1022
         assert self.U_MAX * sys.float_info.min == sys.float_info.min
+
+
+def _u_times_rate(word, lam):
+    """u·λ of a raw word, as ``Generator.random`` and a multiply by λ give it."""
+    return montecarlo._doubles(np.array([word], dtype=np.uint64), 1.0)[0] * lam
+
+
+@st.composite
+def _edges(draw):
+    # an edge at 0, at λ, on or next to a value some word's u·λ takes, or
+    # anywhere in between
+    lam = draw(st.floats(2.0**-1022, 0.5, exclude_min=True))
+    kind = draw(st.sampled_from(["zero", "rate", "product", "any"]))
+    if kind == "zero":
+        return 0.0, lam
+    if kind == "rate":
+        return lam, lam
+    if kind == "any":
+        return draw(st.floats(0.0, lam)), lam
+    value = _u_times_rate(draw(st.integers(0, 2**64 - 1)), lam)
+    step = draw(st.sampled_from([-math.inf, 0.0, math.inf]))
+    # edges are cumulative sums of nonnegative means, from 0 to λ
+    return min(max(math.nextafter(value, step) if step else value, 0.0), lam), lam
+
+
+class TestWordEdges:
+    """``_word_edge`` against the float formula: the word below it gives a
+    u·λ below the edge, and the word edge itself one at or above it.  Every
+    word of one 2**11 block gives one u, so the block below is below too."""
+
+    @settings(max_examples=1000)
+    @given(_edges())
+    @example((0.0, 0.5))
+    @example((0.5, 0.5))
+    @example((math.nextafter(2.0**-1022, 1.0), math.nextafter(2.0**-1022, 1.0)))
+    @example((2.0**-1060, 3.0 * 2.0**-1022))
+    @example((5e-324, 0.25))
+    def test_float_formula(self, edge_rate):
+        self._check(*edge_rate)
+
+    @settings(max_examples=300)
+    @given(
+        st.floats(0.0, 60.0) | st.just(0.0),
+        st.floats(0.0, 600.0) | st.just(0.0),
+        st.sampled_from([*ALLOWED_GATE_WIDTHS_NS, 100.0]),
+        st.floats(0.0, 1e-3) | st.sampled_from([0.0, REFERENCE.detector.dark_rate_per_ns]),
+        st.floats(0.0, 1e-4) | st.just(0.0),
+    )
+    def test_cumulative_means(self, mu, pump, window, dark, noise_alpha):
+        chain = _dead_time_chain(0, dark)
+        chain = replace(chain, noise=replace(chain.noise, alpha_detected_per_mw=noise_alpha))
+        edges = np.cumsum(chain.event_means(mu, pump, window))
+        assume(sys.float_info.min < edges[-1] <= montecarlo.MAX_EXPECTED_CLICKS_PER_GATE)
+        for edge in edges[:2]:
+            self._check(edge, edges[-1])
+
+    @pytest.mark.parametrize("noise_alpha, origins", [
+        (0.0, {int(ORIGIN_SIGNAL)}),
+        (None, {int(ORIGIN_SIGNAL), int(ORIGIN_PUMP)}),
+    ], ids=["signal-alone", "no-dark"])
+    def test_edge_at_rate(self, noise_alpha, origins):
+        # with no dark counts, signal alone puts the signal's edge at λ, and
+        # signal and pump noise the pump noise's: past every word, so every
+        # event is below it.  The last of the 6 chunks is a partial one
+        sc, lane, window = _lane_run(6.1, 120.0, 5 * _CHUNK + 3, 0, noise_alpha=noise_alpha,
+                                     dark_rate_per_ns=0.0)
+        edges = np.cumsum(sc.chain.event_means(sc.mu_in, sc.pump_mw, window))
+        at_rate = 1 if noise_alpha is None else 0
+        assert edges[at_rate] == edges[-1]
+        assert montecarlo._word_edge(edges[at_rate], edges[-1]) == 2**64
+        clicks = montecarlo._collect_clicks(edges, sc.chain.pulse.sigma_ns, sc.n_shots, sc.seed,
+                                            lane, window, range(6))
+        assert set(clicks["origin"].tolist()) == origins
+
+    @staticmethod
+    def _check(edge, lam):
+        c = montecarlo._word_edge(edge, lam)
+        assert 0 <= c <= 2**64 and c % 2**11 == 0
+        if c > 0:
+            assert _u_times_rate(c - 1, lam) < edge
+        if c < 2**64:
+            assert _u_times_rate(c, lam) >= edge
 
 
 class TestBatchedOracle:
