@@ -4,34 +4,31 @@ Per shot, three independent Poisson sources feed the detection window:
 input photons thinned through the efficiency chain (times drawn from the
 pulse shape), pump-induced noise and dark counts (both uniform over the
 window).  ``ConversionChain.event_means``, which the analytic model reads
-too, gives their means; the gate cut is in the drawn times, not a β.
-Their superposition is one Poisson process of λ = μ·p_surv +
-(r_pump + r_dark)·w events per gate, and thinning splits it back into
-origins in proportion to the three terms (Lewis & Shedler 1979).  So a
-chunk of m shots draws one Poisson(m·λ) event count, then per event a
-uniform shot, a uniform u, whose u·λ falls between two cumulative sums
-of the three means and so names the origin, and a Gaussian (signal) or
-uniform time; events outside the window are dropped and the earliest
-one per shot is the click.  The shots, the u and the uniform times are
-Philox's raw 64-bit words, cut by the package's own transforms into the
-numbers numpy's ``integers``, ``random`` and ``uniform`` give, bit for
-bit: a shot is the top 16 bits of a 32-bit half, Lemire's multiply-shift
-(ACM TOMACS 29(1), 2019), which never rejects for 2**16 shots; a double
-is a word's top 53 bits.  The origin compares the u word itself with
-each edge's smallest word (``_word_edge``).  The Poisson counts, the
-normals and the shots of a lane's partial last chunk are numpy's
-``Generator`` methods.  A lane of at most 2.2e-308 events per gate, the
-smallest normal double, draws nothing.  At the reference point about 1%
-of gates click, so this draws about m/100 events where per-shot draws
-would need 4m numbers.
+too, gives their means; the gate cut is in the drawn times, not a β.  So a
+chunk of m = 2**16 shots draws one Poisson(m·mean) event count per origin,
+then per event a uniform shot and a Gaussian (signal) or uniform time;
+events outside the window are dropped and the earliest one per shot is the
+click.  A chunk lays its events out signal, pump noise, dark, so an
+event's origin is its place.  Every chunk draws as a full one: a lane's
+partial last chunk drops the events at shots past the lane's, and the kept
+ones of each origin are still Poisson, over the shots kept (thinning,
+Lewis & Shedler 1979).  The shots and the uniform times are Philox's raw
+64-bit words, cut by the package's own transforms into the numbers
+numpy's ``integers`` and ``uniform`` give, bit for bit: a shot is the top
+16 bits of a 32-bit half, Lemire's multiply-shift (ACM TOMACS 29(1),
+2019), which never rejects for 2**16 shots; a uniform time is a word's
+top 53 bits times the window.  The Poisson counts and the normals are
+numpy's ``Generator`` methods.  At the reference point about 1% of gates
+click, so this draws about m/100 events where per-shot draws would need
+4m numbers.
 
 Randomness is counter-based (Philox, Salmon et al., SC 2011): each
 (lane, chunk) pair owns an independent substream derived from the
 scenario seed, so the records do not depend on how the chunks are
 grouped.  Each chunk makes only its own draws; the transforms of the
-raw words, the origin lookup, the window cut and the choice of the first
-event per shot (one sort of packed (shot, draw index) keys) run once over
-a batch of chunks holding about ``_BATCH_EVENTS`` expected events, which
+raw words, the origins, the window cut and the choice of the first event
+per shot (one sort of packed (shot, draw index) keys) run once over a
+batch of chunks holding about ``_BATCH_EVENTS`` expected events, which
 shares numpy's fixed per-call cost among them.  An event alone in its
 shot is that shot's click, so the earliest-time choice runs only over the
 events of shared shots: at the reference point about 1% of the events in
@@ -87,6 +84,8 @@ ORIGIN_SIGNAL = np.int8(0)
 ORIGIN_PUMP = np.int8(1)
 ORIGIN_DARK = np.int8(2)
 ORIGIN_NAMES = {int(ORIGIN_SIGNAL): "signal", int(ORIGIN_PUMP): "pump-noise", int(ORIGIN_DARK): "dark"}
+# the origins of a chunk's events, in the order they are laid out
+_ORIGINS = np.array([ORIGIN_SIGNAL, ORIGIN_PUMP, ORIGIN_DARK])
 
 # a click of one batch; simulate keeps only its lane's counts by origin
 CLICK_DTYPE = np.dtype(
@@ -269,25 +268,8 @@ def _doubles(words: np.ndarray, scale: float) -> np.ndarray:
     return doubles
 
 
-def _word_edge(edge: float, lam: float) -> int:
-    """The smallest raw word r whose u·λ is at least ``edge``, where u is
-    r's double from ``Generator.random``: u·λ < edge exactly when r is below
-    it.  2**64, past every word, when no u·λ reaches the edge, as for an
-    edge at a normal λ itself.
-
-    u·λ is monotone in r, so a guess from edge / λ is corrected by the
-    float predicate itself.  For a normal λ the guess is off by a few steps
-    of 2**-53 at most, even where u·λ is subnormal."""
-    q = min(math.ceil(edge / lam * 2.0**53), 1 << 53)
-    while q > 0 and (q - 1) * _U53 * lam >= edge:
-        q -= 1
-    while q < 1 << 53 and q * _U53 * lam < edge:
-        q += 1
-    return q << 11
-
-
 def _collect_clicks(
-    edges: np.ndarray,
+    means: tuple[float, float, float],
     sigma_ns: float,
     n_shots: int,
     seed: int,
@@ -296,77 +278,62 @@ def _collect_clicks(
     chunks: range,
 ) -> np.ndarray:
     """First detected event per shot in the shots of ``chunks``, before
-    dead-time bookkeeping, from the lane's cumulative event means ``edges``,
-    whose index is the origin code.
+    dead-time bookkeeping, from the lane's expected (signal, pump-noise,
+    dark) events per gate, ``means``, whose index is the origin code.
 
     The window spans [0, window_ns) with the pulse centered at its middle.
-    Each chunk draws from its own substream: one Poisson(m·λ) event count,
-    then in one call the raw words of its events' shots and one u word per
-    event, then the signal events' Gaussian times and the raw words of the
-    others' uniform times.  A full chunk's n shots are the top 16 bits of
-    each 32-bit half of its first ceil(n/2) words, low half first: the draws
-    of ``integers(0, 2**16, n)``, since Lemire's multiply-shift never
-    rejects for a range of 2**16.  A lane's partial last chunk can reject,
-    so it draws its shots with ``integers``.  Beyond its draws a chunk only
-    counts its u words below the signal's word edge; every transform runs
-    once over the batch.
+    Each chunk draws from its own substream: one Poisson(2**16·mean) event
+    count per origin, then the raw words of its n events' shots, the signal
+    events' Gaussian times and the raw words of the others' uniform times.
+    Its events are laid out signal, pump noise, dark, so an event's origin
+    is its place.  The n shots are the top 16 bits of each 32-bit half of
+    ceil(n/2) words, low half first: the draws of ``integers(0, 2**16, n)``,
+    since Lemire's multiply-shift never rejects for a range of 2**16.
 
-    No u is made.  The origin of u·λ is the number of the first two edges
-    at or below it, which ``_word_edge`` turns into words, so an event's
-    origin is the number of those word edges at or below its u word.  λ,
-    the last edge, is never reached (u <= 1 - 2**-53, and u·λ rounds below
-    any normal λ above 2**-1022), so each origin is drawn in proportion to
-    its rate and one of zero rate, whose edge repeats the one before it,
-    never.  All that follows the draws runs once over the chunks'
+    Every chunk draws as a full one of 2**16 shots.  A lane's partial last
+    chunk, of m shots, drops its events at shots m and past: each event's
+    shot is uniform and independent of its count and time, so the kept
+    ones of each origin are Poisson(m·mean), uniform over the m shots
+    (thinning, Lewis & Shedler 1979).  An origin of zero mean draws no
+    event.  All that follows the draws runs once over the chunks'
     concatenated events."""
-    lam = edges[-1]
-    signal_edge, dark_edge = _word_edge(edges[0], lam), _word_edge(edges[1], lam)
+    scaled = [_CHUNK * mean for mean in means]
     base = chunks.start * _CHUNK
-    shot_words, counts, offsets, partial = [], [], [], []
-    u_words, normals, time_words = [], [np.empty(0)], [_EMPTY_WORDS]
+    shot_words, counts, offsets = [], [], []
+    normals, time_words = [np.empty(0)], [_EMPTY_WORDS]
     for ci, rng in zip(chunks, _substreams(seed, lane, chunks)):
-        start = ci * _CHUNK
-        m = min(_CHUNK, n_shots - start)
-        n = int(rng.poisson(m * lam))
+        k = [int(rng.poisson(x)) for x in scaled]
+        signal, n = k[0], k[0] + k[1] + k[2]
         if n == 0:
             continue
         raw = rng.bit_generator.random_raw
-        if m == _CHUNK:
-            h = (n + 1) // 2
-            words = raw(h + n)
-            shot_words.append(words[:h])
-            counts.append(n)
-            offsets.append(start - base)
-            u = words[h:]
-        else:
-            # the draws of integers(0, m), offset by the chunk's start in the batch
-            partial.append(rng.integers(start - base, start - base + m, n).view(np.uint64))
-            u = raw(n)
-        u_words.append(u)
-        # a lane with no signal has its signal word edge at 0: nothing to count
-        k = int(np.count_nonzero(u < signal_edge)) if signal_edge else 0
+        shot_words.append(raw((n + 1) // 2))
+        counts += k
+        offsets.append(ci * _CHUNK - base)
         # a draw of no values takes nothing from the stream: skipping it
         # saves a call and keeps every record
-        if k:
-            normals.append(rng.standard_normal(k))
-        if k < n:
-            time_words.append(raw(n - k))
-    if not u_words:
+        if signal:
+            normals.append(rng.standard_normal(signal))
+        if signal < n:
+            time_words.append(raw(n - signal))
+    if not offsets:
         return np.empty(0, dtype=CLICK_DTYPE)
-    u = np.concatenate(u_words)
-    signal = u < signal_edge
-    t = np.empty(u.size)
+    counts = np.array(counts).reshape(-1, 3)
+    origin = np.repeat(np.tile(_ORIGINS, len(offsets)), counts.ravel())
+    signal = origin == ORIGIN_SIGNAL
+    t = np.empty(origin.size)
     pulse = np.concatenate(normals)
     pulse *= sigma_ns
     pulse += window_ns / 2.0
     t[signal] = pulse
     t[~signal] = _doubles(np.concatenate(time_words), window_ns)
-    # one sort of the events in the window by (shot within the batch, draw
-    # index), packed as shot << 32 | index into 64 unsigned bits: the keys
-    # are distinct, so the sort is stable by shot, and each half is read
-    # back with no gather
-    inside = np.flatnonzero((t >= 0.0) & (t < window_ns))
-    key = np.concatenate([_full_chunk_shots(shot_words, counts, offsets), *partial])[inside]
+    shots = _full_chunk_shots(shot_words, counts.sum(axis=1), offsets)
+    # the events in the window and in the lane's shots; one sort of them by
+    # (shot within the batch, draw index), packed as shot << 32 | index
+    # into 64 unsigned bits: the keys are distinct, so the sort is stable
+    # by shot, and each half is read back with no gather
+    inside = np.flatnonzero((t >= 0.0) & (t < window_ns) & (shots < n_shots - base))
+    key = shots[inside]
     key <<= 32
     key |= inside.view(np.uint64)
     key.sort()
@@ -380,16 +347,15 @@ def _collect_clicks(
     rec = np.empty(first.size, dtype=CLICK_DTYPE)
     rec["shot"] = shot[first] + base
     rec["time_ns"] = t[drawn]
-    # the origin: how many of the first two word edges lie at or below u's word
-    u = u[drawn]
-    rec["origin"] = np.add(u >= signal_edge, u >= dark_edge, dtype=np.int8)
+    rec["origin"] = origin[drawn]
     return rec
 
 
-def _full_chunk_shots(words: list, counts: list, offsets: list) -> np.ndarray:
-    """The shots within the batch of the full chunks' events, as uint64.
-    Chunk i drew ``counts[i]`` shots from ``words[i]``, ceil(counts[i] / 2)
-    raw words, and starts ``offsets[i]`` shots into the batch.
+def _full_chunk_shots(words: list, counts: np.ndarray, offsets: list) -> np.ndarray:
+    """The shots within the batch of the chunks' events, as uint64, each
+    chunk's drawn as a full one.  Chunk i drew ``counts[i]`` shots from
+    ``words[i]``, ceil(counts[i] / 2) raw words, and starts ``offsets[i]``
+    shots into the batch.
 
     A shot is the top 16 bits of a word's 32-bit half, low half first: the
     16-bit pieces 1 and 3 of the word's little-endian bytes, which ``astype``
@@ -477,13 +443,14 @@ def _run_lane(
     clicks lie more than dead_gates apart and only the last dead window of
     the run can be cut short.  A window of n_shots gates already blanks
     the rest of the run, so a longer one is cut to it.  The lane's event
-    means are read once, when the first batch is asked for; a lane of at
+    means are read once, when the first batch is asked for.  A lane of at
     most the smallest normal double, 2.2e-308 events per gate, yields
-    nothing."""
+    nothing and draws nothing: e^(-2**16·λ) rounds to 1 there, so every
+    Poisson count of every chunk would be 0."""
     n_shots, sigma_ns = scenario.n_shots, scenario.chain.pulse.sigma_ns
     dead_gates = min(scenario.dead_gates, n_shots)
-    edges = np.cumsum(scenario.chain.event_means(mu_in, pump_mw, window_ns))
-    lam = edges[-1]
+    means = scenario.chain.event_means(mu_in, pump_mw, window_ns)
+    lam = means[0] + means[1] + means[2]
     if lam > MAX_EXPECTED_CLICKS_PER_GATE:
         raise ValueError(
             f"expected {lam:.3g} clicks per gate over a {window_ns:g} ns window exceeds the "
@@ -498,7 +465,7 @@ def _run_lane(
     dead_until = -1
     for lo in range(0, n_chunks, per_batch):
         chunks = range(lo, min(lo + per_batch, n_chunks))
-        clicks = _collect_clicks(edges, sigma_ns, n_shots, scenario.seed, lane, window_ns, chunks)
+        clicks = _collect_clicks(means, sigma_ns, n_shots, scenario.seed, lane, window_ns, chunks)
         clicks = clicks[np.searchsorted(clicks["shot"], dead_until, side="right"):]
         accepted, skip = _apply_dead_time(clicks, n_shots, dead_gates)
         if accepted.size:

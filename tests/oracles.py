@@ -6,8 +6,8 @@ amplitude enumeration instead of closed-form intensities, sums over
 photon number (a fixed-length one with log-space Poisson weights, and an
 adaptively truncated, rescaled one) instead of the closed-form fidelity
 bound, 50-digit decimal arithmetic instead of the expm1 form of the SNR,
-dense per-shot Monte Carlo draws instead of a superposed, thinned
-event stream, a sequential dead-time scan instead of pointer jumping,
+dense per-shot Monte Carlo draws instead of a few Poisson counts per
+chunk of shots, a sequential dead-time scan instead of pointer jumping,
 dead time as a renewal process instead of a count of skipped gates,
 first-click bin probabilities in closed form instead of drawn and
 histogrammed click times,
@@ -296,31 +296,31 @@ def dense_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns, 
 
 
 def chunked_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns):
-    """First event per shot of a whole lane from the thinned event stream,
-    one chunk at a time: per chunk, the same draws from the same substream
-    as the library, an origin by sorted search and the first event per shot
-    by ``first_per_shot``."""
-    means = np.array(chain.event_means(mu_in, pump_mw, window_ns))
-    codes = np.flatnonzero(means > 0).astype(np.int8)
-    edges = np.cumsum(means[codes])
+    """First event per shot of a whole lane, one chunk at a time, with
+    numpy's own methods in the library's order on the same substream: a
+    Poisson count per origin, ``integers`` shots over a full chunk,
+    ``standard_normal`` signal times and ``uniform`` pump-noise and dark
+    times; then the events at shots past the lane's dropped and the first
+    event per shot by ``first_per_shot``."""
+    means = chain.event_means(mu_in, pump_mw, window_ns)
     sigma_ns = chain.pulse.sigma_ns
+    origins = np.array([ORIGIN_SIGNAL, ORIGIN_PUMP, ORIGIN_DARK])
     out = [np.empty(0, dtype=CLICK_DTYPE)]
     for ci in range((n_shots + _CHUNK - 1) // _CHUNK):
         start = ci * _CHUNK
-        m = min(_CHUNK, n_shots - start)
         rng = jumped_stream(seed, lane, ci)
-        n = int(rng.poisson(m * edges[-1])) if edges.size else 0
+        counts = [int(rng.poisson(_CHUNK * mean)) for mean in means]
+        n = counts[0] + counts[1] + counts[2]
         if n == 0:
             continue
-        shot = rng.integers(0, m, n)
-        origin = codes[np.searchsorted(edges[:-1], rng.random(n) * edges[-1], side="right")]
-        signal = origin == ORIGIN_SIGNAL
-        n_signal = int(np.count_nonzero(signal))
-        t = np.empty(n)
-        t[signal] = window_ns / 2.0 + sigma_ns * rng.standard_normal(n_signal)
-        t[~signal] = rng.uniform(0.0, window_ns, n - n_signal)
-        inside = (t >= 0.0) & (t < window_ns)
-        shot, t, origin = shot[inside], t[inside], origin[inside]
+        shot = rng.integers(0, _CHUNK, n)
+        origin = np.repeat(origins, counts)
+        t = np.concatenate([
+            window_ns / 2.0 + sigma_ns * rng.standard_normal(counts[0]),
+            rng.uniform(0.0, window_ns, n - counts[0]),
+        ])
+        keep = (t >= 0.0) & (t < window_ns) & (shot < n_shots - start)
+        shot, t, origin = shot[keep], t[keep], origin[keep]
         first = first_per_shot(shot, t)
         rec = np.empty(first.size, dtype=CLICK_DTYPE)
         rec["shot"] = shot[first] + start
@@ -389,3 +389,30 @@ def first_click_bin_probabilities(
     cum += (pump_noise + dark) / window_ns * t
     # e^(-L(a)) (1 - e^(-(L(b) - L(a)))), with no cancellation in small bins
     return np.exp(-cum[:-1]) * -np.expm1(-np.diff(cum))
+
+
+def first_click_origin_probabilities(
+    chain, mu_in: float, pump_mw: float, window_ns: float, n_steps: int = 20001
+) -> np.ndarray:
+    """Per alive gate, the probability that its first click in a window w
+    centered on the pulse is a signal, a pump-noise and a dark event: the
+    integral over [0, w) of f_i(t) e^(-L(t)), where f_i is origin i's event
+    density (the signal's Gaussian, flat pump noise and dark counts) and L
+    is as in ``first_click_bin_probabilities``, by Simpson integration on
+    ``n_steps`` points (an odd count).  The three add up to 1 - e^(-L(w))."""
+    signal, pump_noise, dark = event_means_from_fields(chain, mu_in, pump_mw, window_ns)
+    sigma = chain.pulse.sigma_ns
+    t = np.linspace(0.0, window_ns, n_steps)
+    z = (t - window_ns / 2.0) / sigma
+    cum = signal * (ndtr(z) - ndtr(-window_ns / (2.0 * sigma)))
+    cum += (pump_noise + dark) / window_ns * t
+    survive = np.exp(-cum)
+    densities = (
+        signal * np.exp(-0.5 * z * z) / (sigma * math.sqrt(2.0 * math.pi)),
+        np.full(n_steps, pump_noise / window_ns),
+        np.full(n_steps, dark / window_ns),
+    )
+    weights = np.ones(n_steps)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    h = window_ns / (n_steps - 1)
+    return np.array([np.dot(weights, f * survive) * h / 3.0 for f in densities])

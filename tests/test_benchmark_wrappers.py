@@ -51,8 +51,8 @@ def test_counted_layers_return_what_the_counters_read():
     from qfcsim.montecarlo import _LANE_SIGNAL, _apply_dead_time, _collect_clicks
 
     chain = reference_chain()
-    edges = np.cumsum(chain.event_means(60.0, 400.0, 20.0))
-    clicks = _collect_clicks(edges, chain.pulse.sigma_ns, 5000, 1, _LANE_SIGNAL, 20.0, range(1))
+    means = chain.event_means(60.0, 400.0, 20.0)
+    clicks = _collect_clicks(means, chain.pulse.sigma_ns, 5000, 1, _LANE_SIGNAL, 20.0, range(1))
     assert isinstance(clicks, np.ndarray)
     assert isinstance(clicks.size, int) and isinstance(clicks.nbytes, int) and clicks.size > 0
     result = _apply_dead_time(clicks, 5000, 20)

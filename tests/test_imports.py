@@ -2,7 +2,8 @@
 also on the paths that fit and so take the Student-t quantile;
 ``import qfcsim``, every command but ``simulate`` and a ``Dataset`` of
 lists load no numpy; only the commands that use ``timebin`` load it; and
-the records are built without ``dataclasses`` and its ``inspect``."""
+the records are built without ``dataclasses`` and its ``inspect``.  The
+constants hypothesis draws from do not depend on which tests run."""
 
 import os
 import subprocess
@@ -248,6 +249,32 @@ def test_lazy_names_follow_a_rebinding(monkeypatch):
         monkeypatch.undo()
         assert getattr(qfcsim, name) is original
         assert name not in vars(qfcsim)
+
+
+# The constants hypothesis draws from, once after the package alone, once
+# after the conftest, and once after every module the tests import too.
+POOL_PROBE = """
+import sys
+
+from hypothesis.internal.conjecture.providers import _get_local_constants
+
+import qfcsim
+package = _get_local_constants()
+sys.path.insert(0, sys.argv[1])
+import conftest
+selected = _get_local_constants()
+import oracles
+from qfcsim import cli, fitting, montecarlo, timebin
+everything = _get_local_constants()
+print(package == selected, selected == everything, len(everything))
+"""
+
+
+def test_hypothesis_constants_do_not_depend_on_selection(tmp_path):
+    # the package alone holds fewer constants than the conftest loads, and
+    # no test module adds any
+    package, selected, size = _probe(POOL_PROBE, str(Path(__file__).parent), cwd=tmp_path)[0].split()
+    assert (package, selected) == ("False", "True") and int(size) > 0
 
 
 def test_unknown_attribute_raises():

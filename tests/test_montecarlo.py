@@ -15,6 +15,7 @@ from oracles import (
     dead_time_loop,
     dense_collect_clicks,
     first_click_bin_probabilities,
+    first_click_origin_probabilities,
     first_per_shot,
     skipped_gates_renewal,
 )
@@ -143,33 +144,35 @@ class TestStreams:
         assert _state(rng.bit_generator) == _state(jumped)
 
     def test_each_chunk_starts_afresh(self):
-        # the draws of one chunk (a 32-bit buffered one among them) leave
-        # nothing behind in the next chunk's state
+        # a chunk's draws, Poisson counts, the raw words of its shots,
+        # normals and the raw words of its uniform times, leave nothing
+        # behind in the next chunk's state
         for ci, rng in zip(range(3, 6), montecarlo._substreams(7, 2, range(3, 6))):
             jumped = np.random.Philox(key=7).jumped(2 * montecarlo._LANE_STRIDE + ci)
             assert _state(rng.bit_generator) == _state(jumped)
-            rng.integers(0, 10, 3)
-            rng.random(5)
+            rng.poisson([3.0, 0.5, 20.0])
+            rng.bit_generator.random_raw(5)
+            rng.standard_normal(3)
+            rng.bit_generator.random_raw(2)
 
     def test_each_chunk_starts_afresh_after_raw_words(self):
         # raw words, whose last high half no shot reads and which stop inside
-        # a Philox block of four words, then a partial chunk's odd count of
-        # 32-bit draws: the next chunk's state holds none of them
+        # a Philox block of four words: the next chunk's state holds none of them
         for ci, rng in zip(range(3, 6), montecarlo._substreams(7, 2, range(3, 6))):
             jumped = np.random.Philox(key=7).jumped(2 * montecarlo._LANE_STRIDE + ci)
             assert _state(rng.bit_generator) == _state(jumped)
             rng.bit_generator.random_raw(3)
-            rng.integers(0, 10, 3)
             rng.bit_generator.random_raw(2)
 
-    @pytest.mark.parametrize("buffered", [False, True])
-    def test_draws_of_no_values_take_nothing(self, buffered):
+    @pytest.mark.parametrize("mid_block", [False, True])
+    def test_draws_of_no_values_take_nothing(self, mid_block):
         # a chunk skips its normal or uniform-time draw when it has no event
         # of that kind, which keeps the records only because such a draw
-        # takes nothing from the stream, with or without a buffered 32-bit half
+        # takes nothing from the stream, at a Philox block's start or after
+        # the odd count of raw words of a chunk's shots, inside one
         (rng,) = montecarlo._substreams(3, 1, range(2, 3))
-        if buffered:
-            rng.integers(0, 10, 1)
+        if mid_block:
+            rng.bit_generator.random_raw(3)
         before = _state(rng.bit_generator)
         rng.standard_normal(0)
         rng.bit_generator.random_raw(0)
@@ -177,23 +180,19 @@ class TestStreams:
 
     @pytest.mark.parametrize("n", [1, 2, 999, 1200])
     def test_raw_words_are_numpys_draws(self, n):
-        # one full chunk's draws from one substream state, once by the
-        # Generator's methods and once from raw words as _collect_clicks
-        # cuts them; both then stand at the same word of the stream
-        window = 20.0
+        # one chunk's draws after its Poisson counts, k signal events among
+        # its n, from one substream state, once by the Generator's methods
+        # and once from raw words as _collect_clicks cuts them; both then
+        # stand at the same word of the stream
+        window, k = 20.0, n // 3
         (methods,) = montecarlo._substreams(9, 0, range(5, 6))
         shots = methods.integers(0, 2**16, n)
-        u = methods.random(n)
-        k = int(np.count_nonzero(u < 0.3))
         normals = methods.standard_normal(k)
         times = methods.uniform(0.0, window, n - k)
         (rng,) = montecarlo._substreams(9, 0, range(5, 6))
         raw = rng.bit_generator.random_raw
-        h = (n + 1) // 2
-        words = raw(h + n)
-        assert montecarlo._full_chunk_shots([words[:h]], [n], [0]).tolist() == shots.tolist()
-        assert montecarlo._doubles(words[h:], 1.0).tobytes() == u.tobytes()
-        assert np.count_nonzero(words[h:] < montecarlo._word_edge(0.3, 1.0)) == k
+        words = raw((n + 1) // 2)
+        assert montecarlo._full_chunk_shots([words], [n], [0]).tolist() == shots.tolist()
         assert rng.standard_normal(k).tobytes() == normals.tobytes()
         assert montecarlo._doubles(raw(n - k), window).tobytes() == times.tobytes()
         after, want = _state(rng.bit_generator), _state(methods.bit_generator)
@@ -250,6 +249,33 @@ class TestOrigins:
         sc = scenario(chain=chain, shots=100000)
         for lane, mu, pump, window in _lanes(sc.mu_in, sc.pump_mw):
             assert int(ORIGIN_DARK) not in _origins(sc, lane, mu, pump, window), lane
+
+
+class TestOriginShares:
+    """``simulate``'s accepted clicks of each lane by origin against closed
+    forms.  A gate's alive state depends only on earlier gates, so given
+    a lane's accepted clicks their origins are multinomial.  With the
+    input blocked, pump noise and dark counts are both flat in time, so
+    the pump share is pump / (pump + dark) exactly; with the input on,
+    origin i's share is its first-click probability over their sum
+    (``first_click_origin_probabilities``).  Each count is held to |z| < 5."""
+
+    @pytest.mark.parametrize("mu, pump, gate", [
+        (6.1, 120.0, 20.0),  # the reference point
+        (60.0, 400.0, 20.0),  # dense, as the mc_dense benchmark
+        (20.0, 30.0, 50.0),  # a wide gate, where pump noise and dark counts weigh more
+    ])
+    def test_counts_by_origin(self, mu, pump, gate):
+        chain = REFERENCE.with_gate_width(gate)
+        res = simulate(scenario(mu=mu, pump=pump, shots=10_000_000, seed=12, chain=chain))
+        _, pump_noise, dark = chain.event_means(mu, pump, gate)
+        blocked = np.array([0.0, pump_noise, dark]) / (pump_noise + dark)
+        on = first_click_origin_probabilities(chain, mu, pump, gate)
+        for counts, shares in ((res.clicks_noise, blocked), (res.clicks_signal, on / on.sum())):
+            n = counts.sum()
+            assert counts[shares == 0].sum() == 0
+            for count, share in zip(counts[shares > 0], shares[shares > 0]):
+                assert abs(count - n * share) < 5.0 * math.sqrt(n * share * (1.0 - share))
 
 
 @st.composite
@@ -401,13 +427,12 @@ def _never_called(*args):
 
 
 class TestRateRounding:
-    """Why λ's word edge lies past every word, so that no draw needs a
-    clamp at λ: the largest raw word, 2**64 - 1, gives numpy's largest
-    uniform, 1 - 2**-53, and that times any normal λ above 2**-1022 rounds
-    to a double below λ, so the origin lookup never lands past the last
-    edge.  At 2**-1022 itself the spacing below is subnormal and the
-    product rounds back to λ, which is why a lane of λ <= 2**-1022 draws
-    nothing."""
+    """Why a uniform time lies below its window: the largest raw word,
+    2**64 - 1, gives numpy's largest uniform, 1 - 2**-53, and that times
+    any normal window w above 2**-1022 rounds to a double below w, so
+    ``_doubles`` never puts a pump-noise or dark event on the window's end,
+    where the window cut would drop it.  At 2**-1022 itself the spacing
+    below is subnormal and the product rounds back to w."""
 
     U_MAX = 1.0 - 2.0**-53
 
@@ -415,10 +440,10 @@ class TestRateRounding:
         largest = np.array([2**64 - 1], dtype=np.uint64)
         assert montecarlo._doubles(largest, 1.0)[0] == self.U_MAX
 
-    @pytest.mark.parametrize("lam", [math.nextafter(2.0**-1022, 1.0), 0.5])
-    def test_below_rate(self, lam):
-        assert self.U_MAX * lam < lam
-        assert montecarlo._word_edge(lam, lam) == 2**64
+    @pytest.mark.parametrize("w", [math.nextafter(2.0**-1022, 1.0), 0.5])
+    def test_below_rate(self, w):
+        largest = np.array([2**64 - 1], dtype=np.uint64)
+        assert montecarlo._doubles(largest, w)[0] == self.U_MAX * w < w
 
     def test_below_powers_of_two(self):
         # exact at a power of two: half a spacing below it is a double
@@ -427,95 +452,12 @@ class TestRateRounding:
 
     @settings(max_examples=500)
     @given(st.floats(2.0**-1022, sys.float_info.max, exclude_min=True))
-    def test_below_normal_rate(self, lam):
-        assert self.U_MAX * lam < lam
-        assert montecarlo._word_edge(lam, lam) == 2**64
+    def test_below_normal_rate(self, w):
+        assert self.U_MAX * w < w
 
     def test_equal_at_smallest_normal(self):
         assert sys.float_info.min == 2.0**-1022
         assert self.U_MAX * sys.float_info.min == sys.float_info.min
-
-
-def _u_times_rate(word, lam):
-    """u·λ of a raw word, as ``Generator.random`` and a multiply by λ give it."""
-    return montecarlo._doubles(np.array([word], dtype=np.uint64), 1.0)[0] * lam
-
-
-@st.composite
-def _edges(draw):
-    # an edge at 0, at λ, on or next to a value some word's u·λ takes, or
-    # anywhere in between
-    lam = draw(st.floats(2.0**-1022, 0.5, exclude_min=True))
-    kind = draw(st.sampled_from(["zero", "rate", "product", "any"]))
-    if kind == "zero":
-        return 0.0, lam
-    if kind == "rate":
-        return lam, lam
-    if kind == "any":
-        return draw(st.floats(0.0, lam)), lam
-    value = _u_times_rate(draw(st.integers(0, 2**64 - 1)), lam)
-    step = draw(st.sampled_from([-math.inf, 0.0, math.inf]))
-    # edges are cumulative sums of nonnegative means, from 0 to λ
-    return min(max(math.nextafter(value, step) if step else value, 0.0), lam), lam
-
-
-class TestWordEdges:
-    """``_word_edge`` against the float formula: the word below it gives a
-    u·λ below the edge, and the word edge itself one at or above it.  Every
-    word of one 2**11 block gives one u, so the block below is below too."""
-
-    @settings(max_examples=1000)
-    @given(_edges())
-    @example((0.0, 0.5))
-    @example((0.5, 0.5))
-    @example((math.nextafter(2.0**-1022, 1.0), math.nextafter(2.0**-1022, 1.0)))
-    @example((2.0**-1060, 3.0 * 2.0**-1022))
-    @example((5e-324, 0.25))
-    def test_float_formula(self, edge_rate):
-        self._check(*edge_rate)
-
-    @settings(max_examples=300)
-    @given(
-        st.floats(0.0, 60.0) | st.just(0.0),
-        st.floats(0.0, 600.0) | st.just(0.0),
-        st.sampled_from([*ALLOWED_GATE_WIDTHS_NS, 100.0]),
-        st.floats(0.0, 1e-3) | st.sampled_from([0.0, REFERENCE.detector.dark_rate_per_ns]),
-        st.floats(0.0, 1e-4) | st.just(0.0),
-    )
-    def test_cumulative_means(self, mu, pump, window, dark, noise_alpha):
-        chain = _dead_time_chain(0, dark)
-        chain = replace(chain, noise=replace(chain.noise, alpha_detected_per_mw=noise_alpha))
-        edges = np.cumsum(chain.event_means(mu, pump, window))
-        assume(sys.float_info.min < edges[-1] <= montecarlo.MAX_EXPECTED_CLICKS_PER_GATE)
-        for edge in edges[:2]:
-            self._check(edge, edges[-1])
-
-    @pytest.mark.parametrize("noise_alpha, origins", [
-        (0.0, {int(ORIGIN_SIGNAL)}),
-        (None, {int(ORIGIN_SIGNAL), int(ORIGIN_PUMP)}),
-    ], ids=["signal-alone", "no-dark"])
-    def test_edge_at_rate(self, noise_alpha, origins):
-        # with no dark counts, signal alone puts the signal's edge at λ, and
-        # signal and pump noise the pump noise's: past every word, so every
-        # event is below it.  The last of the 6 chunks is a partial one
-        sc, lane, window = _lane_run(6.1, 120.0, 5 * _CHUNK + 3, 0, noise_alpha=noise_alpha,
-                                     dark_rate_per_ns=0.0)
-        edges = np.cumsum(sc.chain.event_means(sc.mu_in, sc.pump_mw, window))
-        at_rate = 1 if noise_alpha is None else 0
-        assert edges[at_rate] == edges[-1]
-        assert montecarlo._word_edge(edges[at_rate], edges[-1]) == 2**64
-        clicks = montecarlo._collect_clicks(edges, sc.chain.pulse.sigma_ns, sc.n_shots, sc.seed,
-                                            lane, window, range(6))
-        assert set(clicks["origin"].tolist()) == origins
-
-    @staticmethod
-    def _check(edge, lam):
-        c = montecarlo._word_edge(edge, lam)
-        assert 0 <= c <= 2**64 and c % 2**11 == 0
-        if c > 0:
-            assert _u_times_rate(c - 1, lam) < edge
-        if c < 2**64:
-            assert _u_times_rate(c, lam) >= edge
 
 
 class TestBatchedOracle:
@@ -536,8 +478,8 @@ class TestBatchedOracle:
     # which gives no records and no skipped gates
     @example(_lane_run(6.1, 120.0, 3 * _CHUNK + 7, 20, dark_rate_per_ns=0.0), None)
     @example(_lane_run(0.0, 0.0, 2 * _CHUNK + 1, 20, dark_rate_per_ns=0.0), None)
-    # signal alone: the first cumulative mean is λ itself, so every event
-    # is a signal event and no chunk draws uniform times
+    # signal alone: every event is a signal event and no chunk draws
+    # uniform times
     @example(_lane_run(6.1, 120.0, 3 * _CHUNK + 7, 20, noise_alpha=0.0, dark_rate_per_ns=0.0), None)
     def test_matches_chunked(self, run, batch_events):
         sc, lane, window = run
@@ -671,7 +613,7 @@ class TestDenseOracle:
         new = simulate(sc)
         new_hist = start_stop_histogram(hist_sc).signal_on.counts
         # each lane's (scenario, mu, pump): the oracle takes its rates from
-        # the chain's fields, not from the edges the lane passes
+        # the chain's fields, not from the means the lane passes
         lanes = {
             montecarlo._LANE_SIGNAL: (sc, sc.mu_in, sc.pump_mw),
             montecarlo._LANE_NOISE: (sc, 0.0, sc.pump_mw),
@@ -680,7 +622,7 @@ class TestDenseOracle:
             montecarlo._LANE_HIST_DARK: (hist_sc, 0.0, 0.0),
         }
 
-        def dense(edges, sigma_ns, n_shots, seed, lane, window_ns, chunks):
+        def dense(means, sigma_ns, n_shots, seed, lane, window_ns, chunks):
             source, mu, pump = lanes[lane]
             return dense_collect_clicks(source.chain, mu, pump, n_shots, seed, lane, window_ns, chunks)
 
@@ -901,14 +843,31 @@ class TestHistograms:
             gate_integrate(h, 200.0)
 
     def test_gate_cut_supplies_beta(self):
-        """The 20 ns / 100 ns count ratio in a noise-free signal histogram
-        approximates the gate fraction of the pulse."""
-        chain = reference_chain()
-        triple = start_stop_histogram(scenario(mu=5.0, pump=120.0, shots=150000, seed=33))
-        sig = triple.signal_on.counts.astype(float) - triple.pump_only.counts
-        h = Histogram(bin_width_ns=0.64, counts=np.clip(sig, 0, None), window_ns=100.0)
-        ratio = gate_integrate(h, 20.0) / max(h.counts.sum(), 1.0)
-        assert ratio == pytest.approx(chain.beta, abs=0.03)
+        """The central 20 ns share of the pump-subtracted signal counts over
+        a 100 ns window approximates the gate fraction β of the pulse.
+        Given a pass's total, its counts in the gate are binomial, with the
+        gate's share of its first-click bin probabilities (pedestal
+        included), so the subtracted share is held at |z| < 5 to its
+        closed form.  Per alive gate, the subtracted probabilities' gate
+        share lies within 0.03 of β: past the pulse, earlier signal clicks
+        shadow the input-on pass's pedestal."""
+        sc = scenario(mu=5.0, pump=120.0, shots=150000, seed=33)
+        triple = start_stop_histogram(sc)
+        totals, in_gate, probs, probs_in_gate = [], [], [], []
+        for hist, mu in ((triple.signal_on, sc.mu_in), (triple.pump_only, 0.0)):
+            p = first_click_bin_probabilities(sc.chain, mu, sc.pump_mw, 100.0, 0.64)
+            totals.append(hist.total)
+            in_gate.append(gate_integrate(hist, 20.0))
+            probs.append(p.sum())
+            probs_in_gate.append(gate_integrate(Histogram(0.64, p, 100.0), 20.0))
+        (n_on, n_pump), (q_on, q_pump) = totals, np.divide(probs_in_gate, probs)
+        signal = n_on - n_pump
+        ratio = (in_gate[0] - in_gate[1]) / signal
+        expected = (n_on * q_on - n_pump * q_pump) / signal
+        sd = math.sqrt(n_on * q_on * (1.0 - q_on) + n_pump * q_pump * (1.0 - q_pump)) / signal
+        assert abs(ratio - expected) < 5.0 * sd
+        per_gate = (probs_in_gate[0] - probs_in_gate[1]) / (probs[0] - probs[1])
+        assert per_gate == pytest.approx(sc.chain.beta, abs=0.03)
 
 
 class TestBoundedMemory:
