@@ -14,13 +14,14 @@ first use, so ``import qfcsim`` imports no numpy, and each command of the
 
 import importlib
 
-from .chain import ConversionChain, ExperimentScenario, reference_chain
+from .chain import ConversionChain, ExperimentScenario
 from .config import (
     REFERENCE_CONFIG,
     ConfigError,
     config_hash,
     load_config,
     parse_config,
+    reference_chain,
     serialize,
     with_overrides,
 )

@@ -3,9 +3,7 @@
 ``ConversionChain`` ties the static optics to the noise and detection
 models.  Its ``event_means`` states the rate model once: the analytic
 rates and mu_1 (``noise``) and the Monte Carlo both read their expected
-signal, pump-noise and dark events from it.  ``reference_chain`` builds
-the chain with the published apparatus values, which live only in the
-shipped scenario file ``data/reference.cfg``.  ``ExperimentScenario`` adds
+signal, pump-noise and dark events from it.  ``ExperimentScenario`` adds
 the source and run settings; it is the one place they are checked, and
 ``config.parse_config`` returns one.
 """
@@ -29,7 +27,7 @@ from .optics import (
     replace,
 )
 
-__all__ = ["ConversionChain", "ExperimentScenario", "MAX_SHOTS", "reference_chain"]
+__all__ = ["ConversionChain", "ExperimentScenario", "MAX_SHOTS"]
 
 # Most shots in one run: each Monte Carlo lane owns this many shots of the
 # Philox stream (Salmon et al., SC 2011); past it two lanes share numbers.
@@ -157,10 +155,3 @@ class ExperimentScenario(Record):
                 f"the detector dead time ({self.chain.detector.dead_time_us:g} us) spans "
                 "more gate periods than a float holds"
             ) from None
-
-
-def reference_chain() -> ConversionChain:
-    """Chain with the published apparatus values of ``data/reference.cfg``."""
-    from .config import REFERENCE_CONFIG, parse_config  # config imports this module
-
-    return parse_config(REFERENCE_CONFIG).chain

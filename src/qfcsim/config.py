@@ -34,6 +34,7 @@ __all__ = [
     "serialize",
     "config_hash",
     "REFERENCE_CONFIG",
+    "reference_chain",
 ]
 
 
@@ -286,3 +287,8 @@ REFERENCE_CONFIG = (
 _DEFAULTS: dict[tuple[str, str], object] = {
     sk: v for sk, v in _parse_values(REFERENCE_CONFIG).items() if sk not in _REQUIRED
 }
+
+
+def reference_chain() -> ConversionChain:
+    """Chain with the published apparatus values of ``data/reference.cfg``."""
+    return parse_config(REFERENCE_CONFIG).chain

@@ -16,11 +16,11 @@ Lewis & Shedler 1979).  The shots and the uniform times are Philox's raw
 64-bit words, cut by the package's own transforms into the numbers
 numpy's ``integers`` and ``uniform`` give, bit for bit: a shot is the top
 16 bits of a 32-bit half, Lemire's multiply-shift (ACM TOMACS 29(1),
-2019), which never rejects for 2**16 shots; a uniform time is a word's
-top 53 bits times the window.  The Poisson counts and the normals are
-numpy's ``Generator`` methods.  At the reference point about 1% of gates
-click, so this draws about m/100 events where per-shot draws would need
-4m numbers.
+2019), which never rejects for 2**16 shots, sliced from the words by the
+chunk that draws them; a uniform time is a word's top 53 bits times the
+window.  The Poisson counts and the normals are numpy's ``Generator``
+methods.  At the reference point about 1% of gates click, so this draws
+about m/100 events where per-shot draws would need 4m numbers.
 
 Randomness is counter-based (Philox, Salmon et al., SC 2011): each
 (lane, chunk) pair owns an independent substream derived from the
@@ -49,8 +49,9 @@ reference point L was at most 3 in every batch measured (2 rounds).
 Between batches only the last accepted shot plus the dead gates carries
 over, so a lane streams its batches and keeps none: ``simulate`` counts
 each batch's accepted clicks by origin and ``start_stop_histogram`` bins
-them, and neither's memory grows with the shot count.  The results are
-bit-reproducible for a given seed.
+them over the whole bins its passes are drawn on, and neither's memory
+grows with the shot count.  The results are bit-reproducible for a given
+seed.
 """
 
 from __future__ import annotations
@@ -129,28 +130,24 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-def _bin_count(bin_width_ns: float, window_ns: float) -> int:
-    """The whole bins of the window, 1 to ``_MAX_BINS`` of them; a click
-    past the last one is not counted.  ``bin_width_ns`` is positive."""
-    bins = window_ns / bin_width_ns
-    check_range("bins in the window (window_ns / bin_width_ns)", bins, 1.0, _MAX_BINS, "[]")
-    return int(bins)
-
-
 class Histogram(Record):
-    """Start-stop histogram over the detection window, with a read-only copy
-    of the counts, one per whole bin of the window (``_bin_count``)."""
+    """Start-stop histogram: a read-only copy of 1 to ``_MAX_BINS`` counts,
+    one a bin, and ``window_ns``, derived as the last bin edge, which must
+    be finite."""
 
     bin_width_ns: float
     counts: np.ndarray
-    window_ns: float
     _bounds = {"bin_width_ns": ("bin_width_ns", 0.0, math.inf, "()")}
 
     def __post_init__(self):
         object.__setattr__(self, "counts", _read_only(np.array(self.counts)))
-        counts, n_bins = self.counts, _bin_count(self.bin_width_ns, self.window_ns)
-        if counts.shape != (n_bins,) or not np.all(np.isfinite(counts) & (counts >= 0)):
-            raise ValueError(f"counts must be {n_bins} finite, nonnegative values, one a whole bin")
+        counts = self.counts
+        bins_ok = counts.ndim == 1 and 1 <= counts.size <= _MAX_BINS
+        if not bins_ok or not np.all(np.isfinite(counts) & (counts >= 0)):
+            raise ValueError(f"counts must be 1 to {_MAX_BINS} finite, nonnegative values, one a bin")
+        window = counts.size * self.bin_width_ns
+        check_range("window_ns (bins x bin_width_ns)", window, bounds="()")
+        vars(self)["window_ns"] = window
 
     @property
     def bin_centers(self) -> np.ndarray:
@@ -288,7 +285,8 @@ def _collect_clicks(
     Its events are laid out signal, pump noise, dark, so an event's origin
     is its place.  The n shots are the top 16 bits of each 32-bit half of
     ceil(n/2) words, low half first: the draws of ``integers(0, 2**16, n)``,
-    since Lemire's multiply-shift never rejects for a range of 2**16.
+    since Lemire's multiply-shift never rejects for a range of 2**16.  The
+    chunk slices exactly these n: an odd n leaves its last high half unread.
 
     Every chunk draws as a full one of 2**16 shots.  A lane's partial last
     chunk, of m shots, drops its events at shots m and past: each event's
@@ -299,7 +297,7 @@ def _collect_clicks(
     concatenated events."""
     scaled = [_CHUNK * mean for mean in means]
     base = chunks.start * _CHUNK
-    shot_words, counts, offsets = [], [], []
+    tops, counts, offsets = [], [], []
     normals, time_words = [np.empty(0)], [_EMPTY_WORDS]
     for ci, rng in zip(chunks, _substreams(seed, lane, chunks)):
         k = [int(rng.poisson(x)) for x in scaled]
@@ -307,7 +305,9 @@ def _collect_clicks(
         if n == 0:
             continue
         raw = rng.bit_generator.random_raw
-        shot_words.append(raw((n + 1) // 2))
+        # the 16-bit pieces 1, 3, ... of the words' little-endian bytes, which
+        # astype swaps into place on a big-endian machine
+        tops.append(raw((n + 1) // 2).astype("<u8", copy=False).view("<u2")[1:2 * n:2])
         counts += k
         offsets.append(ci * _CHUNK - base)
         # a draw of no values takes nothing from the stream: skipping it
@@ -327,7 +327,8 @@ def _collect_clicks(
     pulse += window_ns / 2.0
     t[signal] = pulse
     t[~signal] = _doubles(np.concatenate(time_words), window_ns)
-    shots = _full_chunk_shots(shot_words, counts.sum(axis=1), offsets)
+    shots = np.repeat(np.array(offsets, dtype=np.uint64), counts.sum(axis=1))
+    shots += np.concatenate(tops)
     # the events in the window and in the lane's shots; one sort of them by
     # (shot within the batch, draw index), packed as shot << 32 | index
     # into 64 unsigned bits: the keys are distinct, so the sort is stable
@@ -349,27 +350,6 @@ def _collect_clicks(
     rec["time_ns"] = t[drawn]
     rec["origin"] = origin[drawn]
     return rec
-
-
-def _full_chunk_shots(words: list, counts: np.ndarray, offsets: list) -> np.ndarray:
-    """The shots within the batch of the chunks' events, as uint64, each
-    chunk's drawn as a full one.  Chunk i drew ``counts[i]`` shots from
-    ``words[i]``, ceil(counts[i] / 2) raw words, and starts ``offsets[i]``
-    shots into the batch.
-
-    A shot is the top 16 bits of a word's 32-bit half, low half first: the
-    16-bit pieces 1 and 3 of the word's little-endian bytes, which ``astype``
-    leaves in place on a little-endian machine and swaps into place on a
-    big-endian one.  An odd count leaves its chunk's last high half unused."""
-    w = np.concatenate([_EMPTY_WORDS, *words]).astype("<u8", copy=False)
-    tops = w.view("<u2")[1::2]
-    n = np.array(counts, dtype=np.int64)
-    odd = n & 1
-    if odd.any():
-        tops = np.delete(tops, np.cumsum(n + odd)[odd == 1] - 1)
-    shots = np.repeat(np.array(offsets, dtype=np.uint64), n)
-    shots += tops
-    return shots
 
 
 def _apply_dead_time(
@@ -509,12 +489,16 @@ def start_stop_histogram(
 
     Three passes mirror the measurement procedure: input on (signal over
     the noise pedestal), pump only (flat pedestal over dark floor) and
-    everything blocked (flat dark floor).  The bins are checked and their
-    edges built before any pass is drawn.
+    everything blocked (flat dark floor).  ``window_ns`` is rounded down to
+    whole bins, 1 to ``_MAX_BINS`` of them, checked before any pass is
+    drawn, and every pass is drawn over them, centered there.
     """
     check_range("bin_width_ns", bin_width_ns, bounds="()")
     check_range("window_ns", window_ns, high=scenario.chain.gate_period_ns)
-    edges = np.arange(_bin_count(bin_width_ns, window_ns) + 1) * bin_width_ns
+    bins = window_ns / bin_width_ns
+    check_range("bins in the window (window_ns / bin_width_ns)", bins, 1.0, _MAX_BINS, "[]")
+    edges = np.arange(int(bins) + 1) * bin_width_ns
+    window_ns = float(edges[-1])
     passes = (
         (_LANE_HIST_SIGNAL, scenario.mu_in, scenario.pump_mw),
         (_LANE_HIST_PUMP, 0.0, scenario.pump_mw),
@@ -525,7 +509,7 @@ def start_stop_histogram(
         counts = np.zeros(edges.size - 1, dtype=np.int64)
         for accepted, _ in _run_lane(scenario, lane, mu, pump, window_ns):
             counts += _histogram_from_clicks(accepted, edges)
-        hists.append(Histogram(bin_width_ns, counts, window_ns))
+        hists.append(Histogram(bin_width_ns, counts))
     return HistogramTriple(*hists)
 
 

@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import chi2 as _chi2
 
 from oracles import classical_bound_bruteforce, interferometer_slots
-from qfcsim.chain import reference_chain
+from qfcsim import reference_chain
 from qfcsim.cli import run
 from qfcsim.fitting import Dataset, conversion_model, fit_conversion
 from qfcsim.montecarlo import ExperimentScenario, simulate, start_stop_histogram

@@ -47,7 +47,7 @@ def test_counted_layers_return_what_the_counters_read():
     # return of another shape reads 0 with no error
     import numpy as np
 
-    from qfcsim.chain import reference_chain
+    from qfcsim import reference_chain
     from qfcsim.montecarlo import _LANE_SIGNAL, _apply_dead_time, _collect_clicks
 
     chain = reference_chain()
@@ -65,8 +65,7 @@ def test_counted_layers_return_what_the_counters_read():
 def test_simulate_calls_the_counted_layers_by_module_name(monkeypatch):
     # the tracer replaces the module's bindings, so a lane must look its
     # layers up there on every batch
-    from qfcsim import montecarlo
-    from qfcsim.chain import ExperimentScenario, reference_chain
+    from qfcsim import ExperimentScenario, montecarlo, reference_chain
 
     calls = {}
     for name in ("_collect_clicks", "_apply_dead_time", "_histogram_from_clicks"):

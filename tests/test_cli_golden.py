@@ -9,6 +9,9 @@ does not fail the test.
 Regenerate, only when an output change is intended, with::
 
     PYTHONPATH=src python tests/test_cli_golden.py
+
+which prints the path of each golden file whose bytes changed, added or
+removed ones included, and prints nothing else.
 """
 
 import contextlib
@@ -58,11 +61,22 @@ def test_outputs_match_golden(case, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == (STDOUT / f"{case}.txt").read_text(encoding="utf-8")
 
 
+def _golden_bytes(case: str) -> dict[Path, bytes]:
+    """The bytes of each golden file of ``case``, by path under GOLDEN."""
+    files = [Path("stdout", f"{case}.txt"), *Path(case).glob("*")]
+    return {f: f.read_bytes() for f in files if f.is_file()}
+
+
 if __name__ == "__main__":
     os.chdir(GOLDEN)
     for case, argv in CASES.items():
+        before = _golden_bytes(case)
         shutil.rmtree(case, ignore_errors=True)
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
             assert run(argv + ["--out", case]) == 0, case
         (STDOUT / f"{case}.txt").write_text(printed.getvalue(), encoding="utf-8")
+        after = _golden_bytes(case)
+        for path in sorted(before.keys() | after.keys()):
+            if before.get(path) != after.get(path):
+                print(GOLDEN.relative_to(GOLDEN.parents[1]) / path)

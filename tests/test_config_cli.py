@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import qfcsim
-from qfcsim.chain import reference_chain
+from qfcsim import reference_chain
 from qfcsim.config import (
     _DEFAULTS,
     _REQUIRED,

@@ -7,6 +7,9 @@ tree; it must exit 0 and its stdout must equal
 Regenerate, only when an output change is intended, with::
 
     PYTHONPATH=src python tests/test_demos.py
+
+which rewrites and prints the path of each golden whose bytes changed,
+and prints nothing else.
 """
 
 import os
@@ -40,4 +43,7 @@ if __name__ == "__main__":
     for demo in DEMOS:
         proc = _run(demo)
         assert proc.returncode == 0, (demo.name, proc.stderr.decode())
-        (GOLDEN / f"{demo.stem}.txt").write_bytes(proc.stdout)
+        golden = GOLDEN / f"{demo.stem}.txt"
+        if not golden.is_file() or golden.read_bytes() != proc.stdout:
+            golden.write_bytes(proc.stdout)
+            print(golden.relative_to(GOLDEN.parents[2]))

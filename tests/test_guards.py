@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfcsim import replace
-from qfcsim.chain import MAX_SHOTS, reference_chain
+from qfcsim import reference_chain, replace
+from qfcsim.chain import MAX_SHOTS
 from qfcsim.cli import _read_dataset_csv
 from qfcsim.config import REFERENCE_CONFIG, parse_config, with_overrides
 from qfcsim.fitting import Dataset, extract_mu1
@@ -43,7 +43,7 @@ from qfcsim.timebin import (
 CHAIN = reference_chain()
 CONFIG = parse_config(REFERENCE_CONFIG)
 SCENARIO = ExperimentScenario(chain=CHAIN, mu_in=6.1, pump_mw=120.0, n_shots=10, seed=1)
-HIST = Histogram(bin_width_ns=1.0, counts=np.ones(100, dtype=int), window_ns=100.0)
+HIST = Histogram(bin_width_ns=1.0, counts=np.ones(100, dtype=int))
 QUBIT = TimeBinQubit(phase=0.0, separation_ns=50.0)
 IFM = Interferometer(delay_ns=50.0)
 GAMMAS = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
@@ -61,7 +61,6 @@ CASES = [
     (IFM, "delay_ns"),
     (SlotCounts(early=1.0, central=2.0, late=1.0), "early"),
     (HIST, "bin_width_ns"),
-    (HIST, "window_ns"),
 ]
 
 
@@ -162,23 +161,23 @@ SCALAR_CASES = {
         lambda: fringe_scan(QUBIT, IFM, 1.0, 0.0, [*GAMMAS[:-1], math.inf]), "gammas"
     ),
     # counts that no histogram has; NaN passes a plain counts < 0 test
-    "Histogram.counts_nan": (lambda: Histogram(1.0, np.full(100, math.nan), 100.0), "counts"),
-    "Histogram.counts_inf": (lambda: Histogram(1.0, np.full(100, math.inf), 100.0), "counts"),
-    "Histogram.counts_negative": (lambda: Histogram(1.0, np.full(100, -1), 100.0), "counts"),
-    "Histogram.counts_2d": (lambda: Histogram(1.0, np.ones((10, 10), dtype=int), 100.0), "counts"),
-    "Histogram.counts_0d": (lambda: Histogram(1.0, np.array(5), 100.0), "counts"),
-    # 3 counts do not fill 100 bins of 1 ns: a 20 ns gate would integrate none of them
+    "Histogram.counts_nan": (lambda: Histogram(1.0, np.full(100, math.nan)), "counts"),
+    "Histogram.counts_inf": (lambda: Histogram(1.0, np.full(100, math.inf)), "counts"),
+    "Histogram.counts_negative": (lambda: Histogram(1.0, np.full(100, -1)), "counts"),
+    "Histogram.counts_2d": (lambda: Histogram(1.0, np.ones((10, 10), dtype=int)), "counts"),
+    "Histogram.counts_0d": (lambda: Histogram(1.0, np.array(5)), "counts"),
+    # 3 bins of 1 ns span a 3 ns window, which a 20 ns gate does not fit in
     "gate_integrate.short_counts": (
-        lambda: gate_integrate(Histogram(1.0, [1, 2, 3], 100.0), 20.0), "counts"
+        lambda: gate_integrate(Histogram(1.0, [1, 2, 3]), 20.0), "exceeds the window"
     ),
-    # bins too narrow for their number in the window to be a finite double
-    "Histogram.bins_inf": (lambda: Histogram(5e-324, [1], 1.0), "bins in the window"),
+    # bins too wide for the window they span to be a finite double
+    "Histogram.bins_inf": (lambda: Histogram(1e308, [1, 1]), "window_ns"),
     "start_stop_histogram.bins_inf": (
         lambda: start_stop_histogram(SCENARIO, bin_width_ns=5e-324), "bins in the window"
     ),
     # one bin past 2**20, 1 ps bins over the reference 1 us gate period
     "Histogram.bins_over_max": (
-        lambda: Histogram(1.0, np.zeros(2**20 + 1, dtype=int), 2.0**20 + 1), "bins in the window"
+        lambda: Histogram(1.0, np.zeros(2**20 + 1, dtype=int)), "counts must be 1 to 1048576"
     ),
     # a lane's clicks are 3 nonnegative integer counts, one per origin
     "SimulationResult.clicks_floats": (

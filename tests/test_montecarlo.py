@@ -19,8 +19,8 @@ from oracles import (
     first_per_shot,
     skipped_gates_renewal,
 )
-from qfcsim import montecarlo, replace
-from qfcsim.chain import MAX_SHOTS, ConversionChain, reference_chain
+from qfcsim import montecarlo, reference_chain, replace
+from qfcsim.chain import MAX_SHOTS, ConversionChain
 from qfcsim.montecarlo import (
     _CHUNK,
     CLICK_DTYPE,
@@ -183,32 +183,21 @@ class TestStreams:
         # one chunk's draws after its Poisson counts, k signal events among
         # its n, from one substream state, once by the Generator's methods
         # and once from raw words as _collect_clicks cuts them; both then
-        # stand at the same word of the stream
+        # stand at the same word of the stream.  The shots, ceil(n/2) raw
+        # words against integers(0, 2**16, n), are held to numpy's bit for
+        # bit by TestBatchedOracle
         window, k = 20.0, n // 3
         (methods,) = montecarlo._substreams(9, 0, range(5, 6))
-        shots = methods.integers(0, 2**16, n)
+        methods.integers(0, 2**16, n)
         normals = methods.standard_normal(k)
         times = methods.uniform(0.0, window, n - k)
         (rng,) = montecarlo._substreams(9, 0, range(5, 6))
         raw = rng.bit_generator.random_raw
-        words = raw((n + 1) // 2)
-        assert montecarlo._full_chunk_shots([words], [n], [0]).tolist() == shots.tolist()
+        raw((n + 1) // 2)
         assert rng.standard_normal(k).tobytes() == normals.tobytes()
         assert montecarlo._doubles(raw(n - k), window).tobytes() == times.tobytes()
         after, want = _state(rng.bit_generator), _state(methods.bit_generator)
         assert (after["state"], after["buffer_pos"]) == (want["state"], want["buffer_pos"])
-
-    def test_full_chunk_shots_of_a_batch(self):
-        # chunks of odd and even counts, each offset by its start in the batch:
-        # an odd count's unused high half is dropped, not read as a shot
-        counts, offsets = [3, 4, 1, 6, 7], [0, _CHUNK, 2 * _CHUNK, 5 * _CHUNK, 6 * _CHUNK]
-        words, want = [], []
-        for n, rng in zip(counts, montecarlo._substreams(2, 1, range(10, 15))):
-            words.append(rng.bit_generator.random_raw((n + 1) // 2))
-        for n, off, rng in zip(counts, offsets, montecarlo._substreams(2, 1, range(10, 15))):
-            want += (rng.integers(0, 2**16, n) + off).tolist()
-        got = montecarlo._full_chunk_shots(words, counts, offsets)
-        assert got.dtype == np.uint64 and got.tolist() == want
 
 
 # the lanes of simulate and start_stop_histogram: (lane, mu_in, pump_mw, window_ns)
@@ -481,6 +470,9 @@ class TestBatchedOracle:
     # signal alone: every event is a signal event and no chunk draws
     # uniform times
     @example(_lane_run(6.1, 120.0, 3 * _CHUNK + 7, 20, noise_alpha=0.0, dark_rate_per_ns=0.0), None)
+    # 0.66 dark events a chunk: most chunks of the one batch draw 0 or 1
+    # event, whose single shot is the low half of its only word
+    @example(_lane_run(0.0, 0.0, 40 * _CHUNK + 3, 1, lane=4, dark_rate_per_ns=5e-7), None)
     def test_matches_chunked(self, run, batch_events):
         sc, lane, window = run
         with pytest.MonkeyPatch.context() as mp:
@@ -679,7 +671,7 @@ class TestHistogramOracle:
         triple = start_stop_histogram(sc, bin_width, window)
         for hist, m, p in ((triple.signal_on, mu, pump), (triple.pump_only, 0.0, pump),
                            (triple.dark_only, 0.0, 0.0)):
-            probs = first_click_bin_probabilities(sc.chain, m, p, window, bin_width)
+            probs = first_click_bin_probabilities(sc.chain, m, p, hist.window_ns, bin_width)
             assert probs.size == hist.counts.size == int(window / bin_width)
             obs, exp = _pooled(hist.counts, probs * (hist.total / probs.sum()))
             assert obs.size > 10
@@ -811,19 +803,62 @@ class TestHistograms:
         assert triple.signal_on.bin_width_ns == 0.64
 
     def test_signal_peaks_at_center(self):
-        triple = start_stop_histogram(scenario(mu=5.0, shots=50000, seed=21))
-        centers = triple.signal_on.bin_centers
-        # centroid of the background-subtracted signal (single-bin argmax
-        # is too noisy at this count level)
-        weights = triple.signal_on.counts.astype(float) - triple.pump_only.counts
-        centroid = float(np.sum(centers * weights) / np.sum(weights))
-        assert abs(centroid - 50.0) < 3.0
+        """The centroid of the pump-subtracted signal counts (a single-bin
+        argmax is too noisy at this count level) against its closed form,
+        each pass's total spread over its first-click bin probabilities,
+        whose pulse is at the window's center.  Its standard deviation is
+        the delta method's, with each bin's count as Poisson: about 1.4 ns
+        here, so the |z| < 5 bound allows 7 ns.  ``TestHistogramOracle``
+        holds the pulse's place to 0.3 ns at 4e7 shots."""
+        sc = scenario(mu=5.0, shots=50000, seed=21)
+        triple = start_stop_histogram(sc)
+        on, pump = triple.signal_on, triple.pump_only
+        centers = on.bin_centers
+        expected = []
+        for hist, mu in ((on, sc.mu_in), (pump, 0.0)):
+            p = first_click_bin_probabilities(sc.chain, mu, sc.pump_mw, hist.window_ns, 0.64)
+            expected.append(hist.total * p / p.sum())
+        weights = on.counts.astype(float) - pump.counts
+        centroid = np.sum(centers * weights) / np.sum(weights)
+        want = np.sum(centers * (expected[0] - expected[1])) / np.sum(expected[0] - expected[1])
+        var = np.sum((centers - centroid) ** 2 * (on.counts + pump.counts)) / np.sum(weights) ** 2
+        assert abs(centroid - want) < 5.0 * math.sqrt(var)
 
     def test_histograms_deterministic(self):
         t1 = start_stop_histogram(scenario(shots=20000))
         t2 = start_stop_histogram(scenario(shots=20000))
         assert np.array_equal(t1.signal_on.counts, t2.signal_on.counts)
         assert np.array_equal(t1.pump_only.counts, t2.pump_only.counts)
+
+    def test_every_accepted_click_is_binned(self):
+        # 0.64 ns bins round a 100 ns window down to 156 bins, 99.84 ns, and
+        # each pass is drawn over them: no accepted click lies past the last
+        # bin, where one drawn over 100 ns would go uncounted
+        sc = scenario(mu=25.0, pump=400.0, shots=2_000_000, seed=1)
+        triple = start_stop_histogram(sc, bin_width_ns=0.64, window_ns=100.0)
+        for hist, (lane, mu, pump, _) in zip(
+            (triple.signal_on, triple.pump_only, triple.dark_only), _lanes(sc.mu_in, sc.pump_mw)[2:]
+        ):
+            accepted, _ = _lane(sc, lane, mu, pump, hist.window_ns)
+            assert hist.total == accepted.size > 0
+            assert hist.window_ns == 156 * 0.64
+
+    @pytest.mark.parametrize("bin_width, n_bins", [(0.64, 156), (1.0, 1), (0.1, 3), (1e-3, 2**20)])
+    def test_window_is_the_last_bin_edge(self, bin_width, n_bins):
+        h = Histogram(bin_width, np.ones(n_bins, dtype=int))
+        assert h.window_ns == n_bins * bin_width == (np.arange(n_bins + 1) * bin_width)[-1]
+
+    def test_window_is_derived_not_a_field(self):
+        # ==, repr and replace see the bin width and the counts only, and a
+        # replaced record derives its window anew
+        h = Histogram(0.64, np.ones(156, dtype=int))
+        assert Histogram._fields == ("bin_width_ns", "counts")
+        assert h == Histogram(0.64, np.ones(156)) and h != Histogram(0.64, np.ones(155))
+        assert repr(h).startswith("Histogram(bin_width_ns=0.64, counts=array(")
+        assert "window_ns" not in repr(h)
+        assert replace(h, bin_width_ns=2.0).window_ns == 312.0
+        with pytest.raises(TypeError, match="window_ns"):
+            replace(h, window_ns=100.0)
 
     def test_too_many_bins_rejected_before_any_pass(self, monkeypatch):
         # 1e14 bins of 1e-12 ns asked numpy for a 728 TiB count array, a
@@ -836,7 +871,7 @@ class TestHistograms:
             start_stop_histogram(scenario(shots=1000), bin_width_ns=1e-12)
 
     def test_gate_integration(self):
-        h = Histogram(bin_width_ns=1.0, counts=np.ones(100, dtype=int), window_ns=100.0)
+        h = Histogram(bin_width_ns=1.0, counts=np.ones(100, dtype=int))
         assert gate_integrate(h, 20.0) == 20.0
         assert gate_integrate(h, 0.0) == 0.0
         with pytest.raises(ValueError, match="exceeds the window"):
@@ -855,11 +890,11 @@ class TestHistograms:
         triple = start_stop_histogram(sc)
         totals, in_gate, probs, probs_in_gate = [], [], [], []
         for hist, mu in ((triple.signal_on, sc.mu_in), (triple.pump_only, 0.0)):
-            p = first_click_bin_probabilities(sc.chain, mu, sc.pump_mw, 100.0, 0.64)
+            p = first_click_bin_probabilities(sc.chain, mu, sc.pump_mw, hist.window_ns, 0.64)
             totals.append(hist.total)
             in_gate.append(gate_integrate(hist, 20.0))
             probs.append(p.sum())
-            probs_in_gate.append(gate_integrate(Histogram(0.64, p, 100.0), 20.0))
+            probs_in_gate.append(gate_integrate(Histogram(0.64, p), 20.0))
         (n_on, n_pump), (q_on, q_pump) = totals, np.divide(probs_in_gate, probs)
         signal = n_on - n_pump
         ratio = (in_gate[0] - in_gate[1]) / signal
@@ -901,7 +936,7 @@ class TestReadOnlyArrays:
 
     def test_histogram_counts(self):
         counts = np.ones(100, dtype=int)
-        h = Histogram(bin_width_ns=1.0, counts=counts, window_ns=100.0)
+        h = Histogram(bin_width_ns=1.0, counts=counts)
         with pytest.raises(ValueError, match="read-only"):
             h.counts[50] = -5
         assert h.total == 100 and gate_integrate(h, 20.0) == 20.0

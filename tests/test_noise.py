@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import beta_quadrature, event_means_from_fields, snr_unsubtracted_decimal
-from qfcsim import replace
-from qfcsim.chain import reference_chain
+from qfcsim import reference_chain, replace
 from qfcsim.noise import (
     ALLOWED_GATE_WIDTHS_NS,
     FILTER_BANDWIDTH_MAX_NM,

@@ -37,7 +37,7 @@ VALID = {
                    TimeBinQubit(0.0, 50.0, 0.0, 1.0)],
     Interferometer: [Interferometer(50.0)],
     SlotCounts: [SlotCounts(1.0, 2.0, 1.0)],
-    montecarlo.Histogram: [montecarlo.Histogram(1.0, np.ones(100, dtype=int), 100.0)],
+    montecarlo.Histogram: [montecarlo.Histogram(1.0, np.ones(100, dtype=int))],
 }
 
 

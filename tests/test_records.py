@@ -61,7 +61,7 @@ INSTANCES = {
         ExperimentScenario(CHAIN, 6.1, 120.0, 10, 1),
         TimeBinQubit(0.0, 50.0), Interferometer(50.0), SlotCounts(1.0, 2.0, 1.0),
         QuantumRegimeRow(1.0, 0.9, 0.9, 0.9, 0.9),
-        Histogram(1.0, _COUNTS, 4.0), HistogramTriple(*[Histogram(1.0, _COUNTS, 4.0)] * 3),
+        Histogram(1.0, _COUNTS), HistogramTriple(*[Histogram(1.0, _COUNTS)] * 3),
         SimulationResult(_clicks(2), _clicks(2), 10, 0, 0),
         Dataset(x=[1.0, 2.0, 3.0], y=[1.0, 2.0, 3.0]),
         FitResult(np.ones(1), np.ones((1, 1)), np.ones(1), 0.0, 1, ("slope",), {}),
@@ -70,6 +70,7 @@ INSTANCES = {
 DERIVED = {
     ConversionChain: {"output_wavelength_nm", "beta", "_cascade", "_event_factors"},
     EfficiencyCascade: {"eta_ext_max", "eta_dev_max", "eta_tot_max"},
+    Histogram: {"window_ns"},
     NoiseModel: {"alpha_unit"},
     QuantumRegimeRow: {"fidelity", "exceeds_ext"},
     SimulationResult: {"alive_signal", "alive_noise", "p_signal", "p_signal_err", "p_noise",
@@ -167,7 +168,7 @@ class TestEqualityAndHash:
 
     @pytest.mark.parametrize("make", [
         lambda counts: FitResult(counts, np.diag(counts), counts, 0.0, 1, ("a", "b"), {}),
-        lambda counts: HistogramTriple(*[Histogram(1.0, counts, float(counts.size))] * 3),
+        lambda counts: HistogramTriple(*[Histogram(1.0, counts)] * 3),
         # 3 counts by origin, repeating the given ones
         lambda counts: SimulationResult(np.resize(counts.astype(int), 3), _clicks(1), 10, 0, 0),
     ], ids=["FitResult", "Histogram", "SimulationResult"])
