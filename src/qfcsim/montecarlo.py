@@ -3,55 +3,42 @@
 Per shot, three independent Poisson sources feed the detection window:
 input photons thinned through the efficiency chain (times drawn from the
 pulse shape), pump-induced noise and dark counts (both uniform over the
-window).  ``ConversionChain.event_means``, which the analytic model reads
-too, gives their means; the gate cut is in the drawn times, not a β.  So a
-chunk of m = 2**16 shots draws one Poisson(m·mean) event count per origin,
-then per event a uniform shot and a Gaussian (signal) or uniform time;
-events outside the window are dropped and the earliest one per shot is the
-click.  A chunk lays its events out signal, pump noise, dark, so an
-event's origin is its place.  Every chunk draws as a full one: a lane's
-partial last chunk drops the events at shots past the lane's, and the kept
-ones of each origin are still Poisson, over the shots kept (thinning,
-Lewis & Shedler 1979).  The shots and the uniform times are Philox's raw
-64-bit words, cut by the package's own transforms into the numbers
-numpy's ``integers`` and ``uniform`` give, bit for bit: a shot is the top
-16 bits of a 32-bit half, Lemire's multiply-shift (ACM TOMACS 29(1),
-2019), which never rejects for 2**16 shots, sliced from the words by the
-chunk that draws them; a uniform time is a word's top 53 bits times the
-window.  The Poisson counts and the normals are numpy's ``Generator``
-methods.  At the reference point about 1% of gates click, so this draws
-about m/100 events where per-shot draws would need 4m numbers.
+window), with the means of ``ConversionChain.event_means``.  Only the
+events inside the window are drawn: the signal's mean is cut to the
+window's share of the pulse, beta_w (``noise.beta_factor``'s formula), so
+``simulate`` uses beta_w itself, as the analytic model does.  The 100 ns
+window of ``start_stop_histogram`` holds all but 8e-5 of the pulse, and
+its drawn times still check the pulse shape and the gate fraction
+(``test_gate_cut_supplies_beta``, ``TestHistogramOracle``).  A chunk of
+m = 2**16 shots draws one Poisson(m·mean) event count per origin, laid out
+signal, pump noise, dark, so an event's origin is its place, then one raw
+Philox word per event: its top 16 bits are its shot, its low 48 bits a
+uniform u, which gives pump noise and dark t = u·w and the signal the
+normal truncated to the window by inversion, through Wichura's AS241
+(Appl. Statist. 37, 477, 1988).  AS241's central branch, all that a
+window of up to 36.7 ns needs, is + - × ÷ only, rounded alike on every
+IEEE 754 machine; its tail branch uses numpy's ``log`` and ``sqrt``,
+whose SIMD kernels can differ from libm in the last bit.  A lane's
+partial last chunk draws as a full one and drops its events at shots
+past the lane's; the kept ones of each origin are still Poisson
+(thinning, Lewis & Shedler 1979).  The earliest event per shot is the
+click.
 
 Randomness is counter-based (Philox, Salmon et al., SC 2011): each
 (lane, chunk) pair owns an independent substream derived from the
 scenario seed, so the records do not depend on how the chunks are
-grouped.  Each chunk makes only its own draws; the transforms of the
-raw words, the origins, the window cut and the choice of the first event
-per shot (one sort of packed (shot, draw index) keys) run once over a
-batch of chunks holding about ``_BATCH_EVENTS`` expected events, which
-shares numpy's fixed per-call cost among them.  An event alone in its
-shot is that shot's click, so the earliest-time choice runs only over the
-events of shared shots: at the reference point about 1% of the events in
-the window.
+grouped.  Each chunk makes only its own draws; the times and the first
+event per shot (one sort of packed (shot, draw index) keys) run once over
+a batch of chunks expecting about ``_BATCH_EVENTS`` whole-pulse events,
+which shares numpy's fixed per-call cost among them.
 
 Gates in the dead time after an accepted click are skipped and excluded
-from the probability denominators.  Within a batch, a click more than the
-dead gates after the click before it is accepted outright; the others lie
-in runs behind such a click.  A click that is also more than the dead
-gates before the next one is in no run, and at the reference point that
-holds for about two thirds of the input-on clicks and 97% of the blocked
-ones.  Only the clicks in runs, compacted, are searched: each one's
-successor, the first click past its dead window, is found by one sorted
-search, and each run's accepted clicks are the chain of successors from
-its head, found for all runs at once by pointer doubling (Hillis & Steele
-1986) in ceil(log2 L) rounds for the longest chain, of L clicks.  At the
-reference point L was at most 3 in every batch measured (2 rounds).
-Between batches only the last accepted shot plus the dead gates carries
-over, so a lane streams its batches and keeps none: ``simulate`` counts
-each batch's accepted clicks by origin and ``start_stop_histogram`` bins
-them over the whole bins its passes are drawn on, and neither's memory
-grows with the shot count.  The results are bit-reproducible for a given
-seed.
+from the probability denominators (``_apply_dead_time``).  Between
+batches only the last accepted shot plus the dead gates carries over, so
+a lane streams its batches and keeps none: ``simulate`` counts each
+batch's accepted clicks by origin and ``start_stop_histogram`` bins them,
+and neither's memory grows with the shot count.  The results are
+bit-reproducible for a given seed.
 """
 
 from __future__ import annotations
@@ -63,22 +50,13 @@ from collections.abc import Iterator
 import numpy as np
 
 from .chain import MAX_SHOTS, ExperimentScenario
-from .noise import DegenerateDenominatorError
+from .noise import DegenerateDenominatorError, _window_fraction
 from .optics import Record, check_range
 
 __all__ = [
-    "ExperimentScenario",
-    "Histogram",
-    "HistogramTriple",
-    "SimulationResult",
-    "CLICK_DTYPE",
-    "ORIGIN_SIGNAL",
-    "ORIGIN_PUMP",
-    "ORIGIN_DARK",
-    "ORIGIN_NAMES",
-    "simulate",
-    "start_stop_histogram",
-    "gate_integrate",
+    "ExperimentScenario", "Histogram", "HistogramTriple", "SimulationResult", "CLICK_DTYPE",
+    "ORIGIN_SIGNAL", "ORIGIN_PUMP", "ORIGIN_DARK", "ORIGIN_NAMES",
+    "simulate", "start_stop_histogram", "gate_integrate",
 ]
 
 ORIGIN_SIGNAL = np.int8(0)
@@ -89,15 +67,13 @@ ORIGIN_NAMES = {int(ORIGIN_SIGNAL): "signal", int(ORIGIN_PUMP): "pump-noise", in
 _ORIGINS = np.array([ORIGIN_SIGNAL, ORIGIN_PUMP, ORIGIN_DARK])
 
 # a click of one batch; simulate keeps only its lane's counts by origin
-CLICK_DTYPE = np.dtype(
-    [("shot", np.int64), ("time_ns", np.float64), ("origin", np.int8)]
-)
+CLICK_DTYPE = np.dtype([("shot", np.int64), ("time_ns", np.float64), ("origin", np.int8)])
 
 _CHUNK = 1 << 16
-# expected events per batch of chunks: the work after the draws runs once
-# per batch, which shares its fixed numpy cost among the batch's chunks.
-# At the reference rate a lane's time fell from _CHUNK // 16 to // 4;
-# larger batches saved a few percent more for a larger heap peak
+# expected whole-pulse events per batch of chunks (a batch draws those in
+# the window): the work after the draws runs once per batch, sharing its
+# fixed numpy cost.  At the reference rate a lane's time fell from _CHUNK // 16
+# to // 4; larger batches saved a few percent more for a larger heap peak
 _BATCH_EVENTS = _CHUNK // 4
 # a batch spans at most 2**32 shots, so a shot within it and an event index
 # pack into one 64-bit sort key
@@ -113,9 +89,25 @@ _LANE_STRIDE = MAX_SHOTS // _CHUNK  # chunks per lane
 
 MAX_EXPECTED_CLICKS_PER_GATE = 0.5
 
-# Generator.random's double of a raw word w is (w >> 11) * _U53
-_U53 = 2.0**-53
-_EMPTY_WORDS = np.empty(0, dtype=np.uint64)
+# a raw word's low 48 bits are its event's time, the top 16 its shot
+_TIME_BITS = np.uint64((1 << 48) - 1)
+
+# AS241's PPND16 coefficients, constant term first, a row each: the numerator
+# and the denominator of the central branch, then of the tail for r <= 5 and r > 5
+_AS241 = np.array("""
+3.387132872796366608 1.3314166789178437745e2 1.9715909503065514427e3 1.3731693765509461125e4
+4.5921953931549871457e4 6.7265770927008700853e4 3.3430575583588128105e4 2.5090809287301226727e3
+1.0 4.2313330701600911252e1 6.871870074920579083e2 5.3941960214247511077e3
+2.1213794301586595867e4 3.930789580009271061e4 2.8729085735721942674e4 5.226495278852854561e3
+1.42343711074968357734 4.6303378461565452959 5.7694972214606914055 3.64784832476320460504
+1.27045825245236838258 2.4178072517745061177e-1 2.27238449892691845833e-2 7.7454501427834140764e-4
+1.0 2.05319162663775882187 1.6763848301838038494 6.8976733498510000455e-1
+1.4810397642748007459e-1 1.51986665636164571966e-2 5.475938084995344946e-4 1.05075007164441684324e-9
+6.6579046435011037772 5.4637849111641143699 1.7848265399172913358 2.9656057182850489123e-1
+2.6532189526576123093e-2 1.2426609473880784386e-3 2.71155556874348757815e-5 2.01033439929228813265e-7
+1.0 5.9983220655588793769e-1 1.3692988092273580531e-1 1.48753612908506148525e-2
+7.868691311456132591e-4 1.8463183175100546818e-5 1.4215117583164458887e-7 2.04426310338993978564e-15
+""".split(), dtype=float).reshape(6, 8)
 
 # the most bins a histogram holds: 1 ps bins over the reference 1 us gate
 # period, 8 MiB per count array
@@ -256,87 +248,106 @@ def _first_per_shot(shot: np.ndarray, t: np.ndarray, order: np.ndarray) -> np.nd
     return np.flatnonzero(pick)
 
 
-def _doubles(words: np.ndarray, scale: float) -> np.ndarray:
-    """``Generator.random``'s doubles of raw ``words``, (w >> 11)·2**-53,
-    times ``scale``: for a scale of w, ``Generator.uniform(0, w)``'s
-    doubles, bit for bit (the first product is exact)."""
-    doubles = np.multiply(words >> 11, _U53)
-    doubles *= scale
-    return doubles
+def _horner(coefs: tuple[float, ...], r: np.ndarray) -> np.ndarray:
+    """The polynomial of ``coefs``, constant term first, at ``r``: (c7·r + c6)·r + ... + c0."""
+    value = coefs[-1] * r
+    for c in coefs[-2:0:-1]:
+        value += c
+        value *= r
+    value += coefs[0]
+    return value
+
+
+def _ndtri(q: np.ndarray) -> np.ndarray:
+    """The standard normal quantile Phi^-1(1/2 + q) for q in (-1/2, 1/2) by
+    AS241's PPND16, which forms q = p - 1/2 first: taking q, 1/2 + q is never
+    rounded.  The central branch, q·A(r)/B(r) at r = 0.180625 - q^2, runs
+    for every q; the tail's, for |q| > 0.425, only where needed."""
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    x = _horner(_AS241[0], r)
+    x *= q
+    x /= _horner(_AS241[1], r)
+    tail = np.flatnonzero(np.abs(q) > 0.425)
+    if tail.size:
+        r = np.sqrt(-np.log(0.5 - np.abs(q[tail])))
+        v = _horner(_AS241[2], r - 1.6) / _horner(_AS241[3], r - 1.6)
+        far = np.flatnonzero(r > 5.0)  # 1/2 - |q| below e^-25
+        v[far] = _horner(_AS241[4], r[far] - 5.0) / _horner(_AS241[5], r[far] - 5.0)
+        x[tail] = np.copysign(v, q[tail])
+    return x
+
+
+def _event_times(
+    words: np.ndarray, n_signal: int, beta: float, sigma_ns: float, window_ns: float
+) -> np.ndarray:
+    """Each event's time in [0, window_ns) from its raw word's low 48 bits,
+    u = (bits + 1/2)·2**-48, exact, in [2**-49, 1 - 2**-49]: for the first
+    ``n_signal`` events the pulse truncated to the window, of which it holds
+    ``beta``, t = w/2 + sigma·Phi^-1(1/2 + (u - 1/2)·beta), and for the
+    others, pump noise and dark, t = u·w."""
+    t = np.multiply(words & _TIME_BITS, 2.0**-48)
+    t += 2.0**-49
+    if n_signal:
+        q = t[:n_signal] - 0.5
+        q *= beta
+        t[:n_signal] = _ndtri(q) * sigma_ns + window_ns / 2.0
+    t[n_signal:] *= window_ns
+    return t
 
 
 def _collect_clicks(
-    means: tuple[float, float, float],
-    sigma_ns: float,
-    n_shots: int,
-    seed: int,
-    lane: int,
-    window_ns: float,
-    chunks: range,
+    means: tuple[float, float, float], sigma_ns: float, n_shots: int, seed: int, lane: int,
+    window_ns: float, chunks: range,
 ) -> np.ndarray:
     """First detected event per shot in the shots of ``chunks``, before
-    dead-time bookkeeping, from the lane's expected (signal, pump-noise,
-    dark) events per gate, ``means``, whose index is the origin code.
+    dead-time bookkeeping, from the lane's expected (whole-pulse signal,
+    pump-noise, dark) events per gate, ``means``, whose index is the origin
+    code, over the window [0, window_ns) with the pulse centered in it.
 
-    The window spans [0, window_ns) with the pulse centered at its middle.
-    Each chunk draws from its own substream: one Poisson(2**16·mean) event
-    count per origin, then the raw words of its n events' shots, the signal
-    events' Gaussian times and the raw words of the others' uniform times.
-    Its events are laid out signal, pump noise, dark, so an event's origin
-    is its place.  The n shots are the top 16 bits of each 32-bit half of
-    ceil(n/2) words, low half first: the draws of ``integers(0, 2**16, n)``,
-    since Lemire's multiply-shift never rejects for a range of 2**16.  The
-    chunk slices exactly these n: an odd n leaves its last high half unread.
-
-    Every chunk draws as a full one of 2**16 shots.  A lane's partial last
-    chunk, of m shots, drops its events at shots m and past: each event's
-    shot is uniform and independent of its count and time, so the kept
-    ones of each origin are Poisson(m·mean), uniform over the m shots
-    (thinning, Lewis & Shedler 1979).  An origin of zero mean draws no
-    event.  All that follows the draws runs once over the chunks'
-    concatenated events."""
-    scaled = [_CHUNK * mean for mean in means]
+    Each chunk draws from its own substream the Poisson counts of its
+    events inside the window, of means 2**16 × (signal·beta_w, pump noise,
+    dark), then one raw word per event.  A lane's partial last chunk, of m
+    shots, drops its events at shots m and past: each event's shot is
+    uniform and independent of its count and time, so the kept ones of each
+    origin are Poisson(m·mean) over the m shots.  All that follows the
+    draws runs once over the chunks' concatenated events."""
+    beta = _window_fraction(sigma_ns, window_ns)
+    scaled = (_CHUNK * (means[0] * beta), _CHUNK * means[1], _CHUNK * means[2])
     base = chunks.start * _CHUNK
-    tops, counts, offsets = [], [], []
-    normals, time_words = [np.empty(0)], [_EMPTY_WORDS]
+    words, counts, offsets = ([], [], []), [], []
     for ci, rng in zip(chunks, _substreams(seed, lane, chunks)):
         k = [int(rng.poisson(x)) for x in scaled]
-        signal, n = k[0], k[0] + k[1] + k[2]
+        n = k[0] + k[1] + k[2]
         if n == 0:
             continue
-        raw = rng.bit_generator.random_raw
-        # the 16-bit pieces 1, 3, ... of the words' little-endian bytes, which
-        # astype swaps into place on a big-endian machine
-        tops.append(raw((n + 1) // 2).astype("<u8", copy=False).view("<u2")[1:2 * n:2])
+        w = rng.bit_generator.random_raw(n)
+        m = n_shots - ci * _CHUNK
+        if m < _CHUNK:
+            # the events at shots m and past are the words from m << 48 up
+            kept = w < np.uint64(m << 48)
+            k = [int(np.count_nonzero(part)) for part in np.split(kept, [k[0], k[0] + k[1]])]
+            w = w[kept]
+        words[0].append(w[:k[0]])
+        words[1].append(w[k[0]:k[0] + k[1]])
+        words[2].append(w[k[0] + k[1]:])
         counts += k
         offsets.append(ci * _CHUNK - base)
-        # a draw of no values takes nothing from the stream: skipping it
-        # saves a call and keeps every record
-        if signal:
-            normals.append(rng.standard_normal(signal))
-        if signal < n:
-            time_words.append(raw(n - signal))
     if not offsets:
         return np.empty(0, dtype=CLICK_DTYPE)
-    counts = np.array(counts).reshape(-1, 3)
-    origin = np.repeat(np.tile(_ORIGINS, len(offsets)), counts.ravel())
-    signal = origin == ORIGIN_SIGNAL
-    t = np.empty(origin.size)
-    pulse = np.concatenate(normals)
-    pulse *= sigma_ns
-    pulse += window_ns / 2.0
-    t[signal] = pulse
-    t[~signal] = _doubles(np.concatenate(time_words), window_ns)
-    shots = np.repeat(np.array(offsets, dtype=np.uint64), counts.sum(axis=1))
-    shots += np.concatenate(tops)
-    # the events in the window and in the lane's shots; one sort of them by
-    # (shot within the batch, draw index), packed as shot << 32 | index
-    # into 64 unsigned bits: the keys are distinct, so the sort is stable
-    # by shot, and each half is read back with no gather
-    inside = np.flatnonzero((t >= 0.0) & (t < window_ns) & (shots < n_shots - base))
-    key = shots[inside]
+    # the batch's events by origin, and each origin's by chunk: a shot's
+    # events, all of one chunk, keep their order of draw
+    words = np.concatenate(words[0] + words[1] + words[2])
+    counts = np.array(counts).reshape(-1, 3).T
+    origin = np.repeat(_ORIGINS, counts.sum(axis=1))
+    t = _event_times(words, int(counts[0].sum()), beta, sigma_ns, window_ns)
+    # one sort of the events by (shot within the batch, draw index), packed
+    # as shot << 32 | index into 64 unsigned bits: the keys are distinct, so
+    # the sort is stable by shot, and each half is read back with no gather
+    key = words >> 48
+    key += np.repeat(np.array(offsets * 3, dtype=np.uint64), counts.ravel())
     key <<= 32
-    key |= inside.view(np.uint64)
+    key |= np.arange(key.size, dtype=np.uint64)
     key.sort()
     # both halves as signed integers, which numpy indexes and stores uncast
     order = (key & 0xFFFFFFFF).view(np.intp)
@@ -352,9 +363,7 @@ def _collect_clicks(
     return rec
 
 
-def _apply_dead_time(
-    clicks: np.ndarray, n_shots: int, dead_gates: int
-) -> tuple[np.ndarray, int]:
+def _apply_dead_time(clicks: np.ndarray, n_shots: int, dead_gates: int) -> tuple[np.ndarray, int]:
     """Drop clicks in gates suppressed by the detector dead time.
 
     Returns the accepted clicks and the number of skipped gates (gates in
@@ -481,9 +490,7 @@ def _histogram_from_clicks(clicks: np.ndarray, edges: np.ndarray) -> np.ndarray:
 
 
 def start_stop_histogram(
-    scenario: ExperimentScenario,
-    bin_width_ns: float = 0.64,
-    window_ns: float = 100.0,
+    scenario: ExperimentScenario, bin_width_ns: float = 0.64, window_ns: float = 100.0
 ) -> HistogramTriple:
     """Start-stop arrival histograms over a wide detection window.
 
@@ -491,14 +498,19 @@ def start_stop_histogram(
     the noise pedestal), pump only (flat pedestal over dark floor) and
     everything blocked (flat dark floor).  ``window_ns`` is rounded down to
     whole bins, 1 to ``_MAX_BINS`` of them, checked before any pass is
-    drawn, and every pass is drawn over them, centered there.
+    drawn, and every pass is drawn over them, centered there.  A window
+    within 4 ulps of n whole bins holds n (a histogram's own ``window_ns``
+    gives its bins back), less one if their last edge reaches the period.
     """
     check_range("bin_width_ns", bin_width_ns, bounds="()")
-    check_range("window_ns", window_ns, high=scenario.chain.gate_period_ns)
-    bins = window_ns / bin_width_ns
-    check_range("bins in the window (window_ns / bin_width_ns)", bins, 1.0, _MAX_BINS, "[]")
+    period = scenario.chain.gate_period_ns
+    check_range("window_ns", window_ns, high=period)
+    bins = window_ns / bin_width_ns * (1.0 + 2.0**-50)
+    check_range("bins in the window (window_ns / bin_width_ns)", bins, 1.0, _MAX_BINS + 1, "[)")
     edges = np.arange(int(bins) + 1) * bin_width_ns
+    edges = edges[:-1] if edges[-1] >= period else edges
     window_ns = float(edges[-1])
+    check_range("window_ns in whole bins of bin_width_ns", window_ns, bounds="()")
     passes = (
         (_LANE_HIST_SIGNAL, scenario.mu_in, scenario.pump_mw),
         (_LANE_HIST_PUMP, 0.0, scenario.pump_mw),

@@ -178,8 +178,14 @@ def beta_factor(pulse: GaussianPulse, gate: DetectorConfig) -> float:
     The gate is centered on the pulse arrival time; the fraction is the
     Gaussian error integral over the window, erf(half gate / (sigma sqrt 2)).
     """
-    s = pulse.sigma_ns * math.sqrt(2.0)
-    half = gate.gate_width_ns / 2.0
+    return _window_fraction(pulse.sigma_ns, gate.gate_width_ns)
+
+
+def _window_fraction(sigma_ns: float, window_ns: float) -> float:
+    """``beta_factor`` of a pulse of ``sigma_ns`` and a centered window, which
+    the Monte Carlo's in-window signal draws read too."""
+    s = sigma_ns * math.sqrt(2.0)
+    half = window_ns / 2.0
     return math.erf(half / s)
 
 

@@ -7,7 +7,9 @@ photon number (a fixed-length one with log-space Poisson weights, and an
 adaptively truncated, rescaled one) instead of the closed-form fidelity
 bound, 50-digit decimal arithmetic instead of the expm1 form of the SNR,
 dense per-shot Monte Carlo draws instead of a few Poisson counts per
-chunk of shots, a sequential dead-time scan instead of pointer jumping,
+chunk of shots, each raw word cut by scalar Python int and float code
+(with AS241 written out from its coefficients) instead of numpy's array
+operations, a sequential dead-time scan instead of pointer jumping,
 dead time as a renewal process instead of a count of skipped gates,
 first-click bin probabilities in closed form instead of drawn and
 histogrammed click times,
@@ -295,16 +297,82 @@ def dense_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns, 
     return np.concatenate(out)
 
 
+# AS241's PPND16 (Wichura, Appl. Statist. 37, 477, 1988): a, b the central
+# branch's numerator and denominator, c, d the tail's for r <= 5, e, f for
+# r > 5, each from its constant term up
+PPND16_A = (3.3871328727963666080e0, 1.3314166789178437745e+2, 1.9715909503065514427e+3,
+            1.3731693765509461125e+4, 4.5921953931549871457e+4, 6.7265770927008700853e+4,
+            3.3430575583588128105e+4, 2.5090809287301226727e+3)
+PPND16_B = (1.0, 4.2313330701600911252e+1, 6.8718700749205790830e+2, 5.3941960214247511077e+3,
+            2.1213794301586595867e+4, 3.9307895800092710610e+4, 2.8729085735721942674e+4,
+            5.2264952788528545610e+3)
+PPND16_C = (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+            3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+            2.27238449892691845833e-2, 7.74545014278341407640e-4)
+PPND16_D = (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+            1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+            1.05075007164441684324e-9)
+PPND16_E = (6.65790464350110377720e0, 5.46378491116411436990e0, 1.78482653991729133580e0,
+            2.96560571828504891230e-1, 2.65321895265761230930e-2, 1.24266094738807843860e-3,
+            2.71155556874348757815e-5, 2.01033439929228813265e-7)
+PPND16_F = (1.0, 5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.48753612908506148525e-2,
+            7.86869131145613259100e-4, 1.84631831751005468180e-5, 1.42151175831644588870e-7,
+            2.04426310338993978564e-15)
+
+
+def _polynomial(coefs, r: float) -> float:
+    value = coefs[-1]
+    for c in coefs[-2::-1]:
+        value = value * r + c
+    return value
+
+
+def ppnd16(q: float) -> float:
+    """The standard normal quantile at p = 1/2 + q for one float q in
+    (-1/2, 1/2), as AS241's PPND16 writes it from q = p - 1/2, in Python
+    floats and ``math``: q A(r) / B(r) at r = 0.180625 - q^2 for
+    |q| <= 0.425, else the tail's C/D (r <= 5) or E/F ratio at
+    r = sqrt(-log(1/2 - |q|)) less 1.6 or 5, negated for q < 0."""
+    if abs(q) <= 0.425:
+        r = 0.180625 - q * q
+        return q * _polynomial(PPND16_A, r) / _polynomial(PPND16_B, r)
+    r = math.sqrt(-math.log(0.5 - abs(q)))
+    if r <= 5.0:
+        value = _polynomial(PPND16_C, r - 1.6) / _polynomial(PPND16_D, r - 1.6)
+    else:
+        value = _polynomial(PPND16_E, r - 5.0) / _polynomial(PPND16_F, r - 5.0)
+    return -value if q < 0.0 else value
+
+
+def word_time(word: int, signal: bool, beta: float, sigma_ns: float, window_ns: float) -> float:
+    """One event's time from its raw 64-bit word, in Python ints and
+    floats: u = (low 48 bits + 1/2) 2**-48, then u w, or for a signal
+    event w/2 + sigma ppnd16((u - 1/2) beta)."""
+    u = ((word & (2**48 - 1)) + 0.5) * 2.0**-48
+    if not signal:
+        return u * window_ns
+    return window_ns / 2.0 + sigma_ns * ppnd16((u - 0.5) * beta)
+
+
+def window_share(sigma_ns: float, window_ns: float) -> float:
+    """The pulse's share of a centered window, erf((w/2) / (sigma sqrt 2)),
+    with the library's operations in its order, so that the two agree to
+    the bit."""
+    return math.erf(window_ns / 2.0 / (sigma_ns * math.sqrt(2.0)))
+
+
 def chunked_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns):
-    """First event per shot of a whole lane, one chunk at a time, with
-    numpy's own methods in the library's order on the same substream: a
-    Poisson count per origin, ``integers`` shots over a full chunk,
-    ``standard_normal`` signal times and ``uniform`` pump-noise and dark
-    times; then the events at shots past the lane's dropped and the first
-    event per shot by ``first_per_shot``."""
-    means = chain.event_means(mu_in, pump_mw, window_ns)
+    """First event per shot of a whole lane, one chunk at a time, on the
+    library's substreams: numpy's ``poisson`` count per origin of the
+    events in the window (the signal's cut to the window's share of the
+    pulse) and one ``random_raw`` word per event, cut by Python int and
+    float code (``word_time``, the shot as the word's top 16 bits); then
+    the events at shots past the lane's dropped and the first event per
+    shot by ``first_per_shot``."""
+    signal, pump_noise, dark = chain.event_means(mu_in, pump_mw, window_ns)
     sigma_ns = chain.pulse.sigma_ns
-    origins = np.array([ORIGIN_SIGNAL, ORIGIN_PUMP, ORIGIN_DARK])
+    beta = window_share(sigma_ns, window_ns)
+    means = (signal * beta, pump_noise, dark)
     out = [np.empty(0, dtype=CLICK_DTYPE)]
     for ci in range((n_shots + _CHUNK - 1) // _CHUNK):
         start = ci * _CHUNK
@@ -313,14 +381,17 @@ def chunked_collect_clicks(chain, mu_in, pump_mw, n_shots, seed, lane, window_ns
         n = counts[0] + counts[1] + counts[2]
         if n == 0:
             continue
-        shot = rng.integers(0, _CHUNK, n)
-        origin = np.repeat(origins, counts)
-        t = np.concatenate([
-            window_ns / 2.0 + sigma_ns * rng.standard_normal(counts[0]),
-            rng.uniform(0.0, window_ns, n - counts[0]),
-        ])
-        keep = (t >= 0.0) & (t < window_ns) & (shot < n_shots - start)
-        shot, t, origin = shot[keep], t[keep], origin[keep]
+        events = [
+            (word >> 48, word_time(word, i < counts[0], beta, sigma_ns, window_ns), origin)
+            for i, (word, origin) in enumerate(zip(
+                rng.bit_generator.random_raw(n).tolist(),
+                [ORIGIN_SIGNAL] * counts[0] + [ORIGIN_PUMP] * counts[1] + [ORIGIN_DARK] * counts[2],
+            ))
+            if word >> 48 < n_shots - start
+        ]
+        if not events:
+            continue
+        shot, t, origin = (np.array(column) for column in zip(*events))
         first = first_per_shot(shot, t)
         rec = np.empty(first.size, dtype=CLICK_DTYPE)
         rec["shot"] = shot[first] + start
@@ -376,15 +447,16 @@ def first_click_bin_probabilities(
     chain, mu_in: float, pump_mw: float, window_ns: float, bin_width_ns: float
 ) -> np.ndarray:
     """Per alive gate, the probability that its first click falls in each
-    whole bin [a, b) of a start-stop histogram over a window w centered on
-    the pulse: e^(-L(a)) - e^(-L(b)), where L(t) = s (Phi((t - w/2) / sigma)
+    whole bin [a, b) of a start-stop histogram over a window w, a whole
+    number of bins up to rounding, centered on the pulse:
+    e^(-L(a)) - e^(-L(b)), where L(t) = s (Phi((t - w/2) / sigma)
     - Phi(-w / (2 sigma))) + r t is the expected events in [0, t), s the
     whole-pulse signal mean and r = (pump noise + dark) / w, all from the
     chain's primitive fields.  Dead time does not bend this shape, because
     a gate's alive state depends only on earlier gates."""
     signal, pump_noise, dark = event_means_from_fields(chain, mu_in, pump_mw, window_ns)
     sigma = chain.pulse.sigma_ns
-    t = np.arange(int(window_ns / bin_width_ns) + 1) * bin_width_ns
+    t = np.arange(round(window_ns / bin_width_ns) + 1) * bin_width_ns
     cum = signal * (ndtr((t - window_ns / 2.0) / sigma) - ndtr(-window_ns / (2.0 * sigma)))
     cum += (pump_noise + dark) / window_ns * t
     # e^(-L(a)) (1 - e^(-(L(b) - L(a)))), with no cancellation in small bins

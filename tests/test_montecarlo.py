@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.stats import chi2_contingency, chisquare
+from scipy.special import ndtri
+from scipy.stats import chi2_contingency, chisquare, kstest, truncnorm, uniform
 
 from oracles import (
     chunked_collect_clicks,
@@ -17,7 +18,9 @@ from oracles import (
     first_click_bin_probabilities,
     first_click_origin_probabilities,
     first_per_shot,
+    ppnd16,
     skipped_gates_renewal,
+    word_time,
 )
 from qfcsim import montecarlo, reference_chain, replace
 from qfcsim.chain import MAX_SHOTS, ConversionChain
@@ -38,6 +41,7 @@ from qfcsim.noise import (
     FILTER_BANDWIDTH_MAX_NM,
     FILTER_BANDWIDTH_MIN_NM,
     DegenerateDenominatorError,
+    _window_fraction,
     detection_probabilities,
 )
 
@@ -144,20 +148,17 @@ class TestStreams:
         assert _state(rng.bit_generator) == _state(jumped)
 
     def test_each_chunk_starts_afresh(self):
-        # a chunk's draws, Poisson counts, the raw words of its shots,
-        # normals and the raw words of its uniform times, leave nothing
-        # behind in the next chunk's state
+        # a chunk's draws, Poisson counts and the raw words of its events,
+        # leave nothing behind in the next chunk's state
         for ci, rng in zip(range(3, 6), montecarlo._substreams(7, 2, range(3, 6))):
             jumped = np.random.Philox(key=7).jumped(2 * montecarlo._LANE_STRIDE + ci)
             assert _state(rng.bit_generator) == _state(jumped)
             rng.poisson([3.0, 0.5, 20.0])
             rng.bit_generator.random_raw(5)
-            rng.standard_normal(3)
-            rng.bit_generator.random_raw(2)
 
     def test_each_chunk_starts_afresh_after_raw_words(self):
-        # raw words, whose last high half no shot reads and which stop inside
-        # a Philox block of four words: the next chunk's state holds none of them
+        # raw words that stop inside a Philox block of four words: the next
+        # chunk's state holds none of them
         for ci, rng in zip(range(3, 6), montecarlo._substreams(7, 2, range(3, 6))):
             jumped = np.random.Philox(key=7).jumped(2 * montecarlo._LANE_STRIDE + ci)
             assert _state(rng.bit_generator) == _state(jumped)
@@ -166,38 +167,15 @@ class TestStreams:
 
     @pytest.mark.parametrize("mid_block", [False, True])
     def test_draws_of_no_values_take_nothing(self, mid_block):
-        # a chunk skips its normal or uniform-time draw when it has no event
-        # of that kind, which keeps the records only because such a draw
-        # takes nothing from the stream, at a Philox block's start or after
-        # the odd count of raw words of a chunk's shots, inside one
+        # a chunk of no events skips its word draw, which gives the records
+        # a draw of no words would: such a draw takes nothing from the
+        # stream, at a Philox block's start or inside one
         (rng,) = montecarlo._substreams(3, 1, range(2, 3))
         if mid_block:
             rng.bit_generator.random_raw(3)
         before = _state(rng.bit_generator)
-        rng.standard_normal(0)
         rng.bit_generator.random_raw(0)
         assert _state(rng.bit_generator) == before
-
-    @pytest.mark.parametrize("n", [1, 2, 999, 1200])
-    def test_raw_words_are_numpys_draws(self, n):
-        # one chunk's draws after its Poisson counts, k signal events among
-        # its n, from one substream state, once by the Generator's methods
-        # and once from raw words as _collect_clicks cuts them; both then
-        # stand at the same word of the stream.  The shots, ceil(n/2) raw
-        # words against integers(0, 2**16, n), are held to numpy's bit for
-        # bit by TestBatchedOracle
-        window, k = 20.0, n // 3
-        (methods,) = montecarlo._substreams(9, 0, range(5, 6))
-        methods.integers(0, 2**16, n)
-        normals = methods.standard_normal(k)
-        times = methods.uniform(0.0, window, n - k)
-        (rng,) = montecarlo._substreams(9, 0, range(5, 6))
-        raw = rng.bit_generator.random_raw
-        raw((n + 1) // 2)
-        assert rng.standard_normal(k).tobytes() == normals.tobytes()
-        assert montecarlo._doubles(raw(n - k), window).tobytes() == times.tobytes()
-        after, want = _state(rng.bit_generator), _state(methods.bit_generator)
-        assert (after["state"], after["buffer_pos"]) == (want["state"], want["buffer_pos"])
 
 
 # the lanes of simulate and start_stop_histogram: (lane, mu_in, pump_mw, window_ns)
@@ -416,37 +394,118 @@ def _never_called(*args):
 
 
 class TestRateRounding:
-    """Why a uniform time lies below its window: the largest raw word,
-    2**64 - 1, gives numpy's largest uniform, 1 - 2**-53, and that times
-    any normal window w above 2**-1022 rounds to a double below w, so
-    ``_doubles`` never puts a pump-noise or dark event on the window's end,
-    where the window cut would drop it.  At 2**-1022 itself the spacing
-    below is subnormal and the product rounds back to w."""
+    """Why a uniform time lies below its window: a raw word's low 48 bits
+    give u = (bits + 1/2) 2**-48, at most 1 - 2**-49 (the word 2**64 - 1),
+    and that times any window w above 2**-1026 rounds to a double below w,
+    so ``_event_times`` never puts a pump-noise or dark event on the
+    window's end.  At 2**-1026 itself the spacing below is subnormal and
+    the product rounds back to w."""
 
-    U_MAX = 1.0 - 2.0**-53
+    U_MAX = 1.0 - 2.0**-49
 
     def test_largest_word(self):
         largest = np.array([2**64 - 1], dtype=np.uint64)
-        assert montecarlo._doubles(largest, 1.0)[0] == self.U_MAX
+        assert montecarlo._event_times(largest, 0, 0.5, 12.7, 1.0)[0] == self.U_MAX
 
     @pytest.mark.parametrize("w", [math.nextafter(2.0**-1022, 1.0), 0.5])
     def test_below_rate(self, w):
         largest = np.array([2**64 - 1], dtype=np.uint64)
-        assert montecarlo._doubles(largest, w)[0] == self.U_MAX * w < w
+        assert montecarlo._event_times(largest, 0, 0.5, 12.7, w)[0] == self.U_MAX * w < w
 
     def test_below_powers_of_two(self):
-        # exact at a power of two: half a spacing below it is a double
+        # exact at a power of two: 2**(e - 49) below it is a double
         for e in range(-1021, 1024):
-            assert self.U_MAX * 2.0**e == 2.0**e - 2.0 ** (e - 53) < 2.0**e
+            assert self.U_MAX * 2.0**e == 2.0**e - 2.0 ** (e - 49) < 2.0**e
 
     @settings(max_examples=500)
     @given(st.floats(2.0**-1022, sys.float_info.max, exclude_min=True))
     def test_below_normal_rate(self, w):
         assert self.U_MAX * w < w
 
-    def test_equal_at_smallest_normal(self):
-        assert sys.float_info.min == 2.0**-1022
-        assert self.U_MAX * sys.float_info.min == sys.float_info.min
+    def test_equal_at_2_to_the_minus_1026(self):
+        # the smallest normal double, 2**-1022, and the subnormals down to
+        # 2**-1026 (exclusive) stay above the product
+        assert self.U_MAX * sys.float_info.min < sys.float_info.min
+        assert self.U_MAX * math.nextafter(2.0**-1026, 1.0) < math.nextafter(2.0**-1026, 1.0)
+        assert self.U_MAX * 2.0**-1026 == 2.0**-1026
+
+
+def _extreme_words(n_random=2000, seed=0):
+    """Raw words whose low 48 bits are the smallest and the largest, and
+    ``n_random`` others, with a random shot."""
+    words = np.random.default_rng(seed).integers(0, 2**64, n_random, dtype=np.uint64, endpoint=False)
+    return np.concatenate([np.array([0, 2**48 - 1, 2**64 - 1, 2**64 - 2**48], dtype=np.uint64), words])
+
+
+class TestEventTimes:
+    """The transform of a raw word into an event's time, against ``scipy``:
+    AS241 against ``scipy.special.ndtri``, and the times against
+    ``scipy.stats``' truncated normal and uniform distributions."""
+
+    @staticmethod
+    def _check_ndtri(p):
+        q = p - 0.5
+        assert np.all(q + 0.5 == p)  # p - 1/2 is exact on these p
+        x, want = montecarlo._ndtri(q), ndtri(p)
+        assert np.all(np.abs(x - want) <= 2.2e-15 * np.abs(want))
+
+    def test_ndtri_central_grid(self):
+        p = np.arange(1, 2**14) / 2**14
+        self._check_ndtri(p[np.abs(p - 0.5) <= 0.425])
+
+    def test_ndtri_tails(self):
+        # both tails, below and above r = 5 (p < e**-25), down to u's
+        # smallest, 2**-49, and its mirror
+        small = np.concatenate([2.0 ** -np.arange(4, 50), 3.0 * 2.0 ** -np.arange(4, 50),
+                                np.arange(1, 300) / 4096.0])
+        small = small[small < 0.075]
+        assert np.any(small < math.exp(-25.0)) and np.any(small > math.exp(-25.0))
+        self._check_ndtri(small)
+        self._check_ndtri(1.0 - small)
+        assert montecarlo._ndtri(np.array([2.0**-49 - 0.5]))[0] == pytest.approx(ndtri(2.0**-49), rel=2.2e-15)
+
+    def test_ndtri_matches_scalar_oracle(self):
+        # bit for bit in the central branch, which is + - x / only; the
+        # tail's numpy log may differ from libm's in the last bit
+        q = np.random.default_rng(3).random(5000) - 0.5
+        q = np.concatenate([q, [0.425, -0.425, np.nextafter(0.425, 1.0), 0.5 - 2.0**-49]])
+        x, want = montecarlo._ndtri(q), np.array([ppnd16(v) for v in q.tolist()])
+        central = np.abs(q) <= 0.425
+        assert x[central].tobytes() == want[central].tobytes()
+        assert np.allclose(x[~central], want[~central], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("window", [1e-6, 0.3, 1.0, 20.0, 36.7, 50.0, 100.0, 187.0, 1000.0])
+    def test_times_in_window(self, window):
+        # the extreme words, signal and not, at windows that use AS241's
+        # central branch alone, its tail (above 36.7 ns) and past the
+        # whole pulse
+        words = _extreme_words()
+        sigma = REFERENCE.pulse.sigma_ns
+        beta = _window_fraction(sigma, window)
+        for signal in (0, words.size // 3, words.size):
+            t = montecarlo._event_times(words, signal, beta, sigma, window)
+            assert np.all(t >= 0.0) and np.all(t < window)
+            want = np.array([word_time(w, i < signal, beta, sigma, window)
+                             for i, w in enumerate(words.tolist())])
+            if beta <= 0.85:  # AS241's central branch alone
+                assert t.tobytes() == want.tobytes()
+            assert np.allclose(t, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("window", [20.0, 50.0, 100.0, 1000.0])
+    def test_signal_times_are_the_truncated_pulse(self, window):
+        sigma = REFERENCE.pulse.sigma_ns
+        words = np.random.Philox(key=int(window)).random_raw(100_000)
+        t = montecarlo._event_times(
+            words, words.size, _window_fraction(sigma, window), sigma, window
+        )
+        half = window / 2.0 / sigma
+        assert kstest(t, truncnorm(-half, half, loc=window / 2.0, scale=sigma).cdf).pvalue > 0.001
+
+    @pytest.mark.parametrize("window", [20.0, 100.0])
+    def test_uniform_times(self, window):
+        words = np.random.Philox(key=int(window)).random_raw(100_000)
+        t = montecarlo._event_times(words, 0, 0.5, 12.7, window)
+        assert kstest(t, uniform(0.0, window).cdf).pvalue > 0.001
 
 
 class TestBatchedOracle:
@@ -590,7 +649,15 @@ class TestBatchedOracle:
             sc.dead_gates,
         )
         assert accepted.dtype == CLICK_DTYPE
-        assert accepted.tobytes() == want.tobytes()
+        assert np.all(accepted["time_ns"] >= 0.0) and np.all(accepted["time_ns"] < window)
+        # bit for bit where AS241's central branch alone draws the signal
+        # times, which is + - x / only; a wider window's tail branch reads
+        # numpy's log, which may differ from libm's in the last bit
+        if mu == 0.0 or _window_fraction(sc.chain.pulse.sigma_ns, window) <= 0.85:
+            assert accepted.tobytes() == want.tobytes()
+        else:
+            assert accepted[["shot", "origin"]].tolist() == want[["shot", "origin"]].tolist()
+            assert np.allclose(accepted["time_ns"], want["time_ns"], rtol=1e-14, atol=0.0)
         assert skipped == want_skipped
 
 
@@ -680,11 +747,16 @@ class TestHistogramOracle:
 
 class TestAgreementWithAnalytics:
     def test_single_point(self):
+        # each lane's click probability against the model's, with the
+        # model's binomial standard deviation over the alive gates
         sc = scenario(shots=200000, seed=7)
         res = simulate(sc)
         rb = detection_probabilities(sc.mu_in, sc.pump_mw, sc.chain)
-        assert abs(res.p_signal - rb.p_signal) < 3.0 * res.p_signal_err
-        assert abs(res.p_noise - rb.p_noise) < 3.0 * res.p_noise_err
+        for p_mc, p, alive in (
+            (res.p_signal, rb.p_signal, res.alive_signal),
+            (res.p_noise, rb.p_noise, res.alive_noise),
+        ):
+            assert abs(p_mc - p) < 5.0 * math.sqrt(p * (1.0 - p) / alive)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -695,10 +767,10 @@ class TestAgreementWithAnalytics:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_detection_probabilities(self, mu, pump, bandwidth, gate, seed):
-        # the Monte Carlo cuts the whole-pulse signal of event_means at the
-        # window edges, the analytic model scales it by beta; both must
-        # give the same click probabilities anywhere inside the validity
-        # budget
+        # the analytic model scales the whole-pulse signal of event_means by
+        # beta, and the Monte Carlo draws that in-gate share from the pulse
+        # truncated to the gate; both must give the same click probabilities
+        # anywhere inside the validity budget
         chain = REFERENCE.with_filter_bandwidth(bandwidth).with_gate_width(gate)
         assume(sum(chain.event_means(mu, pump, gate)) <= montecarlo.MAX_EXPECTED_CLICKS_PER_GATE)
         res = simulate(scenario(mu=mu, pump=pump, shots=200000, seed=seed, chain=chain))
@@ -711,9 +783,11 @@ class TestAgreementWithAnalytics:
             assert abs(z) < 5.0
 
     def test_zero_input_gives_noise_level(self):
+        # two independent lanes of the same rates: their difference has the
+        # standard deviation of both errors together
         sc = scenario(mu=0.0, shots=100000, seed=3)
         res = simulate(sc)
-        assert res.p_signal == pytest.approx(res.p_noise, abs=4.0 * res.p_noise_err)
+        assert abs(res.p_signal - res.p_noise) < 5.0 * math.hypot(res.p_signal_err, res.p_noise_err)
 
 
 class TestValidityBudget:
@@ -859,6 +933,43 @@ class TestHistograms:
         assert replace(h, bin_width_ns=2.0).window_ns == 312.0
         with pytest.raises(TypeError, match="window_ns"):
             replace(h, window_ns=100.0)
+
+    @staticmethod
+    def _bins(monkeypatch, bin_width, window):
+        # the histogram's bins alone: its passes draw nothing
+        monkeypatch.setattr(montecarlo, "_run_lane", lambda *args: iter(()))
+        return start_stop_histogram(scenario(shots=1000), bin_width, window).signal_on
+
+    @pytest.mark.parametrize("bin_width, window, n_bins", [
+        (0.1, 0.3, 3),  # 0.3 / 0.1 is 2.9999999999999996
+        (0.64, 100.0, 156), (1.0, 1.0, 1), (0.1, 999.9, 9999),
+        # a last edge that rounds up to the gate period drops its bin
+        (0.1, math.nextafter(1000.0, 0.0), 9999),
+    ])
+    def test_whole_bins_within_rounding(self, bin_width, window, n_bins, monkeypatch):
+        h = self._bins(monkeypatch, bin_width, window)
+        assert h.counts.size == n_bins and h.window_ns < REFERENCE.gate_period_ns
+
+    @settings(max_examples=300)
+    @given(st.floats(1e-3, 2.0), st.integers(1, 2**20))
+    def test_own_window_gives_its_bins_back(self, bin_width, n_bins):
+        # a window of n whole bins, as a histogram derives it, holds n bins,
+        # and so does that histogram's own window passed back
+        assume(n_bins * bin_width < 999.0)
+        with pytest.MonkeyPatch.context() as mp:
+            h = self._bins(mp, bin_width, n_bins * bin_width)
+            assert h.counts.size == n_bins
+            assert self._bins(mp, bin_width, h.window_ns).counts.size == n_bins
+
+    def test_no_whole_bin_below_the_period_rejected_before_any_pass(self, monkeypatch):
+        # one bin of the gate period, asked for a window 1 ulp below it:
+        # within rounding of one whole bin, which would reach the period
+        def lane(*args):
+            raise AssertionError("a pass was drawn")
+
+        monkeypatch.setattr(montecarlo, "_run_lane", lane)
+        with pytest.raises(ValueError, match="window_ns in whole bins of bin_width_ns"):
+            start_stop_histogram(scenario(shots=1000), 1000.0, math.nextafter(1000.0, 0.0))
 
     def test_too_many_bins_rejected_before_any_pass(self, monkeypatch):
         # 1e14 bins of 1e-12 ns asked numpy for a 728 TiB count array, a
